@@ -16,9 +16,10 @@ allocation engine (``batch_launches_per_sec``), the stress-aware
 segment replay (``schedule_replay_launches_per_sec_stress_aware``),
 SA mapping (``sa_map_units_per_sec``), the routing-profile model
 (``routing_profiles_per_sec``), fleet shard expansion
-(``fleet_devices_per_sec``) and the speculative front-end walk
-(``spec_walk_launches_per_sec``) — the hot paths with committed
-floors.
+(``fleet_devices_per_sec``), the speculative front-end walk
+(``spec_walk_launches_per_sec``), the clean Phase A walk
+(``walk_launches_per_sec``) and the functional simulator
+(``trace_records_per_sec``) — the hot paths with committed floors.
 Baselines are backend-scoped: the candidate is compared only against
 committed entries with the same ``kernel_backend`` tag (entries
 predating the tag count as ``numpy``), so compiled-backend numbers can
@@ -42,6 +43,8 @@ from pathlib import Path
 #: the stress-aware replay floor (the sequence-planning redesign's
 #: headline number), SA mapping throughput and the routing-profile
 #: model (whose 18568 -> 15646 step across PR 3->4 went unguarded).
+#: Fleet expansion and the front half of the pipeline (both Phase A
+#: walks and the ISS) are guarded too.
 DEFAULT_METRICS = (
     "batch_launches_per_sec",
     "schedule_replay_launches_per_sec_stress_aware",
@@ -49,6 +52,8 @@ DEFAULT_METRICS = (
     "routing_profiles_per_sec",
     "fleet_devices_per_sec",
     "spec_walk_launches_per_sec",
+    "walk_launches_per_sec",
+    "trace_records_per_sec",
 )
 
 

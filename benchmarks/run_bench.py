@@ -3,7 +3,8 @@
 Times rotation-policy configuration launches through the scalar API and
 the vectorized batch API, simulated-annealing mapping throughput (with
 the congestion cost term on and off), launch-schedule replay
-throughput, the speculative front-end walk, and an end-to-end
+throughput, the clean and speculative Phase A walks, the functional
+simulator (ISS), and an end-to-end
 policy-sweep campaign (shared schedules vs the coupled per-point
 walk), and writes the numbers to
 ``BENCH_alloc.json`` so successive PRs can track the hot paths' perf
@@ -47,7 +48,8 @@ from repro.system import (
     replay_schedule,
     shared_schedule,
 )
-from repro.workloads.suite import run_workload
+from repro.sim.cpu import CPU
+from repro.workloads.suite import get_workload, run_workload
 
 ROWS, COLS = 4, 32
 
@@ -177,6 +179,45 @@ def _spec_walk_metrics(n_walks: int) -> dict:
     }
 
 
+def _walk_metrics(n_walks: int) -> dict:
+    """Clean Phase A walk throughput (launches recorded per second by
+    ``compute_schedule`` over the committed trace, no front end): the
+    per-launch and per-GPP-record path plus the DBT translations it
+    triggers."""
+    trace = run_workload(REPLAY_WORKLOAD)
+    params = SystemParams(
+        geometry=FabricGeometry(rows=ROWS, cols=COLS), policy="rotation"
+    )
+    schedule = compute_schedule(params, trace)
+    with obs.stopwatch("bench.walk") as watch:
+        for _ in range(n_walks):
+            schedule = compute_schedule(params, trace)
+    return {
+        "walk_workload": REPLAY_WORKLOAD,
+        "walks": n_walks,
+        "walk_launches": schedule.n_launches,
+        "walk_launches_per_sec": round(
+            schedule.n_launches * n_walks / watch.elapsed, 1
+        ),
+    }
+
+
+def _trace_metrics(n_runs: int) -> dict:
+    """ISS throughput: committed records per second of the functional
+    simulator running the workload's kernel to completion."""
+    program = get_workload(REPLAY_WORKLOAD).program()
+    records = CPU(program).run().steps
+    with obs.stopwatch("bench.trace") as watch:
+        for _ in range(n_runs):
+            CPU(program).run()
+    return {
+        "trace_workload": REPLAY_WORKLOAD,
+        "trace_runs": n_runs,
+        "trace_records": records,
+        "trace_records_per_sec": round(records * n_runs / watch.elapsed, 1),
+    }
+
+
 def _campaign_spec(quick: bool) -> CampaignSpec:
     """The end-to-end metric's campaign: a 5-policy x 4-seed sweep on
     L32xW4 over the full verified suite (seeds expand the seedable
@@ -287,6 +328,8 @@ def run(
     routing_profiles: int = 5_000,
     schedule_replays: int = 100,
     spec_walks: int = 20,
+    walks: int = 20,
+    trace_runs: int = 20,
     fleet_devices: int = 131_072,
     quick: bool = False,
 ) -> dict:
@@ -338,6 +381,8 @@ def run(
         record["numba_version"] = backend.numba_version
     record.update(_replay_metrics(schedule_replays))
     record.update(_spec_walk_metrics(spec_walks))
+    record.update(_walk_metrics(walks))
+    record.update(_trace_metrics(trace_runs))
     record.update(_campaign_metrics(quick))
     record.update(_fleet_metrics(fleet_devices))
     record.update(_host_provenance())
@@ -446,6 +491,8 @@ def main(argv: list[str] | None = None) -> int:
             routing_profiles=500,
             schedule_replays=10,
             spec_walks=4,
+            walks=4,
+            trace_runs=4,
             fleet_devices=8_192,
             quick=True,
         )

@@ -146,17 +146,6 @@ class VirtualConfiguration:
         return cols
 
     @cached_property
-    def pc_path_array(self) -> np.ndarray:
-        """:attr:`pc_path` as a read-only int64 vector (cached).
-
-        The replay prefix match compares this against the trace's
-        cached PC column instead of walking tuple elements.
-        """
-        path = np.array(self.pc_path, dtype=np.int64)
-        path.flags.writeable = False
-        return path
-
-    @cached_property
     def used_rows(self) -> int:
         """Height of the bounding box (max row + 1)."""
         return max(op.row for op in self.ops) + 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.cgra.configuration import VirtualConfiguration
 from repro.isa.instructions import OPCODES, InstrClass
-from repro.sim.cpu import _ALU_OPS, _div, _mul, to_unsigned
+from repro.sim.cpu import _ALU_OPS, _DIV_OPS, _MUL_OPS, to_unsigned
 from repro.sim.trace import TraceRecord
 
 
@@ -51,9 +51,9 @@ def _compute(record: TraceRecord, rs1_val: int, rs2_val: int) -> int | None:
             _ALU_OPS[record.op](rs1_val, rs2_val, imm, record.pc)
         )
     if record.cls is InstrClass.MUL:
-        return to_unsigned(_mul(record.op, rs1_val, rs2_val))
+        return to_unsigned(_MUL_OPS[record.op](rs1_val, rs2_val))
     if record.cls is InstrClass.DIV:
-        return to_unsigned(_div(record.op, rs1_val, rs2_val))
+        return to_unsigned(_DIV_OPS[record.op](rs1_val, rs2_val))
     return None
 
 

@@ -1,9 +1,12 @@
 """Dataflow-graph construction over committed instruction windows.
 
 The scheduler tracks dependences incrementally for speed; this module
-builds the same graph explicitly (as a :class:`networkx.DiGraph`) for
-analysis, visual inspection and — most importantly — as an independent
-oracle that the tests use to validate scheduler output.
+derives the same dependences explicitly — as a plain edge list
+(:func:`dependence_edges`, used by the annealing mapper) and as a
+:class:`networkx.DiGraph` (:func:`build_dfg`) for analysis, visual
+inspection and — most importantly — as an independent oracle that the
+tests use to validate scheduler output. networkx is imported only when
+a graph is built, so importing :mod:`repro` never pays for it.
 
 Edge kinds (``kind`` attribute):
 
@@ -23,11 +26,13 @@ the context lines, and the routing model
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.trace import TraceRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def _word_span(record: TraceRecord) -> range:
@@ -37,45 +42,62 @@ def _word_span(record: TraceRecord) -> range:
     return range(first, last + 1)
 
 
-def build_dfg(records: Sequence[TraceRecord]) -> nx.DiGraph:
-    """Build the dependence graph of an instruction window.
+def dependence_edges(
+    records: Sequence[TraceRecord],
+) -> list[tuple[int, int, str]]:
+    """``(producer, consumer, kind)`` dependence edges of a window.
 
-    Nodes are window offsets (0-based ints) with a ``record`` attribute;
-    edges point from producer to consumer.
+    Producers and consumers are window offsets (0-based). Edges come
+    producer-major, each producer's consumers in window order — the
+    iteration order of :func:`build_dfg`'s ``graph.edges``.
     """
-    graph = nx.DiGraph()
+    kinds: dict[tuple[int, int], str] = {}
     last_writer: dict[int, int] = {}
     last_store: dict[int, int] = {}
     last_load: dict[int, list[int]] = {}
 
-    def add_mem_edge(producer: int, consumer: int) -> None:
-        # Raw edges for this consumer were added first; a duplicate
-        # pair keeps the raw kind (the value really rides a line).
-        if not graph.has_edge(producer, consumer):
-            graph.add_edge(producer, consumer, kind="mem")
-
     for offset, record in enumerate(records):
-        graph.add_node(offset, record=record)
-        for reg in _source_registers(record):
+        for reg in source_registers(record):
             producer = last_writer.get(reg)
             if producer is not None:
-                graph.add_edge(producer, offset, kind="raw")
+                kinds[producer, offset] = "raw"
+        # Raw edges for this consumer were added first; a duplicate
+        # pair keeps the raw kind (the value really rides a line).
         if record.cls is InstrClass.LOAD:
             for word in _word_span(record):
                 store = last_store.get(word)
                 if store is not None:
-                    add_mem_edge(store, offset)
+                    kinds.setdefault((store, offset), "mem")
                 last_load.setdefault(word, []).append(offset)
         elif record.cls is InstrClass.STORE:
             for word in _word_span(record):
                 store = last_store.get(word)
                 if store is not None:
-                    add_mem_edge(store, offset)
+                    kinds.setdefault((store, offset), "mem")
                 for load in last_load.pop(word, ()):  # WAR
-                    add_mem_edge(load, offset)
+                    kinds.setdefault((load, offset), "mem")
                 last_store[word] = offset
         if record.rd is not None:
             last_writer[record.rd] = offset
+    return [
+        (producer, consumer, kind)
+        for (producer, consumer), kind in sorted(kinds.items())
+    ]
+
+
+def build_dfg(records: Sequence[TraceRecord]) -> nx.DiGraph:
+    """Build the dependence graph of an instruction window.
+
+    Nodes are window offsets (0-based ints) with a ``record`` attribute;
+    edges point from producer to consumer and carry their ``kind``.
+    """
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    for offset, record in enumerate(records):
+        graph.add_node(offset, record=record)
+    for producer, consumer, kind in dependence_edges(records):
+        graph.add_edge(producer, consumer, kind=kind)
     return graph
 
 
@@ -93,12 +115,10 @@ def source_registers(record: TraceRecord) -> tuple[int, ...]:
     return tuple(sources)
 
 
-#: Backwards-compatible alias (pre-routing internal name).
-_source_registers = source_registers
-
-
 def critical_path_length(graph: nx.DiGraph) -> int:
     """Longest dependence chain, in instructions (>= 1 for non-empty)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return 0
     return nx.dag_longest_path_length(graph) + 1

@@ -78,8 +78,11 @@ class SchedulerState:
 
     # -- dependence queries ------------------------------------------------
 
-    def earliest_column(self, record: TraceRecord) -> int:
-        """First column where ``record`` may start, per dependences.
+    def earliest_column(
+        self, record: TraceRecord, sources: tuple[int, ...]
+    ) -> int:
+        """First column where ``record`` (reading ``sources``) may
+        start, per dependences.
 
         Loads are ordered after overlapping stores (RAW through memory);
         stores are ordered after overlapping stores (WAW) and loads
@@ -87,7 +90,7 @@ class SchedulerState:
         :func:`repro.dbt.dfg.build_dfg`.
         """
         earliest = 0
-        for reg in self._sources(record):
+        for reg in sources:
             earliest = max(earliest, self._reg_ready.get(reg, 0))
         if record.mem_addr is not None:
             is_store = record.cls is InstrClass.STORE
@@ -96,10 +99,6 @@ class SchedulerState:
                 if is_store:
                     earliest = max(earliest, self._load_ready.get(word, 0))
         return earliest
-
-    # Dependences and line charges resolve sources through the DFG
-    # oracle's single source-register rule.
-    _sources = staticmethod(source_registers)
 
     @staticmethod
     def _word_span(record: TraceRecord) -> range:
@@ -123,14 +122,15 @@ class SchedulerState:
             return None
         width = latency_columns(kind)
         span = (1 << width) - 1
-        earliest = self.earliest_column(record)
-        slot = self._find_slot(
-            kind, width, span, earliest, sources=self._sources(record)
-        )
+        # Dependences and line charges resolve sources through the DFG
+        # oracle's single source-register rule, once per placement.
+        sources = source_registers(record)
+        earliest = self.earliest_column(record, sources)
+        slot = self._find_slot(kind, width, span, earliest, sources=sources)
         if slot is None:
             return None
         row, col = slot
-        self._commit(record, kind, row, col, width)
+        self._commit(record, sources, kind, row, col, width)
         return PlacedOp(
             op=record.op,
             kind=kind,
@@ -192,6 +192,7 @@ class SchedulerState:
     def _commit(
         self,
         record: TraceRecord,
+        sources: tuple[int, ...],
         kind: FUKind,
         row: int,
         col: int,
@@ -205,7 +206,7 @@ class SchedulerState:
         end = col + width
         # Charge operand routing before (re)defining rd: when rd is
         # also a source, the read refers to the previous value.
-        self._lines.charge(self._sources(record), col)
+        self._lines.charge(sources, col)
         if record.rd:
             self._reg_ready[record.rd] = end
             self._lines.define(record.rd, end)

@@ -157,15 +157,11 @@ class DBTEngine:
     ) -> None:
         # Local import: repro.mapping pulls this module back in through
         # the greedy mapper, so binding at call time avoids the cycle.
-        from repro.mapping.routing import routing_profile
+        from repro.mapping.routing import peak_pressure
 
-        window = tuple(
-            trace[position + offset]
-            for offset in range(unit.n_instructions)
-        )
-        profile = routing_profile(unit, window, self.geometry)
+        window = trace.records[position : position + unit.n_instructions]
         self.peak_line_pressure = max(
-            self.peak_line_pressure, profile.peak_pressure
+            self.peak_line_pressure, peak_pressure(unit, window)
         )
 
     def note_replay(self, unit: VirtualConfiguration, matched: int) -> None:

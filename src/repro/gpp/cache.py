@@ -8,6 +8,7 @@ embedded Rocket configuration by default.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -52,6 +53,7 @@ class CacheModel:
         self.params = params
         self._offset_bits = params.line_bytes.bit_length() - 1
         self._set_mask = params.n_sets - 1
+        self._tag_shift = self._set_mask.bit_length()
         # Per-set list of tags in LRU order (index 0 = most recent).
         self._sets: list[list[int]] = [[] for _ in range(params.n_sets)]
         self.hits = 0
@@ -61,7 +63,11 @@ class CacheModel:
         """Touch ``address``; return ``True`` on hit."""
         line = address >> self._offset_bits
         tags = self._sets[line & self._set_mask]
-        tag = line >> (self._set_mask.bit_length())
+        tag = line >> self._tag_shift
+        if tags and tags[0] == tag:
+            # Already the most recent line of its set: LRU order stays.
+            self.hits += 1
+            return True
         try:
             tags.remove(tag)
         except ValueError:
@@ -77,6 +83,15 @@ class CacheModel:
     def access_cycles(self, address: int) -> int:
         """Touch ``address``; return the miss penalty incurred (0 on hit)."""
         return 0 if self.access(address) else self.params.miss_penalty
+
+    def span_cycles(self, addresses: Iterable[int]) -> int:
+        """Touch every address in order; return the total miss penalty
+        (one call per launched unit instead of one per access)."""
+        access = self.access
+        misses = self.misses
+        for address in addresses:
+            access(address)
+        return (self.misses - misses) * self.params.miss_penalty
 
     @property
     def accesses(self) -> int:

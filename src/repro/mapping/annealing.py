@@ -56,7 +56,7 @@ from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import MEM_PORT_ISSUE_COLUMNS, FUKind
 from repro.cgra.interconnect import FOLLOW_GEOMETRY, resolve_line_budget
-from repro.dbt.dfg import build_dfg
+from repro.dbt.dfg import dependence_edges
 from repro.kernels.sa_moves import anneal_sweeps
 from repro.mapping.base import Mapper, register_mapper
 from repro.mapping.greedy import place_window
@@ -391,14 +391,15 @@ class _AnnealState:
         self.succs: list[list[int]] = [[] for _ in ops]
         self.raw_preds: list[list[int]] = [[] for _ in ops]
         self.raw_succs: list[list[int]] = [[] for _ in ops]
-        graph = build_dfg(tuple(records)[: seed.n_instructions])
-        for producer, consumer in graph.edges:
+        for producer, consumer, kind in dependence_edges(
+            tuple(records)[: seed.n_instructions]
+        ):
             u = offset_to_index.get(producer)
             v = offset_to_index.get(consumer)
             if u is not None and v is not None:
                 self.preds[v].append(u)
                 self.succs[u].append(v)
-                if graph.edges[producer, consumer]["kind"] == "raw":
+                if kind == "raw":
                     self.raw_preds[v].append(u)
                     self.raw_succs[u].append(v)
 

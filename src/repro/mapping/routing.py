@@ -120,6 +120,18 @@ def value_intervals(
     ]
 
 
+def peak_pressure(
+    unit: VirtualConfiguration, records: Sequence[TraceRecord]
+) -> int:
+    """Worst per-boundary context-line demand of a placed unit — the
+    :attr:`RoutingProfile.peak_pressure` of :func:`routing_profile`,
+    without computing the input-slot counts."""
+    pressure = pressure_profile(
+        value_intervals(unit, records), unit.geometry_cols
+    )
+    return int(pressure.max()) if pressure.size else 0
+
+
 def input_slot_counts(
     unit: VirtualConfiguration, records: Sequence[TraceRecord]
 ) -> np.ndarray:

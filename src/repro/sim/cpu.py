@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.isa.instructions import Instruction, InstrClass
+from repro.isa.instructions import OPCODES, InstrClass
 from repro.isa.program import STACK_TOP, Program
 from repro.sim.memory import Memory
 from repro.sim.trace import Trace, TraceRecord
@@ -90,32 +90,96 @@ class CPU:
     def run(self) -> ExecutionResult:
         """Execute until halt; return the trace and final state.
 
+        Every static instruction is decoded once up front; the loop then
+        dispatches on the decoded class and builds each
+        :class:`~repro.sim.trace.TraceRecord` positionally.
+
         Raises:
             SimulationError: on illegal instructions, runaway execution
                 or control transfer outside the text segment.
         """
-        records: list[TraceRecord] = []
         program = self.program
+        decoded = _predecode(program)
+        text_base = program.text_base
+        text_bytes = 4 * len(decoded)
+        regs = self.registers
+        memory = self.memory
+        max_steps = self.max_steps
+        records: list[TraceRecord] = []
+        append = records.append if self.collect_trace else None
+        record_type = TraceRecord
+        pc = self.pc
+        # Every later pc is checked when control transfers to it; the
+        # entry is checked here, raising like a fetch from a bad address.
+        if max_steps > 0:
+            program.index_of(pc)
         steps = 0
         while not self._halted:
-            if steps >= self.max_steps:
+            if steps >= max_steps:
                 raise SimulationError(
-                    f"exceeded max_steps={self.max_steps} "
-                    f"(program {program.name!r}, pc={self.pc:#x})"
+                    f"exceeded max_steps={max_steps} "
+                    f"(program {program.name!r}, pc={pc:#x})"
                 )
-            ins = program.instruction_at(self.pc)
-            record = self._execute(ins)
-            if self.collect_trace:
-                records.append(record)
+            cls, op, rd, rs1, rs2, imm, src1, src2, imm0, fn, width = (
+                decoded[(pc - text_base) >> 2]
+            )
+            next_pc = pc + 4
+            value = None
+            mem_addr = None
+            mem_bytes = 0
+            taken = None
+            if cls is _ALU:
+                value = fn(regs[src1], regs[src2], imm0, pc)
+            elif cls is _LOAD:
+                mem_addr = (regs[src1] + imm0) & _MASK32
+                mem_bytes = width
+                value = fn(memory, mem_addr)
+            elif cls is _BRANCH:
+                taken = fn(regs[src1], regs[src2])
+                if taken:
+                    next_pc = (pc + imm0) & _MASK32
+            elif cls is _STORE:
+                mem_addr = (regs[src1] + imm0) & _MASK32
+                mem_bytes = width
+                fn(memory, mem_addr, regs[src2])
+            elif cls is _JUMP:
+                value = pc + 4
+                taken = True
+                if op == "jal":
+                    next_pc = (pc + imm0) & _MASK32
+                else:  # jalr
+                    next_pc = ((regs[src1] + imm0) & _MASK32) & ~1
+            elif cls is _SYSTEM:
+                self.pc = pc
+                self._system(op)
+            else:  # MUL / DIV
+                value = fn(regs[src1], regs[src2])
+            # ``rd`` is decoded as None for x0 and for classes that
+            # write no register, so the value is dropped there.
+            if rd is not None:
+                value &= _MASK32
+                regs[rd] = value
+            else:
+                value = None
+            if append is not None:
+                append(
+                    record_type(
+                        pc, op, cls, rd, rs1, rs2, imm, value, mem_addr,
+                        mem_bytes, taken, next_pc,
+                    )
+                )
             steps += 1
-            self.pc = record.next_pc
-            if self.pc == 0:
+            pc = next_pc
+            if pc == 0:
                 self._halted = True
-                self._exit_code = to_signed(self.registers[10])
-            elif not self._halted and not program.contains_pc(self.pc):
+                self._exit_code = to_signed(regs[10])
+            elif not self._halted and (
+                not 0 <= pc - text_base < text_bytes or (pc - text_base) & 3
+            ):
                 raise SimulationError(
-                    f"control transfer to {self.pc:#x}, outside text segment"
+                    f"control transfer to {pc:#x}, outside text segment"
                 )
+        self.pc = pc
         return ExecutionResult(
             trace=Trace(records, name=program.name),
             exit_code=self._exit_code,
@@ -126,85 +190,6 @@ class CPU:
         )
 
     # ------------------------------------------------------------------
-
-    def _execute(self, ins: Instruction) -> TraceRecord:
-        """Execute one instruction, returning its committed record."""
-        op = ins.op
-        regs = self.registers
-        pc = self.pc
-        next_pc = pc + 4
-        rd_value: int | None = None
-        mem_addr: int | None = None
-        mem_bytes = 0
-        taken: bool | None = None
-
-        rs1_val = regs[ins.rs1] if ins.rs1 is not None else 0
-        rs2_val = regs[ins.rs2] if ins.rs2 is not None else 0
-        imm = ins.imm if ins.imm is not None else 0
-        cls = ins.cls
-
-        if cls is InstrClass.ALU:
-            rd_value = _ALU_OPS[op](rs1_val, rs2_val, imm, pc)
-        elif cls is InstrClass.MUL:
-            rd_value = _mul(op, rs1_val, rs2_val)
-        elif cls is InstrClass.DIV:
-            rd_value = _div(op, rs1_val, rs2_val)
-        elif cls is InstrClass.LOAD:
-            mem_addr = to_unsigned(rs1_val + imm)
-            mem_bytes = ins.spec.mem_bytes
-            rd_value = self._load(op, mem_addr)
-        elif cls is InstrClass.STORE:
-            mem_addr = to_unsigned(rs1_val + imm)
-            mem_bytes = ins.spec.mem_bytes
-            self._store(op, mem_addr, rs2_val)
-        elif cls is InstrClass.BRANCH:
-            taken = _branch_taken(op, rs1_val, rs2_val)
-            if taken:
-                next_pc = to_unsigned(pc + imm)
-        elif cls is InstrClass.JUMP:
-            rd_value = to_unsigned(pc + 4)
-            taken = True
-            if op == "jal":
-                next_pc = to_unsigned(pc + imm)
-            else:  # jalr
-                next_pc = to_unsigned(rs1_val + imm) & ~1
-        elif cls is InstrClass.SYSTEM:
-            self._system(op)
-        else:  # pragma: no cover - OPCODES covers all classes
-            raise SimulationError(f"unhandled instruction class {cls}")
-
-        if rd_value is not None and ins.rd:
-            regs[ins.rd] = to_unsigned(rd_value)
-
-        rd = ins.rd if (rd_value is not None and ins.rd) else None
-        return TraceRecord(
-            pc=pc, op=op, cls=cls, rd=rd, rs1=ins.rs1, rs2=ins.rs2,
-            imm=ins.imm, rd_value=regs[rd] if rd else None,
-            mem_addr=mem_addr, mem_bytes=mem_bytes, taken=taken,
-            next_pc=next_pc,
-        )
-
-    def _load(self, op: str, address: int) -> int:
-        memory = self.memory
-        if op == "lw":
-            return memory.read_u32(address)
-        if op == "lh":
-            value = memory.read_u16(address)
-            return value - 0x10000 if value & 0x8000 else value
-        if op == "lhu":
-            return memory.read_u16(address)
-        if op == "lb":
-            value = memory.read_u8(address)
-            return value - 0x100 if value & 0x80 else value
-        return memory.read_u8(address)  # lbu
-
-    def _store(self, op: str, address: int, value: int) -> None:
-        if op == "sw":
-            self.memory.write_u32(address, value)
-        elif op == "sh":
-            self.memory.write_u16(address, value)
-        else:  # sb
-            self.memory.write_u8(address, value)
 
     def _system(self, op: str) -> None:
         if op == "ebreak":
@@ -229,49 +214,34 @@ class CPU:
 # ----------------------------------------------------------------------
 
 
-def _mul(op: str, a: int, b: int) -> int:
-    if op == "mul":
-        return (a * b) & _MASK32
-    if op == "mulh":
-        return (to_signed(a) * to_signed(b)) >> 32
-    if op == "mulhsu":
-        return (to_signed(a) * b) >> 32
-    return (a * b) >> 32  # mulhu
+def _div(a: int, b: int) -> int:
+    """RV32M ``div``, including the divide-by-zero and overflow cases."""
+    if b == 0:
+        return _MASK32
+    sa, sb = to_signed(a), to_signed(b)
+    if sa == _INT32_MIN and sb == -1:
+        return _SIGN_BIT  # overflow: result is INT32_MIN
+    return int(sa / sb) & _MASK32  # truncate toward zero
 
 
-def _div(op: str, a: int, b: int) -> int:
-    """RV32M division semantics, including the divide-by-zero cases."""
-    if op == "div":
-        if b == 0:
-            return _MASK32
-        sa, sb = to_signed(a), to_signed(b)
-        if sa == _INT32_MIN and sb == -1:
-            return _SIGN_BIT  # overflow: result is INT32_MIN
-        return int(sa / sb) & _MASK32  # truncate toward zero
-    if op == "divu":
-        return _MASK32 if b == 0 else (a // b)
-    if op == "rem":
-        if b == 0:
-            return a
-        sa, sb = to_signed(a), to_signed(b)
-        if sa == _INT32_MIN and sb == -1:
-            return 0
-        return (sa - int(sa / sb) * sb) & _MASK32
-    return a if b == 0 else (a % b)  # remu
+def _rem(a: int, b: int) -> int:
+    """RV32M ``rem``, including the divide-by-zero and overflow cases."""
+    if b == 0:
+        return a
+    sa, sb = to_signed(a), to_signed(b)
+    if sa == _INT32_MIN and sb == -1:
+        return 0
+    return (sa - int(sa / sb) * sb) & _MASK32
 
 
-def _branch_taken(op: str, a: int, b: int) -> bool:
-    if op == "beq":
-        return a == b
-    if op == "bne":
-        return a != b
-    if op == "blt":
-        return to_signed(a) < to_signed(b)
-    if op == "bge":
-        return to_signed(a) >= to_signed(b)
-    if op == "bltu":
-        return a < b
-    return a >= b  # bgeu
+def _load_half(memory: Memory, address: int) -> int:
+    value = memory.read_u16(address)
+    return value - 0x10000 if value & 0x8000 else value
+
+
+def _load_byte(memory: Memory, address: int) -> int:
+    value = memory.read_u8(address)
+    return value - 0x100 if value & 0x80 else value
 
 
 _ALU_OPS = {
@@ -297,3 +267,95 @@ _ALU_OPS = {
     "lui": lambda a, b, imm, pc: imm << 12,
     "auipc": lambda a, b, imm, pc: pc + (imm << 12),
 }
+
+_MUL_OPS = {
+    "mul": lambda a, b: (a * b) & _MASK32,
+    "mulh": lambda a, b: (to_signed(a) * to_signed(b)) >> 32,
+    "mulhsu": lambda a, b: (to_signed(a) * b) >> 32,
+    "mulhu": lambda a, b: (a * b) >> 32,
+}
+
+_DIV_OPS = {
+    "div": _div,
+    "divu": lambda a, b: _MASK32 if b == 0 else a // b,
+    "rem": _rem,
+    "remu": lambda a, b: a if b == 0 else a % b,
+}
+
+_BRANCH_OPS = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: to_signed(a) < to_signed(b),
+    "bge": lambda a, b: to_signed(a) >= to_signed(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+}
+
+_LOAD_OPS = {
+    "lw": Memory.read_u32,
+    "lh": _load_half,
+    "lhu": Memory.read_u16,
+    "lb": _load_byte,
+    "lbu": Memory.read_u8,
+}
+
+_STORE_OPS = {
+    "sw": Memory.write_u32,
+    "sh": Memory.write_u16,
+    "sb": Memory.write_u8,
+}
+
+_ALU = InstrClass.ALU
+_LOAD = InstrClass.LOAD
+_STORE = InstrClass.STORE
+_BRANCH = InstrClass.BRANCH
+_JUMP = InstrClass.JUMP
+_SYSTEM = InstrClass.SYSTEM
+
+#: Per-class operation tables; classes absent here (JUMP, SYSTEM) are
+#: handled inline by :meth:`CPU.run`.
+_CLASS_OPS = {
+    _ALU: _ALU_OPS,
+    InstrClass.MUL: _MUL_OPS,
+    InstrClass.DIV: _DIV_OPS,
+    _LOAD: _LOAD_OPS,
+    _STORE: _STORE_OPS,
+    _BRANCH: _BRANCH_OPS,
+}
+
+#: Classes whose instructions produce a value for ``rd``.
+_WRITES_RD = (_ALU, InstrClass.MUL, InstrClass.DIV, _LOAD, _JUMP)
+
+
+def _predecode(program: Program) -> list[tuple]:
+    """Decode every static instruction once.
+
+    Each entry is ``(cls, op, rd, rs1, rs2, imm, src1, src2, imm0, fn,
+    mem_bytes)``: ``rd`` is the written register or ``None`` (x0 and
+    classes that write nothing), ``rs1``/``rs2``/``imm`` are the raw
+    operands recorded in the trace, ``src1``/``src2``/``imm0`` the
+    operands the datapath reads (an absent register reads x0, which is
+    never written, and an absent immediate reads 0), and ``fn`` the
+    class's operation for ``op``.
+    """
+    decoded = []
+    for ins in program.instructions:
+        spec = OPCODES[ins.op]
+        cls = spec.cls
+        table = _CLASS_OPS.get(cls)
+        decoded.append(
+            (
+                cls,
+                ins.op,
+                ins.rd if ins.rd and cls in _WRITES_RD else None,
+                ins.rs1,
+                ins.rs2,
+                ins.imm,
+                ins.rs1 or 0,
+                ins.rs2 or 0,
+                ins.imm or 0,
+                table[ins.op] if table is not None else None,
+                spec.mem_bytes,
+            )
+        )
+    return decoded

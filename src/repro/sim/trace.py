@@ -19,9 +19,10 @@ import numpy as np
 from repro.isa.instructions import InstrClass
 
 #: Canonical member order used to encode :attr:`TraceRecord.cls` as a
-#: small integer in :attr:`Trace.class_code_array`.
-_CLASS_MEMBERS = tuple(InstrClass)
-_CLASS_INDEX = {cls: index for index, cls in enumerate(_CLASS_MEMBERS)}
+#: small integer in :attr:`Trace.class_code_array` (``CLASS_MEMBERS[code]``
+#: decodes one).
+CLASS_MEMBERS = tuple(InstrClass)
+_CLASS_INDEX = {cls: index for index, cls in enumerate(CLASS_MEMBERS)}
 
 #: Record-kind codes for speculative streams (:class:`SpeculativeTrace`).
 #: Plain committed traces are implicitly all-:data:`KIND_COMMITTED`.
@@ -88,6 +89,13 @@ class Trace(Sequence[TraceRecord]):
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The underlying record list (read-only by convention): the
+        hot walkers index it directly instead of going through the
+        sequence protocol."""
+        return self._records
 
     # -- cached columnar views ---------------------------------------------
     #
@@ -170,7 +178,7 @@ class Trace(Sequence[TraceRecord]):
         order = np.argsort(first_index, kind="stable")
         return Counter(
             {
-                _CLASS_MEMBERS[int(values[i])]: int(counts[values[i]])
+                CLASS_MEMBERS[int(values[i])]: int(counts[values[i]])
                 for i in order
             }
         )

@@ -39,16 +39,24 @@ import hashlib
 import os
 import pickle
 import tempfile
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
-from repro.cgra.datapath import configuration_cycles, execution_cycles
+from repro.cgra.datapath import (
+    DatapathParams,
+    configuration_cycles,
+    execution_cycles,
+)
+from repro.cgra.fabric import FabricGeometry
+from repro.cgra.fu import FUKind
 from repro.cgra.reconfig import ReconfigLogicSpec
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import AllocationPolicy
@@ -60,7 +68,13 @@ from repro.gpp.timing import GPPTimingModel, GPPTimingResult
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
 from repro.resilience import faults
-from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace
+from repro.sim.trace import (
+    CLASS_MEMBERS,
+    KIND_COMMITTED,
+    KIND_WRONG_PATH,
+    Trace,
+    TraceRecord,
+)
 from repro.system.params import SystemParams
 from repro.system.stats import CGRAStats
 
@@ -222,19 +236,63 @@ class LaunchSchedule:
         return cgra, replace(self.cache_stats)
 
 
-def _match_length(
-    unit: VirtualConfiguration, trace_pcs: np.ndarray, position: int
-) -> int:
-    """Length of the common prefix of the unit's recorded path and the
-    actual upcoming trace (>= 1 since start PCs match)."""
-    path = unit.pc_path_array
-    limit = min(path.size, trace_pcs.size - position)
-    mismatch = np.flatnonzero(
-        trace_pcs[position : position + limit] != path[:limit]
+class _UnitLaunch(NamedTuple):
+    """Walk-invariant launch constants of one unit, memoised per walk
+    by unit identity (``unit`` pins the identity key)."""
+
+    unit: VirtualConfiguration
+    n_instructions: int
+    #: ``pc_path`` as native int64 bytes, probed against the trace's
+    #: PC column for the full-match fast path.
+    path_bytes: bytes
+    exec_cycles: int
+    #: :func:`configuration_cycles` indexed ``[cold][chained]``.
+    launch_cycles: tuple[tuple[int, int], tuple[int, int]]
+    cold_config_bits: int
+    used_cols: int
+    #: ``(FU kind, op count)`` pairs in first-seen op order.
+    op_kind_counts: tuple[tuple[FUKind, int], ...]
+
+
+def _unit_launch(
+    unit: VirtualConfiguration,
+    geometry: FabricGeometry,
+    datapath: DatapathParams,
+    config_bits_per_column: int,
+) -> _UnitLaunch:
+    kinds: dict[FUKind, int] = {}
+    for op in unit.ops:
+        kinds[op.kind] = kinds.get(op.kind, 0) + 1
+    return _UnitLaunch(
+        unit=unit,
+        n_instructions=unit.n_instructions,
+        path_bytes=np.asarray(unit.pc_path, dtype=np.int64).tobytes(),
+        exec_cycles=execution_cycles(datapath, unit),
+        launch_cycles=tuple(
+            tuple(
+                configuration_cycles(
+                    geometry, datapath, unit, cold=cold, back_to_back=chained
+                )
+                for chained in (False, True)
+            )
+            for cold in (False, True)
+        ),
+        cold_config_bits=config_bits_per_column * unit.used_cols,
+        used_cols=unit.used_cols,
+        op_kind_counts=tuple(kinds.items()),
     )
-    if mismatch.size:
-        return int(mismatch[0])
-    return int(limit)
+
+
+def _matched_prefix(
+    records: list[TraceRecord], position: int, path: tuple[int, ...]
+) -> int:
+    """Length of the common prefix of a unit's recorded path and the
+    actual upcoming trace (>= 1 since start PCs match)."""
+    limit = min(len(path), len(records) - position)
+    for offset in range(limit):
+        if records[position + offset].pc != path[offset]:
+            return offset
+    return limit
 
 
 def compute_schedule(
@@ -257,6 +315,11 @@ def compute_schedule(
     launches still probe and pollute the config cache and accrue fabric
     stress, but only committed-kind records count as committed work,
     and flush gaps charge cycles and break GPP segments mid-stream.
+
+    The per-launch path reads only Python ints: launch costs are
+    memoised per unit, trace columns are read through bytes and
+    memoryviews, and op-kind counts are folded per unit by launch
+    multiplicity after the walk.
     """
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)
@@ -269,7 +332,9 @@ def compute_schedule(
             "policy-independent schedule cannot be computed — run the "
             "coupled walk instead"
         )
-    reconfig_spec = ReconfigLogicSpec(geometry)
+    config_bits_per_column = ReconfigLogicSpec(
+        geometry
+    ).config_bits_per_column
     gpp = GPPTimingModel(params.gpp)
     cache = ConfigCache(
         capacity=params.config_cache_entries, mapper_key=mapper.identity()
@@ -287,33 +352,50 @@ def compute_schedule(
 
     obs.count("schedule.walks")
     datapath = params.datapath
+    misspeculation_penalty = datapath.misspeculation_penalty
     dcache = gpp.dcache
+    record_cycles = gpp.record_cycles
+    lookup = cache.lookup
+    note_replay = engine.note_replay
     stats = CGRAStats()
     activity = SystemActivity(fabric_cells=geometry.n_cells)
-    gpp_class_counts: Counter = Counter()
-    cgra_op_counts: Counter = Counter()
+    gpp_class_counts: dict[int, int] = {}
+    unit_launches: dict[int, _UnitLaunch] = {}
     launch_configs: list[VirtualConfiguration] = []
     launch_exec_cycles: list[int] = []
     gpp_segments: list[tuple[int, int]] = []
 
-    trace_pcs = trace.pc_array
-    head_flags = engine.unit_head_flags(trace)
-    mem_positions = trace.mem_positions
-    mem_addresses = trace.mem_addresses
+    records = trace.records
+    pc_bytes = trace.pc_array.tobytes()
+    pc_width = trace.pc_array.itemsize
+    head_flags = engine.unit_head_flags(trace).tobytes()
+    class_codes = memoryview(trace.class_code_array)
+    mem_positions = memoryview(trace.mem_positions)
+    mem_addresses = memoryview(trace.mem_addresses)
 
     # Front-end annotation columns; only consulted on speculative
     # streams, so plain committed walks stay byte-identical and never
     # materialise the zero columns.
     speculative = trace.speculative
     if speculative:
-        kind_codes = trace.kind_array
-        flush_gaps = trace.flush_gap_array
-        committed_prefix = trace.committed_prefix
-        flush_prefix = trace.flush_gap_prefix
-        wrong_path_prefix = np.zeros(len(trace) + 1, dtype=np.int64)
-        np.cumsum(kind_codes == KIND_WRONG_PATH, out=wrong_path_prefix[1:])
+        kind_codes = memoryview(trace.kind_array)
+        flush_gaps = memoryview(trace.flush_gap_array)
+        committed_prefix = memoryview(trace.committed_prefix)
+        flush_prefix = memoryview(trace.flush_gap_prefix)
+        wrong_path_counts = np.zeros(len(trace) + 1, dtype=np.int64)
+        np.cumsum(trace.kind_array == KIND_WRONG_PATH, out=wrong_path_counts[1:])
+        wrong_path_prefix = memoryview(wrong_path_counts)
 
     cycles = 0
+    config_cache_accesses = 0
+    cold_launches = 0
+    cold_config_bits = 0
+    committed = 0
+    misspeculations = 0
+    squashed = 0
+    wrong_path_launches = 0
+    wrong_path_instructions = 0
+    flush_cycles = 0
     loaded_pc: int | None = None
     position = 0
     # A translated or replayed unit makes the instruction right after it
@@ -324,93 +406,91 @@ def compute_schedule(
     # misspeculation (enables I/O overlap of chained launches).
     chained = False
     segment_start = -1
-    n_records = len(trace)
+    n_records = len(records)
     while position < n_records:
-        is_head = position == pending_head or bool(head_flags[position])
+        is_head = position == pending_head or head_flags[position]
         unit = None
         if is_head:
-            activity.config_cache_accesses += 1
-            unit = cache.lookup(int(trace_pcs[position]))
+            config_cache_accesses += 1
+            unit = lookup(records[position].pc)
         if unit is not None:
             if segment_start >= 0:
                 gpp_segments.append((segment_start, position))
                 segment_start = -1
+            launch = unit_launches.get(id(unit))
+            if launch is None:
+                launch = _unit_launch(
+                    unit, geometry, datapath, config_bits_per_column
+                )
+                unit_launches[id(unit)] = launch
             # Replay the unit on the fabric: commit the matching prefix
             # of its recorded path, squash on divergence.
-            matched = _match_length(unit, trace_pcs, position)
+            length = launch.n_instructions
+            if pc_bytes.startswith(launch.path_bytes, position * pc_width):
+                matched = length
+            else:
+                matched = _matched_prefix(records, position, unit.pc_path)
+            end = position + matched
             cold = loaded_pc != unit.start_pc
-            launch_cost = configuration_cycles(
-                geometry, datapath, unit, cold=cold, back_to_back=chained
-            )
+            launch_cost = launch.launch_cycles[cold][chained]
             # Data-cache effects of the unit's memory ops (shared L1) —
             # only the precomputed load/store positions are touched.
-            lo = int(np.searchsorted(mem_positions, position))
-            hi = int(np.searchsorted(mem_positions, position + matched))
-            for index in range(lo, hi):
-                launch_cost += dcache.access_cycles(int(mem_addresses[index]))
-            if matched < unit.n_instructions:
-                launch_cost += datapath.misspeculation_penalty
-                stats.misspeculations += 1
-                stats.squashed_instructions += unit.n_instructions - matched
-            exec_cost = execution_cycles(datapath, unit)
+            lo = bisect_left(mem_positions, position)
+            hi = bisect_left(mem_positions, end, lo)
+            if hi > lo:
+                launch_cost += dcache.span_cycles(mem_addresses[lo:hi])
+            if matched < length:
+                launch_cost += misspeculation_penalty
+                misspeculations += 1
+                squashed += length - matched
+            exec_cost = launch.exec_cycles
             launch_configs.append(unit)
             launch_exec_cycles.append(exec_cost)
             if allocator is not None:
                 allocator.allocate(unit, cycles=exec_cost)
-            stats.launches += 1
             if cold:
-                stats.cold_launches += 1
-                activity.cold_config_bits += (
-                    reconfig_spec.config_bits_per_column * unit.used_cols
-                )
+                cold_launches += 1
+                cold_config_bits += launch.cold_config_bits
+            chained = matched == length
             if speculative:
                 # Only committed-kind records are architectural work;
                 # wrong-path (and handler) records in the span still
                 # occupied the fabric but never commit GPP state.
-                end = position + matched
-                stats.committed_instructions += int(
-                    committed_prefix[end] - committed_prefix[position]
-                )
-                stats.wrong_path_instructions += int(
+                committed += committed_prefix[end] - committed_prefix[position]
+                wrong_path_instructions += (
                     wrong_path_prefix[end] - wrong_path_prefix[position]
                 )
                 if kind_codes[position] != KIND_COMMITTED:
-                    stats.wrong_path_launches += 1
-                span_flush = int(flush_prefix[end] - flush_prefix[position])
+                    wrong_path_launches += 1
+                span_flush = flush_prefix[end] - flush_prefix[position]
                 if span_flush:
                     # A pipeline flush inside the replayed span: charge
                     # the refill gap and break launch chaining.
                     launch_cost += span_flush
-                    stats.frontend_flush_cycles += span_flush
+                    flush_cycles += span_flush
+                    chained = False
             else:
-                stats.committed_instructions += matched
-            activity.launches += 1
-            activity.active_column_launches += unit.used_cols
-            for op in unit.ops:
-                cgra_op_counts[op.kind] += 1
+                committed += matched
             loaded_pc = unit.start_pc
-            engine.note_replay(unit, matched)
-            chained = matched == unit.n_instructions
-            if speculative and span_flush:
-                chained = False
+            note_replay(unit, matched)
             cycles += launch_cost
-            position += matched
+            position = end
             pending_head = position
             continue
         chained = False
         if segment_start < 0:
             segment_start = position
-        record = trace[position]
-        cycles += gpp.record_cycles(record)
-        gpp_class_counts[record.cls] += 1
+        cycles += record_cycles(records[position])
+        code = class_codes[position]
+        gpp_class_counts[code] = gpp_class_counts.get(code, 0) + 1
         if speculative:
-            gap = int(flush_gaps[position])
+            gap = flush_gaps[position]
             if gap:
                 # Pipeline flush right after this record (mispredict
                 # resolution or interrupt redirect): charge the refill
                 # gap and invalidate the GPP segment mid-stream.
                 cycles += gap
-                stats.frontend_flush_cycles += gap
+                flush_cycles += gap
                 gpp_segments.append((segment_start, position + 1))
                 segment_start = -1
         if is_head:
@@ -426,9 +506,32 @@ def compute_schedule(
 
     if segment_start >= 0:
         gpp_segments.append((segment_start, n_records))
+    # Integer counts commute, so op kinds fold once per unit by launch
+    # multiplicity; both dicts keep first-occurrence order, which the
+    # energy model's float sums depend on.
+    cgra_op_counts: dict[FUKind, int] = {}
+    active_column_launches = 0
+    for key, multiplicity in Counter(map(id, launch_configs)).items():
+        launch = unit_launches[key]
+        active_column_launches += launch.used_cols * multiplicity
+        for kind, count in launch.op_kind_counts:
+            cgra_op_counts[kind] = (
+                cgra_op_counts.get(kind, 0) + count * multiplicity
+            )
+    stats.launches = activity.launches = len(launch_configs)
+    stats.cold_launches = cold_launches
+    stats.committed_instructions = committed
+    stats.misspeculations = misspeculations
+    stats.squashed_instructions = squashed
+    stats.frontend_flush_cycles = flush_cycles
+    activity.active_column_launches = active_column_launches
+    activity.cold_config_bits = cold_config_bits
+    activity.config_cache_accesses = config_cache_accesses
     activity.cycles = cycles
-    activity.gpp_class_counts = dict(gpp_class_counts)
-    activity.cgra_op_counts = dict(cgra_op_counts)
+    activity.gpp_class_counts = {
+        CLASS_MEMBERS[code]: count for code, count in gpp_class_counts.items()
+    }
+    activity.cgra_op_counts = cgra_op_counts
     activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure
@@ -439,13 +542,15 @@ def compute_schedule(
     stats.config_cache_misses = cache.stats.misses
     stats.config_cache_evictions = cache.stats.evictions
     if speculative:
+        stats.wrong_path_launches = wrong_path_launches
+        stats.wrong_path_instructions = wrong_path_instructions
         stats.frontend_mispredicts = trace.mispredicts
         stats.frontend_flushes = trace.flushes
         stats.frontend_interrupts = trace.interrupts
         obs.count("frontend.mispredicts", trace.mispredicts)
         obs.count("frontend.flushes", trace.flushes)
         obs.count("frontend.interrupts", trace.interrupts)
-        obs.count("frontend.wrong_path_launches", stats.wrong_path_launches)
+        obs.count("frontend.wrong_path_launches", wrong_path_launches)
     return LaunchSchedule(
         trace_name=trace.name,
         instructions=trace.n_committed,

@@ -1,9 +1,20 @@
 """Tests for explicit DFG construction and its use as a scheduler oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 
+import repro
 from repro.cgra.fabric import FabricGeometry
-from repro.dbt.dfg import build_dfg, critical_path_length, ilp_estimate
+from repro.dbt.dfg import (
+    build_dfg,
+    critical_path_length,
+    dependence_edges,
+    ilp_estimate,
+)
 from repro.dbt.scheduler import SchedulerState
 
 from tests.support import rec, reset_rec_pcs, trace_of
@@ -93,6 +104,49 @@ class TestGraphConstruction:
         )
         graph = build_dfg(list(trace))
         assert nx.is_directed_acyclic_graph(graph)
+
+
+class TestDependenceEdges:
+    def test_edges_are_producer_major_with_raw_winning(self):
+        records = [
+            rec("sw", rs1=1, rs2=2, mem_addr=0x100),   # 0
+            rec("lw", rd=5, rs1=1, mem_addr=0x100),    # 1 mem on 0
+            rec("sw", rs1=1, rs2=5, mem_addr=0x100),   # 2 raw+mem on 1
+            rec("add", rd=6, rs1=5, rs2=5),            # 3 raw on 1
+        ]
+        assert dependence_edges(records) == [
+            (0, 1, "mem"),
+            (0, 2, "mem"),
+            (1, 2, "raw"),
+            (1, 3, "raw"),
+        ]
+
+    def test_graph_edges_follow_the_edge_list(self):
+        trace = trace_of(
+            """
+            la t0, buf
+            lw t1, 0(t0)
+            addi t1, t1, 1
+            sw t1, 0(t0)
+            lw t2, 0(t0)
+            add a0, t1, t2
+            ret
+            .data
+            buf: .word 5
+            """
+        )
+        records = list(trace)
+        assert list(build_dfg(records).edges(data="kind")) == (
+            dependence_edges(records)
+        )
+
+    def test_importing_the_pipeline_skips_networkx(self):
+        code = (
+            "import sys, repro.experiments.__main__, repro.campaign, "
+            "repro.fleet; sys.exit('networkx' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestMetrics:

@@ -82,3 +82,22 @@ class TestBehaviour:
         cache.reset_stats()
         assert cache.accesses == 0
         assert cache.miss_rate == 0.0
+
+    def test_span_cycles_matches_per_access_costing(self):
+        addresses = [(i * 52) % 3000 for i in range(400)] + [8, 8, 12, 8]
+        one_by_one = small_cache(ways=2, sets=8)
+        spanned = small_cache(ways=2, sets=8)
+        expected = sum(one_by_one.access_cycles(a) for a in addresses)
+        assert spanned.span_cycles(addresses[:150]) + spanned.span_cycles(
+            addresses[150:]
+        ) == expected
+        assert (spanned.hits, spanned.misses) == (
+            one_by_one.hits,
+            one_by_one.misses,
+        )
+        # Same LRU state: any later access sequence hits and misses alike.
+        probe = list(range(0, 3000, 40))
+        assert [spanned.access(a) for a in probe] == [
+            one_by_one.access(a) for a in probe
+        ]
+        assert spanned.span_cycles([]) == 0

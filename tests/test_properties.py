@@ -51,7 +51,7 @@ def build_window(entries):
     reset_rec_pcs()
     regs = {i: i * 0x1111 for i in range(8)}
     records = []
-    from repro.sim.cpu import _ALU_OPS, _mul, to_unsigned
+    from repro.sim.cpu import _ALU_OPS, _MUL_OPS, to_unsigned
 
     for op, rd, rs1, rs2, imm in entries:
         rs1_val = regs[rs1]
@@ -60,7 +60,7 @@ def build_window(entries):
             value = to_unsigned(_ALU_OPS[op](rs1_val, 0, imm, 0))
             record = rec(op, rd=rd, rs1=rs1, imm=imm)
         elif op == "mul":
-            value = to_unsigned(_mul(op, rs1_val, rs2_val))
+            value = to_unsigned(_MUL_OPS[op](rs1_val, rs2_val))
             record = rec(op, rd=rd, rs1=rs1, rs2=rs2)
         else:
             value = to_unsigned(_ALU_OPS[op](rs1_val, rs2_val, 0, 0))

@@ -5,6 +5,7 @@ import pytest
 from repro.cgra.fabric import FabricGeometry
 from repro.core.utilization import UtilizationTracker
 from repro.dbt.config_cache import ConfigCacheStats
+from repro.errors import ConfigurationError
 from repro.gpp.timing import GPPTimingResult
 from repro.hw.energy import EnergyReport
 from repro.system.stats import CGRAStats, SystemResult
@@ -56,8 +57,13 @@ class TestSystemResult:
         assert r.offload_fraction == pytest.approx(0.75)
 
     def test_degenerate_zero_cycles(self):
-        r = result(transrec_cycles=0)
-        assert r.speedup == 1.0
+        """A zero denominator raises instead of reporting parity."""
+        with pytest.raises(ConfigurationError, match="speedup"):
+            result(transrec_cycles=0).speedup
+        with pytest.raises(ConfigurationError, match="exec_time_ratio"):
+            result(gpp_cycles=0).exec_time_ratio
+        with pytest.raises(ConfigurationError, match="energy_ratio"):
+            result(gpp_pj=0.0).energy_ratio
 
     def test_zero_instructions(self):
         r = result(committed=0, instructions=0)

@@ -1,0 +1,86 @@
+"""Conservation and ordering laws of the Phase A walk.
+
+Checked from each schedule's own records, independently of any
+reference walk: launch counts agree across the three places that hold
+them, execution cycles and active columns are what the launched units
+imply, op-kind and GPP-class counts are what the launched units and the
+GPP segments contain — in first-occurrence order, because the energy
+model sums their floats in dict order — and committed work plus GPP
+work covers the trace exactly once.
+"""
+
+import math
+
+import pytest
+
+from repro.cgra.fabric import FabricGeometry
+from repro.frontend import FrontEndSpec
+from repro.frontend.speculative import speculative_trace
+from repro.system import SystemParams, compute_schedule
+from repro.workloads.suite import run_workload, workload_names
+
+GEOMETRIES = ((2, 16), (4, 32), (8, 24))
+FRONTENDS = (None, FrontEndSpec.make("bimodal", interrupt_rate=0.0005, seed=7))
+
+
+def _walk(name, rows, cols, frontend):
+    trace = run_workload(name)
+    params = SystemParams(
+        geometry=FabricGeometry(rows=rows, cols=cols), frontend=frontend
+    )
+    stream = trace if frontend is None else speculative_trace(trace, frontend)
+    return params, trace, stream, compute_schedule(params, trace)
+
+
+def _first_seen_counts(keys_per_item):
+    counts = {}
+    for keys in keys_per_item:
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+    return list(counts.items())
+
+
+@pytest.mark.parametrize("frontend", FRONTENDS, ids=("clean", "spec"))
+@pytest.mark.parametrize("rows,cols", GEOMETRIES)
+@pytest.mark.parametrize("name", workload_names())
+def test_walk_conservation(name, rows, cols, frontend):
+    params, trace, stream, schedule = _walk(name, rows, cols, frontend)
+    configs = schedule.configs
+    activity = schedule.activity
+    assert configs, "every suite workload launches on the fabric"
+
+    assert schedule.cgra.launches == activity.launches == len(configs)
+    per_cycle = params.datapath.columns_per_cycle
+    assert int(schedule.exec_cycles.sum()) == sum(
+        math.ceil(unit.used_cols / per_cycle) for unit in configs
+    )
+    assert activity.active_column_launches == sum(
+        unit.used_cols for unit in configs
+    )
+    assert list(activity.cgra_op_counts.items()) == _first_seen_counts(
+        (op.kind for op in unit.ops) for unit in configs
+    )
+
+    segments = schedule.gpp_segments
+    assert all(
+        0 <= start < stop <= len(stream) for start, stop in segments
+    )
+    assert list(activity.gpp_class_counts.items()) == _first_seen_counts(
+        (record.cls for record in stream[start:stop])
+        for start, stop in segments
+    )
+    if frontend is None:
+        gpp_records = sum(stop - start for start, stop in segments)
+        assert schedule.cgra.committed_instructions + gpp_records == len(trace)
+    else:
+        # Committed-kind records run once, on the fabric or the GPP.
+        prefix = stream.committed_prefix
+        gpp_committed = sum(
+            int(prefix[stop] - prefix[start]) for start, stop in segments
+        )
+        assert (
+            schedule.cgra.committed_instructions + gpp_committed
+            == trace.n_committed
+            == len(trace)
+        )
+
