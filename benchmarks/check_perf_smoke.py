@@ -20,11 +20,8 @@ SA mapping (``sa_map_units_per_sec``), the routing-profile model
 (``spec_walk_launches_per_sec``), the clean Phase A walk
 (``walk_launches_per_sec``) and the functional simulator
 (``trace_records_per_sec``) — the hot paths with committed floors.
-Baselines are backend-scoped: the candidate is compared only against
-committed entries with the same ``kernel_backend`` tag (entries
-predating the tag count as ``numpy``), so compiled-backend numbers can
-never mask a numpy-path regression or vice versa. Metrics absent from
-the whole history are reported and skipped, so the guard keeps working
+Records measured with telemetry enabled never form a floor. Metrics
+absent from the whole history are reported and skipped, so the guard keeps working
 as metrics are added. The default 30% tolerance below the committed floor
 absorbs quick-run noise and runner-to-runner machine variance; the CI
 step is additionally skippable via the ``skip-perf-smoke`` PR label
@@ -57,25 +54,17 @@ DEFAULT_METRICS = (
 )
 
 
-def record_backend(record: dict) -> str:
-    """The kernel backend a record was measured on; history entries
-    predating the ``kernel_backend`` tag were all numpy-path runs."""
-    return record.get("kernel_backend", "numpy")
-
-
 def find_candidate_and_baseline(
     history: list[dict], metric: str, baseline_window: int = 3
 ) -> tuple[dict | None, float | None]:
     """Newest record vs the committed floor before it.
 
     The baseline is the minimum metric over the last
-    ``baseline_window`` committed (non-quick) entries *measured on the
-    candidate's kernel backend*, so one unusually fast committed
-    sample cannot turn ordinary noise into a failure and compiled
-    (numba) numbers never form the floor a numpy run is held to (or
-    vice versa). Records missing the metric are skipped (older history
-    predates some metrics), so the guard keeps working as metrics are
-    added.
+    ``baseline_window`` committed (non-quick, telemetry-off) entries,
+    so one unusually fast committed sample cannot turn ordinary noise
+    into a failure. Records missing the metric are skipped (older
+    history predates some metrics), so the guard keeps working as
+    metrics are added.
     """
     candidate = None
     for record in reversed(history):
@@ -84,7 +73,6 @@ def find_candidate_and_baseline(
             break
     if candidate is None:
         return None, None
-    backend = record_backend(candidate)
     committed = [
         float(record[metric])
         for record in reversed(history)
@@ -92,7 +80,6 @@ def find_candidate_and_baseline(
         and not record.get("quick")
         and not record.get("telemetry_enabled")
         and metric in record
-        and record_backend(record) == backend
     ][:baseline_window]
     if not committed:
         return candidate, None
@@ -166,11 +153,10 @@ def main(argv: list[str] | None = None) -> int:
         if candidate is None:
             print(f"perf-smoke: no record carries {metric!r}; nothing to check")
             continue
-        backend = record_backend(candidate)
         if baseline is None:
             print(
-                f"perf-smoke: no committed {backend}-backend baseline "
-                f"for {metric!r}; nothing to compare against"
+                f"perf-smoke: no committed baseline for {metric!r}; "
+                "nothing to compare against"
             )
             continue
         new = float(candidate[metric])
@@ -181,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = "REGRESSION" if drop > args.tolerance else "ok"
         print(
             f"perf-smoke [{verdict}]: {metric} {baseline:.1f} -> {new:.1f} "
-            f"({backend} committed floor over last {args.baseline_window}, "
+            f"(committed floor over last {args.baseline_window}, "
             f"{-drop:+.1%}, tolerance -{args.tolerance:.0%})"
         )
         if drop > args.tolerance:

@@ -36,7 +36,6 @@ from repro.campaign import CampaignRunner, CampaignSpec, PolicySpec
 from repro.cgra.fabric import FabricGeometry
 from repro.fleet import FleetRunner, FleetSpec, expand_shard
 from repro.frontend import FrontEndSpec
-from repro.kernels import active_backend
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
 from repro.dbt.window import build_unit
@@ -161,8 +160,7 @@ def _spec_walk_metrics(n_walks: int) -> dict:
         policy="rotation",
         frontend=frontend,
     )
-    # Warm: builds and memoises the annotated stream (and JITs any
-    # compiled kernels on the speculative columns).
+    # Warm: builds and memoises the annotated stream.
     schedule = compute_schedule(params, trace)
     with obs.stopwatch("bench.spec_walk") as watch:
         for _ in range(n_walks):
@@ -353,13 +351,8 @@ def run(
     routing_rate = _routing_profiles_per_sec(trace, unit, routing_profiles)
     records = [trace[offset] for offset in range(unit.n_instructions)]
     profile = routing_profile(unit, records, geometry)
-    backend = active_backend()
     record = {
         "benchmark": "rotation_allocation",
-        # The backend tags every record so the perf-smoke guard only
-        # compares floors within the same backend (compiled numbers
-        # must never mask a numpy-path regression).
-        "kernel_backend": backend.backend,
         "fabric": f"L{COLS}xW{ROWS}",
         "unit_cells": len(unit.cells),
         "scalar_launches": scalar_launches,
@@ -377,8 +370,6 @@ def run(
         "peak_line_pressure": profile.peak_pressure,
         "ctx_lines_sized": geometry.ctx_lines,
     }
-    if backend.numba_version is not None:
-        record["numba_version"] = backend.numba_version
     record.update(_replay_metrics(schedule_replays))
     record.update(_spec_walk_metrics(spec_walks))
     record.update(_walk_metrics(walks))
@@ -395,7 +386,7 @@ def run(
 def _host_provenance() -> dict:
     """Host/toolchain identity stamped on every record, so perf steps
     in the history can be told apart from machine or library changes."""
-    provenance = {
+    return {
         "python": platform.python_version(),
         "python_implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -403,13 +394,6 @@ def _host_provenance() -> dict:
         "cpu_count": os.cpu_count(),
         "numpy_version": np.__version__,
     }
-    try:
-        import numba
-    except Exception:
-        pass
-    else:
-        provenance["numba_version"] = numba.__version__
-    return provenance
 
 
 def append_history(output: Path, record: dict) -> dict:
@@ -480,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.set_enabled(True)
         obs.reset()
         obs.tracing.start()
-    # Self-describing campaign logs: say which kernel backend the
-    # numbers were measured on, and why it was selected.
-    print(f"[kernel backend: {active_backend().describe()}]")
     if args.quick:
         record = run(
             scalar_launches=2_000,

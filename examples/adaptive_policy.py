@@ -6,20 +6,17 @@ biggest. This covers the paper's future-work direction — using
 run-time aging information (the stress-aware policy) — and shows why
 the cheap hardware rotation is already close to the balancing optimum.
 
-Part 2 shows how to write a *custom* policy against the
-sequence-planning API (`repro.core.policy.AllocationPolicy`): the
-policy consumes a view of the whole launch schedule and yields
-`SegmentPlan`s — contiguous launch ranges with precomputed pivots —
-re-reading the stress tracker only at the segment boundaries where it
-actually adapts. A legacy variant of the same policy, written against
-the old per-launch ``next_pivot`` API, still runs unchanged through
-the allocator's `LegacyPolicyAdapter` fallback (with a one-time
-DeprecationWarning) and produces bit-identical stress.
+Part 2 shows how to write a *custom* policy
+(`repro.core.policy.AllocationPolicy`). It implements both hooks:
+``next_pivot`` places one launch (the coupled walk calls it launch by
+launch), and ``plan_segments`` consumes a view of the whole launch
+schedule and yields `SegmentPlan`s — contiguous launch ranges with
+precomputed pivots — re-reading the stress tracker only at the segment
+boundaries where it actually adapts. Both hooks produce bit-identical
+stress.
 
 Run:  python examples/adaptive_policy.py
 """
-
-import warnings
 
 import numpy as np
 
@@ -27,6 +24,7 @@ from repro import NBTIModel, lifetime_improvement
 from repro.analysis.distribution import gini, summary_statistics
 from repro.analysis.tables import render_table
 from repro.cgra.fabric import FabricGeometry
+from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import (
     AllocationPolicy,
     SegmentPlan,
@@ -34,7 +32,12 @@ from repro.core.policy import (
 )
 from repro.core.utilization import Weighting
 from repro.experiments.common import run_suite
-from repro.system import SystemParams, replay_schedule, shared_schedule
+from repro.system import (
+    SystemParams,
+    compute_schedule,
+    replay_schedule,
+    shared_schedule,
+)
 from repro.workloads.suite import run_workload
 
 ROWS, COLS = 8, 32  # the BU fabric
@@ -58,7 +61,7 @@ def label_of(policy, kwargs):
 
 
 # ----------------------------------------------------------------------
-# Part 2: a custom policy on the sequence-planning API.
+# Part 2: a custom policy implementing both hooks.
 #
 # "Coolest-corner epochs": every ``epoch`` launches the controller
 # reads the accumulated stress and re-anchors the pivot at the
@@ -70,7 +73,7 @@ def label_of(policy, kwargs):
 
 class CoolestCornerPolicy(AllocationPolicy):
     """Re-anchor at the minimum-total-stress pivot every ``epoch``
-    launches (sequence-planning protocol)."""
+    launches."""
 
     name = "coolest_corner"
     plan_granularity = "interval"
@@ -93,18 +96,13 @@ class CoolestCornerPolicy(AllocationPolicy):
             dtype=np.int64,
         )
 
-    def _re_anchor_on(self, config, flat_counts) -> tuple[int, int]:
+    def _re_anchor(self, config, tracker) -> tuple[int, int]:
         footprints = candidate_footprints(
             config, self._candidates, self.geometry
         )
-        totals = flat_counts[footprints].sum(axis=1)
+        totals = tracker.execution_counts.reshape(-1)[footprints].sum(axis=1)
         best = int(np.argmin(totals))  # first minimum wins: deterministic
         return (int(self._candidates[best, 0]), int(self._candidates[best, 1]))
-
-    def _re_anchor(self, config, tracker) -> tuple[int, int]:
-        return self._re_anchor_on(
-            config, tracker.execution_counts.reshape(-1)
-        )
 
     def next_pivot(self, config, tracker) -> tuple[int, int]:
         if self._launches % self.epoch == 0:
@@ -136,100 +134,20 @@ class CoolestCornerPolicy(AllocationPolicy):
         return f"coolest_corner(epoch={self.epoch})"
 
 
-class LegacyCoolestCornerPolicy(AllocationPolicy):
-    """The same policy written against the pre-segment per-launch API —
-    runs through ``LegacyPolicyAdapter``, bit-identically.
-
-    Note what the old API demanded: because the policy reads the
-    tracker, its ``next_pivots`` batch hook must model the stress its
-    *own* pending launches accrue (the adapter hands it a whole run at
-    a time, and a re-anchor landing mid-run would otherwise read stale
-    counters). ``plan_segments`` moves that burden into the engine —
-    the allocator flushes before every tracker read — which is the
-    point of migrating.
-    """
-
-    name = "coolest_corner_legacy"
-
-    def __init__(self, epoch: int = 64) -> None:
-        self.epoch = epoch
-        self._launches = 0
-        self._pivot = (0, 0)
-
-    def bind(self, geometry: FabricGeometry) -> None:
-        super().bind(geometry)
-        self._launches = 0
-        self._pivot = (0, 0)
-        self._candidates = np.asarray(
-            [
-                (row, col)
-                for row in range(geometry.rows)
-                for col in range(geometry.cols)
-            ],
-            dtype=np.int64,
-        )
-
-    _re_anchor_on = CoolestCornerPolicy._re_anchor_on
-    _re_anchor = CoolestCornerPolicy._re_anchor
-
-    def _flat_footprint(self, config, pivot) -> np.ndarray:
-        return candidate_footprints(
-            config, np.asarray([pivot], dtype=np.int64), self.geometry
-        )[0]
-
-    def next_pivot(self, config, tracker) -> tuple[int, int]:
-        if self._launches % self.epoch == 0:
-            self._pivot = self._re_anchor(config, tracker)
-        self._launches += 1
-        return self._pivot
-
-    def next_pivots(self, config, tracker, count: int) -> np.ndarray:
-        """Batch-exact under the old API: replays the run's own stress
-        accrual on a working copy of the counters, so a mid-run
-        re-anchor sees exactly the state the scalar loop would."""
-        pivots = np.empty((count, 2), dtype=np.int64)
-        counts = None
-        pending = 0  # launches at the current pivot before any read
-        for index in range(count):
-            if self._launches % self.epoch == 0:
-                if counts is None:
-                    counts = np.array(
-                        tracker.execution_counts, dtype=np.int64
-                    ).reshape(-1)
-                    if pending:
-                        counts[
-                            self._flat_footprint(config, self._pivot)
-                        ] += pending
-                        pending = 0
-                self._pivot = self._re_anchor_on(config, counts)
-            pivots[index] = self._pivot
-            if counts is None:
-                pending += 1
-            else:
-                counts[self._flat_footprint(config, self._pivot)] += 1
-            self._launches += 1
-        return pivots
-
-    def describe(self) -> str:
-        return f"coolest_corner_legacy(epoch={self.epoch})"
-
-
 def demo_custom_policy(rows: int = 4, cols: int = 16):
-    """Replay one recorded schedule under both variants; returns the
-    two trackers (identical) and the deprecation warnings raised."""
+    """Run one workload through both hooks: the coupled walk places
+    every launch with ``next_pivot``, the schedule replay plans
+    segments with ``plan_segments``. Returns the two trackers
+    (identical)."""
     geometry = FabricGeometry(rows=rows, cols=cols)
     params = SystemParams(geometry=geometry)
-    schedule = shared_schedule(params, run_workload("bitcount"))
-    modern = replay_schedule(schedule, geometry, CoolestCornerPolicy())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = replay_schedule(
-            schedule, geometry, LegacyCoolestCornerPolicy()
-        )
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    return modern.tracker, legacy.tracker, deprecations
+    trace = run_workload("bitcount")
+    walked = ConfigurationAllocator(geometry, CoolestCornerPolicy())
+    compute_schedule(params, trace, allocator=walked)
+    planned = replay_schedule(
+        shared_schedule(params, trace), geometry, CoolestCornerPolicy()
+    )
+    return planned.tracker, walked.tracker
 
 
 def main():
@@ -272,16 +190,16 @@ def main():
         "buys only a little more balance for a pivot search."
     )
 
-    modern, legacy, deprecations = demo_custom_policy()
+    planned, walked = demo_custom_policy()
     identical = bool(
-        np.array_equal(modern.execution_counts, legacy.execution_counts)
+        np.array_equal(planned.execution_counts, walked.execution_counts)
     )
     print(
-        "\nCustom sequence-planning policy (coolest_corner): replayed "
-        f"{modern.total_executions} launches in "
-        f"{np.count_nonzero(modern.execution_counts)} stressed cells; "
-        f"legacy per-launch variant identical: {identical} "
-        f"(adapter DeprecationWarnings: {len(deprecations)})"
+        "\nCustom policy (coolest_corner): replayed "
+        f"{planned.total_executions} launches in "
+        f"{np.count_nonzero(planned.execution_counts)} stressed cells "
+        "with plan_segments; launch-by-launch walk with next_pivot "
+        f"identical: {identical}"
     )
 
 

@@ -92,9 +92,6 @@ def wrap_demonstration(geometry: FabricGeometry) -> str:
         def next_pivot(self, config_, tracker):
             return (geometry.rows - 1, geometry.cols - 1)
 
-        def observe(self, config_, pivot):
-            pass
-
     allocator = ConfigurationAllocator(geometry, _CornerPolicy())
     placement = allocator.allocate(config)
     header = (

@@ -40,7 +40,6 @@ from repro.campaign.results import SuiteRun, suite_run_summary
 from repro.campaign.spec import CampaignSpec, DesignPoint
 from repro.cgra.fabric import FabricGeometry
 from repro.errors import ConfigurationError
-from repro.kernels import active_backend, set_backend
 from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
 from repro.sim.trace import Trace
 from repro.system.params import SystemParams
@@ -128,7 +127,6 @@ def _pool_evaluate_group(
         SystemParams | None,
         str,
         str | None,
-        str,
         str | None,
     ],
 ) -> tuple[list[SuiteRun], obs.TelemetrySnapshot | None]:
@@ -140,18 +138,13 @@ def _pool_evaluate_group(
     the first walk, so chunks of one split group (and workers of a
     repeated campaign) share walks across process boundaries too.
 
-    The payload carries the parent's *resolved* kernel backend, pinned
-    explicitly here: workers then agree with the parent even when the
-    parent selected its backend through :func:`set_backend` (which a
-    spawned worker would not inherit through the environment). It also
-    carries the parent's telemetry mode (``None`` = off,
+    The payload carries the parent's telemetry mode (``None`` = off,
     ``"telemetry"`` = counters/timers, ``"trace"`` = additionally
     capture trace events); the worker's registry is reset per group —
     pool workers serve several groups — and its snapshot rides home
     with the results for the parent to :func:`~repro.obs.absorb`.
     """
-    points, base_params, mode, cache_dir, kernel_backend, obs_mode = payload
-    set_backend(kernel_backend)
+    points, base_params, mode, cache_dir, obs_mode = payload
     if obs_mode is not None:
         obs.set_enabled(True)
         obs.reset()
@@ -319,7 +312,7 @@ class CampaignRunner:
         cost — points are weighted by their policy's
         :attr:`~repro.core.policy.AllocationPolicy.plan_granularity`,
         so a group of per-interval stress-search replays splits before
-        an equally sized group of one-segment oblivious replays.
+        an equally sized group of one-segment whole-schedule replays.
         """
         groups = [list(group) for group in groups]
 
@@ -423,14 +416,12 @@ class CampaignRunner:
         groups = self._balanced_groups(
             self.schedule_groups(points), self.max_workers, points
         )
-        kernel_backend = active_backend().backend
         payloads = [
             (
                 tuple(points[index] for index in group),
                 self.base_params,
                 mode,
                 cache_dir,
-                kernel_backend,
                 obs_mode,
             )
             for group in groups

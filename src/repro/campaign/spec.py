@@ -100,11 +100,10 @@ class PolicySpec(ComponentSpec):
     @property
     def plan_granularity(self) -> str:
         """How often the policy re-enters its segment planner (one of
-        :data:`repro.core.policy.PLAN_GRANULARITIES`) — the
-        generalisation of the old boolean ``oblivious`` flag. The
-        runner weights design points by it when balancing pool
-        payloads: per-launch legacy policies replay far slower than
-        whole-``"schedule"`` planners."""
+        :data:`repro.core.policy.PLAN_GRANULARITIES`). The runner
+        weights design points by it when balancing pool payloads:
+        per-launch planners replay far slower than whole-``"schedule"``
+        planners."""
         return str(
             getattr(self._class_of(self.name), "plan_granularity", "launch")
         )

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cgra.fabric import FabricGeometry
-from repro.kernels.pressure import fold_intervals
 
 #: Datapath width of every context line and FU port.
 WORD_BITS = 32
@@ -63,23 +62,8 @@ def pressure_profile(
     ``intervals`` are inclusive ``(first, last)`` boundary pairs (one
     per routed value); entry ``b`` of the result counts the values
     crossing into column ``b``. Computed with a difference array, so
-    cost is O(values + columns); under the numba kernel backend the
-    fold runs compiled (:data:`repro.kernels.pressure.fold_intervals`,
-    same integer arithmetic).
+    cost is O(values + columns).
     """
-    compiled = fold_intervals.compiled()
-    if compiled is not None:
-        pairs = np.asarray(
-            intervals if isinstance(intervals, (list, tuple)) else list(intervals),
-            dtype=np.int64,
-        )
-        if pairs.size == 0:
-            return np.zeros(n_cols, dtype=np.int64)
-        return compiled(
-            np.ascontiguousarray(pairs[:, 0]),
-            np.ascontiguousarray(pairs[:, 1]),
-            n_cols,
-        )
     diff = np.zeros(n_cols + 1, dtype=np.int64)
     for first, last in intervals:
         if last < first:

@@ -7,9 +7,7 @@ A *virtual configuration* produced by the DBT is anchored at origin
 wrap-around in both axes (Fig. 3), recording per-FU stress in a
 :class:`UtilizationTracker`. Batched, the policy plans *whole launch
 schedules* as :class:`SegmentPlan` sequences (see
-:mod:`repro.core.policy` for the protocol and migration notes);
-``next_pivot``-only policies keep working through
-:class:`LegacyPolicyAdapter`.
+:mod:`repro.core.policy` for the two-hook protocol).
 
 Policies:
 
@@ -35,7 +33,6 @@ from repro.core.patterns import (
 from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
-    LegacyPolicyAdapter,
     ScheduleView,
     SegmentPlan,
     available_policies,
@@ -52,7 +49,6 @@ __all__ = [
     "AllocationPolicy",
     "BaselinePolicy",
     "ConfigurationAllocator",
-    "LegacyPolicyAdapter",
     "MOVEMENT_PATTERNS",
     "PLAN_GRANULARITIES",
     "PhysicalPlacement",

@@ -18,10 +18,8 @@ Two entry points share one engine:
   (and before any tracker read). The policy reads stress through a
   flushing tracker view, so every resumption of its plan generator
   observes exactly the counter state the scalar loop would have shown
-  it. Policies implementing only the pre-segment
-  ``next_pivot``/``next_pivots`` API are served run-by-run through a
-  :class:`~repro.core.policy.LegacyPolicyAdapter` (with a one-time
-  ``DeprecationWarning``), bit-identically to the old engine.
+  it. A policy that does not override ``plan_segments`` is planned
+  one launch per segment through its ``next_pivot`` hook.
 * :meth:`ConfigurationAllocator.allocate` — the scalar API, the
   engine's single-launch fast path (shared validation and tracker
   accounting, no per-launch numpy batch overhead). Property tests
@@ -43,11 +41,9 @@ from repro.core.policy import (
     ScheduleView,
     candidate_footprints,
     iter_runs,
-    resolve_planner,
 )
 from repro.core.utilization import UtilizationTracker
 from repro.errors import AllocationError
-from repro.kernels.stress_plan import fold_spans
 
 
 @dataclass(frozen=True)
@@ -106,143 +102,6 @@ class BatchPlacement:
 
 #: Any single pivot suffices for the (pivot-independent) fold check.
 _ORIGIN_PIVOT = np.zeros((1, 2), dtype=np.int64)
-
-
-class _CompiledSpanFold:
-    """Run-table flush engine for the batched allocator under the
-    compiled kernel backend.
-
-    Instead of grouping pending launches by configuration and folding
-    each group with ``candidate_footprints`` + ``record_batch``, the
-    batch's runs are recorded as ``(start, stop, config_index)`` spans
-    over the already-written ``pivots_out`` / cycles arrays, and one
-    fused kernel call (:data:`repro.kernels.stress_plan.fold_spans`)
-    per flush performs pivot translation, execution / cycle accrual
-    and footprint-mask accumulation in a single pass. Integer accrual
-    commutes, so the result is bit-identical to the grouped numpy
-    flush; totals and footprints are reported back through the
-    tracker's fused-accrual hooks.
-    """
-
-    __slots__ = (
-        "_kernel",
-        "_tracker",
-        "_rows",
-        "_cols",
-        "_configs_unique",
-        "_run_stop",
-        "_run_cfg",
-        "_run_index",
-        "_cell_rows",
-        "_cell_cols",
-        "_cell_indptr",
-        "_mask_rows",
-        "_touched",
-        "_pivots_out",
-        "_cycles",
-        "_pending",
-    )
-
-    def __init__(
-        self,
-        kernel,
-        configs: tuple[VirtualConfiguration, ...],
-        pivots_out: np.ndarray,
-        cycles_arr: np.ndarray,
-        tracker: UtilizationTracker,
-        geometry: FabricGeometry,
-    ) -> None:
-        self._kernel = kernel
-        self._tracker = tracker
-        self._rows = geometry.rows
-        self._cols = geometry.cols
-        unique: dict[int, int] = {}
-        self._configs_unique: list[VirtualConfiguration] = []
-        self._run_stop: list[int] = []
-        self._run_cfg: list[int] = []
-        for config, _start, stop in iter_runs(configs):
-            cfg_index = unique.get(id(config))
-            if cfg_index is None:
-                cfg_index = len(self._configs_unique)
-                unique[id(config)] = cfg_index
-                self._configs_unique.append(config)
-            self._run_stop.append(stop)
-            self._run_cfg.append(cfg_index)
-        self._run_index = 0
-        n_unique = len(self._configs_unique)
-        indptr = np.zeros(n_unique + 1, dtype=np.int64)
-        for index, config in enumerate(self._configs_unique):
-            indptr[index + 1] = indptr[index] + len(config.cell_rows)
-        self._cell_indptr = indptr
-        if n_unique:
-            self._cell_rows = np.concatenate(
-                [
-                    np.asarray(config.cell_rows, dtype=np.int64)
-                    for config in self._configs_unique
-                ]
-            )
-            self._cell_cols = np.concatenate(
-                [
-                    np.asarray(config.cell_cols, dtype=np.int64)
-                    for config in self._configs_unique
-                ]
-            )
-        else:
-            self._cell_rows = np.empty(0, dtype=np.int64)
-            self._cell_cols = np.empty(0, dtype=np.int64)
-        self._mask_rows = np.zeros((n_unique, geometry.n_cells), dtype=np.bool_)
-        self._touched = np.zeros(n_unique, dtype=np.int8)
-        self._pivots_out = pivots_out
-        self._cycles = cycles_arr
-        self._pending: list[tuple[int, int, int]] = []
-
-    def runs_between(self, seg_start: int, seg_stop: int):
-        """Yield ``(config, clip_start, clip_stop, config_index)`` for
-        each run overlapping ``[seg_start, seg_stop)``, advancing the
-        run cursor — segments arrive contiguously (the allocator
-        validates tiling before recording), so one forward walk over
-        the precomputed run table serves the whole batch."""
-        position = seg_start
-        while position < seg_stop:
-            stop = self._run_stop[self._run_index]
-            cfg_index = self._run_cfg[self._run_index]
-            clip_stop = stop if stop < seg_stop else seg_stop
-            yield self._configs_unique[cfg_index], position, clip_stop, cfg_index
-            position = clip_stop
-            if clip_stop == stop:
-                self._run_index += 1
-
-    def append(self, start: int, stop: int, cfg_index: int) -> None:
-        self._pending.append((start, stop, cfg_index))
-
-    def flush(self) -> None:
-        if not self._pending:
-            return
-        spans = np.asarray(self._pending, dtype=np.int64)
-        self._pending.clear()
-        exec_flat, cycle_flat = self._tracker.flat_counts()
-        n_launches, cycle_sum = self._kernel(
-            exec_flat,
-            cycle_flat,
-            self._mask_rows,
-            self._touched,
-            self._cell_rows,
-            self._cell_cols,
-            self._cell_indptr,
-            self._pivots_out,
-            self._cycles,
-            spans,
-            self._rows,
-            self._cols,
-        )
-        self._tracker.bump_totals(int(n_launches), int(cycle_sum))
-        # Re-merging a config's accumulated mask is idempotent, so
-        # every flush simply merges all configs touched so far.
-        for cfg_index in np.flatnonzero(self._touched):
-            self._tracker.merge_footprint(
-                self._configs_unique[int(cfg_index)].start_pc,
-                self._mask_rows[int(cfg_index)],
-            )
 
 
 class _FlushingTrackerView:
@@ -324,9 +183,6 @@ class ConfigurationAllocator:
                 "is wider or taller than the fabric"
             )
         self.tracker.record(config.start_pc, cells, cycles=cycles)
-        observe = self._resolve_observe()
-        if observe is not None:
-            observe(config, (pivot_row, pivot_col))
         self.launches += 1
         if obs.state.enabled:
             obs.count("allocator.scalar_launches")
@@ -348,9 +204,7 @@ class ConfigurationAllocator:
                 as one run).
             pivots: optional ``(n_launches, 2)`` pivot overrides; when
                 omitted the bound policy plans the sequence via its
-                ``plan_segments`` hook (legacy ``next_pivots``-only
-                policies fall back to per-run planning through
-                :class:`~repro.core.policy.LegacyPolicyAdapter`).
+                ``plan_segments`` hook.
             cycles: scalar or per-launch execution cycle counts.
 
         Raises:
@@ -368,7 +222,6 @@ class ConfigurationAllocator:
                     f"pivots must have shape ({n_launches}, 2), "
                     f"got {pivots.shape}"
                 )
-        observe = self._resolve_observe()
         pivots_out = np.empty((n_launches, 2), dtype=np.int64)
 
         # Deferred stress accrual: runs append (config, pivots, cycles)
@@ -378,44 +231,19 @@ class ConfigurationAllocator:
         # commutes, so regrouping is exact). Policies read stress only
         # through the flushing view, which keeps interleaved sequences
         # bit-identical to the scalar loop while run-of-one launch
-        # schedules skip almost all per-run numpy setup. Under the
-        # numba kernel backend the flush instead runs as one fused
-        # span-fold kernel over ``pivots_out`` (observe hooks force the
-        # per-run Python path, whose flush-per-run timing they rely on).
-        fold = None
-        if observe is None and n_launches > 0:
-            fold_impl = fold_spans.compiled()
-            if fold_impl is not None:
-                fold = _CompiledSpanFold(
-                    fold_impl,
-                    configs,
-                    pivots_out,
-                    cycles_arr,
-                    self.tracker,
-                    self.geometry,
-                )
+        # schedules skip almost all per-run numpy setup.
         pending: list[tuple[VirtualConfiguration, np.ndarray, np.ndarray]] = []
         checked_fit: set[int] = set()
-        # Telemetry: one name resolution per batch, one flag test per
-        # flush — nothing on the per-launch path.
-        flush_counter = (
-            "allocator.flushes.compiled"
-            if fold is not None
-            else "allocator.flushes.python"
-        )
+        # Telemetry: one flag test per batch and per flush — nothing on
+        # the per-launch path.
         if obs.state.enabled:
             obs.count("allocator.launches", n_launches)
 
         def flush() -> None:
-            if fold is not None:
-                if obs.state.enabled and fold._pending:
-                    obs.count(flush_counter)
-                fold.flush()
-                return
             if not pending:
                 return
             if obs.state.enabled:
-                obs.count(flush_counter)
+                obs.count("allocator.flushes")
             groups: dict[int, list] = {}
             for config, run_pivots, run_cycles in pending:
                 group = groups.get(id(config))
@@ -464,32 +292,13 @@ class ConfigurationAllocator:
         def record_runs(
             seg_pivots: np.ndarray, seg_start: int, seg_stop: int
         ) -> None:
-            """Defer the segment's launches run by run (validating fit
-            at first sight of each configuration); observe hooks keep
-            the legacy contract — they fire after the launches up to
-            and including their run have been folded in."""
-            if fold is not None:
-                # Span-fold path: the segment's pivots are already in
-                # ``pivots_out``, so each clipped run becomes one span
-                # row. Fit is still checked per run at first sight, so
-                # a mid-batch error leaves exactly the runs accepted
-                # before it recorded — as the Python path guarantees.
-                for config, start, stop, cfg_index in fold.runs_between(
-                    seg_start, seg_stop
-                ):
-                    check_fit_once(config)
-                    fold.append(start, stop, cfg_index)
-                    self.launches += stop - start
-                return
+            """Defer the segment's launches run by run, validating fit
+            at first sight of each configuration."""
             for config, start, stop in iter_runs(configs, seg_start, seg_stop):
                 check_fit_once(config)
                 run_pivots = seg_pivots[start - seg_start : stop - seg_start]
                 pending.append((config, run_pivots, cycles_arr[start:stop]))
                 self.launches += stop - start
-                if observe is not None:
-                    flush()
-                    for pivot_row, pivot_col in run_pivots:
-                        observe(config, (int(pivot_row), int(pivot_col)))
 
         batch_span = obs.span(
             "allocate.batch",
@@ -504,10 +313,9 @@ class ConfigurationAllocator:
                 record_runs(pivots, 0, n_launches)
             elif n_launches > 0:
                 origin = f"policy {getattr(self.policy, 'name', '?')!r}"
-                planner = resolve_planner(self.policy)
                 schedule = ScheduleView(configs, cycles_arr)
                 planned = 0
-                for plan in planner(schedule, tracker_view):
+                for plan in self.policy.plan_segments(schedule, tracker_view):
                     if obs.state.enabled:
                         obs.count("allocator.segments")
                     seg_pivots = np.asarray(plan.pivots, dtype=np.int64)
@@ -525,9 +333,8 @@ class ConfigurationAllocator:
             # Keep the allocator's observable state consistent even
             # when a segment fails validation (or a policy hook
             # raises): the runs accepted before the error are
-            # recorded, so ``launches`` and the tracker agree — as the
-            # per-run legacy loop guaranteed. On success this is the
-            # ordinary final flush.
+            # recorded, so ``launches`` and the tracker agree. On
+            # success this is the ordinary final flush.
             flush()
             batch_span.__exit__(None, None, None)
         return BatchPlacement(
@@ -536,21 +343,6 @@ class ConfigurationAllocator:
             pivots=pivots_out,
             cycles=cycles_arr,
         )
-
-    def _resolve_observe(self):
-        """The policy's observe hook, or ``None`` when it is the no-op
-        base implementation (skipping it saves one Python call per
-        launch). Resolved per batch so instance-level reassignment of
-        ``observe`` keeps working."""
-        hook = getattr(self.policy, "observe", None)
-        if (
-            hook is not None
-            and "observe" not in self.policy.__dict__
-            and getattr(type(self.policy), "observe", None)
-            is AllocationPolicy.observe
-        ):
-            return None
-        return hook
 
     # -- validation helpers ------------------------------------------------
 

@@ -1,17 +1,40 @@
 """Allocation-policy interface and registry.
 
-The policy API is built around *sequence planning*: the unit of work a
-policy is asked for is a **schedule segment** — a contiguous range of
-upcoming launches with precomputed pivots — not a single launch. A
-policy's :meth:`AllocationPolicy.plan_segments` consumes a
-:class:`ScheduleView` of the whole launch sequence and yields
-:class:`SegmentPlan`\\ s covering it front to back; the generator is
-re-entered only at segment boundaries, which is exactly where the
-policy may read fresh tracker state (the
+A policy chooses the *pivot* of every configuration launch: the
+physical cell where the configuration's virtual origin lands. It has
+two hooks.
+
+:meth:`AllocationPolicy.next_pivot` (required)
+    the pivot of one upcoming launch, given the tracker's accumulated
+    stress. :meth:`~repro.core.allocator.ConfigurationAllocator.allocate`
+    calls it once per launch; the stress-coupled walk places its
+    launches this way.
+:meth:`AllocationPolicy.plan_segments` (optional)
+    pivots for a whole launch sequence, planned as schedule segments.
+    :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`
+    drives it. The base class plans one launch per segment through
+    ``next_pivot``, which is exact for any policy; override it to plan
+    many launches per segment.
+
+``plan_segments`` consumes a :class:`ScheduleView` of the whole launch
+sequence and yields :class:`SegmentPlan`\\ s covering it front to
+back::
+
+    def plan_segments(self, schedule, tracker):
+        # schedule: ScheduleView (configs, runs(), n_launches)
+        # tracker: UtilizationTracker view; any read observes exactly
+        #          the stress of every launch planned so far
+        yield SegmentPlan(start=0, stop=schedule.n_launches, pivots=...)
+
+Yield plans in order, contiguously from 0 to ``schedule.n_launches``;
+``pivots`` is an ``(stop - start, 2)`` int64 array of in-range fabric
+coordinates. The generator is re-entered only at segment boundaries,
+which is exactly where the policy may read fresh tracker state: the
 :class:`~repro.core.allocator.ConfigurationAllocator` folds the
-previous segment's stress into the tracker before any read). Policies
-declare how often they need those re-entry points via
-:attr:`AllocationPolicy.plan_granularity`:
+previous segment's stress into the tracker before any read. Both
+hooks must produce the same pivot sequence, so ``allocate_batch`` is
+bit-identical to a loop of ``allocate``. Policies declare how often
+they need re-entry points via :attr:`AllocationPolicy.plan_granularity`:
 
 ``"schedule"``
     the pivot stream is a pure function of internal policy state — one
@@ -23,43 +46,12 @@ declare how often they need those re-entry points via
     re-planning happens on a fixed duty cycle (stress_aware's periodic
     pivot search);
 ``"launch"``
-    every launch needs fresh tracker state — the legacy per-launch
-    protocol, served by :class:`LegacyPolicyAdapter`.
-
-Migration notes for custom-policy authors
------------------------------------------
-Policies written against the pre-segment API — a scalar
-:meth:`AllocationPolicy.next_pivot` and optionally the batched
-:meth:`AllocationPolicy.next_pivots` — keep working unchanged: the
-allocator wraps them in a :class:`LegacyPolicyAdapter`, which replays
-them run by run (one segment per run of consecutive identical
-configurations, the old batch engine's unit of work) and emits a
-one-time :class:`DeprecationWarning` per policy class. To migrate,
-implement::
-
-    def plan_segments(self, schedule, tracker):
-        # schedule: ScheduleView (configs, runs(), n_launches)
-        # tracker: UtilizationTracker view; any read observes exactly
-        #          the stress of every launch planned so far
-        yield SegmentPlan(start=0, stop=schedule.n_launches, pivots=...)
-
-and declare the matching :attr:`~AllocationPolicy.plan_granularity`.
-Yield plans in order, contiguously from 0 to ``schedule.n_launches``;
-``pivots`` is an ``(stop - start, 2)`` int64 array of in-range fabric
-coordinates. Read the tracker *between* yields only — each resumption
-sees the counters exactly as the scalar launch loop would have shown
-them at that launch index. Keep ``next_pivot`` implemented: it remains
-the single-launch fast path used by
-:meth:`~repro.core.allocator.ConfigurationAllocator.allocate`. The
-class attribute ``oblivious`` (pre-segment API) is now derived from
-``plan_granularity == "schedule"``; legacy subclasses that still set
-``oblivious = True`` get the whole-schedule fallback through the
-adapter.
+    every launch needs fresh tracker state — the base-class
+    ``plan_segments``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -83,8 +75,8 @@ PLAN_GRANULARITIES = ("schedule", "epoch", "interval", "launch")
 def iter_runs(configs, start: int = 0, stop: int | None = None):
     """Yield ``(config, start, stop)`` runs of consecutive identical
     configuration objects within ``configs[start:stop]`` — the single
-    owner of the run-boundary rule shared by the batch allocator, the
-    :class:`ScheduleView` and the :class:`LegacyPolicyAdapter`.
+    owner of the run-boundary rule shared by the batch allocator and
+    the :class:`ScheduleView`.
     """
     position = start
     end = len(configs) if stop is None else stop
@@ -167,12 +159,10 @@ class AllocationPolicy:
     """Chooses pivot cells for configuration launches.
 
     Lifecycle: the :class:`~repro.core.allocator.ConfigurationAllocator`
-    calls :meth:`bind` once with the fabric geometry. The batched path
-    then drives :meth:`plan_segments` over the whole launch sequence
-    (see the module docstring for the protocol and migration notes);
-    the scalar path calls :meth:`next_pivot` before every launch and
-    :meth:`observe` after it. Policies that implement only the scalar
-    hooks are served through :class:`LegacyPolicyAdapter`.
+    calls :meth:`bind` once with the fabric geometry. The scalar path
+    then calls :meth:`next_pivot` before every launch; the batched path
+    drives :meth:`plan_segments` over the whole launch sequence (see
+    the module docstring for the protocol).
     """
 
     #: Registry key; subclasses override.
@@ -183,16 +173,9 @@ class AllocationPolicy:
     seedable = False
 
     #: How often the policy needs fresh tracker state while planning a
-    #: schedule (one of :data:`PLAN_GRANULARITIES`). The base class is
-    #: conservative: per-launch, the legacy fallback granularity.
+    #: schedule (one of :data:`PLAN_GRANULARITIES`). The base class
+    #: plans launch by launch.
     plan_granularity = "launch"
-
-    @property
-    def oblivious(self) -> bool:
-        """Whether the pivot stream ignores both the configurations and
-        the tracker (pre-segment API name, kept for compatibility —
-        now derived from :attr:`plan_granularity`)."""
-        return self.plan_granularity == "schedule"
 
     def bind(self, geometry: FabricGeometry) -> None:
         """Attach the policy to a fabric; resets internal state."""
@@ -204,150 +187,47 @@ class AllocationPolicy:
         """Pivot ``(row, col)`` for the upcoming launch of ``config``.
 
         ``tracker`` exposes the accumulated per-FU stress for policies
-        that adapt to run-time aging information. This remains the
-        single-launch fast path of
-        :meth:`~repro.core.allocator.ConfigurationAllocator.allocate`.
+        that adapt to run-time aging information.
         """
         raise NotImplementedError
 
-    def next_pivots(
-        self,
-        config: VirtualConfiguration,
-        tracker: "UtilizationTracker",
-        count: int,
-    ) -> np.ndarray:
-        """Pivots for ``count`` consecutive launches of ``config``
-        (pre-segment batch hook, used by :class:`LegacyPolicyAdapter`).
+    def plan_segments(
+        self, schedule: ScheduleView, tracker: "UtilizationTracker"
+    ) -> Iterator[SegmentPlan]:
+        """Plan the schedule's pivots as contiguous segments.
 
-        Returns an ``(count, 2)`` int64 array. The default falls back
-        to ``count`` scalar :meth:`next_pivot` calls *without*
-        intermediate stress recording — exact for policies that ignore
-        ``tracker``. Policies that read accumulated stress must either
-        override this with a batch-exact implementation or implement
-        :meth:`plan_segments` directly (all built-in policies do both).
+        The default yields one single-launch segment per
+        :meth:`next_pivot` call. The allocator folds each segment into
+        the tracker before the next tracker read, so every call sees
+        exactly the stress the scalar launch loop would have shown it.
         """
-        pivots = np.empty((count, 2), dtype=np.int64)
-        for index in range(count):
-            pivots[index] = self.next_pivot(config, tracker)
-        return pivots
-
-    # ``plan_segments`` is intentionally *not* defined on the base
-    # class: the allocator distinguishes sequence-planning policies
-    # (which define it) from legacy per-launch policies (which get the
-    # LegacyPolicyAdapter fallback + DeprecationWarning) by its
-    # presence. The protocol:
-    #
-    #   def plan_segments(self, schedule: ScheduleView, tracker)
-    #           -> Iterator[SegmentPlan]
-    #
-    # Yield contiguous SegmentPlans covering [0, schedule.n_launches);
-    # any tracker read between yields observes exactly the stress of
-    # every launch planned so far.
-
-    def observe(
-        self, config: VirtualConfiguration, pivot: tuple[int, int]
-    ) -> None:
-        """Hook called after a launch has been recorded (optional)."""
+        for index, config in enumerate(schedule.configs):
+            pivots = np.asarray(
+                [self.next_pivot(config, tracker)], dtype=np.int64
+            )
+            yield SegmentPlan(start=index, stop=index + 1, pivots=pivots)
 
     def describe(self) -> str:
         """One-line human-readable description."""
         return self.name
 
 
-#: Policy classes already warned about missing ``plan_segments`` (the
-#: DeprecationWarning is one-time per class, not per batch).
-_LEGACY_WARNED: set[type] = set()
+def min_stress_index(counts_flat: np.ndarray, footprints: np.ndarray) -> int:
+    """Candidate footprint minimising ``(max stress, total stress)``.
 
-
-class LegacyPolicyAdapter:
-    """Serves ``next_pivot``/``next_pivots``-only policies through the
-    segment-plan protocol.
-
-    The adapter replays the pre-segment batch engine's behaviour
-    exactly: one segment per run of consecutive identical
-    configurations, pivots drawn through the policy's ``next_pivots``
-    batch hook (or ``count`` scalar ``next_pivot`` calls when even
-    that is missing); a policy whose ``oblivious`` attribute is set
-    keeps the old whole-schedule fast path. Construction emits a
-    one-time :class:`DeprecationWarning` per policy class unless
-    ``warn=False`` — the per-launch fallback stays bit-identical but
-    forfeits the vectorized segment replay.
+    ``footprints`` is ``(n_candidates, n_cells)`` flat indices into
+    ``counts_flat``, the per-cell stress (integer execution counts or
+    float sensor readings). Ties on the max break towards the lower
+    sum, then the earlier candidate. Sums are taken only over the
+    candidates tied on the max.
     """
-
-    def __init__(self, policy, warn: bool = True) -> None:
-        self.policy = policy
-        if warn and type(policy) not in _LEGACY_WARNED:
-            _LEGACY_WARNED.add(type(policy))
-            warnings.warn(
-                f"allocation policy {getattr(policy, 'name', '?')!r} "
-                f"({type(policy).__name__}) implements only the "
-                "per-launch next_pivot/next_pivots API; implement "
-                "plan_segments(schedule, tracker) for whole-schedule "
-                "segment planning — the per-launch fallback path is "
-                "deprecated",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    def _next_pivots(self, config, tracker, count: int) -> np.ndarray:
-        """The policy's batch hook, tolerating duck-typed policies that
-        only implement the scalar ``next_pivot``."""
-        batch_hook = getattr(self.policy, "next_pivots", None)
-        if batch_hook is not None:
-            return np.asarray(batch_hook(config, tracker, count), dtype=np.int64)
-        pivots = np.empty((count, 2), dtype=np.int64)
-        for index in range(count):
-            pivots[index] = self.policy.next_pivot(config, tracker)
-        return pivots
-
-    def plan_segments(
-        self, schedule: ScheduleView, tracker
-    ) -> Iterator[SegmentPlan]:
-        n_launches = schedule.n_launches
-        if n_launches == 0:
-            return
-        if getattr(self.policy, "oblivious", False):
-            # The pivot stream ignores both the configuration and the
-            # tracker: one batch-hook call covers the whole sequence.
-            pivots = self._next_pivots(
-                schedule.configs[0], tracker, n_launches
-            )
-            yield SegmentPlan(start=0, stop=n_launches, pivots=pivots)
-            return
-        for config, start, stop in schedule.runs():
-            yield SegmentPlan(
-                start=start,
-                stop=stop,
-                pivots=self._next_pivots(config, tracker, stop - start),
-            )
-
-
-def resolve_planner(policy, warn: bool = True):
-    """The policy's segment planner: its own ``plan_segments`` when it
-    implements the sequence-planning protocol, else a
-    :class:`LegacyPolicyAdapter` fallback (with a one-time
-    :class:`DeprecationWarning` unless ``warn=False``)."""
-    planner = getattr(policy, "plan_segments", None)
-    if planner is not None:
-        return planner
-    return LegacyPolicyAdapter(policy, warn=warn).plan_segments
-
-
-def min_stress_index(stress_per_candidate: np.ndarray) -> int:
-    """Candidate minimising ``(max stress, total stress)``, first wins.
-
-    ``stress_per_candidate`` is ``(n_candidates, n_cells)``: the stress
-    counts each candidate pivot would expose the configuration to. The
-    tie-break (lowest max, then lowest sum, then earliest candidate)
-    matches the scalar search loops the stress-adaptive policies used
-    before vectorization, keeping their behaviour bit-identical.
-    """
-    maxs = stress_per_candidate.max(axis=1)
-    sums = stress_per_candidate.sum(axis=1)
-    best_max = maxs.min()
-    on_best_max = maxs == best_max
-    best_sum = sums[on_best_max].min()
-    return int(np.flatnonzero(on_best_max & (sums == best_sum))[0])
+    stress = counts_flat[footprints]
+    maxima = stress.max(axis=1)
+    candidates = np.flatnonzero(maxima == maxima.min())
+    if candidates.size == 1:
+        return int(candidates[0])
+    sums = stress[candidates].sum(axis=1)
+    return int(candidates[np.argmin(sums)])
 
 
 def candidate_footprints(

@@ -40,26 +40,19 @@ class RandomPolicy(AllocationPolicy):
             self._rng.randrange(self.geometry.cols),
         )
 
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
+    def plan_segments(self, schedule, tracker):
+        """One whole-schedule segment on the scalar RNG stream."""
         # Draws stay on the scalar ``random.Random`` stream (not a
         # numpy generator) so batched and scalar sequences are
         # bit-identical for the same seed.
+        count = schedule.n_launches
         rows, cols = self.geometry.rows, self.geometry.cols
         randrange = self._rng.randrange
         pivots = np.empty((count, 2), dtype=np.int64)
         for index in range(count):
             pivots[index, 0] = randrange(rows)
             pivots[index, 1] = randrange(cols)
-        return pivots
-
-    def plan_segments(self, schedule, tracker):
-        """One whole-schedule segment on the scalar RNG stream."""
-        count = schedule.n_launches
-        yield SegmentPlan(
-            start=0, stop=count, pivots=self.next_pivots(None, tracker, count)
-        )
+        yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
     def describe(self) -> str:
         return f"random(seed={self.seed})"

@@ -54,11 +54,10 @@ class RotationPolicy(AllocationPolicy):
         self._position = (self._position + self.stride) % len(self._pattern)
         return pivot
 
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        # The pivot sequence is a pure function of the hardware
-        # counter, so a batch is one strided gather from the pattern.
+    def plan_segments(self, schedule, tracker):
+        """The hardware counter never reads stress: one strided gather
+        from the pattern covers the whole schedule."""
+        count = schedule.n_launches
         length = len(self._pattern)
         positions = (
             self._position + self.stride * np.arange(count, dtype=np.int64)
@@ -66,14 +65,8 @@ class RotationPolicy(AllocationPolicy):
         self._position = int(
             (self._position + self.stride * count) % length
         )
-        return self._pattern_array[positions]
-
-    def plan_segments(self, schedule, tracker):
-        """The hardware counter never reads stress: one strided gather
-        from the pattern covers the whole schedule."""
-        count = schedule.n_launches
         yield SegmentPlan(
-            start=0, stop=count, pivots=self.next_pivots(None, tracker, count)
+            start=0, stop=count, pivots=self._pattern_array[positions]
         )
 
     def describe(self) -> str:

@@ -23,11 +23,6 @@ class BaselinePolicy(AllocationPolicy):
     def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
         return (0, 0)
 
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        return np.zeros((count, 2), dtype=np.int64)
-
     def plan_segments(self, schedule, tracker):
         """One all-origin segment covers any schedule."""
         count = schedule.n_launches

@@ -57,15 +57,6 @@ class StaticRemapPolicy(AllocationPolicy):
             self._pivots[config.start_pc] = pivot
         return pivot
 
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        # The frozen pivot only depends on the tracker state at the
-        # configuration's *first* launch, so a whole run is one choice
-        # tiled — exactly what the scalar loop would produce.
-        pivot = self.next_pivot(config, tracker)
-        return np.tile(np.asarray(pivot, dtype=np.int64), (count, 1))
-
     def plan_segments(self, schedule, tracker):
         """One segment per *remap epoch*: a new segment opens exactly
         at the first launch of a not-yet-frozen configuration, because
@@ -111,7 +102,7 @@ class StaticRemapPolicy(AllocationPolicy):
         """
         footprints = candidate_footprints(config, self._raster, self.geometry)
         counts = np.asarray(tracker.execution_counts).reshape(-1)
-        best = min_stress_index(counts[footprints])
+        best = min_stress_index(counts, footprints)
         return (int(self._raster[best, 0]), int(self._raster[best, 1]))
 
     def describe(self) -> str:

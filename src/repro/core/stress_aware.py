@@ -13,10 +13,9 @@ snake in between — a realistic duty cycle for a hardware controller.
 
 The search itself is vectorized: every candidate pattern pivot's
 stressed footprint is a row of one integer index matrix, and the
-min-max selection happens in numpy. The batched ``next_pivots`` hook
-replays the launch-by-launch stress accrual on a working copy of the
-counters, so a whole batch is bit-identical to the scalar loop it
-replaces.
+min-max selection happens in numpy. Batched, ``plan_segments`` plans
+one segment per re-search window, so a whole batch is bit-identical to
+the scalar ``next_pivot`` loop it replaces.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from repro.core.policy import (
     AllocationPolicy,
     SegmentPlan,
     candidate_footprints,
+    min_stress_index,
     register_policy,
 )
-from repro.kernels.stress_plan import best_pivot, snake_pivots
 
 
 @register_policy
@@ -98,47 +97,6 @@ class StressAwarePolicy(AllocationPolicy):
         self._position = (self._position + 1) % len(self._pattern)
         return self._pattern[self._position]
 
-    def next_pivots(
-        self, config: VirtualConfiguration, tracker, count: int
-    ) -> np.ndarray:
-        """Batch-exact pivot run: simulates the stress the batch's own
-        launches accrue on a working copy of the counters, so search
-        launches inside the batch see exactly the counter state the
-        scalar loop would have shown them.
-
-        The counter copy and the per-pattern footprint matrix are only
-        materialised on the first *search* launch of the run — pure
-        snake-following runs (the common case away from re-search
-        boundaries, and every ``count == 1`` non-search launch from the
-        scalar wrapper) stay O(1).
-        """
-        pivots = np.empty((count, 2), dtype=np.int64)
-        counts = None
-        flat_counts = None
-        footprints = None
-        pending: list[int] = []  # positions launched before first search
-        for index in range(count):
-            self._launches += 1
-            if self._launches % self.interval == 1 or self.interval == 1:
-                if footprints is None:
-                    footprints = self._pattern_footprints(config)
-                    counts = np.array(tracker.execution_counts, dtype=np.int64)
-                    flat_counts = counts.reshape(-1)
-                    for position in pending:
-                        flat_counts[footprints[position]] += 1
-                    pending.clear()
-                self._position = best_pivot(
-                    self._visible_counts(counts).reshape(-1), footprints
-                )
-            else:
-                self._position = (self._position + 1) % len(self._pattern)
-            pivots[index] = self._pattern_array[self._position]
-            if footprints is None:
-                pending.append(self._position)
-            else:
-                flat_counts[footprints[self._position]] += 1
-        return pivots
-
     def plan_segments(self, schedule, tracker):
         """One segment per re-search window: each segment opens on a
         *search* launch (whose pivot needs the accumulated stress of
@@ -148,7 +106,7 @@ class StressAwarePolicy(AllocationPolicy):
         pure vectorized gather from the movement pattern. This is what
         closes the replay gap to the whole-schedule policies: the
         allocator's per-segment work is amortised over ``interval``
-        launches instead of per run-of-~1 ``next_pivots`` calls.
+        launches instead of paid per launch.
         """
         n_launches = schedule.n_launches
         configs = schedule.configs
@@ -172,7 +130,8 @@ class StressAwarePolicy(AllocationPolicy):
             # before the counter gets there again.
             follow = (-self._launches) % self.interval
             count = min(1 + follow, n_launches - index)
-            pivots = snake_pivots(self._pattern_array, self._position, count)
+            positions = (self._position + np.arange(count)) % length
+            pivots = self._pattern_array[positions]
             self._position = (self._position + count - 1) % length
             self._launches += count - 1
             yield SegmentPlan(
@@ -181,14 +140,6 @@ class StressAwarePolicy(AllocationPolicy):
                 pivots=pivots,
             )
             index += count
-
-    def _visible_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Counters as the controller sees them (sensor-filtered)."""
-        if self.sensor is None:
-            return counts
-        view = counts.view()
-        view.flags.writeable = False
-        return self.sensor.read(view)
 
     def _best_pivot(
         self, config: VirtualConfiguration, counts: np.ndarray
@@ -200,7 +151,7 @@ class StressAwarePolicy(AllocationPolicy):
         """
         if self.sensor is not None:
             counts = self.sensor.read(counts)
-        best = best_pivot(
+        best = min_stress_index(
             np.asarray(counts).reshape(-1), self._pattern_footprints(config)
         )
         return self._pattern[best]

@@ -118,30 +118,6 @@ class UtilizationTracker:
             self._config_cells[config_key] = mask
         return mask
 
-    # -- fused-kernel accrual interface ------------------------------------
-    # The compiled span flush (repro.kernels.stress_plan.fold_spans)
-    # accrues straight into the flat count matrices and reports the
-    # footprint/total bookkeeping back through these three hooks, so
-    # the tracker's observable state stays exactly what record_batch
-    # would have produced.
-
-    def flat_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Writable flat views of the execution / cycle counters, for
-        in-place kernel accrual. Callers own the bookkeeping contract:
-        every accrued launch must be reported via :meth:`bump_totals`
-        and its footprint via :meth:`merge_footprint`."""
-        return self._execution_counts.reshape(-1), self._cycle_counts.reshape(-1)
-
-    def merge_footprint(self, config_key: int, mask_row: np.ndarray) -> None:
-        """OR a flat boolean footprint into the config's bitmap."""
-        mask = self._footprint_mask(config_key)
-        np.logical_or(mask, mask_row, out=mask)
-
-    def bump_totals(self, n_launches: int, cycles: int) -> None:
-        """Account launches whose per-cell stress was accrued in place."""
-        self.total_executions += int(n_launches)
-        self.total_cycles += int(cycles)
-
     # -- checkpoint/restore ------------------------------------------------
 
     def export_state(self) -> dict:

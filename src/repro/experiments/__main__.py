@@ -21,7 +21,6 @@ from pathlib import Path
 from repro import obs
 from repro.campaign.artifacts import write_json, write_telemetry
 from repro.experiments import ALL_EXPERIMENTS
-from repro.kernels import active_backend
 
 
 def _experiment_summary(module) -> str:
@@ -67,12 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:
-        # stderr: stdout is the machine-diffable listing (one
-        # experiment per line) and scripts parse every stdout line.
-        print(
-            f"kernel backend: {active_backend().describe()}",
-            file=sys.stderr,
-        )
         # Sorted by name so the listing is deterministic regardless of
         # registry insertion order (stable for scripts that diff it).
         for name in sorted(ALL_EXPERIMENTS):

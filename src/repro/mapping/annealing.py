@@ -57,7 +57,6 @@ from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import MEM_PORT_ISSUE_COLUMNS, FUKind
 from repro.cgra.interconnect import FOLLOW_GEOMETRY, resolve_line_budget
 from repro.dbt.dfg import dependence_edges
-from repro.kernels.sa_moves import anneal_sweeps
 from repro.mapping.base import Mapper, register_mapper
 from repro.mapping.greedy import place_window
 from repro.sim.trace import TraceRecord
@@ -245,8 +244,6 @@ class SimulatedAnnealingMapper(Mapper):
     # ------------------------------------------------------------------
 
     def _anneal(self, state: "_AnnealState", rng: np.random.Generator) -> None:
-        if self._anneal_compiled(state, rng):
-            return
         n_ops = state.n_ops
         proposals = self.proposals_per_op * n_ops
         temperature = self.t0
@@ -284,7 +281,6 @@ class SimulatedAnnealingMapper(Mapper):
             temperature *= self.cooling
         state.restore_best()
         if obs.state.enabled:
-            obs.count("mapping.sa.path.python")
             obs.count(
                 "mapping.sa.moves_tried", self._n_sweeps() * proposals
             )
@@ -293,66 +289,6 @@ class SimulatedAnnealingMapper(Mapper):
             obs.count(
                 "mapping.sa.moves_rejected_budget", state.budget_rejections
             )
-
-    def _anneal_compiled(
-        self, state: "_AnnealState", rng: np.random.Generator
-    ) -> bool:
-        """Run the whole annealing loop through the compiled kernel
-        (:data:`repro.kernels.sa_moves.anneal_sweeps`) when the active
-        backend provides it and the state packs into its int64
-        bitmask representation. The random batches are pre-drawn sweep
-        by sweep in exactly the Python loop's call order, so the two
-        paths consume the same generator stream and the resulting
-        placements are bit-identical (pinned by the equivalence
-        suite). Returns ``False`` to fall through to the Python loop.
-        """
-        kernel = anneal_sweeps.compiled()
-        if kernel is None or not state.kernel_packable():
-            return False
-        n_ops = state.n_ops
-        proposals = self.proposals_per_op * n_ops
-        n_sweeps = self._n_sweeps()
-        if obs.state.enabled:
-            obs.count("mapping.sa.path.compiled")
-            obs.count("mapping.sa.moves_tried", n_sweeps * proposals)
-        pick_op = np.empty((n_sweeps, proposals), dtype=np.int64)
-        pick_row = np.empty((n_sweeps, proposals), dtype=np.int64)
-        pick_frac = np.empty((n_sweeps, proposals), dtype=np.float64)
-        pick_accept = np.empty((n_sweeps, proposals), dtype=np.float64)
-        for sweep in range(n_sweeps):
-            pick_op[sweep] = rng.integers(0, n_ops, size=proposals)
-            pick_row[sweep] = rng.integers(0, state.rows, size=proposals)
-            pick_frac[sweep] = rng.random(size=proposals)
-            pick_accept[sweep] = rng.random(size=proposals)
-        args = state.pack_kernel_args()
-        best_rows = np.asarray(state.best_rows, dtype=np.int64)
-        best_cols = np.asarray(state.best_cols, dtype=np.int64)
-        cost_delta, best_delta = kernel(
-            *args,
-            pick_op,
-            pick_row,
-            pick_frac,
-            pick_accept,
-            state.col_cap,
-            state.used_max,
-            state.total_cells,
-            -1 if state.line_limit is None else state.line_limit,
-            state.line_soft_cap,
-            MEM_PORT_ISSUE_COLUMNS,
-            self.cp_weight,
-            self.balance_weight,
-            self.stress_weight,
-            self.congestion_weight,
-            self.t0,
-            self.cooling,
-            best_rows,
-            best_cols,
-        )
-        state.cost_delta = float(cost_delta)
-        state.best_delta = float(best_delta)
-        state.best_rows = best_rows
-        state.best_cols = best_cols
-        return True
 
 
 class _AnnealState:
@@ -646,75 +582,3 @@ class _AnnealState:
         """Leave ``best_rows``/``best_cols`` as the annealing result."""
         # Nothing to do — best state is tracked on every commit; the
         # method exists so callers read an explicit final step.
-
-    # -- compiled-kernel packing --------------------------------------
-
-    def kernel_packable(self) -> bool:
-        """Whether the state fits the compiled kernel's representation:
-        occupancy masks are int64 (placements never extend past column
-        ``col_cap``, so that alone bounds the bit width), and a stress
-        hint must cover every cell a move could read (a short hint
-        would raise in the Python loop too — let it do so there)."""
-        if self.col_cap > 62:
-            return False
-        if self.stress_cum is not None and (
-            self.stress_cum.shape[0] < self.rows
-            or self.stress_cum.shape[1] < self.col_cap + 1
-        ):
-            return False
-        return True
-
-    def pack_kernel_args(self) -> tuple:
-        """Positional prefix of the ``anneal_sweeps`` kernel call:
-        working placement arrays (the kernel mutates them in place, so
-        they are fresh copies of the list state, which stays untouched
-        for the Python reference path), CSR-packed adjacency, and the
-        bookkeeping vectors."""
-        preds_ptr, preds_ix = _pack_csr(self.preds)
-        succs_ptr, succs_ix = _pack_csr(self.succs)
-        rawp_ptr, rawp_ix = _pack_csr(self.raw_preds)
-        raws_ptr, raws_ix = _pack_csr(self.raw_succs)
-        peers_ptr, peers_ix = _pack_csr(self.port_peers)
-        if self.stress_cum is None:
-            stress_cum = np.zeros((1, 1), dtype=np.float64)
-            has_stress = False
-        else:
-            stress_cum = np.ascontiguousarray(
-                self.stress_cum, dtype=np.float64
-            )
-            has_stress = True
-        return (
-            np.asarray(self.op_rows, dtype=np.int64),
-            np.asarray(self.op_cols, dtype=np.int64),
-            np.asarray(self.widths, dtype=np.int64),
-            np.asarray(self.end_cols, dtype=np.int64),
-            preds_ptr,
-            preds_ix,
-            succs_ptr,
-            succs_ix,
-            rawp_ptr,
-            rawp_ix,
-            raws_ptr,
-            raws_ix,
-            peers_ptr,
-            peers_ix,
-            np.asarray(self.busy, dtype=np.int64),
-            np.asarray(self.row_counts, dtype=np.int64),
-            np.asarray(self.line_pressure, dtype=np.int64),
-            stress_cum,
-            has_stress,
-        )
-
-
-def _pack_csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack per-op adjacency lists into CSR ``(indptr, indices)``."""
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    for index, items in enumerate(lists):
-        indptr[index + 1] = indptr[index] + len(items)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    position = 0
-    for items in lists:
-        for item in items:
-            indices[position] = item
-            position += 1
-    return indptr, indices

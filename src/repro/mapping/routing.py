@@ -40,7 +40,6 @@ from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.interconnect import OPERANDS_PER_FU, pressure_profile
 from repro.dbt.dfg import source_registers
-from repro.kernels.pressure import N_REGS, routing_profile_arrays
 from repro.sim.trace import TraceRecord
 
 
@@ -165,45 +164,6 @@ def input_slot_capacity(geometry: FabricGeometry) -> int:
     return geometry.rows * OPERANDS_PER_FU
 
 
-#: Memoised static per-record arrays for the fused profile kernel,
-#: keyed by window identity (first/last record object ids + length).
-#: Each entry stores the records themselves, pinning the keyed ids, so
-#: a cached key can never be recycled; bounded because profile calls
-#: cycle over a trace's window working set.
-_RECORD_ARRAYS_MEMO: dict[tuple[int, int, int], tuple] = {}
-
-
-def _record_arrays(
-    records: Sequence[TraceRecord], n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Placement-independent record arrays for the fused kernel:
-    ``(src, rd, has_imm, ok)`` — source registers (``-1`` padded,
-    duplicates kept), destination register (``-1`` none), immediate
-    flags. ``ok`` is ``False`` when any register exceeds the kernel's
-    last-writer table (:data:`repro.kernels.pressure.N_REGS`)."""
-    key = (id(records[0]), id(records[n - 1]), n) if n else (0, 0, 0)
-    entry = _RECORD_ARRAYS_MEMO.get(key)
-    if entry is None:
-        if len(_RECORD_ARRAYS_MEMO) >= 512:
-            _RECORD_ARRAYS_MEMO.clear()
-        src = np.full((n, 2), -1, dtype=np.int64)
-        rd = np.full(n, -1, dtype=np.int64)
-        has_imm = np.zeros(n, dtype=np.bool_)
-        ok = True
-        for offset in range(n):
-            record = records[offset]
-            for slot, reg in enumerate(source_registers(record)):
-                src[offset, slot] = reg
-                ok = ok and reg < N_REGS
-            if record.rd is not None:
-                rd[offset] = record.rd
-                ok = ok and record.rd < N_REGS
-            has_imm[offset] = record.imm is not None
-        entry = (tuple(records[:n]), src, rd, has_imm, ok)
-        _RECORD_ARRAYS_MEMO[key] = entry
-    return entry[1], entry[2], entry[3], entry[4]
-
-
 def routing_profile(
     unit: VirtualConfiguration,
     records: Sequence[TraceRecord],
@@ -214,38 +174,11 @@ def routing_profile(
     ``geometry`` supplies the line budget; omitted, it is derived from
     the unit's grid shape (default sizing — elastic routing, profile
     still computed for reporting).
-
-    Under the numba kernel backend the whole profile — register
-    resolution, interval derivation, the diff-array fold and the
-    input-slot counts — runs as one compiled pass
-    (:data:`repro.kernels.pressure.routing_profile_arrays`) over
-    memoised per-record arrays; the Python path below stays the
-    reference and the equivalence suite pins the two together.
     """
     if geometry is None:
         geometry = FabricGeometry(
             rows=unit.geometry_rows, cols=unit.geometry_cols
         )
-    compiled = routing_profile_arrays.compiled()
-    if compiled is not None:
-        n = min(len(records), unit.n_instructions)
-        src, rd, has_imm, ok = _record_arrays(records, n)
-        if ok:
-            placed_col = np.full(n, -1, dtype=np.int64)
-            placed_end = np.full(n, -1, dtype=np.int64)
-            for op in unit.ops:
-                offset = op.trace_offset
-                if offset < n:
-                    placed_col[offset] = op.col
-                    placed_end[offset] = op.end_col
-            pressure, input_slots = compiled(
-                placed_col, placed_end, src, rd, has_imm, unit.geometry_cols
-            )
-            return RoutingProfile(
-                pressure=pressure,
-                input_slots=input_slots,
-                ctx_lines=geometry.routing_budget,
-            )
     return RoutingProfile(
         pressure=pressure_profile(
             value_intervals(unit, records), unit.geometry_cols

@@ -4,8 +4,8 @@ Counters, value summaries and phase timers (:mod:`repro.obs.core`),
 Chrome trace-event span capture (:mod:`repro.obs.tracing`) and a
 structured stderr logger (:mod:`repro.obs.log`), wired through the
 whole pipeline: the schedule walk, batch replay, config cache, the
-mappers, the kernel backend and the campaign runner all record here
-when telemetry is enabled.
+mappers and the campaign runner all record here when telemetry is
+enabled.
 
 Disabled (the default) everything is a near-zero no-op — one flag
 check per event — and no output changes anywhere. Enable with

@@ -225,39 +225,218 @@ def test_explicit_pivots_replay(suite_units):
     assert_trackers_identical(driven, replayed)
 
 
-def test_default_next_pivots_fallback():
-    """A policy that only implements the scalar hook still works in a
-    batch via the base-class fallback."""
+class DiagonalPolicy(AllocationPolicy):
+    """next_pivot-only policy whose pivots ignore the tracker."""
 
-    class DiagonalPolicy(AllocationPolicy):
-        name = "diagonal_test"
+    name = "diagonal_test"
 
-        def __init__(self):
-            self._step = 0
+    def __init__(self):
+        self._step = 0
 
-        def next_pivot(self, config, tracker):
-            pivot = (self._step % ROWS, self._step % COLS)
-            self._step += 1
-            return pivot
+    def next_pivot(self, config, tracker):
+        pivot = (self._step % ROWS, self._step % COLS)
+        self._step += 1
+        return pivot
 
+
+class CoolestPivotPolicy(AllocationPolicy):
+    """next_pivot-only policy that reads the tracker on every launch:
+    the pivot whose footprint has the lowest (max, sum) stress, first
+    in raster order on ties."""
+
+    name = "coolest_pivot_test"
+
+    def next_pivot(self, config, tracker):
+        counts = tracker.execution_counts
+
+        def stress(pivot):
+            values = [
+                int(counts[(row + pivot[0]) % ROWS, (col + pivot[1]) % COLS])
+                for row, col in config.cells
+            ]
+            return max(values), sum(values)
+
+        return min(
+            ((row, col) for row in range(ROWS) for col in range(COLS)),
+            key=stress,
+        )
+
+
+class LeastBusyColumnPolicy(AllocationPolicy):
+    """next_pivot-only policy that reads the launch total and the
+    busy-cycle counts: the row is the number of launches so far modulo
+    the rows, the column is that row's least-busy one."""
+
+    name = "least_busy_column_test"
+
+    def next_pivot(self, config, tracker):
+        row = tracker.total_executions % ROWS
+        return (row, int(np.argmin(tracker.cycle_counts[row])))
+
+
+@pytest.mark.parametrize(
+    "policy_cls", [DiagonalPolicy, CoolestPivotPolicy, LeastBusyColumnPolicy]
+)
+def test_default_plan_segments_fallback(policy_cls):
+    """A policy that only implements the scalar hook runs in a batch
+    through the base-class ``plan_segments``, exactly as the scalar
+    loop places it — also when it reads the stress of the launches
+    before it in the same run."""
     config = synthetic_config([(0, 0), (1, 3)])
-    scalar = ConfigurationAllocator(GEOMETRY, DiagonalPolicy())
-    batched = ConfigurationAllocator(GEOMETRY, DiagonalPolicy())
-    for _ in range(10):
-        scalar.allocate(config)
-    batched.allocate_batch([config] * 10)
+    other = synthetic_config([(0, 1)], start_pc=0x2000)
+    sequence = [config] * 6 + [other, other, config, other]
+    cycles = [1 + (5 * index) % 7 for index in range(len(sequence))]
+    scalar = ConfigurationAllocator(GEOMETRY, policy_cls())
+    batched = ConfigurationAllocator(GEOMETRY, policy_cls())
+    pivots = [
+        scalar.allocate(c, cycles=cyc).pivot
+        for c, cyc in zip(sequence, cycles)
+    ]
+    batch = batched.allocate_batch(sequence, cycles=cycles)
+    np.testing.assert_array_equal(
+        batch.pivots, np.asarray(pivots, dtype=np.int64)
+    )
     assert_trackers_identical(scalar, batched)
 
 
-def test_instance_level_observe_hook_fires():
-    """An observe callback attached to the policy *instance* (not the
-    class) is still invoked once per launch."""
-    policy = make_policy("rotation")
-    calls = []
-    policy.observe = lambda config, pivot: calls.append(pivot)
-    allocator = ConfigurationAllocator(GEOMETRY, policy)
-    allocator.allocate_batch([synthetic_config([(0, 0)])] * 3)
-    assert calls == [(0, 0), (0, 1), (0, 2)]
+@pytest.mark.parametrize(
+    "policy_cls", [DiagonalPolicy, CoolestPivotPolicy, LeastBusyColumnPolicy]
+)
+def test_default_plan_segments_mid_batch_error(policy_cls):
+    """A configuration that cannot fit stops the base-class planner's
+    batch where it stops the scalar loop: the launches before it are
+    recorded identically, and none after it."""
+    config = synthetic_config([(0, 0), (1, 3)])
+    other = synthetic_config([(0, 1)], start_pc=0x2000)
+    oversized = VirtualConfiguration(
+        start_pc=0x3000,
+        pc_path=(0x3000,),
+        ops=(
+            PlacedOp(
+                op="add", kind=FUKind.ALU, row=0, col=0, width=1,
+                trace_offset=0,
+            ),
+        ),
+        n_instructions=1,
+        geometry_rows=ROWS,
+        geometry_cols=COLS + 1,
+    )
+    sequence = [config] * 4 + [other, config, oversized, other, config]
+    cycles = [2 + index % 3 for index in range(len(sequence))]
+    scalar = ConfigurationAllocator(GEOMETRY, policy_cls())
+    batched = ConfigurationAllocator(GEOMETRY, policy_cls())
+    with pytest.raises(AllocationError):
+        for c, cyc in zip(sequence, cycles):
+            scalar.allocate(c, cycles=cyc)
+    with pytest.raises(AllocationError):
+        batched.allocate_batch(sequence, cycles=cycles)
+    assert_trackers_identical(scalar, batched)
+    assert batched.launches == 6
+
+
+class NextPivotOnly(AllocationPolicy):
+    """Hides a policy's own planner: batches of the wrapper run through
+    the base-class ``plan_segments`` and the wrapped ``next_pivot``."""
+
+    name = "next_pivot_only_test"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def bind(self, geometry):
+        super().bind(geometry)
+        self.inner.bind(geometry)
+
+    def next_pivot(self, config, tracker):
+        return self.inner.next_pivot(config, tracker)
+
+
+@pytest.mark.parametrize("policy_name,make_kwargs", POLICIES)
+def test_base_class_planner_exact_for_every_policy(
+    suite_units, policy_name, make_kwargs
+):
+    """Planning one launch per segment through ``next_pivot`` is exact
+    for any policy: it reproduces every built-in policy's own planner
+    on an interleaved batch of suite units."""
+    sequence = [
+        unit
+        for repeat in range(2)
+        for index, unit in enumerate(suite_units)
+        for _ in range(1 + (index + repeat) % 4)
+    ]
+    cycles = [3 + (7 * index) % 11 for index in range(len(sequence))]
+    own = build_allocator(policy_name, make_kwargs)
+    fallback = ConfigurationAllocator(
+        GEOMETRY, NextPivotOnly(make_policy(policy_name, **make_kwargs()))
+    )
+    own_batch = own.allocate_batch(sequence, cycles=cycles)
+    fallback_batch = fallback.allocate_batch(sequence, cycles=cycles)
+    np.testing.assert_array_equal(own_batch.pivots, fallback_batch.pivots)
+    assert_trackers_identical(own, fallback)
+
+
+cell_sets = st.sets(
+    st.tuples(st.integers(0, ROWS - 1), st.integers(0, COLS - 1)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    footprints=st.lists(cell_sets, min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_explicit_pivots_match_add_at_reference(footprints, data):
+    """The batch's grouped stress fold equals accruing every launch on
+    its own with ``np.add.at`` over the wrapped physical footprint —
+    for any configs, run structure, pivots and cycle weights."""
+    configs = [
+        synthetic_config(sorted(cells), start_pc=0x1000 * (index + 1))
+        for index, cells in enumerate(footprints)
+    ]
+    n_launches = data.draw(st.integers(1, 24))
+    launches = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(configs) - 1),
+                st.integers(0, ROWS - 1),
+                st.integers(0, COLS - 1),
+                st.integers(1, 9),
+            ),
+            min_size=n_launches,
+            max_size=n_launches,
+        )
+    )
+    sequence = [configs[pick] for pick, _, _, _ in launches]
+    pivots = [(row, col) for _, row, col, _ in launches]
+    cycles = [cyc for _, _, _, cyc in launches]
+    allocator = ConfigurationAllocator(GEOMETRY, make_policy("baseline"))
+    allocator.allocate_batch(sequence, pivots=pivots, cycles=cycles)
+
+    executions = np.zeros(ROWS * COLS, dtype=np.int64)
+    busy = np.zeros(ROWS * COLS, dtype=np.int64)
+    touched = {}
+    for config, (prow, pcol), cyc in zip(sequence, pivots, cycles):
+        flat = [
+            ((row + prow) % ROWS) * COLS + (col + pcol) % COLS
+            for row, col in config.cells
+        ]
+        np.add.at(executions, flat, 1)
+        np.add.at(busy, flat, cyc)
+        touched.setdefault(config.start_pc, set()).update(
+            divmod(cell, COLS) for cell in flat
+        )
+    tracker = allocator.tracker
+    np.testing.assert_array_equal(
+        tracker.execution_counts.reshape(-1), executions
+    )
+    np.testing.assert_array_equal(tracker.cycle_counts.reshape(-1), busy)
+    assert tracker.config_footprints == {
+        key: frozenset(cells) for key, cells in touched.items()
+    }
+    assert tracker.total_executions == allocator.launches == n_launches
+    assert tracker.total_cycles == sum(cycles)
 
 
 config_cells = st.lists(

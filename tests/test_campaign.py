@@ -281,7 +281,7 @@ class TestScheduleCacheDir:
         )
         points = spec.design_points()
         # A singleton whose cost (stress_aware: 4) exceeds the
-        # two-point oblivious group's (2): with max-by-cost alone the
+        # two-point whole-schedule group's (2): with max-by-cost alone the
         # singleton would be picked and the loop would stall at 2
         # payloads.
         groups = [[2], [0, 1]]

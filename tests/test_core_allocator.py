@@ -169,9 +169,6 @@ class TestAllocatorValidation:
             def next_pivot(self, config_, tracker):
                 return (99, 0)
 
-            def observe(self, config_, pivot):
-                pass
-
         geometry = FabricGeometry(rows=2, cols=8)
         alloc = ConfigurationAllocator(geometry, BadPolicy())
         with pytest.raises(AllocationError):

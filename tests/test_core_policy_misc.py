@@ -1,12 +1,18 @@
 """Edge-case tests for the policy registry and base classes."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.aging.sensor import SensorArray
 from repro.cgra.fabric import FabricGeometry
+from repro.core.patterns import movement_pattern
 from repro.core.policy import (
     AllocationPolicy,
     available_policies,
     make_policy,
+    min_stress_index,
     register_policy,
 )
 from repro.errors import ConfigurationError
@@ -49,11 +55,6 @@ class TestDescriptions:
     def test_describe_mentions_configuration(self, name, kwargs, needle):
         assert needle in make_policy(name, **kwargs).describe()
 
-    def test_observe_hook_is_optional(self):
-        policy = make_policy("baseline")
-        policy.bind(FabricGeometry(rows=2, cols=8))
-        policy.observe(None, (0, 0))  # must not raise
-
 
 class TestRotationStride:
     def test_non_coprime_stride_still_covers_over_time(self):
@@ -69,3 +70,139 @@ class TestRotationStride:
         c = config([(0, 0)], rows=2, cols=4)
         pivots = [allocator.allocate(c).pivot for _ in range(16)]
         assert len(set(pivots)) == 4  # half of the 8 cells, repeated
+
+
+N_CELLS = 12
+
+#: Integer execution counts, and float sensor readings in multiples of
+#: 1/4 (so the oracle's Python sums are exact). Small ranges make ties
+#: on the max and on the sum common.
+STRESS_VALUES = {
+    "int": (st.integers(0, 4), np.int64),
+    "float": (st.integers(0, 16).map(lambda k: k / 4), np.float64),
+}
+
+
+@st.composite
+def stress_cases(draw, values, all_tied=False):
+    if all_tied:
+        counts = [draw(values)] * N_CELLS
+    else:
+        counts = draw(st.lists(values, min_size=N_CELLS, max_size=N_CELLS))
+    width = draw(st.integers(1, 4))
+    footprints = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, N_CELLS - 1), min_size=width, max_size=width
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return counts, footprints
+
+
+def brute_force_min_stress(counts, footprints):
+    def key(index):
+        stress = [counts[cell] for cell in footprints[index]]
+        return (max(stress), sum(stress), index)
+
+    return min(range(len(footprints)), key=key)
+
+
+class TestMinStressIndex:
+    @pytest.mark.parametrize("kind", sorted(STRESS_VALUES))
+    @pytest.mark.parametrize("all_tied", [False, True])
+    @given(data=st.data())
+    def test_matches_brute_force(self, kind, all_tied, data):
+        values, dtype = STRESS_VALUES[kind]
+        counts, footprints = data.draw(stress_cases(values, all_tied))
+        got = min_stress_index(
+            np.asarray(counts, dtype=dtype),
+            np.asarray(footprints, dtype=np.int64),
+        )
+        assert got == brute_force_min_stress(counts, footprints)
+        if all_tied:
+            assert got == 0
+
+
+SEARCH_ROWS, SEARCH_COLS = 2, 4
+
+
+def _raster(rows, cols):
+    return [(row, col) for row in range(rows) for col in range(cols)]
+
+
+class TestPivotSearchTieBreak:
+    """The stress-searching policies pick their pivot with the shared
+    (max, sum, candidate order) rule, over oracle counters and sensor
+    readings alike: candidates in movement-pattern order for
+    stress_aware, in raster order for static_remap."""
+
+    CASES = {
+        "stress_aware": (
+            lambda: {"interval": 1},
+            lambda: movement_pattern("snake", SEARCH_ROWS, SEARCH_COLS),
+            None,
+        ),
+        "stress_aware_sensor": (
+            lambda: {
+                "interval": 1,
+                "sensor": SensorArray(levels=3, sample_period=1),
+            },
+            lambda: movement_pattern("snake", SEARCH_ROWS, SEARCH_COLS),
+            SensorArray(levels=3, sample_period=1),
+        ),
+        "static_remap": (
+            dict,
+            lambda: _raster(SEARCH_ROWS, SEARCH_COLS),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        history=st.lists(
+            st.tuples(
+                st.integers(0, SEARCH_ROWS - 1),
+                st.integers(0, SEARCH_COLS - 1),
+            ),
+            max_size=12,
+        )
+    )
+    def test_search_matches_brute_force(self, case, history):
+        from repro.core.allocator import ConfigurationAllocator
+        from tests.test_core_allocator import config
+
+        make_kwargs, candidates, sensor = self.CASES[case]
+        candidates = candidates()
+        policy_name = case.removesuffix("_sensor")
+        geometry = FabricGeometry(rows=SEARCH_ROWS, cols=SEARCH_COLS)
+        allocator = ConfigurationAllocator(
+            geometry, make_policy(policy_name, **make_kwargs())
+        )
+        warm = config([(0, 0)], rows=SEARCH_ROWS, cols=SEARCH_COLS)
+        probe = config(
+            [(0, 0), (0, 1), (1, 1)],
+            rows=SEARCH_ROWS,
+            cols=SEARCH_COLS,
+            start_pc=0x2000,
+        )
+        if history:
+            allocator.allocate_batch([warm] * len(history), pivots=history)
+        counts = np.array(allocator.tracker.execution_counts)
+        if sensor is not None:
+            counts = sensor.quantize(counts)
+        footprints = [
+            [
+                ((row + pivot_row) % SEARCH_ROWS) * SEARCH_COLS
+                + (col + pivot_col) % SEARCH_COLS
+                for row, col in probe.cells
+            ]
+            for pivot_row, pivot_col in candidates
+        ]
+        best = brute_force_min_stress(
+            [int(value) for value in counts.reshape(-1)], footprints
+        )
+        assert allocator.allocate(probe).pivot == tuple(candidates[best])

@@ -1,12 +1,12 @@
 """The sequence-planning policy protocol: segment plans, the schedule
-view, the legacy adapter and the allocator's plan validation.
+view, the base-class ``plan_segments`` and the allocator's plan
+validation.
 
 Companion to ``tests/test_batch_equivalence.py`` (which pins the
 engine's bit-identity to the scalar loop): this file pins the protocol
-itself — plan granularities, contiguity validation, the
-``LegacyPolicyAdapter`` fallback with its one-time DeprecationWarning,
-and the migrated ``examples/adaptive_policy.py`` custom policies (new
-protocol and legacy variant).
+itself — plan granularities, contiguity validation, the one-launch
+segments of the base-class planner, and the custom policy in
+``examples/adaptive_policy.py``.
 """
 
 import importlib.util
@@ -16,23 +16,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
 from repro.core.allocator import ConfigurationAllocator
+from repro.core.patterns import MOVEMENT_PATTERNS, movement_pattern
 from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
-    LegacyPolicyAdapter,
     ScheduleView,
     SegmentPlan,
     iter_runs,
     make_policy,
     policy_class,
-    resolve_planner,
 )
-from repro.core.policy import _LEGACY_WARNED
 from repro.errors import AllocationError
 
 ROWS, COLS = 4, 8
@@ -108,22 +108,26 @@ class TestPlanGranularity:
     def test_base_class_defaults_to_per_launch(self):
         assert AllocationPolicy.plan_granularity == "launch"
 
-    def test_oblivious_derived_from_granularity(self):
-        assert make_policy("rotation").oblivious
-        assert make_policy("baseline").oblivious
-        assert make_policy("random").oblivious
-        assert not make_policy("static_remap").oblivious
-        assert not make_policy("stress_aware").oblivious
 
-    def test_legacy_oblivious_class_attribute_still_wins(self):
-        class Legacy(AllocationPolicy):
-            name = "legacy_oblivious"
-            oblivious = True
-
-        assert Legacy().oblivious
+BUILTIN_POLICIES = (
+    "baseline",
+    "random",
+    "rotation",
+    "static_remap",
+    "stress_aware",
+)
 
 
 class TestBuiltinPlans:
+    @pytest.mark.parametrize("name", BUILTIN_POLICIES)
+    def test_builtin_policy_overrides_the_planner(self, name):
+        """Every built-in policy plans its own segments; none falls back
+        to the base class's one launch per segment."""
+        assert (
+            policy_class(name).plan_segments
+            is not AllocationPolicy.plan_segments
+        )
+
     def test_whole_schedule_policies_yield_one_segment(self):
         for name in ("baseline", "rotation", "random"):
             policy = make_policy(name)
@@ -170,10 +174,62 @@ class TestBuiltinPlans:
         assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 6)]
 
 
-class FixedLegacyPolicy(AllocationPolicy):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pattern=st.sampled_from(sorted(MOVEMENT_PATTERNS)),
+        stride=st.integers(1, 9),
+        prefix=st.integers(0, 40),
+        count=st.integers(0, 70),
+    )
+    def test_rotation_plan_is_strided_pattern_gather(
+        self, pattern, stride, prefix, count
+    ):
+        """The rotation planner's one gather reproduces the counter
+        stepping of ``next_pivot``, from any counter position, for
+        counts that wrap the pattern several times."""
+        planned = make_policy("rotation", pattern=pattern, stride=stride)
+        walked = make_policy("rotation", pattern=pattern, stride=stride)
+        planned.bind(GEOMETRY)
+        walked.bind(GEOMETRY)
+        for _ in range(prefix):
+            planned.next_pivot(CONFIG_A, None)
+            walked.next_pivot(CONFIG_A, None)
+        plans = list(
+            planned.plan_segments(ScheduleView((CONFIG_A,) * count), None)
+        )
+        assert [(p.start, p.stop) for p in plans] == [(0, count)]
+        expected = [walked.next_pivot(CONFIG_A, None) for _ in range(count)]
+        np.testing.assert_array_equal(
+            plans[0].pivots.reshape(-1, 2),
+            np.asarray(expected, dtype=np.int64).reshape(-1, 2),
+        )
+        # The counter ends where the walk's does.
+        assert planned.next_pivot(CONFIG_A, None) == walked.next_pivot(
+            CONFIG_A, None
+        )
+
+    @pytest.mark.parametrize("interval", [2, 5])
+    def test_stress_aware_segments_follow_the_pattern(self, interval):
+        """Between searches a stress_aware segment walks the movement
+        pattern one step per launch from the searched pivot."""
+        policy = make_policy("stress_aware", interval=interval)
+        allocator = ConfigurationAllocator(GEOMETRY, policy)
+        allocator.allocate_batch([CONFIG_A, CONFIG_B] * 9)
+        view = ScheduleView((CONFIG_A, CONFIG_B) * 6)
+        pattern = movement_pattern("snake", ROWS, COLS)
+        for plan in policy.plan_segments(view, allocator.tracker):
+            first = pattern.index(tuple(plan.pivots[0]))
+            expected = [
+                pattern[(first + step) % len(pattern)]
+                for step in range(plan.n_launches)
+            ]
+            assert [tuple(p) for p in plan.pivots] == expected
+
+
+class FixedStepPolicy(AllocationPolicy):
     """next_pivot-only policy: raster-walks pivots per launch."""
 
-    name = "fixed_legacy"
+    name = "fixed_step"
 
     def __init__(self):
         self._step = 0
@@ -184,86 +240,50 @@ class FixedLegacyPolicy(AllocationPolicy):
         return pivot
 
 
-class TestLegacyAdapter:
-    def test_adapter_yields_one_segment_per_run(self):
-        policy = FixedLegacyPolicy()
+class TestDefaultPlanSegments:
+    def test_one_segment_per_launch(self):
+        policy = FixedStepPolicy()
         policy.bind(GEOMETRY)
-        adapter = LegacyPolicyAdapter(policy, warn=False)
         view = ScheduleView((CONFIG_A, CONFIG_A, CONFIG_B))
-        plans = list(adapter.plan_segments(view, None))
-        assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 3)]
+        plans = list(policy.plan_segments(view, None))
+        assert [(p.start, p.stop) for p in plans] == [(0, 1), (1, 2), (2, 3)]
         np.testing.assert_array_equal(
             np.concatenate([p.pivots for p in plans]),
             [[0, 0], [1, 1], [2, 2]],
         )
 
-    def test_adapter_oblivious_policy_keeps_whole_schedule_path(self):
-        class LegacyOblivious(AllocationPolicy):
-            name = "legacy_oblivious_batch"
-            oblivious = True
-            calls = 0
+    def test_empty_schedule_yields_nothing(self):
+        policy = FixedStepPolicy()
+        assert list(policy.plan_segments(ScheduleView(()), None)) == []
 
-            def next_pivots(self, config, tracker, count):
-                type(self).calls += 1
-                return np.zeros((count, 2), dtype=np.int64)
+    def test_plans_lazily_one_next_pivot_per_segment(self):
+        """``next_pivot`` runs only when the allocator asks for the next
+        segment — after it has folded the previous one into the
+        tracker — never ahead of it."""
+        calls = []
 
-        policy = LegacyOblivious()
-        policy.bind(GEOMETRY)
-        adapter = LegacyPolicyAdapter(policy, warn=False)
-        plans = list(
-            adapter.plan_segments(
-                ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
-            )
+        class Counting(FixedStepPolicy):
+            def next_pivot(self, config, tracker):
+                calls.append(config)
+                return super().next_pivot(config, tracker)
+
+        plans = Counting().plan_segments(
+            ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
         )
-        assert [(p.start, p.stop) for p in plans] == [(0, 3)]
-        assert LegacyOblivious.calls == 1
+        assert calls == []
+        next(plans)
+        assert calls == [CONFIG_A]
+        next(plans)
+        assert calls == [CONFIG_A, CONFIG_B]
 
-    def test_adapter_empty_schedule_yields_nothing(self):
-        adapter = LegacyPolicyAdapter(FixedLegacyPolicy(), warn=False)
-        assert list(adapter.plan_segments(ScheduleView(()), None)) == []
-
-    def test_deprecation_warning_once_per_class(self):
-        class WarnOnce(FixedLegacyPolicy):
-            name = "warn_once"
-
-        _LEGACY_WARNED.discard(WarnOnce)
-        with pytest.warns(DeprecationWarning, match="plan_segments"):
-            LegacyPolicyAdapter(WarnOnce())
+    def test_next_pivot_only_batch_emits_no_warning(self):
+        """A policy without its own planner is a supported policy, not a
+        deprecated one: batching it warns about nothing."""
+        allocator = ConfigurationAllocator(GEOMETRY, FixedStepPolicy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            LegacyPolicyAdapter(WarnOnce())  # second wrap: silent
-
-    def test_resolve_planner_prefers_policy_hook(self):
-        policy = make_policy("rotation")
-        assert resolve_planner(policy) == policy.plan_segments
-
-    def test_resolve_planner_wraps_legacy(self):
-        class Wrapped(FixedLegacyPolicy):
-            name = "wrapped_legacy"
-
-        policy = Wrapped()
-        policy.bind(GEOMETRY)
-        _LEGACY_WARNED.discard(Wrapped)
-        with pytest.warns(DeprecationWarning):
-            planner = resolve_planner(policy)
-        plans = list(planner(ScheduleView((CONFIG_A,)), None))
-        assert [(p.start, p.stop) for p in plans] == [(0, 1)]
-
-    def test_legacy_policy_batch_matches_scalar(self):
-        scalar = ConfigurationAllocator(GEOMETRY, FixedLegacyPolicy())
-        batched = ConfigurationAllocator(GEOMETRY, FixedLegacyPolicy())
-        sequence = [CONFIG_A, CONFIG_A, CONFIG_B, CONFIG_A, CONFIG_B]
-        pivots = [scalar.allocate(c).pivot for c in sequence]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            batch = batched.allocate_batch(sequence)
-        np.testing.assert_array_equal(
-            batch.pivots, np.asarray(pivots, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            batched.tracker.execution_counts,
-        )
+            allocator.allocate_batch([CONFIG_A, CONFIG_A, CONFIG_B])
+        assert allocator.launches == 3
 
 
 class _MisplannedPolicy(AllocationPolicy):
@@ -331,7 +351,7 @@ class TestPlanValidation:
 
     def test_tracker_consistent_after_bad_plan(self):
         """Segments accepted before the error are recorded; launches
-        and the tracker agree (the legacy per-run loop's guarantee)."""
+        and the tracker agree."""
         allocator, run = self._allocate(
             [SegmentPlan(0, 2, _zeros(2)), SegmentPlan(3, 4, _zeros(1))]
         )
@@ -351,53 +371,59 @@ def _load_example(name="example_adaptive_policy"):
 
 
 class TestExamplePolicies:
-    """examples/adaptive_policy.py stays on the supported path: the
-    migrated sequence-planning policy and its legacy per-launch
-    variant are bit-identical, and the legacy one warns."""
+    """examples/adaptive_policy.py stays on the supported path: its
+    custom policy's two hooks place every launch identically."""
 
     @pytest.fixture(scope="class")
     def example(self):
         return _load_example()
 
-    def test_modern_and_legacy_variants_identical(self, example):
-        _LEGACY_WARNED.discard(example.LegacyCoolestCornerPolicy)
-        modern, legacy, deprecations = example.demo_custom_policy()
+    def test_demo_walk_and_replay_identical(self, example):
+        planned, walked = example.demo_custom_policy()
         np.testing.assert_array_equal(
-            modern.execution_counts, legacy.execution_counts
+            planned.execution_counts, walked.execution_counts
         )
         np.testing.assert_array_equal(
-            modern.cycle_counts, legacy.cycle_counts
+            planned.cycle_counts, walked.cycle_counts
         )
-        assert modern.config_footprints == legacy.config_footprints
-        assert len(deprecations) == 1
+        assert planned.config_footprints == walked.config_footprints
 
     @pytest.mark.parametrize("epoch", [3, 5, 7, 16, 64])
     def test_variants_identical_across_epochs(self, example, epoch):
-        """Bit-identity must hold for any epoch, not just the demo's —
-        the legacy variant's batch-exact ``next_pivots`` models its
-        own runs' stress so mid-run re-anchors see live counters."""
-        from repro.system import SystemParams, replay_schedule, shared_schedule
+        """The two hooks agree for any epoch, not just the demo's: the
+        coupled walk (``next_pivot``) and the schedule replay
+        (``plan_segments``) place every crc32 launch identically."""
+        from repro.system import (
+            SystemParams,
+            compute_schedule,
+            replay_schedule,
+            shared_schedule,
+        )
         from repro.workloads.suite import run_workload
 
         geometry = FabricGeometry(rows=4, cols=16)
-        schedule = shared_schedule(
-            SystemParams(geometry=geometry), run_workload("crc32")
+        params = SystemParams(geometry=geometry)
+        trace = run_workload("crc32")
+        walked = ConfigurationAllocator(
+            geometry, example.CoolestCornerPolicy(epoch=epoch)
         )
-        modern = replay_schedule(
-            schedule, geometry, example.CoolestCornerPolicy(epoch=epoch)
-        )
-        legacy = replay_schedule(
-            schedule, geometry, example.LegacyCoolestCornerPolicy(epoch=epoch)
+        compute_schedule(params, trace, allocator=walked)
+        planned = replay_schedule(
+            shared_schedule(params, trace),
+            geometry,
+            example.CoolestCornerPolicy(epoch=epoch),
         )
         np.testing.assert_array_equal(
-            modern.tracker.execution_counts,
-            legacy.tracker.execution_counts,
+            walked.tracker.execution_counts,
+            planned.tracker.execution_counts,
+        )
+        np.testing.assert_array_equal(
+            walked.tracker.cycle_counts, planned.tracker.cycle_counts
         )
 
     @pytest.mark.parametrize("epoch", [3, 16])
     def test_modern_variant_matches_scalar_loop(self, example, epoch):
-        """The ground truth is the scalar launch loop; both variants
-        must match it, not merely each other."""
+        """The ground truth is the scalar launch loop."""
         sequence = [CONFIG_A, CONFIG_B, CONFIG_B, CONFIG_A] * 9
         scalar = ConfigurationAllocator(
             GEOMETRY, example.CoolestCornerPolicy(epoch=epoch)
@@ -405,22 +431,12 @@ class TestExamplePolicies:
         planned = ConfigurationAllocator(
             GEOMETRY, example.CoolestCornerPolicy(epoch=epoch)
         )
-        legacy = ConfigurationAllocator(
-            GEOMETRY, example.LegacyCoolestCornerPolicy(epoch=epoch)
-        )
         for config in sequence:
             scalar.allocate(config)
         planned.allocate_batch(sequence)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy.allocate_batch(sequence)
         np.testing.assert_array_equal(
             scalar.tracker.execution_counts,
             planned.tracker.execution_counts,
-        )
-        np.testing.assert_array_equal(
-            scalar.tracker.execution_counts,
-            legacy.tracker.execution_counts,
         )
 
     def test_modern_variant_plans_epoch_segments(self, example):

@@ -485,6 +485,41 @@ class TestPerfSmokeGuard:
             self._run(tmp_path, history, ("--metric", "other_metric")) == 1
         )
 
+    def test_telemetry_records_never_form_the_floor(self, tmp_path):
+        # A slow profiled record would lower the floor to 10 and let
+        # the 50% drop through.
+        history = [
+            {"batch_launches_per_sec": 100.0},
+            {"batch_launches_per_sec": 10.0, "telemetry_enabled": True},
+            {"batch_launches_per_sec": 50.0, "quick": True},
+        ]
+        argv = ("--metric", "batch_launches_per_sec")
+        assert self._run(tmp_path, history, argv) == 1
+
+    def test_floor_is_minimum_of_last_window_committed(self, tmp_path):
+        module = _load_bench_module("check_perf_smoke")
+        history = [
+            {"batch_launches_per_sec": 10.0},
+            {"batch_launches_per_sec": 100.0},
+            {"batch_launches_per_sec": 60.0, "quick": True},
+            {"batch_launches_per_sec": 120.0},
+            {"batch_launches_per_sec": 110.0},
+            {"batch_launches_per_sec": 75.0, "quick": True},
+        ]
+        for window, floor in ((1, 110.0), (3, 100.0), (4, 10.0)):
+            candidate, baseline = module.find_candidate_and_baseline(
+                history, "batch_launches_per_sec", window
+            )
+            assert candidate is history[-1]
+            assert baseline == floor
+        argv = ("--metric", "batch_launches_per_sec", "--tolerance", "0.2")
+        assert self._run(
+            tmp_path, history, (*argv, "--baseline-window", "3")
+        ) == 1
+        assert self._run(
+            tmp_path, history, (*argv, "--baseline-window", "4")
+        ) == 0
+
 
 class TestBenchAppendHistory:
     """`run_bench.py --append` accumulates a history list."""

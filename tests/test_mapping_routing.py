@@ -117,6 +117,26 @@ class TestPressurePrimitives:
     def test_profile_skips_empty_intervals(self):
         assert pressure_profile([(0, -1), (5, 4)], 4).tolist() == [0] * 4
 
+    @given(
+        intervals=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(-1, 12)), max_size=40
+        ),
+        n_cols=st.integers(1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_profile_matches_per_boundary_count(self, intervals, n_cols):
+        """The difference-array fold counts, at every boundary, the
+        intervals covering it (producers never open an interval past
+        the last column, so the generated starts are clamped)."""
+        intervals = [(min(first, n_cols), last) for first, last in intervals]
+        expected = [
+            sum(first <= boundary <= last for first, last in intervals)
+            for boundary in range(n_cols)
+        ]
+        profile = pressure_profile(intervals, n_cols)
+        assert profile.tolist() == expected
+        assert profile.dtype == np.int64
+
     def test_tracker_matches_profile(self):
         tracker = LinePressureTracker(8, limit=None)
         tracker.define(5, 1)     # value x5 available at boundary 1
@@ -235,6 +255,34 @@ class TestValueIntervals:
         profile = routing_profile(unit, window)
         np.testing.assert_array_equal(
             profile.pressure, dfg_reference_profile(unit, window)
+        )
+
+    @given(entries=window_entries, registers=st.permutations(range(1, 32)))
+    @settings(max_examples=40, deadline=None)
+    def test_profile_ignores_register_numbering(self, entries, registers):
+        """Values are tracked by register identity, not by number:
+        renaming the window's registers leaves the placement and its
+        whole routing profile unchanged."""
+        renamed_entries = [
+            (op, registers[rd], registers[rs1], registers[rs2], word)
+            for op, rd, rs1, rs2, word in entries
+        ]
+        geometry = FabricGeometry(rows=4, cols=16)
+        window = build_window(entries)
+        unit = place_window(window, geometry)
+        renamed_window = build_window(renamed_entries)
+        renamed = place_window(renamed_window, geometry)
+        assert (unit is None) == (renamed is None)
+        if unit is None:
+            return
+        assert renamed.ops == unit.ops
+        profile = routing_profile(unit, window)
+        renamed_profile = routing_profile(renamed, renamed_window)
+        np.testing.assert_array_equal(
+            renamed_profile.pressure, profile.pressure
+        )
+        np.testing.assert_array_equal(
+            renamed_profile.input_slots, profile.input_slots
         )
 
     @given(entries=window_entries)
@@ -663,3 +711,57 @@ class TestSAExplicitBudgetOverride:
         unit = mapper.map_unit(window, geometry, seed=seed)
         assert unit is not None
         assert routing_profile(unit, window).peak_pressure <= loose
+
+
+class TestAnnealingOnRandomWindows:
+    """The annealer on arbitrary windows, under each of its cost-model
+    settings: a fixed seed reproduces the placement, the placement is
+    legal for the window, and it places exactly the operations of the
+    greedy placement it starts from."""
+
+    GEOMETRY = FabricGeometry(rows=4, cols=8)
+
+    SETTINGS = {
+        "default": ({}, GEOMETRY, False),
+        "stress_hint": ({}, GEOMETRY, True),
+        "hard_line_budget": (
+            {},
+            FabricGeometry(rows=4, cols=8, ctx_lines=4),
+            False,
+        ),
+        "congestion_disabled": (
+            {"congestion_weight": 0.0, "line_budget": None},
+            GEOMETRY,
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @given(entries=window_entries, seed=st.integers(0, 2**16))
+    @settings(max_examples=15, deadline=None)
+    def test_reproducible_and_legal(self, setting, entries, seed):
+        kwargs, geometry, with_hint = self.SETTINGS[setting]
+        window = build_window(entries)
+        hint = None
+        if with_hint:
+            rng = np.random.default_rng(seed)
+            hint = rng.random((geometry.rows, geometry.cols)) * 10.0
+        first = SimulatedAnnealingMapper(seed=seed, **kwargs).map_unit(
+            window, geometry, stress_hint=hint
+        )
+        second = SimulatedAnnealingMapper(seed=seed, **kwargs).map_unit(
+            window, geometry, stress_hint=hint
+        )
+        assert first == second
+        greedy = place_window(
+            window,
+            geometry,
+            line_budget=kwargs.get("line_budget", FOLLOW_GEOMETRY),
+        )
+        assert (first is None) == (greedy is None)
+        if first is None:
+            return
+        assert_legal(first, window, geometry)
+        assert sorted(op.trace_offset for op in first.ops) == sorted(
+            op.trace_offset for op in greedy.ops
+        )

@@ -291,7 +291,9 @@ class TestSyntheticScheduleReplay:
 
 
 class LegacyProbePolicy(AllocationPolicy):
-    """next_pivot-only policy used to pin the adapter at system level."""
+    """next_pivot-only policy that reads the tracker on every launch,
+    used to pin the base-class ``plan_segments`` at system level: the
+    row steps per launch, the column is the row's least-executed one."""
 
     name = "legacy_probe"
 
@@ -303,12 +305,9 @@ class LegacyProbePolicy(AllocationPolicy):
         self._step = 0
 
     def next_pivot(self, config, tracker):
-        pivot = (
-            self._step % self.geometry.rows,
-            (self._step // 2) % self.geometry.cols,
-        )
+        row = self._step % self.geometry.rows
         self._step += 1
-        return pivot
+        return (row, int(np.argmin(tracker.execution_counts[row])))
 
 
 class TestLegacyPolicyReplay:
@@ -320,8 +319,7 @@ class TestLegacyPolicyReplay:
         )
         compute_schedule(params, trace, allocator=coupled_allocator)
         schedule = shared_schedule(params, trace)
-        with pytest.warns(DeprecationWarning, match="plan_segments"):
-            replayed = replay_schedule(schedule, GEOMETRY, LegacyProbePolicy())
+        replayed = replay_schedule(schedule, GEOMETRY, LegacyProbePolicy())
         np.testing.assert_array_equal(
             coupled_allocator.tracker.execution_counts,
             replayed.tracker.execution_counts,
