@@ -4,8 +4,9 @@ Usage::
 
     PYTHONPATH=src python scripts/fleet_smoke.py [--devices N] [--shards N]
 
-Runs a small fleet campaign three ways and checks the invariants the
-fleet service is built on:
+Runs two small fleet campaigns — a four-workload ``telemetry_node``
+mix and the ten-workload ``uniform`` suite — three ways each and
+checks the invariants the fleet service is built on:
 
 1. **Sharded with store** — the reference run: every (policy, shard)
    record lands in the append-only NDJSON store.
@@ -34,6 +35,12 @@ from pathlib import Path
 
 from repro.campaign.spec import PolicySpec
 from repro.fleet import FleetRunner, FleetSpec
+
+#: Traffic scenarios checked: a four-workload mix, and the full
+#: ten-workload suite, whose per-device sums are long enough (eight or
+#: more terms) for numpy's pairwise summation to differ from a
+#: sequential fold.
+SCENARIOS = ("telemetry_node", "uniform")
 
 #: Keys of FleetAggregate.to_jsonable() that are pure-integer merges —
 #: these must match *exactly* between sharded and unsharded runs.
@@ -86,12 +93,8 @@ def _check_close(label: str, left: dict, right: dict) -> None:
                 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--devices", type=int, default=512)
-    parser.add_argument("--shards", type=int, default=2)
-    args = parser.parse_args(argv)
-    per_shard = -(-args.devices // args.shards)  # ceil division
+def _check_fleet(scenario: str, devices: int, shards: int) -> None:
+    per_shard = -(-devices // shards)  # ceil division
     policies = (PolicySpec.make("baseline"), PolicySpec.make("stress_aware"))
 
     def spec(devices_per_shard: int) -> FleetSpec:
@@ -100,8 +103,8 @@ def main(argv: list[str] | None = None) -> int:
             rows=4,
             cols=4,
             policies=policies,
-            scenario="telemetry_node",
-            n_devices=args.devices,
+            scenario=scenario,
+            n_devices=devices,
             devices_per_shard=devices_per_shard,
             seed=11,
         )
@@ -134,20 +137,34 @@ def main(argv: list[str] | None = None) -> int:
             "kill-and-resume", reference_payload, _policy_payloads(resumed)
         )
         print(
-            f"kill-and-resume: re-ran {resumed.shards_run} shard(s), resumed "
-            f"{resumed.shards_resumed}, merged aggregates bit-identical"
+            f"{scenario} kill-and-resume: re-ran {resumed.shards_run} "
+            f"shard(s), resumed {resumed.shards_resumed}, merged aggregates "
+            "bit-identical"
         )
 
-        unsharded = FleetRunner().run(spec(args.devices))
+        unsharded = FleetRunner().run(spec(devices))
         _check_close(
             "sharded-vs-unsharded",
             reference_payload,
             _policy_payloads(unsharded),
         )
         print(
-            f"sharded-vs-unsharded: {args.devices} devices x "
-            f"{len(policies)} policies agree across shardings"
+            f"{scenario} sharded-vs-unsharded: {devices} devices x "
+            f"{len(policies)} policies x {len(sharded_spec.workloads)} "
+            "workloads agree across shardings"
         )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--devices", type=int, default=512)
+    parser.add_argument("--shards", type=int, default=2)
+    args = parser.parse_args(argv)
+    for scenario in SCENARIOS:
+        try:
+            _check_fleet(scenario, args.devices, args.shards)
+        except AssertionError as error:
+            raise AssertionError(f"{scenario}: {error}") from error
     print("fleet smoke OK")
     return 0
 

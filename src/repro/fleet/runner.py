@@ -13,13 +13,17 @@ memory regardless of fleet size:
   ``checkpoint_dir`` the replayed
   :class:`~repro.core.utilization.UtilizationTracker` state is
   additionally checkpointed (versioned, corrupt-safe), so incremental
-  re-runs skip even the replay.
+  re-runs skip even the replay. A device's end of life is set by its
+  most-utilized FU alone (the paper's Eq. 1 criterion), so each
+  profile keeps only the cells that can be the worst FU under some
+  mix: the Pareto-maximal columns (:func:`worst_cell_candidates`).
 * **Phase 2 — shard expansion** (per shard): each shard regenerates
   its devices' scenario-drawn mix weights
   (:meth:`~repro.fleet.spec.FleetSpec.device_weights`, sharding-
-  independent), combines them with the stress profiles into per-device
-  utilization, worst-FU duty cycle and NBTI lifetime — pure vectorized
-  numpy on a ``(devices, workloads, cells)`` block — and folds the
+  independent), folds them with each profile's candidate cells into
+  the per-device worst-FU duty cycle (:func:`worst_cell_stress`, a
+  ``(candidates, devices)`` accumulator — the ``(devices, workloads,
+  cells)`` product is never built) and NBTI lifetime, and reduces the
   result straight into one compact :class:`ShardRecord` per policy.
   Shards fan out over a process pool; only records cross process
   boundaries, never per-device vectors.
@@ -76,18 +80,69 @@ _SHARDS_PER_TASK = 4
 
 @dataclass(frozen=True)
 class StressProfile:
-    """Phase 1 output for one policy: per-workload launch-count
-    matrices, stacked for the shard expansion.
+    """Phase 1 output for one policy: the per-workload launch counts of
+    the cells that can be a device's worst FU, stacked for the shard
+    expansion.
 
     Attributes:
         policy: policy label the profile was replayed under.
-        exec_counts: ``(n_workloads, n_cells)`` per-cell launch counts.
+        candidates: ``(n_workloads, n_candidates)`` per-cell launch
+            counts of the Pareto-maximal cells only
+            (:func:`worst_cell_candidates`, ascending cell order).
+            Every other cell has at most as many launches as some
+            candidate in every workload, so under non-negative mix
+            weights it can never be a device's worst FU.
         totals: ``(n_workloads,)`` total launches per workload.
     """
 
     policy: str
-    exec_counts: np.ndarray
+    candidates: np.ndarray
     totals: np.ndarray
+
+
+def worst_cell_candidates(counts: np.ndarray) -> np.ndarray:
+    """Indices of the columns of a ``(workloads, cells)`` launch-count
+    matrix that can hold a device's worst FU: the Pareto-maximal ones.
+
+    A column is dropped when another column has at least as many
+    launches in every workload and more in at least one; of exactly
+    equal columns only the lowest index stays. With non-negative mix
+    weights a dropped column never weighs in above the column that
+    covers it (round-to-nearest products and sums are monotone), so
+    the per-device maximum over the candidates is bit-identical to the
+    maximum over every cell. ``O(cells**2 * workloads)`` comparisons,
+    once per profile.
+    """
+    n_cells = counts.shape[1]
+    covers = np.ones((n_cells, n_cells), dtype=bool)  # [a, b]: a >= b
+    for row in counts:
+        covers &= row[:, None] >= row[None, :]
+    index = np.arange(n_cells)
+    beats = covers & (~covers.T | (index[:, None] < index[None, :]))
+    return np.flatnonzero(~beats.any(axis=0))
+
+
+def worst_cell_stress(candidates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-device maximum of the mix-weighted launch counts over the
+    candidate cells — shape ``(devices,)`` from ``candidates``
+    ``(workloads, n_candidates)`` and ``weights`` ``(devices,
+    workloads)``.
+
+    The fold runs cells-major into a ``(n_candidates, devices)``
+    accumulator and adds the workloads one at a time in index order.
+    That fixed sequential order is the order numpy's broadcast
+    ``(weights[:, :, None] * counts[None]).sum(axis=1)`` uses over the
+    full matrix whenever a fabric has at least two cells, so results
+    are bit-identical to it (and independent of shard size). A
+    ``.sum(axis=1)`` over a pruned matrix would not be: with one
+    candidate the workload axis becomes numpy's innermost reduction,
+    which switches to pairwise summation from eight workloads on.
+    """
+    mix = np.ascontiguousarray(weights.T)
+    stressed = np.multiply.outer(candidates[0], mix[0])
+    for counts, column in zip(candidates[1:], mix[1:]):
+        stressed += np.multiply.outer(counts, column)
+    return stressed.max(axis=0)
 
 
 def policy_label(policy: PolicySpec) -> str:
@@ -127,25 +182,25 @@ def expand_shard(
 ) -> list[ShardRecord]:
     """Evaluate one shard's devices under every policy.
 
-    Pure numpy over the shard's device block: per-device utilization is
-    the mix-weighted launch-count combination of the policy's
-    per-workload stress profiles, normalised by the device's weighted
-    launch total (the EXECUTIONS duty-cycle weighting, per device). The
-    weighted fold runs as a broadcast ``sum`` over the fixed workload
-    axis (not a BLAS matmul), so per-device results are bit-identical
-    regardless of shard size — the property resume and the
-    sharded-vs-unsharded smoke both rest on.
+    Pure numpy over the shard's device block: a device's worst-FU
+    utilization is the largest mix-weighted launch count over the
+    policy's candidate cells (:func:`worst_cell_stress`), normalised by
+    the device's weighted launch total (the EXECUTIONS duty-cycle
+    weighting, per device). Two preconditions keep it bit-identical to
+    a fold over every cell and independent of shard size — the
+    property resume and the sharded-vs-unsharded smoke both rest on:
+    the mix weights are non-negative (Dirichlet draws), which makes the
+    candidate pruning exact, and each device's workloads are summed in
+    a fixed sequential order, never a BLAS matmul or pairwise sum.
     """
     weights = spec.device_weights(shard.start, shard.stop)
     records = []
     for policy in spec.policies:
         profile = profiles[policy_label(policy)]
-        stressed = (weights[:, :, None] * profile.exec_counts[None, :, :]).sum(
-            axis=1
-        )
+        stressed = worst_cell_stress(profile.candidates, weights)
         launches = (weights * profile.totals[None, :]).sum(axis=1)
         launches = np.where(launches > 0, launches, 1.0)
-        worst = stressed.max(axis=1) / launches
+        worst = stressed / launches
         worst = np.clip(worst, 0.0, 1.0)
         lifetimes = device_lifetimes(model, worst)
         records.append(
@@ -310,7 +365,9 @@ class FleetRunner:
         workload (they differ only in allocation policy, the exact
         case :func:`~repro.system.schedule.shared_schedule` exists
         for); each (policy, workload) is then one vectorized replay —
-        restored from its checkpoint instead when one is valid.
+        restored from its checkpoint instead when one is valid. Each
+        policy's stacked counts keep only the cells that can be a
+        device's worst FU (:func:`worst_cell_candidates`).
         """
         previous_cache = (
             set_schedule_cache_dir(self.schedule_cache_dir)
@@ -348,9 +405,10 @@ class FleetRunner:
                         tracker.execution_counts.ravel().astype(float)
                     )
                     totals.append(float(tracker.total_executions))
+                stacked = np.stack(counts)
                 profiles[policy_label(policy)] = StressProfile(
                     policy=policy_label(policy),
-                    exec_counts=np.stack(counts),
+                    candidates=stacked[:, worst_cell_candidates(stacked)],
                     totals=np.asarray(totals),
                 )
             return profiles

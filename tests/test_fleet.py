@@ -14,16 +14,25 @@ correctness rests on (see :mod:`repro.fleet`):
 * the store survives torn/corrupt/foreign lines; checkpoints
   round-trip tracker state **bit-exactly** and fail safe when damaged;
 * a killed-and-resumed run merges **bit-identically** to an
-  uninterrupted one.
+  uninterrupted one;
+* shard expansion keeps only the cells that can be a device's worst
+  FU and folds them cells-major, **bit-identically** to the broadcast
+  fold over every cell, in a fraction of its memory;
+* every traffic scenario's merged aggregates obey the fleet
+  conservation laws (device mass, monotone survival, utilization and
+  lifetime bounds).
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aging.lifetime import device_lifetimes, survival_counts
 from repro.aging.nbti import NBTIModel
@@ -37,12 +46,14 @@ from repro.fleet import (
     FleetSpec,
     ResultStore,
     ShardRecord,
+    expand_shard,
     lifetime_histogram,
     load_tracker,
     merge_records,
     save_tracker,
 )
 from repro.fleet.checkpoint import CHECKPOINT_VERSION
+from repro.fleet.runner import worst_cell_candidates, worst_cell_stress
 from repro.fleet.store import HIST_BINS, HIST_HI, HIST_LO
 from repro.system.scenarios import (
     TRAFFIC_SCENARIOS,
@@ -199,6 +210,160 @@ def test_survival_counts_sum_across_partitions():
     )
     assert np.array_equal(whole, parts)
     assert np.array_equal(whole, (lifetimes[None, :] > grid[:, None]).sum(axis=1))
+
+
+# -- worst-cell candidates and the cells-major fold -------------------------
+
+
+def _pareto_oracle(counts):
+    """Brute force over column pairs: column ``b`` is dropped when
+    another column covers it in every workload and is larger in one,
+    or is an exact copy with a lower index."""
+    n_cells = counts.shape[1]
+    return [
+        b
+        for b in range(n_cells)
+        if not any(
+            a != b
+            and np.all(counts[:, a] >= counts[:, b])
+            and (np.any(counts[:, a] > counts[:, b]) or a < b)
+            for a in range(n_cells)
+        )
+    ]
+
+
+def _broadcast_worst_stress(weights, counts):
+    """Reference: the fold over every cell that the cells-major fold
+    replaced."""
+    return (weights[:, :, None] * counts[None]).sum(axis=1).max(axis=1)
+
+
+@st.composite
+def _launch_counts(draw):
+    """A ``(workloads, cells)`` launch-count matrix with an exact
+    duplicate, a dominated and an all-zero column forced in."""
+    n_workloads = draw(st.integers(1, 10))
+    n_cells = draw(st.integers(2, 64))
+    high = draw(st.sampled_from([2, 4, 1000, 10**6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, high, size=(n_workloads, n_cells)).astype(float)
+    source, duplicate, dominated, zero = rng.integers(0, n_cells, size=4)
+    counts[:, duplicate] = counts[:, source]
+    counts[:, dominated] = np.floor(
+        counts[:, source] * rng.uniform(size=n_workloads)
+    )
+    counts[:, zero] = 0.0
+    return counts
+
+
+def _mix_weights(seed, n_devices, n_workloads, zero_fraction):
+    """Dirichlet device mixes with a share of weights set to exactly 0."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.full(n_workloads, 0.7), size=n_devices)
+    weights[rng.uniform(size=weights.shape) < zero_fraction] = 0.0
+    return weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=_launch_counts())
+def test_worst_cell_candidates_match_pareto_oracle(counts):
+    assert worst_cell_candidates(counts).tolist() == _pareto_oracle(counts)
+
+
+def test_worst_cell_candidates_edge_cases():
+    assert worst_cell_candidates(np.zeros((3, 5))).tolist() == [0]
+    counts = np.array([[2.0, 1.0, 2.0, 0.0, 3.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+    # Column 2 copies column 0; columns 1 and 3 are dominated by it.
+    assert worst_cell_candidates(counts).tolist() == [0, 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=_launch_counts(),
+    n_devices=st.integers(1, 300),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_worst_cell_stress_bit_identical_to_broadcast_fold(
+    counts, n_devices, zero_fraction, seed
+):
+    weights = _mix_weights(seed, n_devices, counts.shape[0], zero_fraction)
+    pruned = counts[:, worst_cell_candidates(counts)]
+    assert (
+        worst_cell_stress(pruned, weights).tobytes()
+        == _broadcast_worst_stress(weights, counts).tobytes()
+    )
+
+
+@pytest.mark.parametrize("n_workloads", [8, 10])
+def test_one_candidate_profile_keeps_the_sequential_order(n_workloads):
+    """One cell covers every other, so a single candidate is left. Over
+    that pruned column a ``.sum(axis=1)`` would reduce the workload
+    axis innermost, in numpy's pairwise order, and change bits; the
+    fold must keep the full matrix's sequential order."""
+    rng = np.random.default_rng(n_workloads)
+    counts = rng.integers(0, 10**6, size=(n_workloads, 16)).astype(float)
+    counts[:, 5] = counts.max(axis=1) + rng.integers(1, 1000, n_workloads)
+    keep = worst_cell_candidates(counts)
+    assert keep.tolist() == [5]
+    weights = _mix_weights(0, 2000, n_workloads, 0.2)
+    assert (
+        worst_cell_stress(counts[:, keep], weights).tobytes()
+        == _broadcast_worst_stress(weights, counts).tobytes()
+    )
+
+
+def test_stress_profiles_keep_the_pareto_columns(tmp_path):
+    spec = _spec(
+        policies=(
+            PolicySpec.make("baseline"),
+            PolicySpec.make("rotation"),
+            PolicySpec.make("stress_aware"),
+        )
+    )
+    runner = FleetRunner(checkpoint_dir=tmp_path)
+    profiles = runner.stress_profiles(spec)
+    for policy in spec.policies:
+        full = np.stack([
+            load_tracker(runner._checkpoint_path(spec, policy, workload))
+            .execution_counts.ravel()
+            .astype(float)
+            for workload in spec.workloads
+        ])
+        assert np.array_equal(
+            profiles[policy.label].candidates, full[:, _pareto_oracle(full)]
+        )
+
+
+def test_expand_shard_peak_memory_below_two_device_cell_blocks():
+    """On the benchmark fleet's shard shape one expansion must stay
+    under two ``(devices, cells)`` float64 blocks; building the
+    ``(devices, workloads, cells)`` product takes three times that."""
+    spec = FleetSpec(
+        name="memory",
+        rows=4,
+        cols=32,
+        policies=(
+            PolicySpec.make("baseline"),
+            PolicySpec.make("rotation"),
+            PolicySpec.make("stress_aware"),
+        ),
+        scenario="crypto_gateway",
+        n_devices=4096,
+        devices_per_shard=4096,
+    )
+    runner = FleetRunner()
+    profiles = runner.stress_profiles(spec)
+    (shard,) = spec.shards()
+    fingerprint = spec.fingerprint()
+    expand_shard(spec, shard, profiles, runner.model, fingerprint)  # warm-up
+    tracemalloc.start()
+    try:
+        expand_shard(spec, shard, profiles, runner.model, fingerprint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * shard.n_devices * spec.rows * spec.cols * 8
 
 
 # -- store: records and merging --------------------------------------------
@@ -457,3 +622,35 @@ def test_fleet_experiment_smoke():
     assert "Fleet-scale aging campaign" in text
     assert "baseline" in text and "stress_aware" in text
     assert "navigation" in text
+
+
+# -- fleet conservation laws -----------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", sorted(TRAFFIC_SCENARIOS))
+@pytest.mark.parametrize("geometry", [(2, 16), (4, 32)], ids=str)
+def test_fleet_aggregates_obey_conservation_laws(scenario, geometry):
+    rows, cols = geometry
+    spec = FleetSpec(
+        name="conservation",
+        rows=rows,
+        cols=cols,
+        policies=(
+            PolicySpec.make("baseline"),
+            PolicySpec.make("rotation"),
+            PolicySpec.make("stress_aware"),
+        ),
+        scenario=scenario,
+        n_devices=600,
+        devices_per_shard=256,
+    )
+    result = FleetRunner().run(spec)
+    full_stress_years = NBTIModel().years_to_degradation(1.0)
+    assert sorted(result.aggregates) == sorted(p.label for p in spec.policies)
+    for aggregate in result.aggregates.values():
+        assert aggregate.n_devices == 600
+        assert int(aggregate.hist.sum()) + aggregate.n_infinite == 600
+        assert np.all(np.diff(aggregate.survival) <= 0)
+        assert np.all(aggregate.survival <= aggregate.n_devices)
+        assert aggregate.worst_util_max <= 1.0
+        assert aggregate.lifetime_min >= full_stress_years
