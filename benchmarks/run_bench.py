@@ -5,8 +5,7 @@ the vectorized batch API, simulated-annealing mapping throughput (with
 the congestion cost term on and off), launch-schedule replay
 throughput, the clean and speculative Phase A walks, the functional
 simulator (ISS), and an end-to-end
-policy-sweep campaign (shared schedules vs the coupled per-point
-walk), and writes the numbers to
+policy-sweep campaign over shared schedules, and writes the numbers to
 ``BENCH_alloc.json`` so successive PRs can track the hot paths' perf
 trajectory::
 
@@ -245,8 +244,8 @@ def _campaign_spec(quick: bool) -> CampaignSpec:
 
 
 def _campaign_metrics(quick: bool) -> dict:
-    """End-to-end campaign throughput, shared schedules vs the coupled
-    per-point walk (the pre-schedule pipeline), on one process."""
+    """End-to-end campaign throughput over shared schedules, on one
+    process."""
     spec = _campaign_spec(quick)
     n_points = len(spec.design_points())
     for name in spec.resolved_workloads():
@@ -254,20 +253,11 @@ def _campaign_metrics(quick: bool) -> dict:
     clear_schedule_caches()
     with obs.stopwatch("bench.campaign.shared") as shared_watch:
         CampaignRunner().run(spec)
-    clear_schedule_caches()
-    with obs.stopwatch("bench.campaign.coupled") as coupled_watch:
-        CampaignRunner(share_schedules=False).run(spec)
     return {
         "campaign_points": n_points,
         "campaign_workloads": len(spec.resolved_workloads()),
         "campaign_points_per_sec": round(
             n_points / shared_watch.elapsed, 2
-        ),
-        "campaign_coupled_points_per_sec": round(
-            n_points / coupled_watch.elapsed, 2
-        ),
-        "campaign_speedup": round(
-            coupled_watch.elapsed / shared_watch.elapsed, 2
         ),
     }
 

@@ -7,8 +7,8 @@ Usage::
 Runs a small campaign and a small fleet twice — once fault-free, once
 under an injected :class:`~repro.resilience.FaultPlan` combining a
 worker crash, a worker hang (bounded by the per-task timeout), a
-transient task error, store-append I/O failures and checkpoint
-corruption — and checks the resilience layer's core contract:
+transient task error and store-append I/O failures — and checks the
+resilience layer's core contract:
 
 1. **Bit-identity** — every successful result of the faulty run equals
    the fault-free reference exactly (tasks are deterministic in their
@@ -49,7 +49,7 @@ def _dump(payload) -> str:
 def _campaign_spec() -> CampaignSpec:
     return CampaignSpec(
         name="chaos_smoke",
-        geometries=((2, 8), (2, 16)),
+        geometries=((2, 8), (2, 16), (4, 8)),
         policies=(PolicySpec.make("baseline"), PolicySpec.make("rotation")),
         workloads=("bitcount", "crc32"),
     )
@@ -57,13 +57,16 @@ def _campaign_spec() -> CampaignSpec:
 
 def _campaign_chaos(workers: int) -> None:
     spec = _campaign_spec()
+    # One schedule group per geometry, so every fault below targets a
+    # distinct task key (group:0..2) deterministically.
+    groups = CampaignRunner().schedule_groups(spec.design_points())
+    if len(groups) < 3:
+        raise AssertionError(
+            f"campaign: {len(groups)} schedule group(s); the fault plan "
+            "targets three"
+        )
     faults.deactivate()
-    # share_schedules=False gives one singleton group per design point
-    # (bit-identical results, pinned by the campaign suite), so every
-    # fault below targets a distinct task key deterministically.
-    reference = CampaignRunner(
-        max_workers=workers, share_schedules=False
-    ).run(spec)
+    reference = CampaignRunner(max_workers=workers).run(spec)
     reference_payload = _dump(reference.summaries())
 
     plan = FaultPlan(
@@ -83,10 +86,7 @@ def _campaign_chaos(workers: int) -> None:
     with obs.telemetry():
         obs.reset()
         chaotic = CampaignRunner(
-            max_workers=workers,
-            share_schedules=False,
-            retry=RETRY,
-            task_timeout=3.0,
+            max_workers=workers, retry=RETRY, task_timeout=3.0
         ).run(spec)
         counters = dict(obs.state.counters)
         obs.reset()
@@ -147,9 +147,6 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             # Two store appends fail (full disk): records stay
             # in-memory, aggregates must not change.
             FaultSpec("store.append", times=2, max_attempt=None),
-            # Every checkpoint write is garbled on disk; the loader
-            # must recompute instead of trusting it.
-            FaultSpec("checkpoint.corrupt", times=None, max_attempt=None),
         )
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,13 +155,11 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             obs.reset()
             chaotic = FleetRunner(
                 store_dir=Path(tmp) / "store",
-                checkpoint_dir=Path(tmp) / "ckpt",
                 max_workers=workers,
                 retry=RETRY,
             ).run(spec)
             counters = dict(obs.state.counters)
             obs.reset()
-        parent_fires = faults.fired_counts()
         faults.deactivate()
 
         if chaotic.failures:
@@ -182,8 +177,6 @@ def _fleet_chaos(devices: int, workers: int) -> None:
             raise AssertionError(
                 f"fleet: append-error counter missing (counters={counters})"
             )
-        if parent_fires.get("checkpoint.corrupt", 0) == 0:
-            raise AssertionError("fleet: checkpoint corruption never fired")
         if counters.get("resilience.retries", 0) == 0:
             raise AssertionError(
                 f"fleet: crashed chunk was never retried (counters={counters})"
@@ -199,7 +192,7 @@ def _fleet_chaos(devices: int, workers: int) -> None:
         if _fleet_payload(resumed) != reference_payload:
             raise AssertionError("fleet: resume from degraded store diverged")
     print(
-        "fleet chaos: crash+append-failure+checkpoint-corruption recovered, "
+        "fleet chaos: crash+append-failure recovered, "
         f"aggregates bit-identical (re-ran {resumed.shards_run}, "
         f"resumed {resumed.shards_resumed} on follow-up)"
     )

@@ -74,11 +74,10 @@ def write_json(path: str | Path, payload: object) -> Path:
     """Serialize ``payload`` (via :func:`to_jsonable`) to ``path``.
 
     Parent directories are created; returns the written path. The
-    write is atomic (temp file in the same directory + ``os.replace``,
-    the same discipline as the schedule disk cache): a crash or killed
-    pool worker mid-campaign can never leave a truncated artifact on
-    disk — readers see either the previous complete file or the new
-    one.
+    write is atomic (temp file in the same directory + ``os.replace``):
+    a crash or killed pool worker mid-campaign can never leave a
+    truncated artifact on disk — readers see either the previous
+    complete file or the new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -12,16 +12,13 @@ The runner owns the three scale levers the ROADMAP asks for:
   out as vectorized replays (:mod:`repro.system.schedule`). Points are
   grouped by :func:`~repro.system.schedule.schedule_key`;
   stress-coupled mappers (e.g. annealing with live stress feedback)
-  opt out and keep the coupled walk.
+  get one group per point and take the coupled walk.
 * **Process-pool parallelism** — schedule groups are embarrassingly
   parallel; ``max_workers > 1`` fans them out over a
   ``ProcessPoolExecutor`` while keeping results in submission order.
   Each group's points run in one worker, so the group's schedules are
   computed exactly once. Splitting a large group for parallelism costs
-  one extra walk per chunk; an opt-in on-disk schedule cache
-  (``schedule_cache_dir=...``) removes even that, letting chunks and
-  repeated campaigns load pickled walks instead of recomputing them
-  (the ROADMAP's cross-process schedule reuse).
+  one extra walk per chunk.
 
 Artifacts: pass ``artifact_dir`` to persist one JSON summary per design
 point plus a ``campaign.json`` manifest describing the spec.
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import obs
@@ -43,11 +40,7 @@ from repro.errors import ConfigurationError
 from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
 from repro.sim.trace import Trace
 from repro.system.params import SystemParams
-from repro.system.schedule import (
-    params_stress_coupled,
-    schedule_key,
-    set_schedule_cache_dir,
-)
+from repro.system.schedule import params_stress_coupled, schedule_key
 from repro.system.transrec import TransRecSystem
 from repro.workloads.suite import run_workload
 
@@ -86,7 +79,6 @@ def evaluate_design_point(
     point: DesignPoint,
     base_params: SystemParams | None = None,
     traces: dict[str, Trace] | None = None,
-    mode: str = "auto",
 ) -> SuiteRun:
     """Run every workload of ``point`` on its system; returns the
     :class:`SuiteRun` with full per-workload results.
@@ -95,9 +87,7 @@ def evaluate_design_point(
     truncated traces); by default the memoised verified suite traces
     are used. Explicit traces must cover ``point.workloads`` — only
     the point's workloads are evaluated, so results and artifacts
-    always agree with the spec. ``mode`` is forwarded to
-    :meth:`~repro.system.transrec.TransRecSystem.run_trace` (all modes
-    are bit-identical; ``"coupled"`` disables schedule sharing).
+    always agree with the spec.
     """
     system = TransRecSystem(_build_params(point, base_params))
     if traces is None:
@@ -113,8 +103,7 @@ def evaluate_design_point(
     with obs.span("campaign.evaluate_point", point=point.label):
         obs.count("campaign.points")
         results = {
-            name: system.run_trace(trace, mode=mode)
-            for name, trace in traces.items()
+            name: system.run_trace(trace) for name, trace in traces.items()
         }
     return SuiteRun(
         geometry=system.geometry, policy=point.policy.name, results=results
@@ -125,8 +114,6 @@ def _pool_evaluate_group(
     payload: tuple[
         tuple[DesignPoint, ...],
         SystemParams | None,
-        str,
-        str | None,
         str | None,
     ],
 ) -> tuple[list[SuiteRun], obs.TelemetrySnapshot | None]:
@@ -134,9 +121,7 @@ def _pool_evaluate_group(
 
     The group's points run sequentially in this process, so the first
     point's walks warm the per-process schedule memo and every further
-    point replays them. A configured on-disk cache is activated before
-    the first walk, so chunks of one split group (and workers of a
-    repeated campaign) share walks across process boundaries too.
+    point replays them.
 
     The payload carries the parent's telemetry mode (``None`` = off,
     ``"telemetry"`` = counters/timers, ``"trace"`` = additionally
@@ -144,18 +129,13 @@ def _pool_evaluate_group(
     pool workers serve several groups — and its snapshot rides home
     with the results for the parent to :func:`~repro.obs.absorb`.
     """
-    points, base_params, mode, cache_dir, obs_mode = payload
+    points, base_params, obs_mode = payload
     if obs_mode is not None:
         obs.set_enabled(True)
         obs.reset()
         if obs_mode == "trace":
             obs.tracing.start()
-    if cache_dir is not None:
-        set_schedule_cache_dir(cache_dir)
-    runs = [
-        evaluate_design_point(point, base_params, mode=mode)
-        for point in points
-    ]
+    runs = [evaluate_design_point(point, base_params) for point in points]
     snap = obs.snapshot() if obs_mode is not None else None
     return runs, snap
 
@@ -206,20 +186,6 @@ class CampaignRunner:
             a ``campaign.json`` manifest are written there.
         base_params: timing/energy parameter overrides applied to every
             design point (geometry and policy are taken from the point).
-        share_schedules: ``False`` forces the coupled per-point walk
-            everywhere (the pre-schedule behaviour — results are
-            bit-identical either way; this is the measurement baseline
-            and escape hatch).
-        schedule_cache_dir: when given, policy-independent trace walks
-            are additionally pickled there keyed by
-            :func:`~repro.system.schedule.schedule_key` + trace
-            fingerprint, so shared-geometry groups landing in
-            different pool workers — or successive campaigns over the
-            same pipelines — stop recomputing walks (and their GPP
-            references' traces) from scratch. Corrupt or stale cache
-            files are ignored and rewritten, and results stay
-            bit-identical (replay never depends on where the schedule
-            came from).
         retry: :class:`~repro.resilience.RetryPolicy` governing how
             pool-task failures (worker crashes, hangs, transient
             exceptions) are retried before a group is quarantined
@@ -237,8 +203,6 @@ class CampaignRunner:
         max_workers: int | None = None,
         artifact_dir: str | Path | None = None,
         base_params: SystemParams | None = None,
-        share_schedules: bool = True,
-        schedule_cache_dir: str | Path | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
         max_pool_rebuilds: int = 3,
@@ -246,10 +210,6 @@ class CampaignRunner:
         self.max_workers = max_workers
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
         self.base_params = base_params
-        self.share_schedules = share_schedules
-        self.schedule_cache_dir = (
-            Path(schedule_cache_dir) if schedule_cache_dir else None
-        )
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -263,11 +223,8 @@ class CampaignRunner:
         (same geometry, mapper identity, DBT/cache/GPP/datapath
         parameters — everything but the allocation policy) and equal
         workloads walk each trace once and replay it per policy.
-        Stress-coupled points get singleton groups; with
-        ``share_schedules=False`` every group is a singleton.
+        Stress-coupled points get singleton groups.
         """
-        if not self.share_schedules:
-            return [[index] for index in range(len(points))]
         groups: dict[object, list[int]] = {}
         order: list[object] = []
         for index, point in enumerate(points):
@@ -306,10 +263,9 @@ class CampaignRunner:
         worker walking and replaying everything would leave the rest of
         the pool idle. Each chunk re-walks the shared schedule once in
         its own worker — one extra walk buys parallelism across the
-        replay axis (an on-disk schedule cache removes even that), and
-        results stay bit-identical (replays are independent). The
-        group to split is the one with the highest estimated replay
-        cost — points are weighted by their policy's
+        replay axis, and results stay bit-identical (replays are
+        independent). The group to split is the one with the highest
+        estimated replay cost — points are weighted by their policy's
         :attr:`~repro.core.policy.AllocationPolicy.plan_granularity`,
         so a group of per-interval stress-search replays splits before
         an equally sized group of one-segment whole-schedule replays.
@@ -345,7 +301,6 @@ class CampaignRunner:
         the named workloads are resolved from the memoised suite.
         """
         points = spec.design_points()
-        mode = "auto" if self.share_schedules else "coupled"
         if traces is None:
             # Warm the shared trace cache once so serial evaluation
             # reuses it and fork-based pool workers inherit it.
@@ -356,11 +311,6 @@ class CampaignRunner:
             and self.max_workers > 1
             and traces is None
             and len(points) > 1
-        )
-        cache_dir = (
-            str(self.schedule_cache_dir)
-            if self.schedule_cache_dir is not None
-            else None
         )
         telemetry_on = obs.enabled()
         obs_mode = (
@@ -374,13 +324,12 @@ class CampaignRunner:
         try:
             if parallel:
                 self._run_parallel(
-                    points, mode, cache_dir, obs_mode, telemetry_on,
-                    started, suite_runs, failures,
+                    points, obs_mode, telemetry_on, started, suite_runs,
+                    failures,
                 )
             else:
                 self._run_serial(
-                    points, traces, mode, cache_dir, telemetry_on,
-                    started, suite_runs,
+                    points, traces, telemetry_on, started, suite_runs
                 )
         except KeyboardInterrupt:
             # Salvage: completed points are real, deterministic results
@@ -405,8 +354,6 @@ class CampaignRunner:
     def _run_parallel(
         self,
         points: tuple[DesignPoint, ...],
-        mode: str,
-        cache_dir: str | None,
         obs_mode: str | None,
         telemetry_on: bool,
         started: float,
@@ -417,13 +364,7 @@ class CampaignRunner:
             self.schedule_groups(points), self.max_workers, points
         )
         payloads = [
-            (
-                tuple(points[index] for index in group),
-                self.base_params,
-                mode,
-                cache_dir,
-                obs_mode,
-            )
+            (tuple(points[index] for index in group), self.base_params, obs_mode)
             for group in groups
         ]
         keys = [
@@ -467,37 +408,24 @@ class CampaignRunner:
         self,
         points: tuple[DesignPoint, ...],
         traces: dict[str, Trace] | None,
-        mode: str,
-        cache_dir: str | None,
         telemetry_on: bool,
         started: float,
         suite_runs: list[SuiteRun | None],
     ) -> None:
         # Serial evaluation shares schedules through the in-process
-        # memo regardless of point order; no grouping needed. The
-        # runner's disk cache (when set) is scoped to the run so it
-        # does not leak into the caller's process state.
-        previous_cache = (
-            set_schedule_cache_dir(cache_dir)
-            if cache_dir is not None
-            else None
-        )
-        try:
-            for index, point in enumerate(points):
-                suite_runs[index] = evaluate_design_point(
-                    point, self.base_params, traces, mode
+        # memo regardless of point order; no grouping needed.
+        for index, point in enumerate(points):
+            suite_runs[index] = evaluate_design_point(
+                point, self.base_params, traces
+            )
+            if telemetry_on:
+                obs.log.progress(
+                    "campaign.point",
+                    index + 1,
+                    len(points),
+                    time.perf_counter() - started,
+                    point=point.label,
                 )
-                if telemetry_on:
-                    obs.log.progress(
-                        "campaign.point",
-                        index + 1,
-                        len(points),
-                        time.perf_counter() - started,
-                        point=point.label,
-                    )
-        finally:
-            if cache_dir is not None:
-                set_schedule_cache_dir(previous_cache)
 
     @staticmethod
     def _build_result(

@@ -20,7 +20,6 @@ import enum
 import numpy as np
 
 from repro.cgra.fabric import FabricGeometry
-from repro.errors import ConfigurationError
 
 
 class Weighting(enum.Enum):
@@ -117,55 +116,6 @@ class UtilizationTracker:
             mask = np.zeros(self.geometry.n_cells, dtype=bool)
             self._config_cells[config_key] = mask
         return mask
-
-    # -- checkpoint/restore ------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Complete accrued stress state as plain arrays/ints.
-
-        The payload is self-contained (geometry shape included) and
-        copies every array, so a checkpoint written from it is
-        immune to later accrual. Inverse of :meth:`restore_state`;
-        the versioned on-disk format lives in
-        :mod:`repro.fleet.checkpoint`.
-        """
-        return {
-            "rows": self.geometry.rows,
-            "cols": self.geometry.cols,
-            "execution_counts": self._execution_counts.copy(),
-            "cycle_counts": self._cycle_counts.copy(),
-            "total_executions": self.total_executions,
-            "total_cycles": self.total_cycles,
-            "config_cells": {
-                key: mask.copy() for key, mask in self._config_cells.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this tracker's accrued stress with ``state``
-        (an :meth:`export_state` payload for the same fabric shape).
-
-        Restoring is bit-exact: every counter, total and footprint
-        bitmap comes back identical, so a resumed multi-year campaign
-        continues from exactly the checkpointed stress.
-        """
-        if (state["rows"], state["cols"]) != (
-            self.geometry.rows,
-            self.geometry.cols,
-        ):
-            raise ConfigurationError(
-                f"checkpoint shape ({state['rows']}, {state['cols']}) does "
-                f"not match tracker fabric ({self.geometry.rows}, "
-                f"{self.geometry.cols})"
-            )
-        self._execution_counts[:] = state["execution_counts"]
-        self._cycle_counts[:] = state["cycle_counts"]
-        self.total_executions = int(state["total_executions"])
-        self.total_cycles = int(state["total_cycles"])
-        self._config_cells = {
-            int(key): np.asarray(mask, dtype=bool).copy()
-            for key, mask in state["config_cells"].items()
-        }
 
     # -- reports -----------------------------------------------------------
 

@@ -2,13 +2,11 @@
 
 Scales the paper's single-device evaluation to fleets of devices, each
 drawing its own traffic mix from a named scenario distribution
-(:mod:`repro.system.scenarios`), with sharded evaluation, an
-append-only mergeable result store, and checkpoint/restore of accrued
-:class:`~repro.core.utilization.UtilizationTracker` stress. See
+(:mod:`repro.system.scenarios`), with sharded evaluation and an
+append-only mergeable result store that resumes a killed run. See
 :mod:`repro.fleet.runner` for the phase structure.
 """
 
-from repro.fleet.checkpoint import load_tracker, save_tracker
 from repro.fleet.runner import FleetResult, FleetRunner, StressProfile, expand_shard
 from repro.fleet.spec import (
     DEFAULT_MISSION_YEARS,
@@ -37,7 +35,5 @@ __all__ = [
     "StressProfile",
     "expand_shard",
     "lifetime_histogram",
-    "load_tracker",
     "merge_records",
-    "save_tracker",
 ]

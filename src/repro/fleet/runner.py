@@ -6,15 +6,10 @@ memory regardless of fleet size:
 * **Phase 1 — stress profiles** (per policy x workload): one
   vectorized replay of the shared launch schedule per (policy,
   workload) yields the per-cell launch-count matrix and launch total.
-  This rides the whole PR 4–5 stack — schedules are memoised per
-  process, grouped by :func:`~repro.system.schedule.schedule_key`, and
-  (with ``schedule_cache_dir``) loaded from the on-disk cache, so a
-  million-device fleet walks each trace exactly once. With
-  ``checkpoint_dir`` the replayed
-  :class:`~repro.core.utilization.UtilizationTracker` state is
-  additionally checkpointed (versioned, corrupt-safe), so incremental
-  re-runs skip even the replay. A device's end of life is set by its
-  most-utilized FU alone (the paper's Eq. 1 criterion), so each
+  Schedules are memoised per process and keyed by
+  :func:`~repro.system.schedule.schedule_key`, so a million-device
+  fleet walks each trace exactly once. A device's end of life is set
+  by its most-utilized FU alone (the paper's Eq. 1 criterion), so each
   profile keeps only the cells that can be the worst FU under some
   mix: the Pareto-maximal columns (:func:`worst_cell_candidates`).
 * **Phase 2 — shard expansion** (per shard): each shard regenerates
@@ -55,7 +50,6 @@ from repro.campaign.spec import PolicySpec
 from repro.cgra.fabric import FabricGeometry
 from repro.core.policy import make_policy
 from repro.errors import ConfigurationError
-from repro.fleet.checkpoint import load_tracker, save_tracker
 from repro.fleet.spec import FleetShard, FleetSpec
 from repro.fleet.store import (
     FleetAggregate,
@@ -66,11 +60,7 @@ from repro.fleet.store import (
 )
 from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
 from repro.system.params import SystemParams
-from repro.system.schedule import (
-    replay_schedule,
-    set_schedule_cache_dir,
-    shared_schedule,
-)
+from repro.system.schedule import replay_schedule, shared_schedule
 from repro.workloads.suite import run_workload
 
 #: Shards per pool task: amortises task dispatch without letting one
@@ -309,11 +299,6 @@ class FleetRunner:
             ``> 1`` fans shard chunks out over a process pool.
         base_params: timing-parameter overrides for the replay phase
             (geometry and policy come from the spec).
-        schedule_cache_dir: forwarded to the schedule layer so Phase 1
-            walks are shared across processes and repeated campaigns.
-        checkpoint_dir: when given, Phase 1 replay trackers are
-            checkpointed per (policy, workload) and restored on re-runs
-            (bit-exact), so incremental campaigns skip the replay too.
         model: NBTI model for device lifetimes (default calibration:
             +10% delay over 3 years at full stress).
         retry: :class:`~repro.resilience.RetryPolicy` for pool-task
@@ -330,8 +315,6 @@ class FleetRunner:
         store_dir: str | Path | None = None,
         max_workers: int | None = None,
         base_params: SystemParams | None = None,
-        schedule_cache_dir: str | Path | None = None,
-        checkpoint_dir: str | Path | None = None,
         model: NBTIModel | None = None,
         retry: RetryPolicy | None = None,
         task_timeout: float | None = None,
@@ -340,10 +323,6 @@ class FleetRunner:
         self.store_dir = Path(store_dir) if store_dir else None
         self.max_workers = max_workers
         self.base_params = base_params
-        self.schedule_cache_dir = (
-            str(schedule_cache_dir) if schedule_cache_dir else None
-        )
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.model = model if model is not None else NBTIModel()
         self.retry = retry if retry is not None else RetryPolicy()
         self.task_timeout = task_timeout
@@ -351,70 +330,43 @@ class FleetRunner:
 
     # ------------------------------------------------------------------
 
-    def _checkpoint_path(
-        self, spec: FleetSpec, policy: PolicySpec, workload: str
-    ) -> Path:
-        stem = f"{spec.fingerprint()}-{policy_label(policy)}-{workload}"
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in stem)
-        return self.checkpoint_dir / f"{safe}.ckpt"
-
     def stress_profiles(self, spec: FleetSpec) -> dict[str, StressProfile]:
         """Phase 1: per-policy stacked stress profiles.
 
         Policies of one fleet share a single schedule walk per
         workload (they differ only in allocation policy, the exact
         case :func:`~repro.system.schedule.shared_schedule` exists
-        for); each (policy, workload) is then one vectorized replay —
-        restored from its checkpoint instead when one is valid. Each
-        policy's stacked counts keep only the cells that can be a
+        for); each (policy, workload) is then one vectorized replay.
+        Each policy's stacked counts keep only the cells that can be a
         device's worst FU (:func:`worst_cell_candidates`).
         """
-        previous_cache = (
-            set_schedule_cache_dir(self.schedule_cache_dir)
-            if self.schedule_cache_dir is not None
-            else None
-        )
-        try:
-            profiles: dict[str, StressProfile] = {}
-            for policy in spec.policies:
-                params = _fleet_params(spec, policy, self.base_params)
-                counts = []
-                totals = []
-                for workload in spec.workloads:
-                    tracker = None
-                    ckpt = None
-                    if self.checkpoint_dir is not None:
-                        ckpt = self._checkpoint_path(spec, policy, workload)
-                        tracker = load_tracker(ckpt)
-                    if tracker is None:
-                        with obs.span(
-                            "fleet.replay",
-                            policy=policy_label(policy),
-                            workload=workload,
-                        ):
-                            trace = run_workload(workload)
-                            schedule = shared_schedule(params, trace)
-                            tracker = replay_schedule(
-                                schedule,
-                                params.geometry,
-                                make_policy(policy.name, **policy.as_kwargs()),
-                            ).tracker
-                        if ckpt is not None:
-                            save_tracker(ckpt, tracker)
-                    counts.append(
-                        tracker.execution_counts.ravel().astype(float)
-                    )
-                    totals.append(float(tracker.total_executions))
-                stacked = np.stack(counts)
-                profiles[policy_label(policy)] = StressProfile(
+        profiles: dict[str, StressProfile] = {}
+        for policy in spec.policies:
+            params = _fleet_params(spec, policy, self.base_params)
+            counts = []
+            totals = []
+            for workload in spec.workloads:
+                with obs.span(
+                    "fleet.replay",
                     policy=policy_label(policy),
-                    candidates=stacked[:, worst_cell_candidates(stacked)],
-                    totals=np.asarray(totals),
-                )
-            return profiles
-        finally:
-            if self.schedule_cache_dir is not None:
-                set_schedule_cache_dir(previous_cache)
+                    workload=workload,
+                ):
+                    trace = run_workload(workload)
+                    schedule = shared_schedule(params, trace)
+                    tracker = replay_schedule(
+                        schedule,
+                        params.geometry,
+                        make_policy(policy.name, **policy.as_kwargs()),
+                    ).tracker
+                counts.append(tracker.execution_counts.ravel().astype(float))
+                totals.append(float(tracker.total_executions))
+            stacked = np.stack(counts)
+            profiles[policy_label(policy)] = StressProfile(
+                policy=policy_label(policy),
+                candidates=stacked[:, worst_cell_candidates(stacked)],
+                totals=np.asarray(totals),
+            )
+        return profiles
 
     # ------------------------------------------------------------------
 

@@ -6,8 +6,7 @@ One fleet campaign produces one newline-delimited JSON file
 Appending a record is a single ``write()`` of one line, so concurrent
 or killed writers can at worst leave a torn trailing line, which the
 loader skips (and counts) instead of failing; the shard whose record
-was torn simply re-runs on resume. This is the artifact-layer
-counterpart of the schedule disk cache's crash discipline.
+was torn simply re-runs on resume.
 
 Aggregation is *streaming*: lifetime percentiles come from a fixed
 log-spaced histogram (:data:`HIST_BINS` bins spanning

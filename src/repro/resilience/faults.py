@@ -20,10 +20,6 @@ site                      effect when fired
 ``store.append``          raises ``OSError`` inside
                           :meth:`~repro.fleet.store.ResultStore.append`
                           (a full disk / dead mount).
-``checkpoint.corrupt``    the checkpoint payload is truncated and
-                          garbled before hitting disk
-                          (:func:`corrupt_bytes`).
-``schedule_cache.corrupt``  same, for the on-disk schedule cache.
 ========================  =============================================
 
 Firing is **deterministic**: a spec fires on the first ``times``
@@ -48,7 +44,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.errors import ConfigurationError, InjectedFaultError, WorkerCrashError
@@ -59,7 +55,6 @@ __all__ = [
     "FaultSpec",
     "activate",
     "active_plan",
-    "corrupt_bytes",
     "deactivate",
     "fired_counts",
     "maybe_fire",
@@ -70,13 +65,8 @@ __all__ = [
 #: Environment variable holding a JSON-encoded fault plan.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Sites whose action is performed by :func:`maybe_fire`.
-ACTION_SITES = ("worker.crash", "worker.hang", "task.error", "store.append")
-
-#: Sites consulted through :func:`corrupt_bytes`.
-CORRUPT_SITES = ("checkpoint.corrupt", "schedule_cache.corrupt")
-
-KNOWN_SITES = ACTION_SITES + CORRUPT_SITES
+#: Every site; :func:`maybe_fire` performs each one's action.
+KNOWN_SITES = ("worker.crash", "worker.hang", "task.error", "store.append")
 
 
 def _stable_unit(seed: int, site: str, key: str, attempt: int, call: int) -> float:
@@ -300,15 +290,3 @@ def maybe_fire(site: str) -> None:
         )
     if site == "store.append":
         raise OSError(f"injected store append failure (key={_runtime.key!r})")
-    raise ConfigurationError(f"site {site!r} has no inline action")
-
-
-def corrupt_bytes(site: str, data: bytes) -> bytes:
-    """Return ``data``, truncated and garbled when ``site`` fires —
-    the write path persists the result as-is, so the matching loader's
-    corrupt-tolerance is exercised end to end."""
-    if _runtime.plan is None and _env_checked:
-        return data
-    if _should_fire(site) is None:
-        return data
-    return data[: max(1, len(data) // 2)] + b"\x00INJECTED-CORRUPTION"

@@ -17,9 +17,7 @@ from repro.system.schedule import (
     clear_schedule_caches,
     compute_schedule,
     replay_schedule,
-    schedule_cache_dir,
     schedule_key,
-    set_schedule_cache_dir,
     shared_schedule,
 )
 from repro.system.stats import SystemResult
@@ -36,8 +34,6 @@ __all__ = [
     "compute_schedule",
     "make_system",
     "replay_schedule",
-    "schedule_cache_dir",
     "schedule_key",
-    "set_schedule_cache_dir",
     "shared_schedule",
 ]

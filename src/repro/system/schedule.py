@@ -24,25 +24,17 @@ per policy:
 Schedules and the stand-alone GPP reference timing are memoised per
 process, keyed weakly by trace object, so serial campaigns and the
 experiment drivers share one walk per pipeline across the whole
-policy x seed axis. An opt-in *on-disk* cache
-(:func:`set_schedule_cache_dir`, surfaced as
-``CampaignRunner(schedule_cache_dir=...)``) extends the reuse across
-processes: pool workers that land different policy groups of the same
-pipeline load the pickled walk instead of recomputing it, keyed by the
-trace's content fingerprint plus :func:`schedule_key`.
+policy x seed axis. Nothing is cached across processes: a pool worker
+walks each pipeline of its schedule group once.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import hashlib
-import os
-import pickle
-import tempfile
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -67,7 +59,6 @@ from repro.frontend.speculative import clear_annotation_cache, speculative_trace
 from repro.gpp.timing import GPPTimingModel, GPPTimingResult
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
-from repro.resilience import faults
 from repro.sim.trace import (
     CLASS_MEMBERS,
     KIND_COMMITTED,
@@ -85,9 +76,7 @@ __all__ = [
     "gpp_reference",
     "params_stress_coupled",
     "replay_schedule",
-    "schedule_cache_dir",
     "schedule_key",
-    "set_schedule_cache_dir",
     "shared_schedule",
 ]
 
@@ -129,8 +118,7 @@ def schedule_key(params: SystemParams):
     post-processing of the recorded activity). Two design points with
     equal keys share one trace walk. The front-end spec is part of the
     key: different specs produce different speculative streams from the
-    same committed trace, so their schedules must never alias (in
-    memory or on disk).
+    same committed trace, so their schedules must never alias.
     """
     return (
         _freeze(params.geometry),
@@ -211,29 +199,9 @@ class LaunchSchedule:
         return len(self.configs)
 
     def result_template(self) -> tuple[CGRAStats, ConfigCacheStats]:
-        """Fresh copies of the mutable per-result stat containers."""
-        cgra = replace(self.cgra)
-        # ``replace`` re-runs ``__post_init__``, which zeroes the
-        # non-field config-cache mirrors — carry them over (``getattr``
-        # default keeps schedules unpickled from older cache layouts
-        # working).
-        cgra.config_cache_hits = getattr(self.cgra, "config_cache_hits", 0)
-        cgra.config_cache_misses = getattr(
-            self.cgra, "config_cache_misses", 0
-        )
-        cgra.config_cache_evictions = getattr(
-            self.cgra, "config_cache_evictions", 0
-        )
-        for counter in (
-            "wrong_path_launches",
-            "wrong_path_instructions",
-            "frontend_mispredicts",
-            "frontend_flushes",
-            "frontend_interrupts",
-            "frontend_flush_cycles",
-        ):
-            setattr(cgra, counter, getattr(self.cgra, counter, 0))
-        return cgra, replace(self.cache_stats)
+        """Fresh copies of the mutable per-result stat containers (a
+        shallow copy keeps the non-field front-end counters)."""
+        return copy.copy(self.cgra), replace(self.cache_stats)
 
 
 class _UnitLaunch(NamedTuple):
@@ -535,12 +503,6 @@ def compute_schedule(
     activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure
-    # Surface the config-cache counters on the fabric stats (the
-    # cache-sizing study reads them from CGRAStats without having to
-    # reach into the cache object).
-    stats.config_cache_hits = cache.stats.hits
-    stats.config_cache_misses = cache.stats.misses
-    stats.config_cache_evictions = cache.stats.evictions
     if speculative:
         stats.wrong_path_launches = wrong_path_launches
         stats.wrong_path_instructions = wrong_path_instructions
@@ -602,125 +564,6 @@ def replay_schedule(
 
 
 # ----------------------------------------------------------------------
-# Opt-in on-disk schedule cache (cross-process reuse)
-
-#: Directory holding pickled schedules, or ``None`` (disabled, the
-#: default). Process-wide: pool workers enable it via their payload.
-_DISK_CACHE_DIR: Path | None = None
-
-#: Bump when the on-disk payload layout changes; stale-version files
-#: are ignored and rewritten rather than unpickled into a new schema.
-#: v2: CGRAStats carries non-field config-cache mirrors.
-#: v3: front-end counters on CGRAStats; ``schedule_key`` gained the
-#: front-end spec element.
-_DISK_CACHE_VERSION = 3
-
-_TRACE_FINGERPRINTS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def set_schedule_cache_dir(path: str | Path | None) -> Path | None:
-    """Configure the process-wide on-disk schedule cache.
-
-    ``None`` disables disk caching (the default). Returns the previous
-    setting so callers can restore it. The directory is created on
-    first write; corrupt or truncated cache files are ignored and
-    recomputed, never fatal.
-    """
-    global _DISK_CACHE_DIR
-    previous = _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = Path(path) if path is not None else None
-    return previous
-
-
-def schedule_cache_dir() -> Path | None:
-    """The active on-disk schedule cache directory (``None`` = off)."""
-    return _DISK_CACHE_DIR
-
-
-def _trace_fingerprint(trace: Trace) -> str:
-    """Content digest of everything the walk reads from a trace.
-
-    Trace *names* are not unique across custom/truncated traces, so
-    the disk key hashes the committed event stream itself: PCs,
-    redirects, memory positions/addresses and instruction classes.
-    Memoised weakly per trace object.
-    """
-    digest = _TRACE_FINGERPRINTS.get(trace)
-    if digest is None:
-        hasher = hashlib.sha256()
-        for column in (
-            trace.pc_array,
-            trace.redirect_array,
-            trace.mem_positions,
-            trace.mem_addresses,
-            trace.class_code_array,
-        ):
-            hasher.update(np.ascontiguousarray(column).tobytes())
-        digest = hasher.hexdigest()
-        _TRACE_FINGERPRINTS[trace] = digest
-    return digest
-
-
-def _disk_cache_path(params: SystemParams, trace: Trace) -> Path:
-    """Cache file for (trace contents, pipeline schedule key)."""
-    key_digest = hashlib.sha256(
-        repr((_DISK_CACHE_VERSION, schedule_key(params))).encode()
-    ).hexdigest()
-    name = f"{trace.name}-{_trace_fingerprint(trace)[:16]}-{key_digest[:16]}.pkl"
-    return _DISK_CACHE_DIR / "".join(
-        ch if ch.isalnum() or ch in "-_." else "-" for ch in name
-    )
-
-
-def _disk_cache_load(path: Path) -> LaunchSchedule | None:
-    try:
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-    except OSError:
-        return None
-    except Exception:
-        # Truncated/corrupt/incompatible pickle: recompute and let the
-        # writer replace the file.
-        obs.count("schedule.disk_cache.corrupt")
-        return None
-    if (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and payload[0] == _DISK_CACHE_VERSION
-        and isinstance(payload[1], LaunchSchedule)
-    ):
-        return payload[1]
-    return None
-
-
-def _disk_cache_store(path: Path, schedule: LaunchSchedule) -> None:
-    """Atomic best-effort write (tmp file + rename): concurrent pool
-    workers may race on the same key, and either winner's bytes are
-    valid; I/O failures degrade to recomputation, never an error."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            data = faults.corrupt_bytes(
-                "schedule_cache.corrupt",
-                pickle.dumps((_DISK_CACHE_VERSION, schedule)),
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass
-
-
-# ----------------------------------------------------------------------
 # Per-process memoisation (weak on the trace, LRU-bounded per trace)
 
 #: Distinct pipelines memoised per trace before LRU eviction. Large
@@ -737,9 +580,7 @@ def shared_schedule(params: SystemParams, trace: Trace) -> LaunchSchedule:
 
     One walk per (trace, :func:`schedule_key`) per process; campaigns
     and the experiment drivers fan every policy and seed out as replays
-    of the shared schedule. With an on-disk cache configured
-    (:func:`set_schedule_cache_dir`) an in-memory miss first tries the
-    pickled walk of another process before recomputing.
+    of the shared schedule.
     """
     key = schedule_key(params)
     per_trace = _SCHEDULE_CACHE.get(trace)
@@ -749,25 +590,8 @@ def shared_schedule(params: SystemParams, trace: Trace) -> LaunchSchedule:
     schedule = per_trace.get(key)
     if schedule is None:
         obs.count("schedule.memo.misses")
-        disk_path = (
-            _disk_cache_path(params, trace)
-            if _DISK_CACHE_DIR is not None
-            else None
-        )
-        if disk_path is not None:
-            schedule = _disk_cache_load(disk_path)
-            obs.count(
-                "schedule.disk_cache.hits"
-                if schedule is not None
-                else "schedule.disk_cache.misses"
-            )
-        if schedule is None:
-            with obs.span(
-                "schedule.walk", trace=trace.name, coupled=False
-            ):
-                schedule = compute_schedule(params, trace)
-            if disk_path is not None:
-                _disk_cache_store(disk_path, schedule)
+        with obs.span("schedule.walk", trace=trace.name, coupled=False):
+            schedule = compute_schedule(params, trace)
         per_trace[key] = schedule
         while len(per_trace) > _SCHEDULES_PER_TRACE:
             per_trace.popitem(last=False)
@@ -811,11 +635,8 @@ def gpp_reference(
 
 
 def clear_schedule_caches() -> None:
-    """Drop all in-process memoised schedules, GPP references, trace
-    fingerprints and front-end annotations (benchmarking and test
-    isolation). The on-disk cache directory setting — and its files —
-    are left alone."""
+    """Drop all in-process memoised schedules, GPP references and
+    front-end annotations (benchmarking and test isolation)."""
     _SCHEDULE_CACHE.clear()
     _GPP_CACHE.clear()
-    _TRACE_FINGERPRINTS.clear()
     clear_annotation_cache()

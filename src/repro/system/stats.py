@@ -15,14 +15,12 @@ from repro.hw.energy import EnergyReport
 class CGRAStats:
     """Fabric-side counters for one run.
 
-    The config-cache mirrors (``config_cache_hits`` / ``_misses`` /
-    ``_evictions``) and the front-end counters (``frontend_*``,
-    ``wrong_path_*``) are deliberately *not* dataclass fields: they are
-    convenience copies set in ``__post_init__``, kept out of
-    field-driven serialisation (``to_jsonable``) so the pinned golden
-    experiment JSON stays byte-identical. The front-end counters are
-    zero unless the run was driven through a speculative front end
-    (:class:`repro.frontend.FrontEndSpec`).
+    The front-end counters (``frontend_*``, ``wrong_path_*``) are
+    deliberately *not* dataclass fields: they are set in
+    ``__post_init__`` and kept out of field-driven serialisation
+    (``to_jsonable``) so the pinned golden experiment JSON stays
+    byte-identical. They are zero unless the run was driven through a
+    speculative front end (:class:`repro.frontend.FrontEndSpec`).
     """
 
     launches: int = 0
@@ -36,9 +34,6 @@ class CGRAStats:
     peak_line_pressure: int = 0
 
     def __post_init__(self) -> None:
-        self.config_cache_hits = 0
-        self.config_cache_misses = 0
-        self.config_cache_evictions = 0
         # Speculative front-end counters (repro.frontend).
         self.wrong_path_launches = 0
         self.wrong_path_instructions = 0

@@ -14,13 +14,14 @@ The simulator walks a committed trace once:
 
 The walk lives in :mod:`repro.system.schedule`: it records the
 policy-independent :class:`~repro.system.schedule.LaunchSchedule`
-(everything above plus the activity counts the energy model needs),
-and the allocation policy is applied either *coupled* — interleaved
-with the walk, required when the mapper reads the allocator's live
-stress map — or as a vectorized *replay* of a schedule shared across
-every policy of the same pipeline (the default; bit-identical, and the
-lever that makes policy-sweep campaigns cheap). Replay hands the
-policy the whole launch sequence as segment plans
+(everything above plus the activity counts the energy model needs).
+The pipeline decides how the allocation policy is applied. A
+stress-coupled mapper reads the allocator's live stress map, so its
+walk allocates every launch as it is discovered (the *coupled* walk).
+Every other pipeline replays, vectorized, a schedule shared across all
+policies of the same pipeline — the lever that makes policy-sweep
+campaigns cheap. Replay hands the policy the whole launch sequence as
+segment plans
 (:meth:`~repro.core.policy.AllocationPolicy.plan_segments`), so even
 stress-searching policies replay in a few vectorized passes per search
 interval rather than launch by launch.
@@ -31,7 +32,6 @@ from __future__ import annotations
 from repro import obs
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
-from repro.errors import ConfigurationError
 from repro.hw.energy import EnergyModel
 from repro.isa.program import Program
 from repro.sim.cpu import CPU
@@ -46,12 +46,6 @@ from repro.system.schedule import (
     shared_schedule,
 )
 from repro.system.stats import SystemResult
-
-#: ``run_trace`` execution modes: ``auto`` replays a shared schedule
-#: whenever the pipeline permits it, ``coupled`` forces the legacy
-#: interleaved walk, ``replay`` demands schedule sharing (raising for
-#: stress-coupled pipelines).
-RUN_MODES = ("auto", "coupled", "replay")
 
 
 class TransRecSystem:
@@ -70,49 +64,34 @@ class TransRecSystem:
 
     # ------------------------------------------------------------------
 
-    def run_program(self, program: Program, mode: str = "auto") -> SystemResult:
+    def run_program(self, program: Program) -> SystemResult:
         """Functionally execute ``program``, then time the trace."""
-        trace = CPU(program).run().trace
-        return self.run_trace(trace, mode=mode)
+        return self.run_trace(CPU(program).run().trace)
 
-    def run_trace(self, trace: Trace, mode: str = "auto") -> SystemResult:
+    def run_trace(self, trace: Trace) -> SystemResult:
         """Time ``trace`` on the stand-alone GPP and on TransRec.
 
-        Args:
-            trace: the committed trace to time.
-            mode: ``"auto"`` (default) replays the memoised shared
-                schedule unless the mapper is stress-coupled;
-                ``"coupled"`` forces the interleaved walk (every launch
-                allocated as it is discovered); ``"replay"`` forces
-                schedule sharing and raises for stress-coupled mappers.
-                All modes produce bit-identical results.
+        Stress-coupled pipelines take the coupled walk; every other
+        pipeline replays the memoised shared schedule under this
+        point's policy.
         """
-        if mode not in RUN_MODES:
-            raise ConfigurationError(
-                f"unknown run mode {mode!r}; available: {list(RUN_MODES)}"
+        if self.stress_coupled:
+            return self._run_coupled(trace)
+        obs.count("transrec.runs.replay")
+        schedule = shared_schedule(self.params, trace)
+        allocator = replay_schedule(schedule, self.geometry, self._policy())
+        return self._assemble(schedule, allocator, trace)
+
+    def _run_coupled(self, trace: Trace) -> SystemResult:
+        """The walk with every launch allocated as it is discovered (the
+        only path for stress-coupled pipelines; tests use it as the
+        reference that replay must match bit for bit)."""
+        obs.count("transrec.runs.coupled")
+        with obs.span("schedule.walk", trace=trace.name, coupled=True):
+            allocator = ConfigurationAllocator(self.geometry, self._policy())
+            schedule = compute_schedule(
+                self.params, trace, allocator=allocator
             )
-        coupled = self.stress_coupled
-        if mode == "replay" and coupled:
-            raise ConfigurationError(
-                f"mapper {self.params.mapper!r} is stress-coupled; its "
-                "launch stream depends on the allocation policy, so "
-                "schedule replay would diverge — use mode='coupled'"
-            )
-        if mode == "coupled" or coupled:
-            obs.count("transrec.runs.coupled")
-            with obs.span(
-                "schedule.walk", trace=trace.name, coupled=True
-            ):
-                allocator = ConfigurationAllocator(
-                    self.geometry, self._policy()
-                )
-                schedule = compute_schedule(
-                    self.params, trace, allocator=allocator
-                )
-        else:
-            obs.count("transrec.runs.replay")
-            schedule = shared_schedule(self.params, trace)
-            allocator = replay_schedule(schedule, self.geometry, self._policy())
         return self._assemble(schedule, allocator, trace)
 
     # ------------------------------------------------------------------

@@ -184,66 +184,9 @@ class TestRunner:
         )
 
 
-class TestScheduleCacheDir:
-    """CampaignRunner(schedule_cache_dir=...): cross-process schedule
-    reuse through the on-disk pickle cache, bit-identical either way."""
-
-    def _spec(self):
-        return small_spec(
-            geometries=((2, 8),),
-            workloads=("bitcount",),
-            policies=(
-                PolicySpec.make("baseline"),
-                PolicySpec.make("stress_aware", interval=3),
-            ),
-        )
-
-    def test_cache_populated_and_bit_identical(self, tmp_path):
-        from repro.system import clear_schedule_caches
-
-        spec = self._spec()
-        clear_schedule_caches()
-        cold = CampaignRunner(schedule_cache_dir=tmp_path).run(spec)
-        cache_files = list(tmp_path.glob("*.pkl"))
-        assert len(cache_files) == 1  # one pipeline, one workload
-        clear_schedule_caches()
-        warm = CampaignRunner(schedule_cache_dir=tmp_path).run(spec)
-        uncached = CampaignRunner().run(spec)
-        for point in spec.design_points():
-            for name in cold.runs[point].results:
-                for other in (warm, uncached):
-                    a = cold.runs[point].results[name]
-                    b = other.runs[point].results[name]
-                    assert a.transrec_cycles == b.transrec_cycles
-                    np.testing.assert_array_equal(
-                        a.tracker.execution_counts,
-                        b.tracker.execution_counts,
-                    )
-
-    def test_pool_workers_share_disk_cache(self, tmp_path):
-        from repro.system import clear_schedule_caches
-
-        spec = self._spec()
-        serial = CampaignRunner().run(spec)
-        # Drop the in-memory memo before forking, or the workers
-        # inherit the serial run's walks and never touch the disk.
-        clear_schedule_caches()
-        pooled = CampaignRunner(
-            max_workers=2, schedule_cache_dir=tmp_path
-        ).run(spec)
-        assert list(tmp_path.glob("*.pkl"))  # workers wrote the walks
-        for point in spec.design_points():
-            for name in serial.runs[point].results:
-                np.testing.assert_array_equal(
-                    serial.runs[point].results[name].tracker.execution_counts,
-                    pooled.runs[point].results[name].tracker.execution_counts,
-                )
-
-    def test_runner_does_not_leak_cache_setting(self, tmp_path):
-        from repro.system import schedule_cache_dir
-
-        CampaignRunner(schedule_cache_dir=tmp_path).run(self._spec())
-        assert schedule_cache_dir() is None
+class TestGroupBalancing:
+    """``CampaignRunner._balanced_groups``: splitting schedule groups to
+    fill the pool."""
 
     def test_granularity_weighted_balancing_covers_all_points(self):
         spec = small_spec(

@@ -1,5 +1,5 @@
-"""Fleet subsystem gates: spec determinism, store merge laws,
-checkpoint bit-identity, and runner resume.
+"""Fleet subsystem gates: spec determinism, store merge laws and
+runner resume.
 
 The invariants pinned here are the ones the fleet service's
 correctness rests on (see :mod:`repro.fleet`):
@@ -11,8 +11,7 @@ correctness rests on (see :mod:`repro.fleet`):
   tolerance);
 * streaming percentiles agree with dense ``np.percentile`` within the
   histogram's documented ~2.3% bin-ratio bound;
-* the store survives torn/corrupt/foreign lines; checkpoints
-  round-trip tracker state **bit-exactly** and fail safe when damaged;
+* the store survives torn/corrupt/foreign lines;
 * a killed-and-resumed run merges **bit-identically** to an
   uninterrupted one;
 * shard expansion keeps only the cells that can be a device's worst
@@ -26,7 +25,6 @@ correctness rests on (see :mod:`repro.fleet`):
 from __future__ import annotations
 
 import json
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -38,7 +36,7 @@ from repro.aging.lifetime import device_lifetimes, survival_counts
 from repro.aging.nbti import NBTIModel
 from repro.campaign.spec import PolicySpec
 from repro.cgra.fabric import FabricGeometry
-from repro.core.utilization import UtilizationTracker
+from repro.core.policy import make_policy
 from repro.errors import ConfigurationError
 from repro.fleet import (
     GENERATION_BLOCK,
@@ -48,19 +46,18 @@ from repro.fleet import (
     ShardRecord,
     expand_shard,
     lifetime_histogram,
-    load_tracker,
     merge_records,
-    save_tracker,
 )
-from repro.fleet.checkpoint import CHECKPOINT_VERSION
 from repro.fleet.runner import worst_cell_candidates, worst_cell_stress
 from repro.fleet.store import HIST_BINS, HIST_HI, HIST_LO
+from repro.system.params import SystemParams
 from repro.system.scenarios import (
     TRAFFIC_SCENARIOS,
     TrafficScenario,
     traffic_scenario,
 )
-from repro.workloads.suite import workload_names
+from repro.system.schedule import replay_schedule, shared_schedule
+from repro.workloads.suite import run_workload, workload_names
 
 MISSION = (1.0, 3.0, 10.0)
 
@@ -313,7 +310,7 @@ def test_one_candidate_profile_keeps_the_sequential_order(n_workloads):
     )
 
 
-def test_stress_profiles_keep_the_pareto_columns(tmp_path):
+def test_stress_profiles_keep_the_pareto_columns():
     spec = _spec(
         policies=(
             PolicySpec.make("baseline"),
@@ -321,12 +318,18 @@ def test_stress_profiles_keep_the_pareto_columns(tmp_path):
             PolicySpec.make("stress_aware"),
         )
     )
-    runner = FleetRunner(checkpoint_dir=tmp_path)
-    profiles = runner.stress_profiles(spec)
+    profiles = FleetRunner().stress_profiles(spec)
+    geometry = FabricGeometry(rows=spec.rows, cols=spec.cols)
     for policy in spec.policies:
         full = np.stack([
-            load_tracker(runner._checkpoint_path(spec, policy, workload))
-            .execution_counts.ravel()
+            replay_schedule(
+                shared_schedule(
+                    SystemParams(geometry=geometry), run_workload(workload)
+                ),
+                geometry,
+                make_policy(policy.name, **policy.as_kwargs()),
+            )
+            .tracker.execution_counts.ravel()
             .astype(float)
             for workload in spec.workloads
         ])
@@ -487,73 +490,6 @@ def test_store_skips_torn_corrupt_and_foreign_lines(tmp_path):
     assert empty_records == [] and empty_skips.total == 0
 
 
-# -- checkpoint ------------------------------------------------------------
-
-
-def _stressed_tracker(ctx_lines=None):
-    tracker = UtilizationTracker(
-        FabricGeometry(rows=3, cols=4, ctx_lines=ctx_lines)
-    )
-    tracker.record(7, ((0, 1), (1, 2)), cycles=3)
-    tracker.record(7, ((0, 1), (2, 3)), cycles=2)
-    tracker.record(11, ((2, 0),), cycles=5)
-    return tracker
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    for ctx_lines in (None, 9):
-        tracker = _stressed_tracker(ctx_lines)
-        path = tmp_path / f"t{ctx_lines}.ckpt"
-        assert save_tracker(path, tracker) == path
-        restored = load_tracker(path)
-        assert restored is not None
-        assert restored.geometry == tracker.geometry
-        assert np.array_equal(
-            restored.execution_counts, tracker.execution_counts
-        )
-        assert np.array_equal(restored.cycle_counts, tracker.cycle_counts)
-        assert restored.total_executions == tracker.total_executions
-        assert restored.total_cycles == tracker.total_cycles
-        assert restored.config_footprints == tracker.config_footprints
-
-
-def test_checkpoint_restore_then_accrue_matches_uninterrupted(tmp_path):
-    """The resume contract: checkpoint, restore, keep recording — the
-    final state matches never having checkpointed at all."""
-    continuous = _stressed_tracker()
-    path = tmp_path / "mid.ckpt"
-    save_tracker(path, _stressed_tracker())
-    resumed = load_tracker(path)
-    for tracker in (continuous, resumed):
-        tracker.record(13, ((1, 1), (1, 2)), cycles=4)
-    assert np.array_equal(
-        resumed.execution_counts, continuous.execution_counts
-    )
-    assert resumed.config_footprints == continuous.config_footprints
-
-
-def test_checkpoint_damage_loads_as_none(tmp_path):
-    assert load_tracker(tmp_path / "missing.ckpt") is None
-    garbage = tmp_path / "garbage.ckpt"
-    garbage.write_bytes(b"\x00\x01not a pickle")
-    assert load_tracker(garbage) is None
-    truncated = tmp_path / "truncated.ckpt"
-    save_tracker(truncated, _stressed_tracker())
-    truncated.write_bytes(truncated.read_bytes()[:20])
-    assert load_tracker(truncated) is None
-    stale = tmp_path / "stale.ckpt"
-    state = _stressed_tracker().export_state()
-    stale.write_bytes(pickle.dumps((CHECKPOINT_VERSION + 1, state)))
-    assert load_tracker(stale) is None
-
-
-def test_tracker_restore_rejects_shape_mismatch():
-    state = _stressed_tracker().export_state()
-    other = UtilizationTracker(FabricGeometry(rows=2, cols=2))
-    with pytest.raises(ConfigurationError, match="shape"):
-        other.restore_state(state)
-
-
 # -- runner ----------------------------------------------------------------
 
 
@@ -595,15 +531,6 @@ def test_runner_parallel_matches_serial():
     serial = FleetRunner().run(spec)
     parallel = FleetRunner(max_workers=2).run(spec)
     assert _policy_payloads(serial) == _policy_payloads(parallel)
-
-
-def test_runner_checkpoint_reuse_matches_fresh_replay(tmp_path):
-    spec = _spec(n_devices=64, devices_per_shard=64)
-    ckpt = tmp_path / "ckpt"
-    first = FleetRunner(checkpoint_dir=ckpt).run(spec)
-    assert list(ckpt.glob("*.ckpt")), "no checkpoints written"
-    second = FleetRunner(checkpoint_dir=ckpt).run(spec)
-    assert _policy_payloads(first) == _policy_payloads(second)
 
 
 def test_fleet_result_lookup_errors():

@@ -36,7 +36,6 @@ from repro.system import (
     clear_schedule_caches,
     compute_schedule,
     schedule_key,
-    set_schedule_cache_dir,
     shared_schedule,
 )
 from repro.workloads.suite import run_workload
@@ -303,8 +302,8 @@ class TestReplayEquivalenceWithFrontEnd:
                 policy_kwargs=make_kwargs(),
                 frontend=IRQ_SPEC,
             )
-        coupled = TransRecSystem(params()).run_trace(trace, mode="coupled")
-        replayed = TransRecSystem(params()).run_trace(trace, mode="replay")
+        coupled = TransRecSystem(params())._run_coupled(trace)
+        replayed = TransRecSystem(params()).run_trace(trace)
         assert_results_identical(coupled, replayed)
         assert coupled.cgra.wrong_path_launches > 0
 
@@ -330,39 +329,6 @@ class TestScheduleKeysAndCaches:
         speculative = shared_schedule(spec_params, trace)
         assert clean is not speculative
         assert shared_schedule(spec_params, trace) is speculative
-
-    def test_disk_cache_does_not_alias_frontends(self, tmp_path):
-        trace = run_workload("bitcount")
-        base = SystemParams(geometry=GEOMETRY)
-        params_a = dataclasses.replace(
-            base, frontend=FrontEndSpec.make("btfn")
-        )
-        params_b = dataclasses.replace(
-            base, frontend=FrontEndSpec.make("bimodal")
-        )
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            first_a = shared_schedule(params_a, trace)
-            first_b = shared_schedule(params_b, trace)
-            files = list(tmp_path.glob("*.pkl"))
-            assert len(files) == 2  # clean/frontend pipelines never share
-            clear_schedule_caches()
-            second_a = shared_schedule(params_a, trace)
-            second_b = shared_schedule(params_b, trace)
-            assert second_a.transrec_cycles == first_a.transrec_cycles
-            assert second_b.transrec_cycles == first_b.transrec_cycles
-            assert (
-                second_a.cgra.frontend_mispredicts
-                == first_a.cgra.frontend_mispredicts
-            )
-            assert (
-                second_b.cgra.frontend_mispredicts
-                == first_b.cgra.frontend_mispredicts
-            )
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
 
 
 class TestCampaignAxis:

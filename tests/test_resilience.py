@@ -155,7 +155,6 @@ def test_fault_env_rejects_bad_json():
 
 def test_no_plan_is_a_noop():
     faults.maybe_fire("task.error")  # must not raise
-    assert faults.corrupt_bytes("checkpoint.corrupt", b"data") == b"data"
 
 
 def test_task_error_fires_match_and_budget():
@@ -186,15 +185,6 @@ def test_inline_crash_raises_instead_of_exiting():
             faults.maybe_fire("worker.crash")
     finally:
         faults.set_inline(False)
-
-
-def test_corrupt_bytes_damages_payload():
-    faults.activate(FaultPlan.single("checkpoint.corrupt"))
-    data = b"x" * 100
-    corrupted = faults.corrupt_bytes("checkpoint.corrupt", data)
-    assert corrupted != data
-    # budget exhausted: subsequent writes are clean
-    assert faults.corrupt_bytes("checkpoint.corrupt", data) == data
 
 
 def _rate_fire_pattern():
@@ -361,17 +351,20 @@ def test_campaign_bit_identical_under_injected_faults():
 
 def test_campaign_surfaces_quarantined_groups(tmp_path):
     spec = _campaign_spec()
+    points = spec.design_points()
+    runner = CampaignRunner(
+        max_workers=2, retry=_fast_retry(), artifact_dir=tmp_path
+    )
+    # Both points share one schedule group, which the runner splits into
+    # one payload per worker: only group 0 dies.
+    groups = runner._balanced_groups(runner.schedule_groups(points), 2, points)
+    assert groups == [[0], [1]]
     faults.activate(
         FaultPlan.single(
             "task.error", match="group:0", times=None, max_attempt=None
         )
     )
-    result = CampaignRunner(
-        max_workers=2,
-        retry=_fast_retry(),
-        artifact_dir=tmp_path,
-        share_schedules=False,  # one group per point: only group 0 dies
-    ).run(spec)
+    result = runner.run(spec)
     assert result.failures, "expected a quarantined group"
     assert len(result.runs) == len(spec.design_points()) - 1
     failed_points = result.failures[0].detail["points"]
@@ -482,26 +475,6 @@ def test_fleet_summary_reports_skip_breakdown(tmp_path):
         "total": 3,
     }
     assert summary["failures"] == []
-
-
-def test_fleet_checkpoint_corruption_recomputes_bit_identically(tmp_path):
-    spec = _fleet_spec()
-    reference = FleetRunner().run(spec)
-    faults.activate(
-        FaultPlan.single("checkpoint.corrupt", times=None, max_attempt=None)
-    )
-    result = FleetRunner(checkpoint_dir=tmp_path / "ckpt").run(spec)
-    assert _fleet_payload(result) == _fleet_payload(reference)
-    faults.deactivate()
-    # every checkpoint was corrupted on disk: a re-run must recompute
-    # (load -> None) and still agree
-    with obs.telemetry():
-        obs.reset()
-        rerun = FleetRunner(checkpoint_dir=tmp_path / "ckpt").run(spec)
-        counters = dict(obs.state.counters)
-        obs.reset()
-    assert counters.get("fleet.checkpoint.corrupt", 0) > 0
-    assert _fleet_payload(rerun) == _fleet_payload(reference)
 
 
 def test_fleet_parallel_equals_serial_under_crash():

@@ -2,12 +2,14 @@
 
 The two-phase simulation (one policy-independent
 :class:`~repro.system.schedule.LaunchSchedule` walk + vectorized
-policy replay) must be *bit-identical* to the legacy interleaved walk:
-same cycles, same fabric/cache counters, same tracker matrices, same
-energy floats — for every allocation policy, on every workload of the
-verified suite. Stress-coupled pipelines (annealing with live stress
-feedback) must refuse to share schedules; a decoupled annealing
-configuration (zero stress weight) must share and stay exact.
+policy replay) must be *bit-identical* to the coupled walk
+(``TransRecSystem._run_coupled``, every launch allocated as it is
+discovered): same cycles, same fabric/cache counters, same tracker
+matrices, same energy floats — for every allocation policy, on every
+workload of the verified suite. Stress-coupled pipelines (annealing
+with live stress feedback) must refuse to share schedules; a
+decoupled annealing configuration (zero stress weight) must share and
+stay exact.
 """
 
 import dataclasses
@@ -29,9 +31,7 @@ from repro.system import (
     clear_schedule_caches,
     compute_schedule,
     replay_schedule,
-    schedule_cache_dir,
     schedule_key,
-    set_schedule_cache_dir,
     shared_schedule,
 )
 from repro.system.schedule import gpp_reference, params_stress_coupled
@@ -121,24 +121,17 @@ class TestReplayEquivalence:
     ):
         trace = run_workload(workload)
         params = make_params(policy_name, make_kwargs)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
+        coupled = TransRecSystem(params)._run_coupled(trace)
         params = make_params(policy_name, make_kwargs)
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
 
-    def test_auto_mode_matches_coupled(self):
+    def test_run_trace_matches_coupled(self):
         trace = run_workload("sha")
         params = make_params("rotation", dict)
-        auto = TransRecSystem(params).run_trace(trace)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        assert_results_identical(coupled, auto)
-
-    def test_unknown_mode_rejected(self):
-        params = make_params("baseline", dict)
-        with pytest.raises(ConfigurationError, match="unknown run mode"):
-            TransRecSystem(params).run_trace(
-                run_workload("bitcount"), mode="vectorized"
-            )
+        replayed = TransRecSystem(params).run_trace(trace)
+        coupled = TransRecSystem(params)._run_coupled(trace)
+        assert_results_identical(coupled, replayed)
 
     @settings(deadline=None, max_examples=8)
     @given(
@@ -150,8 +143,8 @@ class TestReplayEquivalence:
         params = SystemParams(
             geometry=GEOMETRY, policy="random", policy_kwargs={"seed": seed}
         )
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        coupled = TransRecSystem(params)._run_coupled(trace)
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
 
 
@@ -334,80 +327,6 @@ class TestLegacyPolicyReplay:
         )
 
 
-class TestDiskScheduleCache:
-    def _params(self):
-        return SystemParams(geometry=GEOMETRY, policy="rotation")
-
-    def test_round_trip_skips_recompute(self, tmp_path, monkeypatch):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            first = shared_schedule(self._params(), trace)
-            files = list(tmp_path.glob("*.pkl"))
-            assert len(files) == 1
-            clear_schedule_caches()
-            # A cold process must load the pickle, not walk again.
-            monkeypatch.setattr(
-                "repro.system.schedule.compute_schedule",
-                lambda *args, **kwargs: pytest.fail(
-                    "disk-cached schedule was recomputed"
-                ),
-            )
-            second = shared_schedule(self._params(), trace)
-            assert second.transrec_cycles == first.transrec_cycles
-            assert second.n_launches == first.n_launches
-            np.testing.assert_array_equal(
-                second.exec_cycles, first.exec_cycles
-            )
-            # Replays of the loaded schedule equal replays of the
-            # walked one.
-            a = replay_schedule(first, GEOMETRY, make_policy("rotation"))
-            b = replay_schedule(second, GEOMETRY, make_policy("rotation"))
-            np.testing.assert_array_equal(
-                a.tracker.execution_counts, b.tracker.execution_counts
-            )
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_corrupt_cache_file_recomputed(self, tmp_path):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            first = shared_schedule(self._params(), trace)
-            for path in tmp_path.glob("*.pkl"):
-                path.write_bytes(b"not a pickle")
-            clear_schedule_caches()
-            second = shared_schedule(self._params(), trace)
-            assert second.transrec_cycles == first.transrec_cycles
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_distinct_pipelines_get_distinct_files(self, tmp_path):
-        trace = run_workload("bitcount")
-        previous = set_schedule_cache_dir(tmp_path)
-        try:
-            clear_schedule_caches()
-            shared_schedule(self._params(), trace)
-            shared_schedule(
-                SystemParams(geometry=FabricGeometry(rows=2, cols=16)),
-                trace,
-            )
-            assert len(list(tmp_path.glob("*.pkl"))) == 2
-        finally:
-            set_schedule_cache_dir(previous)
-            clear_schedule_caches()
-
-    def test_cache_disabled_by_default(self, tmp_path):
-        assert schedule_cache_dir() is None
-        clear_schedule_caches()
-        shared_schedule(self._params(), run_workload("bitcount"))
-        assert list(tmp_path.glob("*.pkl")) == []
-
-
 class TestStressCoupling:
     def test_annealing_is_stress_coupled(self):
         params = SystemParams(
@@ -425,10 +344,14 @@ class TestStressCoupling:
             mapper="annealing",
             mapper_kwargs={"seed": 0},
         )
+        schedule = compute_schedule(
+            params,
+            run_workload("bitcount"),
+            allocator=ConfigurationAllocator(GEOMETRY, make_policy("rotation")),
+        )
+        assert schedule.stress_coupled
         with pytest.raises(ConfigurationError, match="stress-coupled"):
-            TransRecSystem(params).run_trace(
-                run_workload("bitcount"), mode="replay"
-            )
+            replay_schedule(schedule, GEOMETRY, make_policy("baseline"))
 
     def test_compute_schedule_refuses_stress_coupled_without_allocator(self):
         params = SystemParams(
@@ -439,7 +362,7 @@ class TestStressCoupling:
         with pytest.raises(ConfigurationError, match="stress-coupled"):
             compute_schedule(params, run_workload("bitcount"))
 
-    def test_stress_coupled_auto_equals_coupled(self):
+    def test_stress_coupled_run_trace_takes_the_coupled_walk(self):
         trace = run_workload("bitcount")
         params = SystemParams(
             geometry=GEOMETRY,
@@ -447,9 +370,9 @@ class TestStressCoupling:
             mapper="annealing",
             mapper_kwargs={"seed": 3},
         )
-        auto = TransRecSystem(params).run_trace(trace)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        assert_results_identical(coupled, auto)
+        result = TransRecSystem(params).run_trace(trace)
+        coupled = TransRecSystem(params)._run_coupled(trace)
+        assert_results_identical(coupled, result)
 
     def test_zero_stress_weight_annealing_shares_schedules(self):
         trace = run_workload("bitcount")
@@ -460,8 +383,8 @@ class TestStressCoupling:
             mapper_kwargs={"seed": 0, "stress_weight": 0.0},
         )
         assert not params_stress_coupled(params)
-        coupled = TransRecSystem(params).run_trace(trace, mode="coupled")
-        replayed = TransRecSystem(params).run_trace(trace, mode="replay")
+        coupled = TransRecSystem(params)._run_coupled(trace)
+        replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
 
 
@@ -540,12 +463,6 @@ class TestCampaignGrouping:
         assert len(groups) == 1
         assert sorted(groups[0]) == list(range(len(points)))
 
-    def test_share_schedules_false_is_all_singletons(self):
-        spec = self._spec()
-        points = spec.design_points()
-        groups = CampaignRunner(share_schedules=False).schedule_groups(points)
-        assert groups == [[index] for index in range(len(points))]
-
     def test_stress_coupled_points_get_singleton_groups(self):
         spec = CampaignSpec(
             geometries=((4, 8),),
@@ -578,14 +495,17 @@ class TestCampaignGrouping:
     def test_grouped_campaign_bit_identical_to_coupled(self):
         spec = self._spec()
         shared = CampaignRunner().run(spec)
-        coupled = CampaignRunner(share_schedules=False).run(spec)
         for point in spec.design_points():
-            run_a = shared.runs[point]
-            run_b = coupled.runs[point]
-            for name in run_a.results:
-                assert_results_identical(
-                    run_b.results[name], run_a.results[name]
+            params = SystemParams(
+                geometry=FabricGeometry(rows=point.rows, cols=point.cols),
+                policy=point.policy.name,
+                policy_kwargs=point.policy.as_kwargs(),
+            )
+            for name, result in shared.runs[point].results.items():
+                coupled = TransRecSystem(params)._run_coupled(
+                    run_workload(name)
                 )
+                assert_results_identical(coupled, result)
 
     def test_parallel_grouped_campaign_matches_serial(self):
         spec = self._spec()

@@ -1,4 +1,4 @@
-"""Conservation and ordering laws of the Phase A walk.
+"""Conservation and ordering laws of the Phase A walk and Phase B replay.
 
 Checked from each schedule's own records, independently of any
 reference walk: launch counts agree across the three places that hold
@@ -6,18 +6,30 @@ them, execution cycles and active columns are what the launched units
 imply, op-kind and GPP-class counts are what the launched units and the
 GPP segments contain — in first-occurrence order, because the energy
 model sums their floats in dict order — and committed work plus GPP
-work covers the trace exactly once.
+work covers the trace exactly once. The utilization tracker a replay
+(or the stress-coupled walk) fills holds exactly the stress the
+schedule's launches put on the fabric: launches, cycles, per-cell
+counts and per-config footprints.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cgra.fabric import FabricGeometry
+from repro.core.allocator import ConfigurationAllocator
+from repro.core.policy import make_policy
 from repro.frontend import FrontEndSpec
 from repro.frontend.speculative import speculative_trace
-from repro.system import SystemParams, compute_schedule
+from repro.system import (
+    SystemParams,
+    compute_schedule,
+    replay_schedule,
+    shared_schedule,
+)
 from repro.workloads.suite import run_workload, workload_names
+from tests.test_schedule_equivalence import GEOMETRY, POLICIES
 
 GEOMETRIES = ((2, 16), (4, 32), (8, 24))
 FRONTENDS = (None, FrontEndSpec.make("bimodal", interrupt_rate=0.0005, seed=7))
@@ -84,3 +96,70 @@ def test_walk_conservation(name, rows, cols, frontend):
             == len(trace)
         )
 
+
+def _assert_tracker_conserves(schedule, tracker):
+    """The tracker's stress is exactly what the schedule launched."""
+    configs = schedule.configs
+    exec_cycles = [int(cycles) for cycles in schedule.exec_cycles]
+    assert configs, "every suite workload launches on the fabric"
+    assert (
+        tracker.total_executions
+        == schedule.n_launches
+        == schedule.cgra.launches
+    )
+    assert tracker.total_cycles == sum(exec_cycles)
+    assert int(tracker.execution_counts.sum()) == sum(
+        len(unit.cells) for unit in configs
+    )
+    assert int(tracker.cycle_counts.sum()) == sum(
+        len(unit.cells) * cycles for unit, cycles in zip(configs, exec_cycles)
+    )
+    footprints = tracker.config_footprints
+    stressed = {
+        (int(row), int(col))
+        for row, col in zip(*np.nonzero(tracker.execution_counts))
+    }
+    assert set().union(*footprints.values()) == stressed
+    assert set(footprints) == {unit.start_pc for unit in configs}
+
+
+@pytest.mark.parametrize(
+    "policy_name,make_kwargs",
+    POLICIES,
+    ids=(
+        "baseline",
+        "random",
+        "rotation",
+        "stress_aware",
+        "stress_aware-sensor",
+        "static_remap",
+    ),
+)
+@pytest.mark.parametrize("name", workload_names())
+def test_replay_conservation(name, policy_name, make_kwargs):
+    schedule = shared_schedule(
+        SystemParams(geometry=GEOMETRY), run_workload(name)
+    )
+    allocator = replay_schedule(
+        schedule, GEOMETRY, make_policy(policy_name, **make_kwargs())
+    )
+    _assert_tracker_conserves(schedule, allocator.tracker)
+
+
+@pytest.mark.parametrize(
+    "policy_name,policy_kwargs",
+    (("rotation", {}), ("stress_aware", {"interval": 8})),
+    ids=("rotation", "stress_aware"),
+)
+@pytest.mark.parametrize("name", ("bitcount", "crc32", "sha"))
+def test_coupled_walk_conservation(name, policy_name, policy_kwargs):
+    geometry = FabricGeometry(rows=2, cols=16)
+    params = SystemParams(
+        geometry=geometry, mapper="annealing", mapper_kwargs={"seed": 0}
+    )
+    allocator = ConfigurationAllocator(
+        geometry, make_policy(policy_name, **policy_kwargs)
+    )
+    schedule = compute_schedule(params, run_workload(name), allocator=allocator)
+    assert schedule.stress_coupled
+    _assert_tracker_conserves(schedule, allocator.tracker)
