@@ -13,34 +13,17 @@ the closed form ``lifetime(u) = 3 years / u`` and, consequently,
 paper's Table I numbers compose.
 """
 
-from repro.aging.guardband import guardband_for_lifetime, lifetime_under_guardband
-from repro.aging.history import StressHistory
 from repro.aging.lifetime import (
     delay_curve,
     lifetime_improvement,
     lifetime_years,
 )
 from repro.aging.nbti import HOURS_PER_YEAR, NBTIModel
-from repro.aging.sensor import SensorArray
-from repro.aging.thermal import (
-    ThermalModel,
-    thermal_lifetime_improvement,
-    thermal_lifetime_map,
-    thermal_lifetime_years,
-)
 
 __all__ = [
     "HOURS_PER_YEAR",
     "NBTIModel",
-    "SensorArray",
-    "StressHistory",
-    "ThermalModel",
-    "thermal_lifetime_improvement",
-    "thermal_lifetime_map",
-    "thermal_lifetime_years",
     "delay_curve",
-    "guardband_for_lifetime",
     "lifetime_improvement",
-    "lifetime_under_guardband",
     "lifetime_years",
 ]

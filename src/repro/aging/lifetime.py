@@ -53,30 +53,6 @@ def delay_curve(
     )
 
 
-def failure_order(
-    model: NBTIModel, utilizations: np.ndarray, threshold: float | None = None
-) -> np.ndarray:
-    """Per-FU time-to-failure (years), same shape as ``utilizations``.
-
-    One batched model call over the whole matrix — useful for studying
-    how many FUs survive a given mission time and which region of the
-    fabric dies first.
-    """
-    return np.asarray(model.years_to_degradation(utilizations, threshold))
-
-
-def surviving_fraction(
-    model: NBTIModel,
-    utilizations: np.ndarray,
-    mission_years: float,
-    threshold: float | None = None,
-) -> float:
-    """Fraction of FUs still within the delay budget after
-    ``mission_years``."""
-    lifetimes = failure_order(model, utilizations, threshold)
-    return float((lifetimes > mission_years).mean())
-
-
 def device_lifetimes(
     model: NBTIModel,
     worst_utilizations: np.ndarray,

@@ -2,11 +2,10 @@
 
 from repro.analysis.distribution import gini, histogram, text_histogram
 from repro.analysis.heatmap import render_heatmap
-from repro.analysis.report import compare_report, run_report
+from repro.analysis.report import run_report
 from repro.analysis.tables import render_table
 
 __all__ = [
-    "compare_report",
     "gini",
     "histogram",
     "render_heatmap",

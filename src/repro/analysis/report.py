@@ -63,35 +63,3 @@ def run_report(
         sections.extend(["", render_heatmap(tracker.utilization())])
     return "\n".join(sections)
 
-
-def compare_report(
-    baseline: SystemResult,
-    proposed: SystemResult,
-    model: NBTIModel | None = None,
-) -> str:
-    """Side-by-side summary of two runs of the same trace (the
-    baseline-vs-proposed comparison of the paper's Section V)."""
-    model = model if model is not None else NBTIModel()
-    base_worst = baseline.tracker.max_utilization()
-    prop_worst = proposed.tracker.max_utilization()
-    base_life = lifetime_years(model, base_worst)
-    prop_life = lifetime_years(model, prop_worst)
-    rows = [
-        ("speedup", f"{baseline.speedup:.2f}x", f"{proposed.speedup:.2f}x"),
-        ("energy ratio", f"{baseline.energy_ratio:.2f}",
-         f"{proposed.energy_ratio:.2f}"),
-        ("worst FU utilization", f"{base_worst * 100:.1f}%",
-         f"{prop_worst * 100:.1f}%"),
-        ("mean FU utilization",
-         f"{baseline.tracker.mean_utilization() * 100:.1f}%",
-         f"{proposed.tracker.mean_utilization() * 100:.1f}%"),
-        ("lifetime (years)", f"{base_life:.1f}", f"{prop_life:.1f}"),
-    ]
-    from repro.analysis.tables import render_table
-
-    table = render_table(
-        ("metric", "baseline", "proposed"), rows,
-        title=f"baseline vs proposed: {baseline.name or 'workload'}",
-    )
-    improvement = prop_life / base_life if base_life else float("inf")
-    return table + f"\nlifetime improvement: {improvement:.2f}x"

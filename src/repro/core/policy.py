@@ -216,10 +216,10 @@ def min_stress_index(counts_flat: np.ndarray, footprints: np.ndarray) -> int:
     """Candidate footprint minimising ``(max stress, total stress)``.
 
     ``footprints`` is ``(n_candidates, n_cells)`` flat indices into
-    ``counts_flat``, the per-cell stress (integer execution counts or
-    float sensor readings). Ties on the max break towards the lower
-    sum, then the earlier candidate. Sums are taken only over the
-    candidates tied on the max.
+    ``counts_flat``, the per-cell stress (the stress-searching policies
+    pass the tracker's execution counts). Ties on the max break towards
+    the lower sum, then the earlier candidate. Sums are taken only over
+    the candidates tied on the max.
     """
     stress = counts_flat[footprints]
     maxima = stress.max(axis=1)

@@ -3,9 +3,10 @@
 Section VI: "As a future work, we will implement the improved rotation
 techniques and use run-time aging information to adapt the allocation
 strategy dynamically." This policy does exactly that: it reads the
-accumulated per-FU stress from the :class:`UtilizationTracker` (the
-run-time aging information an aging sensor would provide) and chooses
-the pivot that minimises the resulting worst-case stress.
+exact accumulated per-FU stress counts from the
+:class:`UtilizationTracker` (the run-time aging information the paper
+asks for) and chooses the pivot that minimises the resulting
+worst-case stress.
 
 A full ``W x L`` pivot search per launch is expensive, so the policy
 re-optimises every ``interval`` launches and follows the fabric-covering
@@ -42,25 +43,16 @@ class StressAwarePolicy(AllocationPolicy):
         interval: launches between full pivot searches (1 = search on
             every launch).
         pattern: fallback movement pattern between searches.
-        sensor: optional :class:`repro.aging.sensor.SensorArray`; when
-            given, the pivot search sees quantized/sampled readings
-            instead of oracle stress counters.
     """
 
     name = "stress_aware"
     plan_granularity = "interval"
 
-    def __init__(
-        self,
-        interval: int = 16,
-        pattern: str = "snake",
-        sensor=None,
-    ) -> None:
+    def __init__(self, interval: int = 16, pattern: str = "snake") -> None:
         if interval < 1:
             raise ValueError("interval must be >= 1")
         self.interval = interval
         self.pattern_name = pattern
-        self.sensor = sensor
         self._pattern: list[tuple[int, int]] = []
         self._pattern_array = np.empty((0, 2), dtype=np.int64)
         self._pattern_index: dict[tuple[int, int], int] = {}
@@ -85,8 +77,6 @@ class StressAwarePolicy(AllocationPolicy):
         self._position = 0
         self._launches = 0
         self._footprint_memo = {}
-        if self.sensor is not None:
-            self.sensor.reset()
 
     def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
         self._launches += 1
@@ -149,8 +139,6 @@ class StressAwarePolicy(AllocationPolicy):
         Ties break towards lower current totals, then pattern order, so
         behaviour is deterministic.
         """
-        if self.sensor is not None:
-            counts = self.sensor.read(counts)
         best = min_stress_index(
             np.asarray(counts).reshape(-1), self._pattern_footprints(config)
         )

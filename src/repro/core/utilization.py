@@ -20,6 +20,7 @@ import enum
 import numpy as np
 
 from repro.cgra.fabric import FabricGeometry
+from repro.errors import checked_ratio
 
 
 class Weighting(enum.Enum):
@@ -162,11 +163,16 @@ class UtilizationTracker:
         return self.utilization(weighting).ravel()
 
     def balance_ratio(self, weighting: Weighting = Weighting.EXECUTIONS) -> float:
-        """mean/max utilization — 1.0 means perfectly balanced stress."""
-        peak = self.max_utilization(weighting)
-        if peak == 0.0:
-            return 1.0
-        return self.mean_utilization(weighting) / peak
+        """mean/max utilization — 1.0 means perfectly balanced stress.
+
+        Raises:
+            ConfigurationError: when no stress was recorded (max 0).
+        """
+        return checked_ratio(
+            self.mean_utilization(weighting),
+            self.max_utilization(weighting),
+            "balance_ratio",
+        )
 
     @property
     def n_configs(self) -> int:

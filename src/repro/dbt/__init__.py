@@ -9,7 +9,7 @@ resulting configurations in a PC-indexed configuration cache.
 
 from repro.dbt.config_cache import ConfigCache, ConfigCacheStats
 from repro.dbt.dfg import build_dfg, critical_path_length
-from repro.dbt.scheduler import GreedyScheduler, SchedulerState
+from repro.dbt.scheduler import SchedulerState
 from repro.dbt.translator import DBTEngine, DBTLimits
 from repro.dbt.window import build_unit
 
@@ -18,7 +18,6 @@ __all__ = [
     "ConfigCacheStats",
     "DBTEngine",
     "DBTLimits",
-    "GreedyScheduler",
     "SchedulerState",
     "build_dfg",
     "build_unit",

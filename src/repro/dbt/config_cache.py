@@ -11,8 +11,7 @@ entries from different mappers can coexist without aliasing.
 
 Capacity is expressed in entries; the bit cost of one entry for a given
 fabric geometry is available from
-:class:`repro.cgra.reconfig.ReconfigLogicSpec` and surfaces in the SRAM
-area model.
+:class:`repro.cgra.reconfig.ReconfigLogicSpec`.
 """
 
 from __future__ import annotations

@@ -248,14 +248,3 @@ class SchedulerState:
     def peak_line_pressure(self) -> int:
         """Worst per-boundary context-line demand charged so far."""
         return self._lines.peak
-
-
-class GreedyScheduler:
-    """Thin factory so callers don't touch :class:`SchedulerState`."""
-
-    def __init__(self, geometry: FabricGeometry) -> None:
-        self.geometry = geometry
-
-    def new_state(self) -> SchedulerState:
-        """State for building one translation unit."""
-        return SchedulerState(self.geometry)

@@ -2,6 +2,8 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers
 can catch everything from this package with a single ``except`` clause.
+:func:`checked_ratio` is the one ratio helper that raises instead of
+guessing a value for a zero denominator.
 """
 
 from __future__ import annotations
@@ -65,3 +67,18 @@ class InjectedFaultError(ExecutionError):
 
 class MappingError(ReproError):
     """Raised when a mapper produces an illegal virtual configuration."""
+
+
+def checked_ratio(numerator: float, denominator: float, name: str) -> float:
+    """``numerator / denominator`` for the reported ratio ``name``.
+
+    Raises:
+        ConfigurationError: on a zero denominator — a 1.0 fallback
+            would silently report a degenerate run as parity.
+    """
+    if denominator == 0:
+        raise ConfigurationError(
+            f"{name} undefined: zero denominator (degenerate run) — a "
+            "1.0 fallback would silently report parity"
+        )
+    return numerator / denominator

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.analysis.heatmap import render_heatmap
 from repro.core.utilization import Weighting
+from repro.errors import checked_ratio
 from repro.experiments.common import SuiteRun, run_suite
 
 ROWS = 2
@@ -42,8 +43,9 @@ class Fig7Result:
     @property
     def flatness(self) -> float:
         """min/max of the proposed map (1.0 = perfectly flat)."""
-        peak = self.proposed_max
-        return float(self.proposed.min()) / peak if peak else 1.0
+        return checked_ratio(
+            float(self.proposed.min()), self.proposed_max, "flatness"
+        )
 
 
 def run(pattern: str = "snake") -> Fig7Result:

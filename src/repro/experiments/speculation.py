@@ -27,6 +27,7 @@ from repro.aging.nbti import NBTIModel
 from repro.analysis.tables import render_table
 from repro.campaign import CampaignRunner, CampaignSpec, PolicySpec, SuiteRun
 from repro.cgra.fabric import FabricGeometry
+from repro.errors import checked_ratio
 from repro.frontend import FrontEndSpec
 from repro.isa.instructions import InstrClass
 from repro.workloads.suite import run_workload
@@ -73,10 +74,11 @@ class SpeculationResult:
 
     def lifetime_ratio(self, policy: str, arm: str) -> float:
         """Arm lifetime / clean-stream lifetime under one policy."""
-        baseline = self.aging[policy]["clean"][1]
-        if baseline == 0.0:
-            return 1.0
-        return self.aging[policy][arm][1] / baseline
+        return checked_ratio(
+            self.aging[policy][arm][1],
+            self.aging[policy]["clean"][1],
+            "lifetime_ratio",
+        )
 
 
 def _arm_of(frontend: FrontEndSpec | None) -> str:

@@ -1,14 +1,13 @@
-"""Hardware cost models: area, cells, timing, energy, SRAM.
+"""Hardware cost models: area, cells, timing, energy.
 
 The paper synthesises an HDL prototype with Cadence RTL Compiler on
-NanGate's 15nm library and estimates caches with FinCACTI. Offline we
-replace that flow with structural gate-count models over a 15nm-class
-cell library: every fabric component (crossbars, ALUs, registers,
-reconfiguration logic, the proposed extensions) is expressed as cell
-counts, rolled up into area/leakage, and the per-column critical path
-is computed from cell delays. Absolute numbers are calibrated once
-against Table II's baseline; all *ratios* (the paper's actual claims)
-are structural.
+NanGate's 15nm library. Offline we replace that flow with structural
+gate-count models over a 15nm-class cell library: every fabric
+component (crossbars, ALUs, registers, reconfiguration logic, the
+proposed extensions) is expressed as cell counts, rolled up into
+area/leakage, and the per-column critical path is computed from cell
+delays. Absolute numbers are calibrated once against Table II's
+baseline; all *ratios* (the paper's actual claims) are structural.
 """
 
 from repro.hw.area import AreaBreakdown, CGRAAreaModel
@@ -23,7 +22,6 @@ from repro.hw.components import (
     rob,
 )
 from repro.hw.energy import EnergyModel, EnergyParams, EnergyReport
-from repro.hw.sram import SRAMModel
 from repro.hw.timing_model import ColumnTimingModel, TimingReport
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "EnergyModel",
     "EnergyParams",
     "EnergyReport",
-    "SRAMModel",
     "TimingReport",
     "alu32",
     "barrel_rotator",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.core.utilization import UtilizationTracker
 from repro.dbt.config_cache import ConfigCacheStats
-from repro.errors import ConfigurationError
+from repro.errors import checked_ratio
 from repro.gpp.timing import GPPTimingResult
 from repro.hw.energy import EnergyReport
 
@@ -75,17 +75,19 @@ class SystemResult:
             ConfigurationError: on a zero-cycle TransRec run — a 1.0
                 fallback would report a degenerate run as parity.
         """
-        return _ratio(self.gpp.cycles, self.transrec_cycles, "speedup")
+        return checked_ratio(self.gpp.cycles, self.transrec_cycles, "speedup")
 
     @property
     def exec_time_ratio(self) -> float:
         """TransRec runtime / GPP runtime (lower is faster)."""
-        return _ratio(self.transrec_cycles, self.gpp.cycles, "exec_time_ratio")
+        return checked_ratio(
+            self.transrec_cycles, self.gpp.cycles, "exec_time_ratio"
+        )
 
     @property
     def energy_ratio(self) -> float:
         """TransRec energy / GPP energy (lower is better)."""
-        return _ratio(
+        return checked_ratio(
             self.transrec_energy.total_pj,
             self.gpp_energy.total_pj,
             "energy_ratio",
@@ -97,12 +99,3 @@ class SystemResult:
         if self.instructions == 0:
             return 0.0
         return self.cgra.committed_instructions / self.instructions
-
-
-def _ratio(numerator: float, denominator: float, name: str) -> float:
-    if denominator == 0:
-        raise ConfigurationError(
-            f"{name} undefined: zero denominator (degenerate run) — a "
-            "1.0 fallback would silently report parity"
-        )
-    return numerator / denominator

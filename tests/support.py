@@ -58,3 +58,34 @@ def reset_rec_pcs(base: int = 0x1000) -> None:
     """Reset the automatic PC counter used by :func:`rec`."""
     global _NEXT_PC
     _NEXT_PC = base
+
+
+#: Every registered allocation policy with state-exercising kwargs,
+#: plus every other configuration an experiment runs: the ablation's
+#: raster and diagonal rotations, and stress_aware at the ablation's
+#: interval and at its default one. Entries are (name, kwargs factory);
+#: the equivalence and conservation tests run each one.
+POLICIES = (
+    ("baseline", dict),
+    ("random", lambda: {"seed": 11}),
+    ("rotation", lambda: {"pattern": "snake"}),
+    ("stress_aware", lambda: {"interval": 3}),
+    ("static_remap", dict),
+    ("rotation", lambda: {"pattern": "raster"}),
+    ("rotation", lambda: {"pattern": "diagonal"}),
+    ("stress_aware", lambda: {"interval": 8}),
+    ("stress_aware", dict),
+)
+
+#: Test ids of :data:`POLICIES`, in order.
+POLICY_IDS = (
+    "baseline",
+    "random",
+    "rotation",
+    "stress_aware",
+    "static_remap",
+    "rotation-raster",
+    "rotation-diagonal",
+    "stress_aware-interval8",
+    "stress_aware-default",
+)

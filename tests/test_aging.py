@@ -1,4 +1,4 @@
-"""Tests for the NBTI model, lifetime analysis and stress history."""
+"""Tests for the NBTI model and lifetime analysis."""
 
 import math
 
@@ -7,17 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aging.guardband import (
-    guardband_for_lifetime,
-    lifetime_under_guardband,
-)
-from repro.aging.history import StressHistory
 from repro.aging.lifetime import (
     delay_curve,
-    failure_order,
     lifetime_improvement,
     lifetime_years,
-    surviving_fraction,
 )
 from repro.aging.nbti import NBTIModel
 from repro.errors import ConfigurationError
@@ -143,71 +136,3 @@ class TestLifetime:
         proposed_years = lifetime_years(model, 0.411)
         assert baseline_years == pytest.approx(3.17, abs=0.01)
         assert proposed_years == pytest.approx(7.30, abs=0.01)
-
-    def test_failure_order_and_survival(self, model):
-        utilization = np.array([[1.0, 0.5], [0.25, 0.0]])
-        lifetimes = failure_order(model, utilization)
-        assert lifetimes[0, 0] == pytest.approx(3.0)
-        assert lifetimes[1, 1] == math.inf
-        assert surviving_fraction(model, utilization, 4.0) == 0.75
-
-
-class TestGuardband:
-    def test_round_trip(self, model):
-        guardband = guardband_for_lifetime(model, 0.8, 5.0)
-        assert lifetime_under_guardband(model, 0.8, guardband) == (
-            pytest.approx(5.0)
-        )
-
-    def test_larger_guardband_longer_life(self, model):
-        small = lifetime_under_guardband(model, 0.9, 0.05)
-        large = lifetime_under_guardband(model, 0.9, 0.10)
-        assert large > small
-
-    def test_validation(self, model):
-        with pytest.raises(ValueError):
-            guardband_for_lifetime(model, 0.5, -1.0)
-        with pytest.raises(ValueError):
-            lifetime_under_guardband(model, 0.5, 0.0)
-
-
-class TestStressHistory:
-    def test_effective_stress_accumulates(self):
-        history = StressHistory()
-        history.add_epoch(2.0, 0.5)
-        history.add_epoch(1.0, 1.0)
-        assert history.elapsed_years == 3.0
-        assert history.effective_stress_years == 2.0
-        assert history.equivalent_utilization() == pytest.approx(2 / 3)
-
-    def test_equivalent_to_constant_duty(self, model):
-        """Epochs at varying duty equal one epoch at the average duty."""
-        history = StressHistory()
-        history.add_epoch(1.5, 0.2)
-        history.add_epoch(1.5, 0.8)
-        constant = model.delay_increase(3.0, 0.5)
-        assert history.delay_increase(model) == pytest.approx(constant)
-
-    def test_remaining_years(self, model):
-        history = StressHistory()
-        history.add_epoch(1.5, 1.0)  # half the 3-year budget burned
-        assert history.remaining_years(model, 1.0) == pytest.approx(1.5)
-        assert history.remaining_years(model, 0.5) == pytest.approx(3.0)
-        assert history.remaining_years(model, 0.0) == math.inf
-
-    def test_exhausted_budget(self, model):
-        history = StressHistory()
-        history.add_epoch(5.0, 1.0)
-        assert history.remaining_years(model, 0.5) == 0.0
-
-    def test_validation(self):
-        history = StressHistory()
-        with pytest.raises(ValueError):
-            history.add_epoch(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            history.add_epoch(1.0, 2.0)
-
-    def test_empty_history(self, model):
-        history = StressHistory()
-        assert history.equivalent_utilization() == 0.0
-        assert history.delay_increase(model) == 0.0

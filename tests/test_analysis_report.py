@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import compare_report, run_report
+from repro.analysis.report import run_report
 from repro.cgra.fabric import FabricGeometry
 from repro.system.params import SystemParams
 from repro.system.transrec import TransRecSystem
@@ -10,47 +10,29 @@ from repro.workloads.suite import run_workload
 
 
 @pytest.fixture(scope="module")
-def runs():
-    trace = run_workload("bitcount")
-    geometry = FabricGeometry(rows=2, cols=16)
-    out = {}
-    for policy in ("baseline", "rotation"):
-        system = TransRecSystem(
-            SystemParams(geometry=geometry, policy=policy)
-        )
-        out[policy] = system.run_trace(trace)
-    return out
+def result():
+    params = SystemParams(
+        geometry=FabricGeometry(rows=2, cols=16), policy="baseline"
+    )
+    return TransRecSystem(params).run_trace(run_workload("bitcount"))
 
 
 class TestRunReport:
-    def test_contains_key_sections(self, runs):
-        report = run_report(runs["baseline"])
+    def test_contains_key_sections(self, result):
+        report = run_report(result)
         for keyword in (
             "performance", "energy", "fabric", "utilization",
             "aging projection", "speedup", "bitcount",
         ):
             assert keyword in report
 
-    def test_heatmap_optional(self, runs):
-        with_map = run_report(runs["baseline"], include_heatmap=True)
-        without = run_report(runs["baseline"], include_heatmap=False)
+    def test_heatmap_optional(self, result):
+        with_map = run_report(result, include_heatmap=True)
+        without = run_report(result, include_heatmap=False)
         assert len(with_map) > len(without)
         assert "C16" in with_map
         assert "C16" not in without
 
-    def test_numbers_render(self, runs):
-        report = run_report(runs["baseline"])
-        assert f"{runs['baseline'].instructions:,}" in report
-
-
-class TestCompareReport:
-    def test_side_by_side(self, runs):
-        report = compare_report(runs["baseline"], runs["rotation"])
-        assert "baseline" in report
-        assert "proposed" in report
-        assert "lifetime improvement" in report
-
-    def test_improvement_factor_positive(self, runs):
-        report = compare_report(runs["baseline"], runs["rotation"])
-        factor = float(report.rsplit(" ", 1)[-1].rstrip("x"))
-        assert factor > 1.0
+    def test_numbers_render(self, result):
+        report = run_report(result)
+        assert f"{result.instructions:,}" in report

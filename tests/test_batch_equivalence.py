@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aging.sensor import SensorArray
 from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
@@ -22,27 +21,10 @@ from repro.dbt.window import build_unit
 from repro.errors import AllocationError
 from repro.workloads.suite import run_workload, workload_names
 
+from tests.support import POLICIES
+
 ROWS, COLS = 4, 8
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
-
-#: Every registered allocation policy with state-exercising kwargs.
-#: Entries are (name, kwargs factory): stateful constructor arguments
-#: (the sensor) must be fresh per allocator, or the scalar and batched
-#: references would share mutable state.
-POLICIES = (
-    ("baseline", dict),
-    ("random", lambda: {"seed": 11}),
-    ("rotation", lambda: {"pattern": "snake"}),
-    ("stress_aware", lambda: {"interval": 3}),
-    (
-        "stress_aware",
-        lambda: {
-            "interval": 3,
-            "sensor": SensorArray(levels=8, sample_period=2),
-        },
-    ),
-    ("static_remap", dict),
-)
 
 
 def build_allocator(policy_name, make_kwargs):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aging.sensor import SensorArray
 from repro.cgra.fabric import FabricGeometry
 from repro.core.patterns import movement_pattern
 from repro.core.policy import (
@@ -74,9 +73,9 @@ class TestRotationStride:
 
 N_CELLS = 12
 
-#: Integer execution counts, and float sensor readings in multiples of
-#: 1/4 (so the oracle's Python sums are exact). Small ranges make ties
-#: on the max and on the sum common.
+#: Integer execution counts, and float stress in multiples of 1/4 (so
+#: the oracle's Python sums are exact). Small ranges make ties on the
+#: max and on the sum common.
 STRESS_VALUES = {
     "int": (st.integers(0, 4), np.int64),
     "float": (st.integers(0, 16).map(lambda k: k / 4), np.float64),
@@ -135,28 +134,17 @@ def _raster(rows, cols):
 
 class TestPivotSearchTieBreak:
     """The stress-searching policies pick their pivot with the shared
-    (max, sum, candidate order) rule, over oracle counters and sensor
-    readings alike: candidates in movement-pattern order for
-    stress_aware, in raster order for static_remap."""
+    (max, sum, candidate order) rule: candidates in movement-pattern
+    order for stress_aware, in raster order for static_remap."""
 
     CASES = {
         "stress_aware": (
             lambda: {"interval": 1},
             lambda: movement_pattern("snake", SEARCH_ROWS, SEARCH_COLS),
-            None,
-        ),
-        "stress_aware_sensor": (
-            lambda: {
-                "interval": 1,
-                "sensor": SensorArray(levels=3, sample_period=1),
-            },
-            lambda: movement_pattern("snake", SEARCH_ROWS, SEARCH_COLS),
-            SensorArray(levels=3, sample_period=1),
         ),
         "static_remap": (
             dict,
             lambda: _raster(SEARCH_ROWS, SEARCH_COLS),
-            None,
         ),
     }
 
@@ -175,12 +163,11 @@ class TestPivotSearchTieBreak:
         from repro.core.allocator import ConfigurationAllocator
         from tests.test_core_allocator import config
 
-        make_kwargs, candidates, sensor = self.CASES[case]
+        make_kwargs, candidates = self.CASES[case]
         candidates = candidates()
-        policy_name = case.removesuffix("_sensor")
         geometry = FabricGeometry(rows=SEARCH_ROWS, cols=SEARCH_COLS)
         allocator = ConfigurationAllocator(
-            geometry, make_policy(policy_name, **make_kwargs())
+            geometry, make_policy(case, **make_kwargs())
         )
         warm = config([(0, 0)], rows=SEARCH_ROWS, cols=SEARCH_COLS)
         probe = config(
@@ -192,8 +179,6 @@ class TestPivotSearchTieBreak:
         if history:
             allocator.allocate_batch([warm] * len(history), pivots=history)
         counts = np.array(allocator.tracker.execution_counts)
-        if sensor is not None:
-            counts = sensor.quantize(counts)
         footprints = [
             [
                 ((row + pivot_row) % SEARCH_ROWS) * SEARCH_COLS

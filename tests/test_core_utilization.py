@@ -5,6 +5,7 @@ import pytest
 
 from repro.cgra.fabric import FabricGeometry
 from repro.core.utilization import UtilizationTracker, Weighting
+from repro.errors import ConfigurationError
 
 
 def tracker(rows=2, cols=4):
@@ -40,7 +41,8 @@ class TestExecutionWeighting:
         t = tracker()
         assert t.max_utilization() == 0.0
         assert t.mean_utilization() == 0.0
-        assert t.balance_ratio() == 1.0
+        with pytest.raises(ConfigurationError, match="balance_ratio"):
+            t.balance_ratio()
 
 
 class TestCycleWeighting:

@@ -8,8 +8,10 @@ assert the paper's qualitative claims directly.
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import fig1, fig7, fig8, mapping_ablation, table1, table2
 from repro.experiments.common import run_suite
+from repro.experiments.speculation import SpeculationResult
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,23 @@ class TestFig7:
         rendered = fig7.render(fig7_result)
         assert "Baseline" in rendered
         assert "Proposed" in rendered
+
+    def test_flatness_of_unstressed_map_raises(self):
+        zeros = np.zeros((fig7.ROWS, fig7.COLS))
+        result = fig7.Fig7Result(zeros, zeros, None, None)
+        with pytest.raises(ConfigurationError, match="flatness"):
+            result.flatness
+
+
+class TestSpeculation:
+    def test_lifetime_ratio_with_zero_clean_lifetime_raises(self):
+        result = SpeculationResult(
+            aging={"baseline": {"clean": (0.5, 6.0), "gshare": (0.6, 5.0)}}
+        )
+        assert result.lifetime_ratio("baseline", "gshare") == 5.0 / 6.0
+        result.aging["baseline"]["clean"] = (0.5, 0.0)
+        with pytest.raises(ConfigurationError, match="lifetime_ratio"):
+            result.lifetime_ratio("baseline", "gshare")
 
 
 class TestFig8:

@@ -39,10 +39,8 @@ from repro.system import (
     shared_schedule,
 )
 from repro.workloads.suite import run_workload
-from tests.test_schedule_equivalence import (
-    POLICIES,
-    assert_results_identical,
-)
+from tests.support import POLICIES, POLICY_IDS
+from tests.test_schedule_equivalence import assert_results_identical
 
 GEOMETRY = FabricGeometry(rows=4, cols=16)
 
@@ -284,14 +282,7 @@ class TestReplayEquivalenceWithFrontEnd:
     @pytest.mark.parametrize(
         "policy_name,make_kwargs",
         POLICIES,
-        ids=[
-            "baseline",
-            "random",
-            "rotation",
-            "stress_aware",
-            "stress_aware-sensor",
-            "static_remap",
-        ],
+        ids=POLICY_IDS,
     )
     def test_bit_identical_with_frontend(self, policy_name, make_kwargs):
         trace = run_workload("crc32")

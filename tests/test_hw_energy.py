@@ -1,11 +1,9 @@
-"""Tests for the energy model and the SRAM (FinCACTI stand-in) model."""
+"""Tests for the energy model."""
 
 import pytest
 
 from repro.cgra.fu import FUKind
-from repro.errors import ConfigurationError
 from repro.hw.energy import EnergyModel, EnergyParams, SystemActivity
-from repro.hw.sram import SRAMModel
 from repro.isa.instructions import InstrClass
 
 
@@ -82,29 +80,3 @@ class TestEnergyModel:
             InstrClass.ALU
         ]
 
-
-class TestSRAM:
-    def test_area_scales_linearly(self):
-        small = SRAMModel(capacity_bits=8 * 1024)
-        large = SRAMModel(capacity_bits=16 * 1024)
-        assert large.area_um2 == pytest.approx(2 * small.area_um2)
-
-    def test_access_energy_scales_sublinearly(self):
-        small = SRAMModel(capacity_bits=1024)
-        large = SRAMModel(capacity_bits=4096)
-        assert large.access_energy_pj == pytest.approx(
-            2 * small.access_energy_pj
-        )
-
-    def test_leakage_positive(self):
-        assert SRAMModel(capacity_bits=1024).leakage_nw > 0
-
-    def test_config_cache_sizing_includes_tags(self):
-        array = SRAMModel.for_config_cache(entries=64, bits_per_entry=512)
-        assert array.capacity_bits == 64 * (512 + 33)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SRAMModel(capacity_bits=0)
-        with pytest.raises(ConfigurationError):
-            SRAMModel.for_config_cache(entries=0, bits_per_entry=10)

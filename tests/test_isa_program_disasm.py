@@ -6,6 +6,8 @@ from repro.isa.assembler import assemble
 from repro.isa.disasm import disassemble, format_instruction
 from repro.isa.instructions import Instruction
 from repro.isa.program import TEXT_BASE, Program
+from repro.sim.cpu import CPU
+from repro.workloads.suite import get_workload, workload_names
 
 
 @pytest.fixture
@@ -118,6 +120,38 @@ class TestDisassemble:
         ]
         reassembled = assemble("\n".join(lines))
         assert reassembled.instructions == program.instructions
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_suite_kernel_round_trip_executes(self, name):
+        """Every suite kernel's listing re-assembles to the same
+        operations and runs exactly like the original. Only ``la``'s
+        symbol note is lost: the listing shows its resolved halves."""
+        program = get_workload(name).program()
+        source = "\n".join(
+            line.split(": ", 1)[1] if ": " in line else line
+            for line in disassemble(program).splitlines()
+        )
+        restored = Program(
+            instructions=assemble(source).instructions,
+            text_base=program.text_base,
+            data_segments=program.data_segments,
+            symbols=program.symbols,
+            name=program.name,
+        )
+
+        def operations(prog):
+            return [
+                (ins.op, ins.rd, ins.rs1, ins.rs2, ins.imm)
+                for ins in prog.instructions
+            ]
+
+        assert operations(restored) == operations(program)
+        original = CPU(program).run()
+        reassembled = CPU(restored).run()
+        assert reassembled.exit_code == original.exit_code
+        assert reassembled.steps == original.steps
+        assert reassembled.registers == original.registers
+        assert reassembled.console == original.console
 
 
 class TestCLI:

@@ -29,7 +29,6 @@ from repro.obs.core import _record
 from repro.campaign.artifacts import to_jsonable, write_telemetry
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, PolicySpec
-from repro.system.statsdump import stats_lines
 from repro.workloads import run_workload
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -347,7 +346,7 @@ def test_write_telemetry_artifact(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Pipeline counters: statsdump, CGRAStats front-end counters
+# Pipeline counters: CGRAStats front-end counters
 
 
 @functools.lru_cache(maxsize=1)
@@ -377,20 +376,6 @@ def test_cgra_stats_mirrors_stay_out_of_field_serialization():
         assert counter not in payload
     assert "launches" in payload
 
-
-def test_statsdump_reports_config_cache_lines():
-    result = _bitcount_result()
-    keys = {key for key, _value, _comment in stats_lines(result)}
-    for expected in (
-        "cfgcache.hits",
-        "cfgcache.misses",
-        "cfgcache.evictions",
-        "cfgcache.insertions",
-        "cfgcache.rejected",
-        "cfgcache.blacklisted",
-        "cfgcache.hit_rate",
-    ):
-        assert expected in keys
 
 
 # ----------------------------------------------------------------------

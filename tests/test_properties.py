@@ -2,12 +2,10 @@
 
 These fuzz whole pipelines rather than single functions: randomly
 generated instruction windows are scheduled and then re-validated by
-the independent dataflow checker; programs round-trip through the real
-binary encoding and must execute identically; random allocation
-sequences must conserve stress exactly.
+the independent dataflow checker; random allocation sequences must
+conserve stress exactly.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +16,6 @@ from repro.core.policy import make_policy
 from repro.dbt.dfg import build_dfg
 from repro.dbt.scheduler import SchedulerState
 from repro.isa.assembler import assemble
-from repro.isa.encoding import decode_words, encode_program
-from repro.isa.program import Program
-from repro.sim.cpu import CPU
 
 from tests.support import rec, reset_rec_pcs
 from tests.test_core_allocator import config
@@ -116,30 +111,6 @@ class TestSchedulerFuzzing:
             assert (
                 placements[consumer].col >= placements[producer].end_col
             )
-
-
-class TestBinaryEquivalence:
-    """decode(encode(P)) must execute exactly like P."""
-
-    @pytest.mark.parametrize(
-        "name", ["bitcount", "crc32", "sha", "susan_edges"]
-    )
-    def test_workload_binary_round_trip_executes(self, name):
-        from repro.workloads.suite import get_workload
-
-        workload = get_workload(name)
-        program = workload.program()
-        restored = Program(
-            instructions=decode_words(encode_program(program)),
-            text_base=program.text_base,
-            data_segments=program.data_segments,
-            symbols=program.symbols,
-            name=program.name,
-        )
-        original = CPU(program).run()
-        decoded = CPU(restored).run()
-        assert decoded.exit_code == original.exit_code
-        assert decoded.steps == original.steps
 
 
 class TestAllocationConservation:

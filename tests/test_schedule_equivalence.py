@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aging.sensor import SensorArray
 from repro.campaign import CampaignRunner, CampaignSpec, MapperSpec, PolicySpec
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
@@ -37,26 +36,11 @@ from repro.system import (
 from repro.system.schedule import gpp_reference, params_stress_coupled
 from repro.workloads.suite import run_workload, workload_names
 
+from tests.support import POLICIES, POLICY_IDS
+
 ROWS, COLS = 4, 16
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
 
-#: Every registered allocation policy with state-exercising kwargs
-#: (mirrors tests/test_batch_equivalence.py: stateful constructor
-#: arguments must be fresh per system).
-POLICIES = (
-    ("baseline", dict),
-    ("random", lambda: {"seed": 11}),
-    ("rotation", lambda: {"pattern": "snake"}),
-    ("stress_aware", lambda: {"interval": 3}),
-    (
-        "stress_aware",
-        lambda: {
-            "interval": 3,
-            "sensor": SensorArray(levels=8, sample_period=2),
-        },
-    ),
-    ("static_remap", dict),
-)
 
 
 def make_params(policy_name, make_kwargs, **overrides):
@@ -107,14 +91,7 @@ class TestReplayEquivalence:
     @pytest.mark.parametrize(
         "policy_name,make_kwargs",
         POLICIES,
-        ids=[
-            "baseline",
-            "random",
-            "rotation",
-            "stress_aware",
-            "stress_aware-sensor",
-            "static_remap",
-        ],
+        ids=POLICY_IDS,
     )
     def test_bit_identical_across_suite(
         self, workload, policy_name, make_kwargs
@@ -216,14 +193,7 @@ class TestSyntheticScheduleReplay:
     @pytest.mark.parametrize(
         "policy_name,make_kwargs",
         POLICIES,
-        ids=[
-            "baseline",
-            "random",
-            "rotation",
-            "stress_aware",
-            "stress_aware-sensor",
-            "static_remap",
-        ],
+        ids=POLICY_IDS,
     )
     def test_run_of_one_schedule_replay(
         self, base_schedule, policy_name, make_kwargs
@@ -248,14 +218,7 @@ class TestSyntheticScheduleReplay:
     @pytest.mark.parametrize(
         "policy_name,make_kwargs",
         POLICIES,
-        ids=[
-            "baseline",
-            "random",
-            "rotation",
-            "stress_aware",
-            "stress_aware-sensor",
-            "static_remap",
-        ],
+        ids=POLICY_IDS,
     )
     def test_mid_batch_error_schedule_replay(
         self, base_schedule, policy_name, make_kwargs

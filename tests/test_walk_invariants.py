@@ -29,7 +29,8 @@ from repro.system import (
     shared_schedule,
 )
 from repro.workloads.suite import run_workload, workload_names
-from tests.test_schedule_equivalence import GEOMETRY, POLICIES
+from tests.support import POLICIES, POLICY_IDS
+from tests.test_schedule_equivalence import GEOMETRY
 
 GEOMETRIES = ((2, 16), (4, 32), (8, 24))
 FRONTENDS = (None, FrontEndSpec.make("bimodal", interrupt_rate=0.0005, seed=7))
@@ -126,14 +127,7 @@ def _assert_tracker_conserves(schedule, tracker):
 @pytest.mark.parametrize(
     "policy_name,make_kwargs",
     POLICIES,
-    ids=(
-        "baseline",
-        "random",
-        "rotation",
-        "stress_aware",
-        "stress_aware-sensor",
-        "static_remap",
-    ),
+    ids=POLICY_IDS,
 )
 @pytest.mark.parametrize("name", workload_names())
 def test_replay_conservation(name, policy_name, make_kwargs):

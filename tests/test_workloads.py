@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.isa.instructions import InstrClass
+from repro.workloads.__main__ import main
 from repro.workloads.suite import (
     all_workloads,
     get_workload,
@@ -92,3 +93,25 @@ class TestSuiteDiversity:
     def test_total_suite_size(self):
         total = sum(len(run_workload(name)) for name in workload_names())
         assert 50_000 < total < 500_000  # paper-scale small inputs
+
+
+class TestWorkloadsCLI:
+    def test_verify_one(self, capsys):
+        assert main(["bitcount"]) == 0
+        assert "verified" in capsys.readouterr().out
+
+    def test_unknown_rejected(self, capsys):
+        assert main(["linpack"]) == 1
+        assert "unknown" in capsys.readouterr().out
+
+    def test_report(self, capsys):
+        """``--report`` appends the BE system report after the
+        verification line."""
+        assert main(["bitcount", "--report"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "verified" in lines[0]
+        assert "=== run report: bitcount ===" in lines
+        for section in (
+            "performance", "utilization", "aging projection (Eq. 1)",
+        ):
+            assert section in lines
