@@ -131,7 +131,7 @@ class DBTEngine:
         Returns the new unit, or ``None`` when the position yields no
         viable unit (too short, or unmappable head instruction).
         """
-        pc = trace[position].pc
+        pc = int(trace.pc_array[position])
         if self.limits.remember_rejects and pc in self._rejected_pcs:
             return None
         unit = build_unit(
@@ -159,7 +159,7 @@ class DBTEngine:
         # the greedy mapper, so binding at call time avoids the cycle.
         from repro.mapping.routing import peak_pressure
 
-        window = trace.records[position : position + unit.n_instructions]
+        window = trace[position : position + unit.n_instructions]
         self.peak_line_pressure = max(
             self.peak_line_pressure, peak_pressure(unit, window)
         )

@@ -116,7 +116,8 @@ def build_unit(
     branches = 0
 
     position = start
-    while position < len(trace) and len(pc_path) < limits.max_instructions:
+    stop = min(len(trace), start + limits.max_instructions)
+    while position < stop:
         record = trace[position]
         if _ends_unit(record):
             break
@@ -137,7 +138,7 @@ def build_unit(
     if len(pc_path) < limits.min_instructions or not ops:
         return None
     unit = VirtualConfiguration(
-        start_pc=trace[start].pc,
+        start_pc=pc_path[0],
         pc_path=tuple(pc_path),
         ops=tuple(ops),
         n_instructions=len(pc_path),

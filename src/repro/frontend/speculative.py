@@ -7,7 +7,7 @@ pipeline actually saw:
 
 - after every mispredicted branch, a *wrong-path run* of up to
   ``fetch_width * resolve_latency`` records fetched down the predicted
-  (wrong) path, cloned from the committed code at the wrong target when
+  (wrong) path, taken from the committed code at the wrong target when
   it exists there (so wrong-path fetch pollutes the config cache and
   dcache with *real* code) and synthesized otherwise;
 - a flush gap (``resolve_latency + flush_penalty`` cycles) attached to
@@ -15,6 +15,13 @@ pipeline actually saw:
   interrupt entry, handler return);
 - seeded asynchronous interrupts that flush the pipeline and inject a
   handler mini-trace at :data:`HANDLER_BASE_PC`.
+
+The stream is built by column, without record objects: every stream
+record is a *source position* into the base trace's columns, extended
+by one row per synthesized or handler instruction (which also get their
+own entries in the stream's instruction table). Committed records keep
+every column; wrong-path records keep the static instruction and the
+memory address but carry no written value and no branch outcome.
 
 Wrong-path runs never contain BRANCH records, so the GPP predictor and
 branch accounting never train on squashed work; handler code is real
@@ -27,41 +34,28 @@ the trace object, so per-policy coupled walks share one annotation.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.frontend.spec import FrontEndSpec
 from repro.isa.instructions import InstrClass
 from repro.sim.trace import (
+    ABSENT,
+    CLASS_MEMBERS,
     KIND_COMMITTED,
     KIND_HANDLER,
     KIND_WRONG_PATH,
     SpeculativeTrace,
     Trace,
-    TraceRecord,
 )
 
 #: Base address of the injected interrupt-handler mini-trace. High and
 #: 4-aligned so it never collides with workload code.
 HANDLER_BASE_PC = 0xFFFF_0000
 
-
-def _plain_record(pc: int, op: str, cls: InstrClass) -> TraceRecord:
-    """A synthetic non-memory record at ``pc`` (next_pc fixed up later)."""
-    return TraceRecord(
-        pc=pc,
-        op=op,
-        cls=cls,
-        rd=None,
-        rs1=None,
-        rs2=None,
-        imm=None,
-        rd_value=None,
-        mem_addr=None,
-        mem_bytes=0,
-        taken=None,
-        next_pc=pc + 4,
-    )
+_BRANCH_CODE = CLASS_MEMBERS.index(InstrClass.BRANCH)
+_JUMP_CODE = CLASS_MEMBERS.index(InstrClass.JUMP)
 
 
 class SpeculativeFrontEnd:
@@ -74,52 +68,41 @@ class SpeculativeFrontEnd:
 
     def _wrong_path_run(
         self,
-        trace: Trace,
-        pc_index: dict[int, int],
+        control_flow: list[bool],
+        first_position: dict[int, int],
+        synthesize: Callable[[int, str, InstrClass], int],
         wrong_pc: int,
-    ) -> list[TraceRecord]:
-        """Records fetched down the wrong path starting at ``wrong_pc``."""
+    ) -> list[int]:
+        """Source positions of the records fetched down the wrong path
+        starting at ``wrong_pc``: the committed code there up to the
+        first control-flow instruction (fetch stalls at unresolved
+        control flow), or synthesized ALU ops when that is empty."""
         budget = self.spec.wrong_path_budget
-        run: list[TraceRecord] = []
-        position = pc_index.get(wrong_pc)
+        position = first_position.get(wrong_pc)
         if position is not None:
-            for source in trace[position : position + budget]:
-                if source.is_control_flow:
-                    break  # fetch stalls at unresolved control flow
-                run.append(
-                    TraceRecord(
-                        pc=source.pc,
-                        op=source.op,
-                        cls=source.cls,
-                        rd=source.rd,
-                        rs1=source.rs1,
-                        rs2=source.rs2,
-                        imm=source.imm,
-                        rd_value=None,
-                        mem_addr=source.mem_addr,
-                        mem_bytes=source.mem_bytes,
-                        taken=None,
-                        next_pc=source.pc + 4,
-                    )
-                )
-        if not run:
-            run = [
-                _plain_record(wrong_pc + 4 * i, "add", InstrClass.ALU)
-                for i in range(budget)
-            ]
-        return run
+            stop = min(position + budget, len(control_flow))
+            end = position
+            while end < stop and not control_flow[end]:
+                end += 1
+            if end > position:
+                return list(range(position, end))
+        return [
+            synthesize(wrong_pc + 4 * i, "add", InstrClass.ALU)
+            for i in range(budget)
+        ]
 
-    def _handler_run(self) -> list[TraceRecord]:
-        """The interrupt-handler mini-trace (kind ``KIND_HANDLER``)."""
+    def _handler_run(
+        self, synthesize: Callable[[int, str, InstrClass], int]
+    ) -> list[int]:
+        """Source positions of the interrupt-handler mini-trace (kind
+        ``KIND_HANDLER``)."""
         length = self.spec.handler_length
-        run = [_plain_record(HANDLER_BASE_PC, "ecall", InstrClass.SYSTEM)]
+        run = [synthesize(HANDLER_BASE_PC, "ecall", InstrClass.SYSTEM)]
         for i in range(1, length - 1):
-            run.append(
-                _plain_record(HANDLER_BASE_PC + 4 * i, "add", InstrClass.ALU)
-            )
+            run.append(synthesize(HANDLER_BASE_PC + 4 * i, "add", InstrClass.ALU))
         if length > 1:
             run.append(
-                _plain_record(
+                synthesize(
                     HANDLER_BASE_PC + 4 * (length - 1), "jalr", InstrClass.JUMP
                 )
             )
@@ -145,72 +128,131 @@ class SpeculativeFrontEnd:
         """Expand a committed trace into the speculative fetch stream."""
         spec = self.spec
         predictor = spec.make_predictor()
-        flush_cycles = spec.flush_cycles
+        n_committed = len(trace)
+        table = trace.table
+        static_index = trace.static_index_array
+        codes = trace.class_code_array
+        is_branch = codes == _BRANCH_CODE
+        control_flow = (is_branch | (codes == _JUMP_CODE)).tolist()
+        indices = memoryview(static_index)
+        pcs = memoryview(trace.pc_array)
+        outcomes = memoryview(trace.taken_array)
 
-        # First committed occurrence of each pc, for wrong-path cloning.
-        pc_index: dict[int, int] = {}
-        for position, record in enumerate(trace):
-            pc_index.setdefault(record.pc, position)
+        # First committed occurrence of each pc, for wrong-path fetch.
+        statics, first = np.unique(static_index, return_index=True)
+        first_position = dict(
+            zip(table.pc_array[statics].tolist(), first.tolist())
+        )
+        # Synthesized and handler instructions, one row per distinct
+        # (pc, op, cls), addressed by source positions after the base
+        # trace's records.
+        synthetic_rows: dict[tuple[int, str, InstrClass], int] = {}
 
-        interrupt_after = self._interrupt_points(len(trace))
+        def synthesize(pc: int, op: str, cls: InstrClass) -> int:
+            return n_committed + synthetic_rows.setdefault(
+                (pc, op, cls), len(synthetic_rows)
+            )
 
-        records: list[TraceRecord] = []
-        kinds: list[int] = []
-        gaps: list[int] = []
+        interrupt_after = self._interrupt_points(n_committed)
+
+        # The stream as source positions, kinds as (kind, length) runs,
+        # and the stream positions that carry a flush gap.
+        sources: list[int] = []
+        run_kinds: list[int] = []
+        run_lengths: list[int] = []
+        flush_at: list[int] = []
         mispredicts = 0
-        flushes = 0
         interrupts = 0
 
-        def emit(run: list[TraceRecord], kind: int, gap: int) -> None:
-            records.extend(run)
-            kinds.extend([kind] * len(run))
-            gaps.extend([0] * len(run))
-            if gap:
-                nonlocal flushes
-                gaps[-1] += gap
-                flushes += 1
+        def emit(run, kind: int) -> None:
+            sources.extend(run)
+            run_kinds.append(kind)
+            run_lengths.append(len(run))
 
-        for index, record in enumerate(trace):
-            emit([record], KIND_COMMITTED, 0)
-            if record.cls is InstrClass.BRANCH:
-                offset = record.imm if record.imm is not None else 0
-                predicted = predictor.predict(record.pc, offset)
-                taken = bool(record.taken)
-                predictor.update(record.pc, taken)
+        branches = set(np.flatnonzero(is_branch).tolist())
+        committed_from = 0
+        for position in sorted(interrupt_after.union(branches)):
+            emit(range(committed_from, position + 1), KIND_COMMITTED)
+            committed_from = position + 1
+            if position in branches:
+                pc = pcs[position]
+                imm = table.imm[indices[position]]
+                offset = imm if imm is not None else 0
+                predicted = predictor.predict(pc, offset)
+                taken = outcomes[position] == 1
+                predictor.update(pc, taken)
                 if predicted != taken:
                     mispredicts += 1
                     # Wrong path = the predicted (not-executed) side.
-                    wrong_pc = record.pc + offset if predicted else record.pc + 4
-                    run = self._wrong_path_run(trace, pc_index, wrong_pc)
-                    emit(run, KIND_WRONG_PATH, flush_cycles)
-            if index in interrupt_after:
+                    wrong_pc = pc + offset if predicted else pc + 4
+                    run = self._wrong_path_run(
+                        control_flow, first_position, synthesize, wrong_pc
+                    )
+                    emit(run, KIND_WRONG_PATH)
+                    flush_at.append(len(sources) - 1)
+            if position in interrupt_after:
                 interrupts += 1
                 # Pipeline flush on entry: gap lands on the last record
                 # fetched before the handler redirect.
-                gaps[-1] += flush_cycles
-                flushes += 1
-                emit(self._handler_run(), KIND_HANDLER, flush_cycles)
+                flush_at.append(len(sources) - 1)
+                emit(self._handler_run(synthesize), KIND_HANDLER)
+                flush_at.append(len(sources) - 1)
+        emit(range(committed_from, n_committed), KIND_COMMITTED)
 
-        # Stream-consistency pass: every record's next_pc is the pc of
-        # the record that follows it in the fetch stream, so redirect
-        # flags (and therefore unit heads and prefix matches) describe
-        # the speculative stream, not the committed one. The final
-        # record keeps its original next_pc.
-        from dataclasses import replace as _replace
+        # A synthesized instruction reads and writes no register and
+        # touches no memory.
+        stream_table = table.extended(
+            (pc, op, cls, None, None, None, None, 0)
+            for pc, op, cls in synthetic_rows
+        )
+        source = np.asarray(sources, dtype=np.int64)
+        kinds = np.repeat(
+            np.asarray(run_kinds, dtype=np.int8), np.asarray(run_lengths)
+        )
+        committed = kinds == KIND_COMMITTED
+        committed_source = source[committed]
+        stream_index = np.concatenate(
+            [static_index, np.arange(len(table), len(stream_table))]
+        )[source]
+        mem_addr = np.concatenate(
+            [trace.mem_addr_array, np.full(len(synthetic_rows), ABSENT)]
+        )[source]
+        rd_value = np.full(len(source), ABSENT, dtype=np.int64)
+        rd_value[committed] = trace.rd_value_array[committed_source]
+        taken = np.full(len(source), ABSENT, dtype=np.int8)
+        taken[committed] = trace.taken_array[committed_source]
+        gaps = np.zeros(len(source), dtype=np.int64)
+        np.add.at(gaps, flush_at, spec.flush_cycles)
 
-        for j in range(len(records) - 1):
-            succ_pc = records[j + 1].pc
-            if records[j].next_pc != succ_pc:
-                records[j] = _replace(records[j], next_pc=succ_pc)
+        # Stream consistency: every record's next_pc is the pc of the
+        # record that follows it in the fetch stream, so redirect flags
+        # (and therefore unit heads and prefix matches) describe the
+        # speculative stream, not the committed one. The final record
+        # keeps its own next_pc (a fetched, uncommitted one falls
+        # through).
+        stream_pc = stream_table.pc_array[stream_index]
+        next_pc = np.empty(len(source), dtype=np.int64)
+        next_pc[:-1] = stream_pc[1:]
+        if len(source):
+            next_pc[-1] = (
+                trace.next_pc_array[source[-1]]
+                if committed[-1]
+                else stream_pc[-1] + 4
+            )
 
         return SpeculativeTrace(
-            records,
+            stream_table,
+            stream_index,
+            mem_addr,
+            rd_value,
+            taken,
+            next_pc,
             trace.name,
             kinds,
             gaps,
-            n_committed=len(trace),
+            n_committed=n_committed,
             mispredicts=mispredicts,
-            flushes=flushes,
+            flushes=len(flush_at),
             interrupts=interrupts,
             frontend_fingerprint=spec.fingerprint(),
         )

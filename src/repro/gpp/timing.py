@@ -7,8 +7,10 @@ Walks a committed trace and accumulates cycles:
          + dcache miss penalties (per load/store)
          + branch mispredict penalties``
 
-The same per-record cost function is reused by the TransRec system
-simulation for the instructions that execute on the GPP side.
+One per-record cost, :meth:`GPPTimingModel.span_cycles`, reads the
+trace's columns; the stand-alone reference times a whole trace with it
+and the TransRec walk times the instructions that execute on the GPP
+side with it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from repro.gpp.branch import make_predictor
 from repro.gpp.cache import CacheModel
 from repro.gpp.params import GPPParams
 from repro.isa.instructions import InstrClass
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import CLASS_MEMBERS, Trace
+
+_BRANCH_CODE = CLASS_MEMBERS.index(InstrClass.BRANCH)
 
 __all__ = ["GPPTimingModel", "GPPTimingResult", "make_predictor"]
 
@@ -50,57 +54,89 @@ class GPPTimingModel:
 
     def __init__(self, params: GPPParams | None = None) -> None:
         self.params = params if params is not None else GPPParams()
-        self.icache = CacheModel(self.params.icache)
-        self.dcache = CacheModel(self.params.dcache)
         self.predictor = make_predictor(self.params.predictor)
+        #: Base cycles per class code (``CLASS_MEMBERS`` order).
+        self._class_cycles = [
+            self.params.cycles_for(cls) for cls in CLASS_MEMBERS
+        ]
+        self._columns: tuple[Trace | None, tuple] = (None, ())
+        self.reset()
 
-    def record_cycles(self, record: TraceRecord) -> int:
-        """Cycles for one committed instruction, updating cache/predictor
-        state as a side effect."""
-        params = self.params
-        cycles = params.cycles_for(record.cls)
-        cycles += self.icache.access_cycles(record.pc)
-        if record.mem_addr is not None:
-            cycles += self.dcache.access_cycles(record.mem_addr)
-        if record.cls is InstrClass.BRANCH:
-            predicted = self.predictor.predict(
-                record.pc, record.imm if record.imm is not None else 0
+    def _columns_of(self, trace: Trace) -> tuple[memoryview, ...]:
+        bound, columns = self._columns
+        if bound is not trace:
+            columns = tuple(
+                memoryview(column)
+                for column in (
+                    trace.class_code_array,
+                    trace.pc_array,
+                    trace.mem_addr_array,
+                    trace.taken_array,
+                    trace.static_index_array,
+                )
             )
-            taken = bool(record.taken)
-            if predicted != taken:
-                cycles += params.branch_mispredict_penalty
-            self.predictor.update(record.pc, taken)
-        return cycles
+            self._columns = (trace, columns)
+        return columns
+
+    def span_cycles(self, trace: Trace, start: int, stop: int) -> int:
+        """Cycles of ``trace[start:stop]`` executed in order on this GPP.
+
+        The model's one per-record cost: base cycles per class, plus
+        the icache penalty of every fetch, the dcache penalty of every
+        load/store and the refill penalty of every mispredicted branch.
+        Updates the cache and predictor state, and the running
+        :attr:`base_cycles` and :attr:`mispredicts` :meth:`run` reports.
+        """
+        codes, pcs, addresses, outcomes, indices = self._columns_of(trace)
+        imms = trace.table.imm
+        class_cycles = self._class_cycles
+        icache = self.icache
+        dcache = self.dcache
+        icache_access = icache.access
+        dcache_access = dcache.access
+        predict = self.predictor.predict
+        update = self.predictor.update
+        icache_misses = icache.misses
+        dcache_misses = dcache.misses
+        base = 0
+        mispredicts = 0
+        for position in range(start, stop):
+            code = codes[position]
+            base += class_cycles[code]
+            pc = pcs[position]
+            icache_access(pc)
+            address = addresses[position]
+            if address >= 0:
+                dcache_access(address)
+            if code == _BRANCH_CODE:
+                imm = imms[indices[position]]
+                taken = outcomes[position] == 1
+                if predict(pc, imm if imm is not None else 0) != taken:
+                    mispredicts += 1
+                update(pc, taken)
+        self.base_cycles += base
+        self.mispredicts += mispredicts
+        return (
+            base
+            + (icache.misses - icache_misses) * icache.params.miss_penalty
+            + (dcache.misses - dcache_misses) * dcache.params.miss_penalty
+            + mispredicts * self.params.branch_mispredict_penalty
+        )
 
     def run(self, trace: Trace) -> GPPTimingResult:
         """Time a whole trace on a fresh GPP (state is reset first)."""
         self.reset()
-        base = 0
-        ic_miss = 0
-        dc_miss = 0
-        mispredict = 0
+        total = self.span_cycles(trace, 0, len(trace))
         params = self.params
-        for record in trace:
-            base += params.cycles_for(record.cls)
-            ic_miss += self.icache.access_cycles(record.pc)
-            if record.mem_addr is not None:
-                dc_miss += self.dcache.access_cycles(record.mem_addr)
-            if record.cls is InstrClass.BRANCH:
-                predicted = self.predictor.predict(
-                    record.pc, record.imm if record.imm is not None else 0
-                )
-                taken = bool(record.taken)
-                if predicted != taken:
-                    mispredict += params.branch_mispredict_penalty
-                self.predictor.update(record.pc, taken)
-        total = base + ic_miss + dc_miss + mispredict
         return GPPTimingResult(
             cycles=total,
             instructions=len(trace),
-            base_cycles=base,
-            icache_miss_cycles=ic_miss,
-            dcache_miss_cycles=dc_miss,
-            mispredict_cycles=mispredict,
+            base_cycles=self.base_cycles,
+            icache_miss_cycles=self.icache.misses * params.icache.miss_penalty,
+            dcache_miss_cycles=self.dcache.misses * params.dcache.miss_penalty,
+            mispredict_cycles=(
+                self.mispredicts * params.branch_mispredict_penalty
+            ),
             icache_miss_rate=self.icache.miss_rate,
             dcache_miss_rate=self.dcache.miss_rate,
             icache_misses=self.icache.misses,
@@ -108,7 +144,12 @@ class GPPTimingModel:
         )
 
     def reset(self) -> None:
-        """Reset caches and predictor to their initial (cold) state."""
+        """Reset caches, predictor and counts to their initial (cold)
+        state."""
         self.icache = CacheModel(self.params.icache)
         self.dcache = CacheModel(self.params.dcache)
         self.predictor.reset()
+        #: Base (class) cycles charged since the last reset.
+        self.base_cycles = 0
+        #: Mispredicted branches since the last reset.
+        self.mispredicts = 0

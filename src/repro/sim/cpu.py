@@ -1,10 +1,14 @@
 """Functional RV32IM interpreter with committed-trace capture.
 
 The CPU executes an assembled :class:`~repro.isa.program.Program` to
-architectural completion and records every committed instruction as a
-:class:`~repro.sim.trace.TraceRecord`. The trace — not the CPU — is what
-the timing models consume, so this interpreter aims for correctness and
-clarity rather than cycle accuracy.
+architectural completion and records every committed instruction into
+the columns of a :class:`~repro.sim.trace.Trace`: the program's static
+instructions are decoded once into the trace's
+:class:`~repro.sim.trace.InstructionTable`, and each step appends only
+ints (the static index, plus the memory address, written value or
+branch outcome where the instruction produces one). The trace — not the
+CPU — is what the timing models consume, so this interpreter aims for
+correctness and clarity rather than cycle accuracy.
 
 Halting conventions (both supported):
 
@@ -19,13 +23,16 @@ as a signed integer, ``a7 == 11`` prints ``a0`` as one character.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.isa.program import STACK_TOP, Program
 from repro.sim.memory import Memory
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import ABSENT, InstructionTable, Trace
 
 _MASK32 = 0xFFFFFFFF
 _SIGN_BIT = 0x80000000
@@ -69,12 +76,10 @@ class CPU:
         program: Program,
         memory: Memory | None = None,
         max_steps: int = DEFAULT_MAX_STEPS,
-        collect_trace: bool = True,
     ) -> None:
         self.program = program
         self.memory = memory if memory is not None else Memory()
         self.max_steps = max_steps
-        self.collect_trace = collect_trace
         self.registers = [0] * 32
         self.registers[2] = STACK_TOP  # sp
         self.registers[1] = 0          # ra -> return-to-zero halts
@@ -91,23 +96,31 @@ class CPU:
         """Execute until halt; return the trace and final state.
 
         Every static instruction is decoded once up front; the loop then
-        dispatches on the decoded class and builds each
-        :class:`~repro.sim.trace.TraceRecord` positionally.
+        dispatches on the decoded class and appends the static index of
+        each committed instruction, plus its memory address, written
+        value or branch outcome where it produces one.
+        :func:`_trace_columns` spreads those appends into the trace's
+        per-record columns once the program halts.
 
         Raises:
             SimulationError: on illegal instructions, runaway execution
                 or control transfer outside the text segment.
         """
         program = self.program
-        decoded = _predecode(program)
+        table, decoded = _predecode(program)
         text_base = program.text_base
         text_bytes = 4 * len(decoded)
         regs = self.registers
         memory = self.memory
         max_steps = self.max_steps
-        records: list[TraceRecord] = []
-        append = records.append if self.collect_trace else None
-        record_type = TraceRecord
+        indices = array("i")
+        addresses = array("q")
+        values = array("q")
+        outcomes = array("b")
+        add_index = indices.append
+        add_address = addresses.append
+        add_value = values.append
+        add_outcome = outcomes.append
         pc = self.pc
         # Every later pc is checked when control transfers to it; the
         # entry is checked here, raising like a fetch from a bad address.
@@ -120,31 +133,27 @@ class CPU:
                     f"exceeded max_steps={max_steps} "
                     f"(program {program.name!r}, pc={pc:#x})"
                 )
-            cls, op, rd, rs1, rs2, imm, src1, src2, imm0, fn, width = (
-                decoded[(pc - text_base) >> 2]
-            )
+            index = (pc - text_base) >> 2
+            cls, op, rd, src1, src2, imm0, fn = decoded[index]
+            add_index(index)
             next_pc = pc + 4
-            value = None
-            mem_addr = None
-            mem_bytes = 0
-            taken = None
             if cls is _ALU:
                 value = fn(regs[src1], regs[src2], imm0, pc)
             elif cls is _LOAD:
-                mem_addr = (regs[src1] + imm0) & _MASK32
-                mem_bytes = width
-                value = fn(memory, mem_addr)
+                address = (regs[src1] + imm0) & _MASK32
+                add_address(address)
+                value = fn(memory, address)
             elif cls is _BRANCH:
                 taken = fn(regs[src1], regs[src2])
+                add_outcome(taken)
                 if taken:
                     next_pc = (pc + imm0) & _MASK32
             elif cls is _STORE:
-                mem_addr = (regs[src1] + imm0) & _MASK32
-                mem_bytes = width
-                fn(memory, mem_addr, regs[src2])
+                address = (regs[src1] + imm0) & _MASK32
+                add_address(address)
+                fn(memory, address, regs[src2])
             elif cls is _JUMP:
                 value = pc + 4
-                taken = True
                 if op == "jal":
                     next_pc = (pc + imm0) & _MASK32
                 else:  # jalr
@@ -155,19 +164,11 @@ class CPU:
             else:  # MUL / DIV
                 value = fn(regs[src1], regs[src2])
             # ``rd`` is decoded as None for x0 and for classes that
-            # write no register, so the value is dropped there.
+            # write no register, so no value is recorded there.
             if rd is not None:
                 value &= _MASK32
                 regs[rd] = value
-            else:
-                value = None
-            if append is not None:
-                append(
-                    record_type(
-                        pc, op, cls, rd, rs1, rs2, imm, value, mem_addr,
-                        mem_bytes, taken, next_pc,
-                    )
-                )
+                add_value(value)
             steps += 1
             pc = next_pc
             if pc == 0:
@@ -181,7 +182,11 @@ class CPU:
                 )
         self.pc = pc
         return ExecutionResult(
-            trace=Trace(records, name=program.name),
+            trace=Trace(
+                table,
+                *_trace_columns(table, indices, addresses, values, outcomes, pc),
+                name=program.name,
+            ),
             exit_code=self._exit_code,
             registers=list(self.registers),
             console="".join(self.console_chunks),
@@ -327,35 +332,84 @@ _CLASS_OPS = {
 _WRITES_RD = (_ALU, InstrClass.MUL, InstrClass.DIV, _LOAD, _JUMP)
 
 
-def _predecode(program: Program) -> list[tuple]:
+def _predecode(program: Program) -> tuple[InstructionTable, list[tuple]]:
     """Decode every static instruction once.
 
-    Each entry is ``(cls, op, rd, rs1, rs2, imm, src1, src2, imm0, fn,
-    mem_bytes)``: ``rd`` is the written register or ``None`` (x0 and
-    classes that write nothing), ``rs1``/``rs2``/``imm`` are the raw
-    operands recorded in the trace, ``src1``/``src2``/``imm0`` the
-    operands the datapath reads (an absent register reads x0, which is
-    never written, and an absent immediate reads 0), and ``fn`` the
-    class's operation for ``op``.
+    Returns the trace's :class:`~repro.sim.trace.InstructionTable` and,
+    per static index, the dispatch entry ``(cls, op, rd, src1, src2,
+    imm0, fn)``: ``rd`` is the written register or ``None`` (x0 and
+    classes that write nothing), ``src1``/``src2``/``imm0`` the operands
+    the datapath reads (an absent register reads x0, which is never
+    written, and an absent immediate reads 0), and ``fn`` the class's
+    operation for ``op``.
     """
+    rows = []
     decoded = []
-    for ins in program.instructions:
+    for position, ins in enumerate(program.instructions):
         spec = OPCODES[ins.op]
         cls = spec.cls
         table = _CLASS_OPS.get(cls)
+        rd = ins.rd if ins.rd and cls in _WRITES_RD else None
+        rows.append(
+            (
+                program.pc_of(position),
+                ins.op,
+                cls,
+                rd,
+                ins.rs1,
+                ins.rs2,
+                ins.imm,
+                spec.mem_bytes,
+            )
+        )
         decoded.append(
             (
                 cls,
                 ins.op,
-                ins.rd if ins.rd and cls in _WRITES_RD else None,
-                ins.rs1,
-                ins.rs2,
-                ins.imm,
+                rd,
                 ins.rs1 or 0,
                 ins.rs2 or 0,
                 ins.imm or 0,
                 table[ins.op] if table is not None else None,
-                spec.mem_bytes,
             )
         )
-    return decoded
+    return InstructionTable.from_rows(rows), decoded
+
+
+def _trace_columns(
+    table: InstructionTable,
+    indices: array,
+    addresses: array,
+    values: array,
+    outcomes: array,
+    final_pc: int,
+) -> tuple[np.ndarray, ...]:
+    """Per-record trace columns from the ISS's appends.
+
+    ``addresses``, ``values`` and ``outcomes`` hold one entry per
+    load/store, per record that writes ``rd`` and per branch, in commit
+    order; every other record gets :data:`~repro.sim.trace.ABSENT`.
+    Jumps are always taken. A committed stream's ``next_pc`` is the pc
+    of the record after it, and the halting pc after the last one.
+
+    Returns ``(static_index, mem_addr, rd_value, taken, next_pc)``.
+    """
+    index = np.array(indices, dtype=np.int32)
+    n_records = len(index)
+
+    def records_where(static_flags) -> np.ndarray:
+        return np.array(list(static_flags), dtype=bool)[index]
+
+    mem_addr = np.full(n_records, ABSENT, dtype=np.int64)
+    mem_addr[records_where(cls in (_LOAD, _STORE) for cls in table.cls)] = (
+        addresses
+    )
+    rd_value = np.full(n_records, ABSENT, dtype=np.int64)
+    rd_value[records_where(rd is not None for rd in table.rd)] = values
+    taken = np.full(n_records, ABSENT, dtype=np.int8)
+    taken[records_where(cls is _JUMP for cls in table.cls)] = 1
+    taken[records_where(cls is _BRANCH for cls in table.cls)] = outcomes
+    next_pc = np.empty(n_records, dtype=np.int64)
+    next_pc[:-1] = table.pc_array[index[1:]]
+    next_pc[-1:] = final_pc
+    return index, mem_addr, rd_value, taken, next_pc

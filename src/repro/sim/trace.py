@@ -1,16 +1,24 @@
-"""Committed-instruction trace records.
+"""Committed-instruction traces, stored by column.
 
 A trace is the single source of truth shared by every downstream model:
 the GPP timing model, the DBT and the CGRA utilization accounting all
 walk the same committed trace, which is produced once per workload by
 the functional simulator (mirroring how the paper drives everything
 from gem5 execution).
+
+A :class:`Trace` holds its program's decoded static instructions once,
+as an :class:`InstructionTable`, and per record only compact read-only
+numpy columns: the static index, the memory address, the value written
+to ``rd``, the branch outcome and the next pc. The walkers and the GPP
+reference read the columns; ``trace[i]``, slices and iteration build
+:class:`TraceRecord` views on demand for the code that wants whole
+records (DBT windows, the mappers, the CGRA value oracle and tests).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +38,23 @@ KIND_COMMITTED = 0
 KIND_WRONG_PATH = 1
 KIND_HANDLER = 2
 
+#: Column entry of a record without a memory address, a written value
+#: or a branch outcome (every real one is non-negative).
+ABSENT = -1
 
-@dataclass(frozen=True, slots=True)
+#: Records viewed per batch when iterating a trace.
+_VIEW_CHUNK = 1024
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(slots=True)
 class TraceRecord:
-    """One committed instruction.
+    """One committed instruction (a view built from a :class:`Trace`).
 
     Attributes:
         pc: address of the instruction.
@@ -64,82 +85,188 @@ class TraceRecord:
     next_pc: int
 
     @property
-    def is_control_flow(self) -> bool:
-        """Whether this record may redirect the instruction stream."""
-        return self.cls in (InstrClass.BRANCH, InstrClass.JUMP)
-
-    @property
     def redirects(self) -> bool:
         """Whether the instruction actually changed control flow."""
         return self.next_pc != self.pc + 4
 
 
-class Trace(Sequence[TraceRecord]):
-    """An immutable-by-convention sequence of committed instructions."""
+@dataclass(frozen=True, eq=False)
+class InstructionTable:
+    """Decoded static instructions, one entry per static index.
 
-    def __init__(self, records: list[TraceRecord], name: str = "") -> None:
-        self._records = records
-        self.name = name
+    Every field is a tuple with one entry per instruction, holding the
+    :class:`TraceRecord` field of the same name.
+    """
+
+    pc: tuple[int, ...]
+    op: tuple[str, ...]
+    cls: tuple[InstrClass, ...]
+    rd: tuple[int | None, ...]
+    rs1: tuple[int | None, ...]
+    rs2: tuple[int | None, ...]
+    imm: tuple[int | None, ...]
+    mem_bytes: tuple[int, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> InstructionTable:
+        """Build a table from ``(pc, op, cls, rd, rs1, rs2, imm,
+        mem_bytes)`` rows."""
+        columns = tuple(zip(*rows))
+        return cls(*(columns or ((),) * 8))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.pc)
+
+    def extended(self, rows: Iterable[tuple]) -> InstructionTable:
+        """This table with ``rows`` appended (existing indices keep
+        their entries)."""
+        own = zip(
+            self.pc, self.op, self.cls, self.rd, self.rs1, self.rs2,
+            self.imm, self.mem_bytes,
+        )
+        return InstructionTable.from_rows([*own, *rows])
+
+    @cached_property
+    def pc_array(self) -> np.ndarray:
+        """Static PCs as a read-only int64 vector."""
+        return _column(self.pc, np.int64)
+
+    @cached_property
+    def class_codes(self) -> np.ndarray:
+        """Static class codes (``CLASS_MEMBERS`` order, read-only int64)."""
+        return _column([_CLASS_INDEX[cls] for cls in self.cls], np.int64)
+
+    @cached_property
+    def _view_heads(self) -> tuple[tuple, ...]:
+        """``(pc, op, cls, rd, rs1, rs2, imm)`` per entry: the leading
+        :class:`TraceRecord` fields a view takes from the table."""
+        return tuple(
+            zip(self.pc, self.op, self.cls, self.rd, self.rs1, self.rs2, self.imm)
+        )
+
+
+class Trace(Sequence[TraceRecord]):
+    """An immutable sequence of committed instructions, stored by column.
+
+    Per-record columns (read-only numpy vectors, :data:`ABSENT` where a
+    record has no such value):
+
+    * ``static_index_array`` (int32): the record's entry in :attr:`table`;
+    * ``mem_addr_array`` (int64): effective address of a load/store;
+    * ``rd_value_array`` (int64): value written to ``rd``;
+    * ``taken_array`` (int8): 1 taken, 0 not taken, for branches and
+      jumps (a taken branch to ``pc + 4`` does not redirect, so the
+      outcome is stored rather than derived);
+    * ``next_pc_array`` (int64): address of the next record.
+    """
+
+    def __init__(
+        self,
+        table: InstructionTable,
+        static_index,
+        mem_addr,
+        rd_value,
+        taken,
+        next_pc,
+        name: str = "",
+    ) -> None:
+        self.table = table
+        self.name = name
+        self.static_index_array = _column(static_index, np.int32)
+        self.mem_addr_array = _column(mem_addr, np.int64)
+        self.rd_value_array = _column(rd_value, np.int64)
+        self.taken_array = _column(taken, np.int8)
+        self.next_pc_array = _column(next_pc, np.int64)
+        n_records = len(self.static_index_array)
+        for column in (
+            self.mem_addr_array,
+            self.rd_value_array,
+            self.taken_array,
+            self.next_pc_array,
+        ):
+            if column.shape != (n_records,):
+                raise ValueError("trace columns must have one entry per record")
+
+    def __len__(self) -> int:
+        return len(self.static_index_array)
+
+    # -- record views ------------------------------------------------------
+
+    @cached_property
+    def _record_columns(self) -> tuple[memoryview, ...]:
+        return (
+            memoryview(self.static_index_array),
+            memoryview(self.rd_value_array),
+            memoryview(self.mem_addr_array),
+            memoryview(self.taken_array),
+            memoryview(self.next_pc_array),
+        )
 
     def __getitem__(self, index):  # noqa: ANN001 - Sequence protocol
-        return self._records[index]
+        if isinstance(index, slice):
+            return self._records(index)
+        # One record is the DBT's per-instruction read; building it
+        # directly costs a third of a one-element slice.
+        static_index, rd_values, mem_addrs, outcomes, next_pcs = (
+            self._record_columns
+        )
+        static = static_index[index]
+        rd_value = rd_values[index]
+        mem_addr = mem_addrs[index]
+        taken = outcomes[index]
+        return TraceRecord(
+            *self.table._view_heads[static],
+            None if rd_value < 0 else rd_value,
+            None if mem_addr < 0 else mem_addr,
+            self.table.mem_bytes[static],
+            None if taken < 0 else taken == 1,
+            next_pcs[index],
+        )
+
+    def _records(self, span: slice) -> list[TraceRecord]:
+        heads = self.table._view_heads
+        mem_bytes = self.table.mem_bytes
+        return [
+            TraceRecord(
+                *heads[static],
+                None if rd_value < 0 else rd_value,
+                None if mem_addr < 0 else mem_addr,
+                mem_bytes[static],
+                None if taken < 0 else taken == 1,
+                next_pc,
+            )
+            for static, rd_value, mem_addr, taken, next_pc in zip(
+                *(column[span] for column in self._record_columns)
+            )
+        ]
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        for start in range(0, len(self), _VIEW_CHUNK):
+            yield from self._records(slice(start, start + _VIEW_CHUNK))
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The underlying record list (read-only by convention): the
-        hot walkers index it directly instead of going through the
-        sequence protocol."""
-        return self._records
-
-    # -- cached columnar views ---------------------------------------------
+    # -- column expressions ------------------------------------------------
     #
     # The timing walkers touch a handful of record fields millions of
-    # times; these read-only numpy columns are extracted once per trace
-    # so the hot loops (prefix matching, unit-head detection, dcache
-    # costing) run on arrays instead of attribute chases. They rely on
-    # the trace being immutable-by-convention.
+    # times; these read-only columns are derived once per trace from the
+    # static table and the per-record columns.
 
     @cached_property
     def pc_array(self) -> np.ndarray:
         """Per-record PCs as a read-only int64 vector."""
-        pcs = np.fromiter(
-            (record.pc for record in self._records),
-            dtype=np.int64,
-            count=len(self._records),
-        )
-        pcs.flags.writeable = False
-        return pcs
+        return _column(self.table.pc_array[self.static_index_array], np.int64)
 
     @cached_property
     def redirect_array(self) -> np.ndarray:
         """Per-record :attr:`TraceRecord.redirects` flags (read-only)."""
-        flags = np.fromiter(
-            (record.redirects for record in self._records),
-            dtype=bool,
-            count=len(self._records),
-        )
-        flags.flags.writeable = False
-        return flags
+        return _column(self.next_pc_array != self.pc_array + 4, bool)
 
     @cached_property
     def _mem_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        positions = []
-        addresses = []
-        for index, record in enumerate(self._records):
-            if record.mem_addr is not None:
-                positions.append(index)
-                addresses.append(record.mem_addr)
-        position_arr = np.asarray(positions, dtype=np.int64)
-        address_arr = np.asarray(addresses, dtype=np.int64)
-        position_arr.flags.writeable = False
-        address_arr.flags.writeable = False
-        return position_arr, address_arr
+        positions = np.flatnonzero(self.mem_addr_array != ABSENT)
+        return (
+            _column(positions, np.int64),
+            _column(self.mem_addr_array[positions], np.int64),
+        )
 
     @property
     def mem_positions(self) -> np.ndarray:
@@ -157,13 +284,9 @@ class Trace(Sequence[TraceRecord]):
 
         Codes index the canonical ``tuple(InstrClass)`` member order.
         """
-        codes = np.fromiter(
-            (_CLASS_INDEX[record.cls] for record in self._records),
-            dtype=np.int64,
-            count=len(self._records),
+        return _column(
+            self.table.class_codes[self.static_index_array], np.int64
         )
-        codes.flags.writeable = False
-        return codes
 
     @cached_property
     def _class_counts(self) -> Counter[InstrClass]:
@@ -193,19 +316,19 @@ class Trace(Sequence[TraceRecord]):
 
     def class_mix(self) -> dict[InstrClass, float]:
         """Fractional instruction mix by class (sums to 1.0)."""
-        if not self._records:
+        total = len(self)
+        if not total:
             return {}
-        total = len(self._records)
         return {cls: count / total for cls, count in self.class_counts().items()}
 
     def memory_fraction(self) -> float:
         """Fraction of committed instructions that access memory."""
-        if not self._records:
+        if not len(self):
             return 0.0
         counts = self.class_counts()
         loads = counts.get(InstrClass.LOAD, 0)
         stores = counts.get(InstrClass.STORE, 0)
-        return (loads + stores) / len(self._records)
+        return (loads + stores) / len(self)
 
     # -- speculative-stream annotations ------------------------------------
     #
@@ -221,41 +344,35 @@ class Trace(Sequence[TraceRecord]):
     @property
     def n_committed(self) -> int:
         """Number of architecturally committed records in the stream."""
-        return len(self._records)
+        return len(self)
 
     @cached_property
     def kind_array(self) -> np.ndarray:
         """Per-record kind codes (read-only int8); all committed here."""
-        kinds = np.zeros(len(self._records), dtype=np.int8)
-        kinds.flags.writeable = False
-        return kinds
+        return _column(np.zeros(len(self), dtype=np.int8), np.int8)
 
     @cached_property
     def flush_gap_array(self) -> np.ndarray:
         """Pipeline-flush cycles charged *after* each record (read-only)."""
-        gaps = np.zeros(len(self._records), dtype=np.int64)
-        gaps.flags.writeable = False
-        return gaps
+        return _column(np.zeros(len(self), dtype=np.int64), np.int64)
 
     @cached_property
     def committed_prefix(self) -> np.ndarray:
         """Exclusive prefix sums of committed-record counts (len + 1).
 
         ``committed_prefix[j]`` is the number of committed records in
-        ``records[:j]``; span counts are two lookups.
+        ``trace[:j]``; span counts are two lookups.
         """
-        prefix = np.zeros(len(self._records) + 1, dtype=np.int64)
+        prefix = np.zeros(len(self) + 1, dtype=np.int64)
         np.cumsum(self.kind_array == KIND_COMMITTED, out=prefix[1:])
-        prefix.flags.writeable = False
-        return prefix
+        return _column(prefix, np.int64)
 
     @cached_property
     def flush_gap_prefix(self) -> np.ndarray:
         """Exclusive prefix sums of :attr:`flush_gap_array` (len + 1)."""
-        prefix = np.zeros(len(self._records) + 1, dtype=np.int64)
+        prefix = np.zeros(len(self) + 1, dtype=np.int64)
         np.cumsum(self.flush_gap_array, out=prefix[1:])
-        prefix.flags.writeable = False
-        return prefix
+        return _column(prefix, np.int64)
 
 
 class SpeculativeTrace(Trace):
@@ -266,19 +383,26 @@ class SpeculativeTrace(Trace):
     interleaved with wrong-path runs after each mispredicted branch and
     interrupt-handler mini-traces, with pipeline-flush gap cycles
     attached to the records that precede a fetch redirect. ``next_pc``
-    is rewritten to be *stream-consistent* (each record's ``next_pc``
-    is the pc of the following stream record), so unit-head detection
-    and prefix matching see the fetch stream the fabric actually saw.
+    is *stream-consistent* (each record's ``next_pc`` is the pc of the
+    following stream record), so unit-head detection and prefix
+    matching see the fetch stream the fabric actually saw. Its table
+    extends the base trace's with the synthesized and handler
+    instructions.
     """
 
     speculative = True
 
     def __init__(
         self,
-        records: list[TraceRecord],
+        table: InstructionTable,
+        static_index,
+        mem_addr,
+        rd_value,
+        taken,
+        next_pc,
         name: str,
-        kinds: list[int],
-        flush_gaps: list[int],
+        kinds,
+        flush_gaps,
         *,
         n_committed: int,
         mispredicts: int,
@@ -286,11 +410,15 @@ class SpeculativeTrace(Trace):
         interrupts: int,
         frontend_fingerprint: str,
     ) -> None:
-        if len(kinds) != len(records) or len(flush_gaps) != len(records):
+        super().__init__(
+            table, static_index, mem_addr, rd_value, taken, next_pc, name
+        )
+        self._kinds = _column(kinds, np.int8)
+        self._flush_gaps = _column(flush_gaps, np.int64)
+        if self._kinds.shape != (len(self),) or self._flush_gaps.shape != (
+            len(self),
+        ):
             raise ValueError("annotation columns must match record count")
-        super().__init__(records, name)
-        self._kinds = kinds
-        self._flush_gaps = flush_gaps
         self._n_committed = n_committed
         #: Mispredicted branches encountered by the front end.
         self.mispredicts = mispredicts
@@ -319,12 +447,8 @@ class SpeculativeTrace(Trace):
 
     @cached_property
     def kind_array(self) -> np.ndarray:
-        kinds = np.asarray(self._kinds, dtype=np.int8)
-        kinds.flags.writeable = False
-        return kinds
+        return self._kinds
 
     @cached_property
     def flush_gap_array(self) -> np.ndarray:
-        gaps = np.asarray(self._flush_gaps, dtype=np.int64)
-        gaps.flags.writeable = False
-        return gaps
+        return self._flush_gaps

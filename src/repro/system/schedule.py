@@ -64,7 +64,6 @@ from repro.sim.trace import (
     KIND_COMMITTED,
     KIND_WRONG_PATH,
     Trace,
-    TraceRecord,
 )
 from repro.system.params import SystemParams
 from repro.system.stats import CGRAStats
@@ -252,13 +251,13 @@ def _unit_launch(
 
 
 def _matched_prefix(
-    records: list[TraceRecord], position: int, path: tuple[int, ...]
+    pcs: memoryview, position: int, path: tuple[int, ...]
 ) -> int:
     """Length of the common prefix of a unit's recorded path and the
-    actual upcoming trace (>= 1 since start PCs match)."""
-    limit = min(len(path), len(records) - position)
+    actual upcoming trace PCs (>= 1 since start PCs match)."""
+    limit = min(len(path), len(pcs) - position)
     for offset in range(limit):
-        if records[position + offset].pc != path[offset]:
+        if pcs[position + offset] != path[offset]:
             return offset
     return limit
 
@@ -322,7 +321,7 @@ def compute_schedule(
     datapath = params.datapath
     misspeculation_penalty = datapath.misspeculation_penalty
     dcache = gpp.dcache
-    record_cycles = gpp.record_cycles
+    gpp_cycles = gpp.span_cycles
     lookup = cache.lookup
     note_replay = engine.note_replay
     stats = CGRAStats()
@@ -333,7 +332,7 @@ def compute_schedule(
     launch_exec_cycles: list[int] = []
     gpp_segments: list[tuple[int, int]] = []
 
-    records = trace.records
+    pcs = memoryview(trace.pc_array)
     pc_bytes = trace.pc_array.tobytes()
     pc_width = trace.pc_array.itemsize
     head_flags = engine.unit_head_flags(trace).tobytes()
@@ -374,13 +373,13 @@ def compute_schedule(
     # misspeculation (enables I/O overlap of chained launches).
     chained = False
     segment_start = -1
-    n_records = len(records)
+    n_records = len(trace)
     while position < n_records:
         is_head = position == pending_head or head_flags[position]
         unit = None
         if is_head:
             config_cache_accesses += 1
-            unit = lookup(records[position].pc)
+            unit = lookup(pcs[position])
         if unit is not None:
             if segment_start >= 0:
                 gpp_segments.append((segment_start, position))
@@ -397,7 +396,7 @@ def compute_schedule(
             if pc_bytes.startswith(launch.path_bytes, position * pc_width):
                 matched = length
             else:
-                matched = _matched_prefix(records, position, unit.pc_path)
+                matched = _matched_prefix(pcs, position, unit.pc_path)
             end = position + matched
             cold = loaded_pc != unit.start_pc
             launch_cost = launch.launch_cycles[cold][chained]
@@ -448,7 +447,7 @@ def compute_schedule(
         chained = False
         if segment_start < 0:
             segment_start = position
-        cycles += record_cycles(records[position])
+        cycles += gpp_cycles(trace, position, position + 1)
         code = class_codes[position]
         gpp_class_counts[code] = gpp_class_counts.get(code, 0) + 1
         if speculative:
