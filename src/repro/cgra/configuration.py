@@ -105,6 +105,13 @@ class VirtualConfiguration:
         if not self.ops:
             raise ConfigurationError("configuration has no operations")
         for op in self.ops:
+            if op.width < 1:
+                # Every launch must stress at least one FU: the batch
+                # allocator's stress fold relies on it.
+                raise ConfigurationError(
+                    f"op {op.op} at ({op.row},{op.col}) spans "
+                    f"{op.width} columns; ops span at least one"
+                )
             if op.row >= self.geometry_rows or op.end_col > self.geometry_cols:
                 raise ConfigurationError(
                     f"op {op.op} at ({op.row},{op.col})+{op.width} exceeds "

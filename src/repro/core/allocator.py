@@ -9,39 +9,49 @@ and records the stressed physical cells in the utilization tracker.
 Two entry points share one engine:
 
 * :meth:`ConfigurationAllocator.allocate_batch` — the vectorized path.
-  The policy plans the whole launch sequence as *schedule segments*
-  (contiguous launch ranges with precomputed pivot arrays) through its
-  :meth:`~repro.core.policy.AllocationPolicy.plan_segments` hook;
-  stress accrual is *deferred*: launches accumulate in per-
-  configuration groups and fold into the tracker with one
-  ``np.add.at`` per configuration, flushed only at segment boundaries
-  (and before any tracker read). The policy reads stress through a
-  flushing tracker view, so every resumption of its plan generator
-  observes exactly the counter state the scalar loop would have shown
-  it. A policy that does not override ``plan_segments`` is planned
-  one launch per segment through its ``next_pivot`` hook.
+  The launch sequence is indexed by unit identity
+  (:func:`~repro.core.policy.unit_column`; a
+  :class:`~repro.system.schedule.LaunchSchedule` carries the columns
+  and hands them to :meth:`ConfigurationAllocator.allocate_indexed`).
+  The policy plans the sequence as *schedule segments* (contiguous
+  launch ranges with precomputed pivot arrays) through its
+  :meth:`~repro.core.policy.AllocationPolicy.plan_segments` hook.
+  Stress accrual is *deferred*: accepted segments only extend a launch
+  range, and a flush folds the range into the tracker as a histogram —
+  one ``np.bincount`` over ``unit * n_cells + pivot`` keys gives the
+  distinct (unit, pivot) pairs with their launch counts and cycle sums,
+  one gather translates those pairs' cells, and two weighted
+  ``np.bincount`` calls add executions and cycles (a flush of a few
+  launches skips the histogram and translates each launch). Fit and
+  wrap-around folding are checked once per unit and raised at the
+  first offending launch. Flushes happen at the end of the batch and
+  before any tracker read: the policy reads stress through a flushing
+  tracker view, so every resumption of its plan generator observes
+  exactly the counter state the scalar loop would have shown it. A
+  policy that does not override ``plan_segments`` is planned one
+  launch per segment through its ``next_pivot`` hook.
 * :meth:`ConfigurationAllocator.allocate` — the scalar API, the
   engine's single-launch fast path (shared validation and tracker
   accounting, no per-launch numpy batch overhead). Property tests
   assert the two paths stay bit-identical.
+
+Both paths take integral, non-negative cycle weights, and a batch's
+weights must sum below :data:`MAX_BATCH_CYCLES`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
-from repro.core.policy import (
-    AllocationPolicy,
-    ScheduleView,
-    candidate_footprints,
-    iter_runs,
-)
+from repro.core.policy import AllocationPolicy, ScheduleView, unit_column
 from repro.core.utilization import UtilizationTracker
 from repro.errors import AllocationError
 
@@ -100,15 +110,201 @@ class BatchPlacement:
         )
 
 
-#: Any single pivot suffices for the (pivot-independent) fold check.
-_ORIGIN_PIVOT = np.zeros((1, 2), dtype=np.int64)
+#: Upper bound (exclusive) on a batch's summed cycle weights: the fold
+#: adds cycles as float64 ``np.bincount`` weights, which count exactly
+#: only below 2**53. A single launch's weight obeys the same bound.
+MAX_BATCH_CYCLES = 2**53
+
+#: Flushes of at most this many launches skip the (unit, pivot)
+#: histogram and translate every launch (each its own pair): on the
+#: sweep's schedules that is ~30% cheaper per flush at 4–64 launches
+#: and dearer from ~256, and it cut stress_aware(4) replay by ~15%.
+_SMALL_FLUSH = 64
+
+_FOLDED = (
+    "wrap-around folded two ops onto one cell; configuration is wider "
+    "or taller than the fabric"
+)
+
+
+@lru_cache(maxsize=None)
+def _wrap_tables(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wrap-around translation of one fabric as two small lookups.
+
+    A cell ``(row, col)`` with ``row < 2 * rows`` and ``col < 2 * cols``
+    has the *doubled* coordinate ``row * 2 * cols + col``. A virtual
+    cell plus a pivot stays inside that range, and adding two doubled
+    coordinates adds rows and columns without carries. Returns
+    ``(wrap, doubled)``: ``wrap[d]`` is the flat physical cell
+    ``(row % rows) * cols + col % cols`` of doubled coordinate ``d``
+    (the arithmetic of :func:`~repro.core.policy.candidate_footprints`),
+    and ``doubled[p]`` is the doubled coordinate of flat pivot ``p``.
+    """
+    row = np.arange(2 * rows) % rows
+    col = np.arange(2 * cols) % cols
+    wrap = (row[:, None] * cols + col[None, :]).reshape(-1)
+    flat = np.arange(rows * cols)
+    doubled = flat // cols * (2 * cols) + flat % cols
+    for table in (wrap, doubled):
+        table.flags.writeable = False
+    return wrap, doubled
+
+
+class _BatchFold:
+    """Deferred stress accrual of one batch.
+
+    The allocator marks launches accepted segment by segment
+    (:meth:`accept`); :meth:`flush` folds the contiguous range accepted
+    since the previous flush into the tracker as one (unit, pivot)
+    histogram. Fit and wrap-around folding are pivot-independent, so
+    they are checked once per unit up front; :meth:`accept` stops at
+    the first launch of an invalid unit, which keeps ``launches`` and
+    the tracker equal to the scalar loop's on every error path.
+    """
+
+    def __init__(
+        self,
+        geometry: FabricGeometry,
+        tracker: UtilizationTracker,
+        units: Sequence[VirtualConfiguration],
+        unit_index: np.ndarray,
+        pivots: np.ndarray,
+        cycles: np.ndarray,
+    ) -> None:
+        self.tracker = tracker
+        self.units = units
+        self.unit_index = unit_index
+        self.pivots = pivots
+        self.cycles = cycles
+        self.accepted = 0
+        self.folded = 0
+        #: First launch whose unit cannot be placed (``n_launches``
+        #: when every unit can).
+        self.first_invalid = len(unit_index)
+        if not units:
+            return
+        rows, cols = geometry.rows, geometry.cols
+        n_cells = geometry.n_cells
+        self.n_cells = n_cells
+        self.cols = cols
+        self.wrap, self.pivot_doubled = _wrap_tables(rows, cols)
+
+        lengths = np.fromiter(
+            (len(unit.cell_rows) for unit in units),
+            dtype=np.int64,
+            count=len(units),
+        )
+        cell_rows = np.concatenate([unit.cell_rows for unit in units])
+        cell_cols = np.concatenate([unit.cell_cols for unit in units])
+        offsets = np.cumsum(lengths) - lengths
+
+        # A unit folds iff two of its cells share a physical cell under
+        # the origin pivot (any pivot gives the same answer).
+        owner = np.repeat(np.arange(len(units)), lengths)
+        origin = (cell_rows % rows) * cols + cell_cols % cols
+        distinct = np.bincount(
+            np.unique(owner * n_cells + origin) // n_cells,
+            minlength=len(units),
+        )
+        invalid = (distinct != lengths) | np.fromiter(
+            (
+                unit.geometry_rows > rows or unit.geometry_cols > cols
+                for unit in units
+            ),
+            dtype=bool,
+            count=len(units),
+        )
+        if invalid.any():
+            self.first_invalid = int(np.argmax(invalid[unit_index]))
+
+        # Per unit its cells' doubled coordinates, padded to one width
+        # by repeating its last cell; ``real`` weighs the padding 0.
+        slot = np.arange(int(lengths.max()))
+        last = lengths[:, None] - 1
+        self.doubled = (cell_rows * (2 * cols) + cell_cols)[
+            offsets[:, None] + np.minimum(slot, last)
+        ]
+        self.real = (slot <= last).astype(np.float64)
+
+        # Footprint keys (start PCs) numbered in first-launch order;
+        # ``keys_through[u]`` counts the keys of units ``0..u``, which
+        # are exactly the keys launched before unit ``u + 1``.
+        key_ids: dict[int, int] = {}
+        unit_key = [
+            key_ids.setdefault(unit.start_pc, len(key_ids)) for unit in units
+        ]
+        self.keys = list(key_ids)
+        self.unit_key = np.asarray(unit_key, dtype=np.int64)
+        self.keys_through = (np.maximum.accumulate(self.unit_key) + 1).tolist()
+        self.key_rows = np.zeros(len(self.keys), dtype=np.int64)
+        self.unit_rows = self.key_rows[self.unit_key]
+        self.registered = 0
+
+    def accept(self, start: int, stop: int) -> VirtualConfiguration | None:
+        """Mark launches ``[start, stop)`` placed, up to the first
+        launch of a unit that cannot be placed; return that unit, or
+        None when the whole range is placed."""
+        self.accepted = min(stop, self.first_invalid)
+        if self.accepted < stop:
+            return self.units[self.unit_index[self.accepted]]
+        return None
+
+    def flush(self) -> None:
+        """Fold the launches accepted since the last flush."""
+        start, stop = self.folded, self.accepted
+        if start == stop:
+            return
+        self.folded = stop
+        if obs.state.enabled:
+            obs.count("allocator.flushes")
+        n_cells = self.n_cells
+        pivots = self.pivots[start:stop]
+        if stop - start <= _SMALL_FLUSH:
+            # A few launches: each one is its own (unit, pivot) pair.
+            units = self.unit_index[start:stop]
+            shifts = pivots[:, 0] * (2 * self.cols) + pivots[:, 1]
+            counts = None
+            busy = self.cycles[start:stop]
+        else:
+            keys = np.multiply(
+                self.unit_index[start:stop], n_cells, dtype=np.int64
+            )
+            keys += pivots[:, 0] * self.cols
+            keys += pivots[:, 1]
+            counts = np.bincount(keys)
+            pairs = np.flatnonzero(counts)
+            busy = np.bincount(keys, weights=self.cycles[start:stop])[pairs]
+            counts = counts[pairs]
+            units, pair_pivots = np.divmod(pairs, n_cells)
+            shifts = self.pivot_doubled[pair_pivots]
+        cells = self.wrap[self.doubled[units] + shifts[:, None]]
+        real = self.real[units]
+        launch_weights = real if counts is None else real * counts[:, None]
+        flat = cells.reshape(-1)
+        executions = np.bincount(flat, launch_weights.reshape(-1), n_cells)
+        cycles = np.bincount(flat, (real * busy[:, None]).reshape(-1), n_cells)
+        n_keys = self.keys_through[units.max()]
+        if n_keys > self.registered:
+            self.key_rows[self.registered : n_keys] = (
+                self.tracker.footprint_rows(self.keys[self.registered : n_keys])
+            )
+            self.registered = n_keys
+            self.unit_rows = self.key_rows[self.unit_key]
+        self.tracker.accrue(
+            executions.astype(np.int64),
+            cycles.astype(np.int64),
+            stop - start,
+            int(busy.sum()),
+            self.unit_rows[units][:, None],
+            cells,
+        )
 
 
 class _FlushingTrackerView:
     """Tracker proxy that folds deferred launches in before any read.
 
-    The batched allocator postpones stress accrual so it can group
-    launches by configuration; policies, however, must observe exactly
+    The batched allocator postpones stress accrual so it can fold whole
+    launch ranges at once; policies, however, must observe exactly
     the counters the scalar loop would have shown them. Every
     attribute access on this view first flushes the pending launches
     into the real tracker, then delegates — a policy that never reads
@@ -156,13 +352,17 @@ class ConfigurationAllocator:
         Args:
             config: the virtual configuration being launched.
             cycles: execution cycles of this launch (for cycle-weighted
-                utilization).
+                utilization): an integral, non-negative weight below
+                :data:`MAX_BATCH_CYCLES`.
 
         Raises:
             AllocationError: if the configuration does not fit the
-                fabric (it was scheduled for a different geometry) or
-                the policy returns an out-of-range pivot.
+                fabric (it was scheduled for a different geometry),
+                ``cycles`` is not a valid weight, or the policy returns
+                an out-of-range pivot.
         """
+        if type(cycles) is not int or not 0 <= cycles < MAX_BATCH_CYCLES:
+            cycles = int(self._cycles_array(cycles, 1)[0])
         self._check_fit(config)
         pivot = self.policy.next_pivot(config, self.tracker)
         pivot_row, pivot_col = int(pivot[0]), int(pivot[1])
@@ -178,10 +378,7 @@ class ConfigurationAllocator:
             for row, col in config.cells
         )
         if len(set(cells)) != len(cells):
-            raise AllocationError(
-                "wrap-around folded two ops onto one cell; configuration "
-                "is wider or taller than the fabric"
-            )
+            raise AllocationError(_FOLDED)
         self.tracker.record(config.start_pc, cells, cycles=cycles)
         self.launches += 1
         if obs.state.enabled:
@@ -199,20 +396,35 @@ class ConfigurationAllocator:
         """Place a sequence of launches and record their stress.
 
         Args:
-            configs: configurations in launch order (repeats allowed;
-                consecutive repeats of the same object are vectorized
-                as one run).
+            configs: configurations in launch order (repeats allowed).
             pivots: optional ``(n_launches, 2)`` pivot overrides; when
                 omitted the bound policy plans the sequence via its
                 ``plan_segments`` hook.
-            cycles: scalar or per-launch execution cycle counts.
+            cycles: scalar or per-launch execution cycle counts:
+                integral and non-negative, summing below
+                :data:`MAX_BATCH_CYCLES`.
 
         Raises:
             AllocationError: if any configuration does not fit the
-                fabric, any pivot is outside it, or the policy's
-                segment plans do not tile the sequence contiguously.
+                fabric, any pivot is outside it, a cycle weight is
+                invalid, or the policy's segment plans do not tile the
+                sequence contiguously.
         """
         configs = tuple(configs)
+        units, unit_index = unit_column(configs)
+        return self.allocate_indexed(configs, units, unit_index, pivots, cycles)
+
+    def allocate_indexed(
+        self,
+        configs: tuple[VirtualConfiguration, ...],
+        units: Sequence[VirtualConfiguration],
+        unit_index: np.ndarray,
+        pivots: np.ndarray | Sequence[tuple[int, int]] | None = None,
+        cycles: int | Sequence[int] | np.ndarray = 1,
+    ) -> BatchPlacement:
+        """:meth:`allocate_batch` of a sequence already indexed by
+        :func:`~repro.core.policy.unit_column` (``units`` and
+        ``unit_index`` as it returns them for ``configs``)."""
         n_launches = len(configs)
         cycles_arr = self._cycles_array(cycles, n_launches)
         if pivots is not None:
@@ -223,82 +435,15 @@ class ConfigurationAllocator:
                     f"got {pivots.shape}"
                 )
         pivots_out = np.empty((n_launches, 2), dtype=np.int64)
-
-        # Deferred stress accrual: runs append (config, pivots, cycles)
-        # here; ``flush`` folds everything accumulated so far into the
-        # tracker, grouped by configuration (one footprint translation
-        # and one ``np.add.at`` per distinct config — integer accrual
-        # commutes, so regrouping is exact). Policies read stress only
-        # through the flushing view, which keeps interleaved sequences
-        # bit-identical to the scalar loop while run-of-one launch
-        # schedules skip almost all per-run numpy setup.
-        pending: list[tuple[VirtualConfiguration, np.ndarray, np.ndarray]] = []
-        checked_fit: set[int] = set()
+        fold = _BatchFold(
+            self.geometry, self.tracker, units, unit_index, pivots_out,
+            cycles_arr,
+        )
+        tracker_view = _FlushingTrackerView(self.tracker, fold.flush)
         # Telemetry: one flag test per batch and per flush — nothing on
         # the per-launch path.
         if obs.state.enabled:
             obs.count("allocator.launches", n_launches)
-
-        def flush() -> None:
-            if not pending:
-                return
-            if obs.state.enabled:
-                obs.count("allocator.flushes")
-            groups: dict[int, list] = {}
-            for config, run_pivots, run_cycles in pending:
-                group = groups.get(id(config))
-                if group is None:
-                    groups[id(config)] = [config, [run_pivots], [run_cycles]]
-                else:
-                    group[1].append(run_pivots)
-                    group[2].append(run_cycles)
-            pending.clear()
-            for config, pivot_runs, cycle_runs in groups.values():
-                group_pivots = (
-                    pivot_runs[0]
-                    if len(pivot_runs) == 1
-                    else np.concatenate(pivot_runs)
-                )
-                group_cycles = (
-                    cycle_runs[0]
-                    if len(cycle_runs) == 1
-                    else np.concatenate(cycle_runs)
-                )
-                flat = candidate_footprints(
-                    config, group_pivots, self.geometry
-                )
-                self.tracker.record_batch(
-                    config.start_pc, flat, group_cycles
-                )
-
-        tracker_view = _FlushingTrackerView(self.tracker, flush)
-
-        def check_fit_once(config: VirtualConfiguration) -> None:
-            # Fit and wrap-around folding are both pivot-independent,
-            # so one check at first sight covers every launch of the
-            # config — and flush() can never raise, which keeps
-            # ``launches`` and the tracker in agreement on any
-            # mid-batch error path.
-            if id(config) not in checked_fit:
-                self._check_fit(config)
-                self._check_no_fold(
-                    config,
-                    candidate_footprints(
-                        config, _ORIGIN_PIVOT, self.geometry
-                    ),
-                )
-                checked_fit.add(id(config))
-
-        def record_runs(
-            seg_pivots: np.ndarray, seg_start: int, seg_stop: int
-        ) -> None:
-            """Defer the segment's launches run by run, validating fit
-            at first sight of each configuration."""
-            for config, start, stop in iter_runs(configs, seg_start, seg_stop):
-                check_fit_once(config)
-                run_pivots = seg_pivots[start - seg_start : stop - seg_start]
-                pending.append((config, run_pivots, cycles_arr[start:stop]))
-                self.launches += stop - start
 
         batch_span = obs.span(
             "allocate.batch",
@@ -310,10 +455,10 @@ class ConfigurationAllocator:
             if pivots is not None:
                 self._check_pivots(pivots, "explicit pivots argument")
                 pivots_out[:] = pivots
-                record_runs(pivots, 0, n_launches)
+                self._accept(fold, 0, n_launches)
             elif n_launches > 0:
                 origin = f"policy {getattr(self.policy, 'name', '?')!r}"
-                schedule = ScheduleView(configs, cycles_arr)
+                schedule = ScheduleView(configs, cycles_arr, unit_index)
                 planned = 0
                 for plan in self.policy.plan_segments(schedule, tracker_view):
                     if obs.state.enabled:
@@ -322,7 +467,7 @@ class ConfigurationAllocator:
                     self._check_plan(plan, seg_pivots, planned, n_launches, origin)
                     self._check_pivots(seg_pivots, origin)
                     pivots_out[plan.start : plan.stop] = seg_pivots
-                    record_runs(seg_pivots, plan.start, plan.stop)
+                    self._accept(fold, plan.start, plan.stop)
                     planned = plan.stop
                 if planned != n_launches:
                     raise AllocationError(
@@ -332,19 +477,30 @@ class ConfigurationAllocator:
         finally:
             # Keep the allocator's observable state consistent even
             # when a segment fails validation (or a policy hook
-            # raises): the runs accepted before the error are
+            # raises): the launches accepted before the error are
             # recorded, so ``launches`` and the tracker agree. On
             # success this is the ordinary final flush.
-            flush()
+            fold.flush()
+            self.launches += fold.accepted
             batch_span.__exit__(None, None, None)
+        placed_cycles = cycles_arr.view()
+        placed_cycles.flags.writeable = False
         return BatchPlacement(
             geometry=self.geometry,
             configs=configs,
             pivots=pivots_out,
-            cycles=cycles_arr,
+            cycles=placed_cycles,
         )
 
     # -- validation helpers ------------------------------------------------
+
+    def _accept(self, fold: _BatchFold, start: int, stop: int) -> None:
+        """Accept a segment, raising the scalar loop's error at the
+        first launch of a unit that cannot be placed."""
+        unit = fold.accept(start, stop)
+        if unit is not None:
+            self._check_fit(unit)
+            raise AllocationError(_FOLDED)
 
     @staticmethod
     def _check_plan(
@@ -375,15 +531,51 @@ class ConfigurationAllocator:
     def _cycles_array(
         cycles: int | Sequence[int] | np.ndarray, n_launches: int
     ) -> np.ndarray:
-        arr = np.asarray(cycles, dtype=np.int64)
+        """Per-launch int64 cycle weights, validated.
+
+        Weights must be integral (an integer dtype, or floats without a
+        fractional part) and non-negative, and their exact sum must
+        stay below :data:`MAX_BATCH_CYCLES`.
+        """
+        arr = np.asarray(cycles)
         if arr.ndim == 0:
-            return np.full(n_launches, int(arr), dtype=np.int64)
-        if arr.shape != (n_launches,):
+            arr = np.full(n_launches, arr)
+        elif arr.shape != (n_launches,):
             raise AllocationError(
                 f"cycles must be scalar or length {n_launches}, "
                 f"got shape {arr.shape}"
             )
-        return arr
+        if arr.dtype.kind == "f":
+            fractional = ~np.isfinite(arr) | (arr != np.trunc(arr))
+            if fractional.any():
+                bad = arr[int(np.argmax(fractional))]
+                raise AllocationError(
+                    f"cycle weights must be integral, got {bad!r}"
+                )
+        elif arr.dtype.kind not in "iu":
+            raise AllocationError(
+                f"cycle weights must be integers, got dtype {arr.dtype}"
+            )
+        if n_launches == 0:
+            return arr.astype(np.int64)
+        if arr.min() < 0:
+            bad = arr[int(np.argmax(arr < 0))]
+            raise AllocationError(
+                f"cycle weights must be non-negative, got {bad!r}"
+            )
+        if arr.dtype.kind == "f":
+            total = math.fsum(arr.tolist())
+        elif int(arr.max()) * n_launches < MAX_BATCH_CYCLES:
+            total = int(arr.sum())
+        else:
+            # Python ints: no int64 wrap-around on huge weights.
+            total = sum(arr.tolist())
+        if total >= MAX_BATCH_CYCLES:
+            raise AllocationError(
+                f"cycle weights sum to {total:.0f}, at or above the "
+                f"2**53 the stress fold counts exactly"
+            )
+        return arr.astype(np.int64, copy=False)
 
     def _check_fit(self, config: VirtualConfiguration) -> None:
         if (
@@ -408,16 +600,4 @@ class ConfigurationAllocator:
             pivot = (int(bad[0]), int(bad[1]))
             raise AllocationError(
                 f"{origin} returned pivot {pivot} outside {self.geometry}"
-            )
-
-    def _check_no_fold(
-        self, config: VirtualConfiguration, flat: np.ndarray
-    ) -> None:
-        # Wrap-around folding is pivot-independent (two cells collide
-        # iff their coordinate deltas are multiples of the fabric
-        # shape), so checking any single launch covers the whole run.
-        if len(np.unique(flat[0])) != flat.shape[1]:
-            raise AllocationError(
-                "wrap-around folded two ops onto one cell; configuration "
-                "is wider or taller than the fabric"
             )

@@ -52,8 +52,9 @@ they need re-entry points via :attr:`AllocationPolicy.plan_granularity`:
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,21 +73,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PLAN_GRANULARITIES = ("schedule", "epoch", "interval", "launch")
 
 
-def iter_runs(configs, start: int = 0, stop: int | None = None):
-    """Yield ``(config, start, stop)`` runs of consecutive identical
-    configuration objects within ``configs[start:stop]`` — the single
-    owner of the run-boundary rule shared by the batch allocator and
-    the :class:`ScheduleView`.
+def unit_column(
+    configs: Sequence[VirtualConfiguration],
+) -> tuple[tuple[VirtualConfiguration, ...], np.ndarray]:
+    """Index a launch sequence by unit identity, in one pass.
+
+    Returns ``(units, unit_index)``: the distinct configuration objects
+    in first-launch order, and per launch the position of its object
+    in ``units`` (read-only int32). Two launches share an index exactly
+    when they launch the same object, so runs of equal indices are the
+    runs of consecutive identical configurations.
     """
-    position = start
-    end = len(configs) if stop is None else stop
-    while position < end:
-        config = configs[position]
-        run_stop = position + 1
-        while run_stop < end and configs[run_stop] is config:
-            run_stop += 1
-        yield config, position, run_stop
-        position = run_stop
+    # Equal ids are one object, so the dict keeps first-launch order.
+    first = dict(zip(map(id, configs), configs))
+    position = {key: index for index, key in enumerate(first)}
+    unit_index = np.fromiter(
+        map(position.__getitem__, map(id, configs)),
+        dtype=np.int32,
+        count=len(configs),
+    )
+    unit_index.flags.writeable = False
+    return tuple(first.values()), unit_index
 
 
 class ScheduleView:
@@ -95,14 +102,17 @@ class ScheduleView:
     Wraps the launch order (configuration per launch, repeats allowed)
     plus the per-launch execution cycle weights; policies plan pivots
     over it without being able to mutate the allocator's batch state.
+    ``unit_index`` is the sequence's :func:`unit_column` index, when
+    the caller already holds it.
     """
 
-    __slots__ = ("_configs", "_cycles")
+    __slots__ = ("_configs", "_cycles", "_unit_index")
 
     def __init__(
         self,
-        configs: tuple[VirtualConfiguration, ...],
+        configs: Sequence[VirtualConfiguration],
         cycles: np.ndarray | None = None,
+        unit_index: np.ndarray | None = None,
     ) -> None:
         self._configs = tuple(configs)
         if cycles is not None:
@@ -111,6 +121,9 @@ class ScheduleView:
             cycles = cycles.view()
             cycles.flags.writeable = False
         self._cycles = cycles
+        if unit_index is None:
+            unit_index = unit_column(self._configs)[1]
+        self._unit_index = unit_index
 
     @property
     def configs(self) -> tuple[VirtualConfiguration, ...]:
@@ -127,10 +140,23 @@ class ScheduleView:
     def n_launches(self) -> int:
         return len(self._configs)
 
-    def runs(self, start: int = 0, stop: int | None = None):
-        """Runs of consecutive identical configurations (see
-        :func:`iter_runs`)."""
-        return iter_runs(self._configs, start, stop)
+    def runs(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[VirtualConfiguration, int, int]]:
+        """``(config, run_start, run_stop)`` for each run of consecutive
+        identical configuration objects within ``[start, stop)``: the
+        places where the unit index column changes value."""
+        stop = len(self._configs) if stop is None else stop
+        if start >= stop:
+            return iter(())
+        column = self._unit_index[start:stop]
+        changes = np.flatnonzero(column[1:] != column[:-1])
+        bounds = (changes + (start + 1)).tolist()
+        configs = self._configs
+        return (
+            (configs[run_start], run_start, run_stop)
+            for run_start, run_stop in zip([start, *bounds], [*bounds, stop])
+        )
 
     def __len__(self) -> int:
         return len(self._configs)

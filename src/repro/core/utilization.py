@@ -11,6 +11,12 @@ physically precise one:
   configurations* whose (allocated) footprint covers the cell.
 * ``CYCLES``: busy-cycle weighted — each launch contributes its
   execution cycle count, normalising by total fabric-active cycles.
+
+Stress arrives two ways: :meth:`UtilizationTracker.record` adds one
+launch (the scalar allocation path), and
+:meth:`UtilizationTracker.accrue` adds a histogram the batch allocator
+folded from many launches — per-cell launch and cycle counts, their
+totals, and the cells to OR into each configuration's footprint.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ class UtilizationTracker:
         shape = (geometry.rows, geometry.cols)
         self._execution_counts = np.zeros(shape, dtype=np.int64)
         self._cycle_counts = np.zeros(shape, dtype=np.int64)
-        # Per-config footprints as flat boolean bitmaps internally
-        # (``mask[flat_indices] = True`` is O(cells) per record with no
-        # tuple churn); exposed as frozensets of ``(row, col)`` via
-        # :attr:`config_footprints`.
-        self._config_cells: dict[int, np.ndarray] = {}
+        # Per-config footprints as flat boolean bitmaps (``row * cols +
+        # col``), one row of ``_footprints`` per config key in
+        # first-record order, so a batch fold ORs all its cells in with
+        # one fancy assignment; exposed as frozensets of ``(row, col)``
+        # via :attr:`config_footprints`.
+        self._footprint_rows: dict[int, int] = {}
+        self._footprints = np.zeros((4, geometry.n_cells), dtype=bool)
         self.total_executions = 0
         self.total_cycles = 0
 
@@ -64,59 +72,59 @@ class UtilizationTracker:
         self._cycle_counts[rows, cols] += cycles
         self.total_executions += 1
         self.total_cycles += cycles
-        mask = self._footprint_mask(config_key)
+        # Take the row first: adding a key may grow ``_footprints``.
+        footprint = self._footprint_row(config_key)
+        mask = self._footprints[footprint]
         n_cols = self.geometry.cols
         for row, col in cells:
             mask[row * n_cols + col] = True
 
-    def record_batch(
+    def footprint_rows(self, config_keys) -> list[int]:
+        """Footprint row of each key, adding unseen keys in order.
+
+        Rows index the bitmaps :meth:`accrue` ORs cells into; a key
+        counts as a configuration (:attr:`n_configs`) from the moment
+        it has a row.
+        """
+        return [self._footprint_row(key) for key in config_keys]
+
+    def _footprint_row(self, config_key: int) -> int:
+        row = self._footprint_rows.get(config_key)
+        if row is None:
+            row = self._footprint_rows[config_key] = len(self._footprint_rows)
+            if row == len(self._footprints):
+                grown = np.zeros((2 * row, self.geometry.n_cells), dtype=bool)
+                grown[:row] = self._footprints
+                self._footprints = grown
+        return row
+
+    def accrue(
         self,
-        config_key: int,
-        flat_cells: np.ndarray,
+        executions: np.ndarray,
         cycles: np.ndarray,
+        launches: int,
+        total_cycles: int,
+        footprints: np.ndarray,
+        cells: np.ndarray,
     ) -> None:
-        """Record many launches of one configuration in a single pass.
+        """Fold many launches' stress in at once.
 
         Args:
-            config_key: configuration identity (its start PC).
-            flat_cells: ``(n_launches, n_cells)`` flat raster indices
-                (``row * cols + col``) of the stressed physical cells,
-                one row per launch.
-            cycles: ``(n_launches,)`` execution cycle counts.
-
-        Equivalent to ``n_launches`` :meth:`record` calls but accrues
-        the stress counts with ``np.add.at`` on the flattened count
-        matrices instead of one fancy-indexing pair per launch.
+            executions: ``(n_cells,)`` int64 launch count per flat
+                raster cell (``row * cols + col``).
+            cycles: ``(n_cells,)`` int64 busy cycles per flat cell.
+            launches: launches the histograms hold.
+            total_cycles: their summed execution cycles.
+            footprints: ``(k, 1)`` rows from :meth:`footprint_rows`.
+            cells: ``(k, m)`` flat cells OR-ed into those rows.
         """
-        n_launches, n_cells = flat_cells.shape
-        if n_launches == 0:
-            return
-        cycles = np.asarray(cycles, dtype=np.int64)
-        flat = flat_cells.ravel()
-        if n_launches == 1:
-            # Single-launch fast path (the scalar wrapper): indices
-            # within one launch are distinct, so plain fancy-index
-            # accumulation is exact and cheaper than np.add.at.
-            self._execution_counts.reshape(-1)[flat] += 1
-            self._cycle_counts.reshape(-1)[flat] += cycles[0]
-        else:
-            np.add.at(self._execution_counts.reshape(-1), flat, 1)
-            np.add.at(
-                self._cycle_counts.reshape(-1),
-                flat,
-                np.repeat(cycles, n_cells),
-            )
-        self.total_executions += int(n_launches)
-        self.total_cycles += int(cycles.sum())
-        self._footprint_mask(config_key)[flat] = True
-
-    def _footprint_mask(self, config_key: int) -> np.ndarray:
-        """The config's flat footprint bitmap, created on first use."""
-        mask = self._config_cells.get(config_key)
-        if mask is None:
-            mask = np.zeros(self.geometry.n_cells, dtype=bool)
-            self._config_cells[config_key] = mask
-        return mask
+        execution_counts = self._execution_counts.reshape(-1)
+        execution_counts += executions
+        cycle_counts = self._cycle_counts.reshape(-1)
+        cycle_counts += cycles
+        self.total_executions += launches
+        self.total_cycles += total_cycles
+        self._footprints[footprints, cells] = True
 
     # -- reports -----------------------------------------------------------
 
@@ -133,12 +141,9 @@ class UtilizationTracker:
         return self._config_utilization()
 
     def _config_utilization(self) -> np.ndarray:
-        counts = np.zeros(
-            (self.geometry.rows, self.geometry.cols), dtype=np.int64
-        )
-        for mask in self._config_cells.values():
-            counts += mask.reshape(counts.shape)
-        n_configs = len(self._config_cells)
+        n_configs = self.n_configs
+        counts = self._footprints[:n_configs].sum(axis=0, dtype=np.int64)
+        counts = counts.reshape(self.geometry.rows, self.geometry.cols)
         if n_configs == 0:
             return counts.astype(float)
         return counts / n_configs
@@ -177,7 +182,7 @@ class UtilizationTracker:
     @property
     def n_configs(self) -> int:
         """Distinct configurations observed."""
-        return len(self._config_cells)
+        return len(self._footprint_rows)
 
     @property
     def config_footprints(self) -> dict[int, frozenset[tuple[int, int]]]:
@@ -185,10 +190,10 @@ class UtilizationTracker:
         cols = self.geometry.cols
         return {
             key: frozenset(
-                (int(index) // cols, int(index) % cols)
-                for index in np.flatnonzero(mask)
+                divmod(index, cols)
+                for index in np.flatnonzero(self._footprints[row]).tolist()
             )
-            for key, mask in self._config_cells.items()
+            for key, row in self._footprint_rows.items()
         }
 
     @property

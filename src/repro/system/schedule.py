@@ -14,12 +14,18 @@ per policy:
   *stress-coupled* (it reads the allocator's live stress map, closing
   the feedback loop that makes the launch stream policy-dependent).
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
-  policy is applied to a recorded schedule through
-  :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`,
-  reconstructing the policy-dependent utilization tracker without
-  touching the trace. Replay is bit-identical to the interleaved walk
-  (the batch engine is property-tested against the scalar loop, and
-  ``tests/test_schedule_equivalence.py`` pins the system level).
+  policy is applied to a recorded schedule, reconstructing the
+  policy-dependent utilization tracker without touching the trace.
+  The schedule stores its launches as columns — a unit index per
+  launch into its distinct units, beside the cycle weights — and
+  hands them straight to the batch engine
+  (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate_indexed`),
+  which folds each range of planned launches into the tracker as one
+  (unit, pivot) histogram. Replay is bit-identical to the interleaved
+  walk (the batch engine is property-tested against the scalar loop,
+  ``tests/test_schedule_equivalence.py`` pins the system level and
+  ``tests/test_replay_trackers.py`` the per-cell results of the
+  benchmarked policy sweep).
 
 Schedules and the stand-alone GPP reference timing are memoised per
 process, keyed weakly by trace object, so serial campaigns and the
@@ -33,8 +39,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 from bisect import bisect_left
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -51,7 +57,7 @@ from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
 from repro.cgra.reconfig import ReconfigLogicSpec
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import AllocationPolicy
+from repro.core.policy import AllocationPolicy, unit_column
 from repro.dbt.config_cache import ConfigCache, ConfigCacheStats
 from repro.dbt.translator import DBTEngine
 from repro.errors import ConfigurationError
@@ -170,16 +176,20 @@ class LaunchSchedule:
             such schedules are valid only for the policy they were
             recorded under and are never shared.
         configs: launched unit per fabric launch, in launch order
-            (consecutive replays of one cached unit repeat the same
-            object, which the batch allocator vectorizes as one run).
+            (every replay of one cached unit repeats the same object).
         exec_cycles: per-launch execution cycles (the stress weight of
-            the launch), aligned with ``configs``.
+            the launch), aligned with ``configs`` (read-only int64).
         transrec_cycles: total TransRec cycles of the walk.
         cgra: final fabric counters (template — copied per result).
         cache_stats: final configuration-cache counters (template).
         activity: energy-model activity summary of the walk.
         gpp_segments: half-open ``[start, stop)`` trace ranges executed
             on the GPP side (diagnostics; replay never touches them).
+        units: the distinct unit objects of ``configs`` in first-launch
+            order (derived; see :func:`~repro.core.policy.unit_column`).
+        unit_index: per launch, the position of its unit in ``units``
+            (derived; read-only int32). Replay reads these two columns
+            instead of walking ``configs``.
     """
 
     trace_name: str
@@ -192,6 +202,18 @@ class LaunchSchedule:
     cache_stats: ConfigCacheStats
     activity: SystemActivity
     gpp_segments: tuple[tuple[int, int], ...]
+    units: tuple[VirtualConfiguration, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    unit_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Schedules are shared by every replay in the process, so the
+        # columns they hand out must not be writable.
+        exec_cycles = np.asarray(self.exec_cycles, dtype=np.int64).view()
+        exec_cycles.flags.writeable = False
+        self.exec_cycles = exec_cycles
+        self.units, self.unit_index = unit_column(self.configs)
 
     @property
     def n_launches(self) -> int:
@@ -473,32 +495,18 @@ def compute_schedule(
 
     if segment_start >= 0:
         gpp_segments.append((segment_start, n_records))
-    # Integer counts commute, so op kinds fold once per unit by launch
-    # multiplicity; both dicts keep first-occurrence order, which the
-    # energy model's float sums depend on.
-    cgra_op_counts: dict[FUKind, int] = {}
-    active_column_launches = 0
-    for key, multiplicity in Counter(map(id, launch_configs)).items():
-        launch = unit_launches[key]
-        active_column_launches += launch.used_cols * multiplicity
-        for kind, count in launch.op_kind_counts:
-            cgra_op_counts[kind] = (
-                cgra_op_counts.get(kind, 0) + count * multiplicity
-            )
     stats.launches = activity.launches = len(launch_configs)
     stats.cold_launches = cold_launches
     stats.committed_instructions = committed
     stats.misspeculations = misspeculations
     stats.squashed_instructions = squashed
     stats.frontend_flush_cycles = flush_cycles
-    activity.active_column_launches = active_column_launches
     activity.cold_config_bits = cold_config_bits
     activity.config_cache_accesses = config_cache_accesses
     activity.cycles = cycles
     activity.gpp_class_counts = {
         CLASS_MEMBERS[code]: count for code, count in gpp_class_counts.items()
     }
-    activity.cgra_op_counts = cgra_op_counts
     activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure
@@ -512,7 +520,7 @@ def compute_schedule(
         obs.count("frontend.flushes", trace.flushes)
         obs.count("frontend.interrupts", trace.interrupts)
         obs.count("frontend.wrong_path_launches", wrong_path_launches)
-    return LaunchSchedule(
+    schedule = LaunchSchedule(
         trace_name=trace.name,
         instructions=trace.n_committed,
         stress_coupled=engine.stress_coupled,
@@ -524,6 +532,24 @@ def compute_schedule(
         activity=activity,
         gpp_segments=tuple(gpp_segments),
     )
+    # Integer counts commute, so op kinds fold once per unit by launch
+    # multiplicity; units are in first-launch order and so is the op
+    # kind dict, which the energy model's float sums depend on.
+    multiplicities = np.bincount(
+        schedule.unit_index, minlength=len(schedule.units)
+    ).tolist()
+    cgra_op_counts: dict[FUKind, int] = {}
+    active_column_launches = 0
+    for unit, multiplicity in zip(schedule.units, multiplicities):
+        launch = unit_launches[id(unit)]
+        active_column_launches += launch.used_cols * multiplicity
+        for kind, count in launch.op_kind_counts:
+            cgra_op_counts[kind] = (
+                cgra_op_counts.get(kind, 0) + count * multiplicity
+            )
+    activity.active_column_launches = active_column_launches
+    activity.cgra_op_counts = cgra_op_counts
+    return schedule
 
 
 def replay_schedule(
@@ -535,9 +561,9 @@ def replay_schedule(
 
     Returns the allocator whose tracker holds the policy's stress
     outcome; the launch stream itself is replayed bit-identically to
-    the coupled walk through
-    :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`,
-    which drives the policy's whole-schedule *segment plans*
+    the coupled walk through the batch engine
+    (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate_indexed`
+    on the schedule's unit columns), which drives the policy's whole-schedule *segment plans*
     (:meth:`~repro.core.policy.AllocationPolicy.plan_segments`): the
     policy sees the full launch sequence up front and is re-entered
     only where it actually needs fresh tracker state.
@@ -556,8 +582,11 @@ def replay_schedule(
     ):
         obs.count("schedule.replays")
         if schedule.configs:
-            allocator.allocate_batch(
-                schedule.configs, cycles=schedule.exec_cycles
+            allocator.allocate_indexed(
+                schedule.configs,
+                schedule.units,
+                schedule.unit_index,
+                cycles=schedule.exec_cycles,
             )
     return allocator
 

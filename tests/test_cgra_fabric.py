@@ -131,6 +131,14 @@ class TestVirtualConfiguration:
         with pytest.raises(ConfigurationError):
             make_config([])
 
+    def test_zero_width_op_rejected(self):
+        empty = PlacedOp(op="add", kind=FUKind.ALU, row=0, col=1, width=0,
+                         trace_offset=1)
+        with pytest.raises(ConfigurationError, match="at least one"):
+            make_config([empty])
+        with pytest.raises(ConfigurationError, match="at least one"):
+            make_config([alu_op(0, 0), empty])
+
     def test_branch_count(self):
         branch = PlacedOp(op="beq", kind=FUKind.ALU, row=0, col=1, width=1,
                           trace_offset=1, is_branch=True)

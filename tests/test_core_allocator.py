@@ -175,6 +175,81 @@ class TestAllocatorValidation:
             alloc.allocate(config([(0, 0)]))
 
 
+class TestCycleWeights:
+    """Both allocation paths take only integral, non-negative cycle
+    weights, and a batch's weights must sum below 2**53 (the float64
+    histogram fold counts exactly only up to there). A rejected weight
+    leaves the tracker untouched."""
+
+    @staticmethod
+    def assert_untouched(alloc):
+        assert alloc.launches == 0
+        assert alloc.tracker.total_executions == 0
+        assert alloc.tracker.total_cycles == 0
+        assert not alloc.tracker.cycle_counts.any()
+
+    def test_batch_rejects_non_integral_weights(self):
+        alloc = allocator("baseline")
+        c = config([(0, 0)])
+        with pytest.raises(AllocationError, match="integral"):
+            alloc.allocate_batch([c, c], cycles=[1.7, 2.9])
+        self.assert_untouched(alloc)
+
+    def test_scalar_rejects_non_integral_weight(self):
+        alloc = allocator("baseline")
+        with pytest.raises(AllocationError, match="integral"):
+            alloc.allocate(config([(0, 0)]), cycles=1.7)
+        self.assert_untouched(alloc)
+
+    def test_batch_rejects_negative_weights(self):
+        alloc = allocator("baseline")
+        c = config([(0, 0)])
+        with pytest.raises(AllocationError, match="non-negative"):
+            alloc.allocate_batch([c, c], cycles=[3, -5])
+        with pytest.raises(AllocationError, match="non-negative"):
+            alloc.allocate_batch([c, c], cycles=-5)
+        self.assert_untouched(alloc)
+
+    def test_scalar_rejects_negative_weight(self):
+        alloc = allocator("baseline")
+        with pytest.raises(AllocationError, match="non-negative"):
+            alloc.allocate(config([(0, 0)]), cycles=-5)
+        self.assert_untouched(alloc)
+
+    def test_batch_rejects_cycle_total_reaching_2_pow_53(self):
+        alloc = allocator("baseline")
+        c = config([(0, 0)])
+        # Summed in int64 these would wrap to -2**63.
+        with pytest.raises(AllocationError, match="2\\*\\*53"):
+            alloc.allocate_batch([c, c], cycles=[2**62, 2**62])
+        with pytest.raises(AllocationError, match="2\\*\\*53"):
+            alloc.allocate_batch([c, c], cycles=[2**52, 2**52])
+        self.assert_untouched(alloc)
+        alloc.allocate_batch([c, c], cycles=[2**52, 2**52 - 1])
+        assert alloc.tracker.total_cycles == 2**53 - 1
+        assert alloc.tracker.cycle_counts[0, 0] == 2**53 - 1
+
+    def test_scalar_rejects_weight_reaching_2_pow_53(self):
+        alloc = allocator("baseline")
+        with pytest.raises(AllocationError, match="2\\*\\*53"):
+            alloc.allocate(config([(0, 0)]), cycles=2**53)
+        self.assert_untouched(alloc)
+
+    def test_integral_floats_and_numpy_ints_accepted_on_both_paths(self):
+        c = config([(0, 0), (1, 2)])
+        scalar = allocator("rotation")
+        batched = allocator("rotation")
+        weights = [np.int64(3), 2.0, np.int32(5)]
+        for weight in weights:
+            scalar.allocate(c, cycles=weight)
+        batched.allocate_batch([c] * 3, cycles=np.asarray([3.0, 2.0, 5.0]))
+        np.testing.assert_array_equal(
+            scalar.tracker.cycle_counts, batched.tracker.cycle_counts
+        )
+        assert scalar.tracker.total_cycles == batched.tracker.total_cycles == 10
+        assert type(scalar.tracker.total_cycles) is int
+
+
 class TestAllocatorProperties:
     @given(
         pivot_count=st.integers(min_value=1, max_value=64),

@@ -9,6 +9,7 @@ segments of the base-class planner, and the custom policy in
 ``examples/adaptive_policy.py``.
 """
 
+import dataclasses
 import importlib.util
 import sys
 import warnings
@@ -29,7 +30,6 @@ from repro.core.policy import (
     AllocationPolicy,
     ScheduleView,
     SegmentPlan,
-    iter_runs,
     make_policy,
     policy_class,
 )
@@ -73,10 +73,36 @@ class TestScheduleView:
 
     def test_runs_within_slice(self):
         configs = (CONFIG_A, CONFIG_A, CONFIG_B, CONFIG_B, CONFIG_A)
-        assert list(iter_runs(configs, 1, 4)) == [
+        assert list(ScheduleView(configs).runs(1, 4)) == [
             (CONFIG_A, 1, 2),
             (CONFIG_B, 2, 4),
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    def test_runs_match_identity_run_loop(self, picks, data):
+        """``runs(start, stop)`` over random sequences of 1–4 distinct
+        objects equals a plain loop that cuts a run wherever the next
+        launch is a different object — also between equal objects."""
+        pool = (CONFIG_A, CONFIG_B, dataclasses.replace(CONFIG_A),
+                synthetic_config([(3, 7)], 0x4000))
+        configs = tuple(pool[pick] for pick in picks)
+        start = data.draw(st.integers(0, len(configs)))
+        stop = data.draw(st.integers(start, len(configs)))
+        reference = []
+        position = start
+        while position < stop:
+            run_stop = position + 1
+            while run_stop < stop and configs[run_stop] is configs[position]:
+                run_stop += 1
+            reference.append((configs[position], position, run_stop))
+            position = run_stop
+        assert list(ScheduleView(configs).runs(start, stop)) == reference
+        if (start, stop) == (0, len(configs)):
+            assert list(ScheduleView(configs).runs()) == reference
 
     def test_cycles_exposed_read_only(self):
         cycles = np.asarray([3, 5], dtype=np.int64)

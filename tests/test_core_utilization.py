@@ -78,6 +78,24 @@ class TestConfigWeighting:
         assert util[0, 1] == 1.0
 
 
+    def test_footprints_survive_many_configs(self):
+        """Footprint storage grows as keys arrive; every key keeps its
+        own cells, in first-record order."""
+        t = tracker(rows=2, cols=4)
+        keys = [0x1000 + 4 * index for index in range(11)]
+        for index, key in enumerate(keys):
+            t.record(key, ((index % 2, index % 4),))
+            t.record(keys[0], ((1, 3),))
+        assert t.n_configs == len(keys)
+        footprints = t.config_footprints
+        assert list(footprints) == keys
+        assert footprints[keys[0]] == {(0, 0), (1, 3)}
+        for index, key in enumerate(keys[1:], start=1):
+            assert footprints[key] == {(index % 2, index % 4)}
+        util = t.utilization(Weighting.CONFIGS)
+        # (1, 3): keys[0] and the keys recorded at indices 3 and 7.
+        assert util[1, 3] == pytest.approx(3 / 11)
+
 class TestDerived:
     def test_balance_ratio(self):
         t = tracker(rows=1, cols=2)

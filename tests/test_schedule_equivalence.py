@@ -480,3 +480,55 @@ class TestCampaignGrouping:
                     serial.runs[point].results[name],
                     parallel.runs[point].results[name],
                 )
+
+
+class TestScheduleColumns:
+    """The unit columns a schedule hands to replay, and the read-only
+    guarantee on everything a memoised schedule shares."""
+
+    @pytest.fixture(scope="class")
+    def crc32_schedule(self):
+        return shared_schedule(
+            SystemParams(geometry=GEOMETRY), run_workload("crc32")
+        )
+
+    def test_unit_columns_index_configs_by_identity(self, crc32_schedule):
+        schedule = crc32_schedule
+        assert schedule.unit_index.dtype == np.int32
+        assert len(schedule.unit_index) == schedule.n_launches
+        assert [
+            schedule.units[index] for index in schedule.unit_index
+        ] == list(schedule.configs)
+        first_seen = list({id(unit): unit for unit in schedule.configs})
+        assert [id(unit) for unit in schedule.units] == first_seen
+
+    def test_replace_recomputes_the_columns(self, crc32_schedule):
+        units = _distinct_units(crc32_schedule, limit=2)
+        swapped = _synthetic_schedule(
+            crc32_schedule, [units[1], units[0], units[1]], [1, 2, 3]
+        )
+        assert [id(unit) for unit in swapped.units] == [
+            id(units[1]), id(units[0])
+        ]
+        assert swapped.unit_index.tolist() == [0, 1, 0]
+        assert not swapped.exec_cycles.flags.writeable
+
+    def test_shared_columns_are_read_only(self, crc32_schedule):
+        schedule = crc32_schedule
+        first = int(schedule.exec_cycles[0])
+        with pytest.raises(ValueError):
+            schedule.exec_cycles[0] = 999
+        with pytest.raises(ValueError):
+            schedule.unit_index[0] = 1
+        allocator = ConfigurationAllocator(GEOMETRY, make_policy("rotation"))
+        placement = allocator.allocate_batch(
+            schedule.configs, cycles=schedule.exec_cycles
+        )
+        with pytest.raises(ValueError):
+            placement.cycles[0] = 999
+        assert int(schedule.exec_cycles[0]) == first
+        again = shared_schedule(
+            SystemParams(geometry=GEOMETRY), run_workload("crc32")
+        )
+        assert again is schedule
+        assert int(again.exec_cycles[0]) == first

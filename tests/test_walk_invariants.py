@@ -157,3 +157,76 @@ def test_coupled_walk_conservation(name, policy_name, policy_kwargs):
     schedule = compute_schedule(params, run_workload(name), allocator=allocator)
     assert schedule.stress_coupled
     _assert_tracker_conserves(schedule, allocator.tracker)
+
+
+# ----------------------------------------------------------------------
+# Laws of the replay fold on the benchmarked policy sweep's fabrics.
+
+SWEEP_GEOMETRIES = ((2, 16), (4, 32), (8, 32))
+FOOTPRINT_GEOMETRIES = SWEEP_GEOMETRIES + ((4, 16),)
+
+
+def _sweep_schedule(name, rows, cols):
+    geometry = FabricGeometry(rows=rows, cols=cols)
+    params = SystemParams(geometry=geometry)
+    return geometry, shared_schedule(params, run_workload(name))
+
+
+@pytest.mark.parametrize("policy_name,make_kwargs", POLICIES, ids=POLICY_IDS)
+@pytest.mark.parametrize("rows,cols", SWEEP_GEOMETRIES)
+@pytest.mark.parametrize("name", workload_names())
+def test_replay_conservation_on_sweep_fabrics(
+    name, rows, cols, policy_name, make_kwargs
+):
+    geometry, schedule = _sweep_schedule(name, rows, cols)
+    allocator = replay_schedule(
+        schedule, geometry, make_policy(policy_name, **make_kwargs())
+    )
+    _assert_tracker_conserves(schedule, allocator.tracker)
+
+
+@pytest.mark.parametrize("policy_name,make_kwargs", POLICIES, ids=POLICY_IDS)
+@pytest.mark.parametrize("rows,cols", FOOTPRINT_GEOMETRIES)
+@pytest.mark.parametrize("name", workload_names())
+def test_footprint_is_the_union_of_its_keys_launches(
+    name, rows, cols, policy_name, make_kwargs
+):
+    """For each start PC, the tracker's footprint is the union of the
+    translated cells of every launch with that start PC, under the
+    pivots ``allocate_batch`` returns. Several unit objects with
+    different cells often share one start PC (87 of the 422 keys of
+    these schedules), so the fold must OR across units and flushes."""
+    geometry, schedule = _sweep_schedule(name, rows, cols)
+    allocator = ConfigurationAllocator(
+        geometry, make_policy(policy_name, **make_kwargs())
+    )
+    batch = allocator.allocate_batch(
+        schedule.configs, cycles=schedule.exec_cycles
+    )
+    placed = {}
+    for unit, (row, col) in zip(schedule.configs, batch.pivots.tolist()):
+        placed[id(unit), row, col] = (unit, row, col)
+    expected = {}
+    for unit, pivot_row, pivot_col in placed.values():
+        expected.setdefault(unit.start_pc, set()).update(
+            ((row + pivot_row) % rows, (col + pivot_col) % cols)
+            for row, col in unit.cells
+        )
+    assert allocator.tracker.config_footprints == {
+        key: frozenset(cells) for key, cells in expected.items()
+    }
+
+
+def test_footprint_law_meets_shared_start_pcs():
+    """The footprint law above is exercised where it matters: some
+    suite schedules launch one start PC from units with different
+    cells."""
+    shared = 0
+    for rows, cols in FOOTPRINT_GEOMETRIES:
+        for name in workload_names():
+            _, schedule = _sweep_schedule(name, rows, cols)
+            cells_by_key = {}
+            for unit in schedule.units:
+                cells_by_key.setdefault(unit.start_pc, set()).add(unit.cells)
+            shared += sum(len(cells) > 1 for cells in cells_by_key.values())
+    assert shared > 0
