@@ -46,8 +46,7 @@ def test_ablation_movement_patterns(benchmark):
             allocator = ConfigurationAllocator(
                 GEOMETRY, make_policy("rotation", pattern=pattern)
             )
-            for _ in range(GEOMETRY.n_cells * 8):
-                allocator.allocate(unit)
+            allocator.allocate_batch([unit] * (GEOMETRY.n_cells * 8))
             outcome[pattern] = allocator.tracker.max_utilization()
         return outcome
 
@@ -68,8 +67,7 @@ def test_ablation_rotation_stride(benchmark):
             allocator = ConfigurationAllocator(
                 GEOMETRY, make_policy("rotation", stride=stride)
             )
-            for _ in range(GEOMETRY.n_cells * 4):
-                allocator.allocate(unit)
+            allocator.allocate_batch([unit] * (GEOMETRY.n_cells * 4))
             counts = allocator.tracker.execution_counts
             outcome[stride] = int(counts.max() - counts.min())
         return outcome

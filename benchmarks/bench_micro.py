@@ -3,6 +3,8 @@
 These use pytest-benchmark's statistical timing (many rounds) since
 they are cheap: the greedy scheduler, the allocation policies and the
 functional simulator — the three components everything else multiplies.
+Allocation is timed through ``allocate_batch``, the path every
+simulation takes (the coupled walk folds its launches in batches too).
 """
 
 from repro.cgra.fabric import FabricGeometry
@@ -36,24 +38,10 @@ def test_scheduler_unit_build(benchmark):
     benchmark.extra_info["unit_instructions"] = unit.n_instructions
 
 
-def test_rotation_allocation_throughput(benchmark):
-    """Pivot selection + wrap translation + stress recording."""
-    geometry = FabricGeometry(rows=4, cols=32)
-    trace = run_workload("sha")
-    unit = build_unit(trace, 0, geometry)
-    allocator = ConfigurationAllocator(geometry, make_policy("rotation"))
-
-    def launch():
-        return allocator.allocate(unit)
-
-    placement = benchmark(launch)
-    assert len(placement.cells) == len(unit.cells)
-
-
 def test_rotation_allocation_batch_throughput(benchmark):
-    """Same launches through the vectorized batch API (compare per-
-    launch time against ``test_rotation_allocation_throughput``: the
-    reported time covers ``batch_size`` launches)."""
+    """Pivot selection + wrap translation + stress recording of
+    ``batch_size`` launches through the vectorized batch API (the
+    reported time covers the whole batch)."""
     geometry = FabricGeometry(rows=4, cols=32)
     trace = run_workload("sha")
     unit = build_unit(trace, 0, geometry)
@@ -69,17 +57,22 @@ def test_rotation_allocation_batch_throughput(benchmark):
     benchmark.extra_info["batch_size"] = batch_size
 
 
-def test_stress_aware_allocation_throughput(benchmark):
-    """The adaptive policy's pivot search (future-work variant)."""
+def test_stress_aware_allocation_batch_throughput(benchmark):
+    """The adaptive policy's pivot search (future-work variant): with
+    ``interval=1`` it reads the stress map, and so folds, once per
+    launch (the reported time covers ``batch_size`` launches)."""
     geometry = FabricGeometry(rows=4, cols=32)
     trace = run_workload("sha")
     unit = build_unit(trace, 0, geometry)
     allocator = ConfigurationAllocator(
         geometry, make_policy("stress_aware", interval=1)
     )
+    batch_size = 256
+    sequence = [unit] * batch_size
 
-    placement = benchmark(lambda: allocator.allocate(unit))
-    assert len(placement.cells) == len(unit.cells)
+    batch = benchmark(lambda: allocator.allocate_batch(sequence))
+    assert batch.n_launches == batch_size
+    benchmark.extra_info["batch_size"] = batch_size
 
 
 def test_assembler_throughput(benchmark):

@@ -1,13 +1,12 @@
 """Allocation + mapping + campaign throughput tracking benchmark.
 
-Times rotation-policy configuration launches through the scalar API and
-the vectorized batch API, simulated-annealing mapping throughput (with
-the congestion cost term on and off), launch-schedule replay
-throughput, the clean and speculative Phase A walks, the functional
-simulator (ISS), and an end-to-end
-policy-sweep campaign over shared schedules, and writes the numbers to
-``BENCH_alloc.json`` so successive PRs can track the hot paths' perf
-trajectory::
+Times rotation-policy configuration launches through the batch API,
+simulated-annealing mapping throughput (with the congestion cost term
+on and off), launch-schedule replay throughput, the clean and
+speculative Phase A walks, the functional simulator (ISS), and an
+end-to-end policy-sweep campaign over shared schedules, and writes the
+numbers to ``BENCH_alloc.json`` so successive PRs can track the hot
+paths' perf trajectory::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--output PATH]
                                                   [--append] [--quick]
@@ -67,16 +66,6 @@ REPLAY_POLICIES = (
     ("static_remap", {}),
     ("stress_aware", {}),
 )
-
-
-def _scalar_launches_per_sec(unit, n_launches: int) -> float:
-    allocator = ConfigurationAllocator(
-        FabricGeometry(rows=ROWS, cols=COLS), make_policy("rotation")
-    )
-    with obs.stopwatch("bench.scalar_allocate") as watch:
-        for _ in range(n_launches):
-            allocator.allocate(unit)
-    return n_launches / watch.elapsed
 
 
 def _batch_launches_per_sec(unit, n_launches: int) -> float:
@@ -310,7 +299,6 @@ def _routing_profiles_per_sec(trace, unit, n_profiles: int) -> float:
 
 
 def run(
-    scalar_launches: int = 50_000,
     batch_launches: int = 500_000,
     sa_units: int = 200,
     routing_profiles: int = 5_000,
@@ -328,11 +316,9 @@ def run(
     assert unit is not None
     # Warm-up pass so one-time costs (trace cache, numpy footprint
     # caching) stay out of the measurement.
-    _scalar_launches_per_sec(unit, 1_000)
     _batch_launches_per_sec(unit, 10_000)
     _sa_units_per_sec(trace, unit, 5)
     _routing_profiles_per_sec(trace, unit, 100)
-    scalar = _scalar_launches_per_sec(unit, scalar_launches)
     batch = _batch_launches_per_sec(unit, batch_launches)
     sa_rate = _sa_units_per_sec(trace, unit, sa_units)
     sa_rate_no_congestion = _sa_units_per_sec(
@@ -345,11 +331,8 @@ def run(
         "benchmark": "rotation_allocation",
         "fabric": f"L{COLS}xW{ROWS}",
         "unit_cells": len(unit.cells),
-        "scalar_launches": scalar_launches,
         "batch_launches": batch_launches,
-        "scalar_launches_per_sec": round(scalar, 1),
         "batch_launches_per_sec": round(batch, 1),
-        "batch_speedup": round(batch / scalar, 2),
         "sa_map_units": sa_units,
         "sa_map_units_per_sec": round(sa_rate, 1),
         "sa_map_units_per_sec_congestion_off": round(
@@ -456,7 +439,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.tracing.start()
     if args.quick:
         record = run(
-            scalar_launches=2_000,
             batch_launches=20_000,
             sa_units=20,
             routing_profiles=500,

@@ -8,8 +8,8 @@ the cheap hardware rotation is already close to the balancing optimum.
 
 Part 2 shows how to write a *custom* policy
 (`repro.core.policy.AllocationPolicy`). It implements both hooks:
-``next_pivot`` places one launch (the coupled walk calls it launch by
-launch), and ``plan_segments`` consumes a view of the whole launch
+``next_pivot`` places one launch (``ConfigurationAllocator.allocate``
+calls it launch by launch), and ``plan_segments`` consumes a view of the whole launch
 schedule and yields `SegmentPlan`s — contiguous launch ranges with
 precomputed pivots — re-reading the stress tracker only at the segment
 boundaries where it actually adapts. Both hooks produce bit-identical
@@ -32,12 +32,7 @@ from repro.core.policy import (
 )
 from repro.core.utilization import Weighting
 from repro.experiments.common import run_suite
-from repro.system import (
-    SystemParams,
-    compute_schedule,
-    replay_schedule,
-    shared_schedule,
-)
+from repro.system import SystemParams, replay_schedule, shared_schedule
 from repro.workloads.suite import run_workload
 
 ROWS, COLS = 8, 32  # the BU fabric
@@ -135,19 +130,19 @@ class CoolestCornerPolicy(AllocationPolicy):
 
 
 def demo_custom_policy(rows: int = 4, cols: int = 16):
-    """Run one workload through both hooks: the coupled walk places
-    every launch with ``next_pivot``, the schedule replay plans
-    segments with ``plan_segments``. Returns the two trackers
-    (identical)."""
+    """Run one workload's schedule through both hooks: a per-launch
+    ``allocate`` loop places every launch with ``next_pivot``, the
+    schedule replay plans segments with ``plan_segments``. Returns the
+    two trackers (identical)."""
     geometry = FabricGeometry(rows=rows, cols=cols)
-    params = SystemParams(geometry=geometry)
-    trace = run_workload("bitcount")
-    walked = ConfigurationAllocator(geometry, CoolestCornerPolicy())
-    compute_schedule(params, trace, allocator=walked)
-    planned = replay_schedule(
-        shared_schedule(params, trace), geometry, CoolestCornerPolicy()
+    schedule = shared_schedule(
+        SystemParams(geometry=geometry), run_workload("bitcount")
     )
-    return planned.tracker, walked.tracker
+    stepped = ConfigurationAllocator(geometry, CoolestCornerPolicy())
+    for unit, cycles in zip(schedule.configs, schedule.exec_cycles.tolist()):
+        stepped.allocate(unit, cycles=cycles)
+    planned = replay_schedule(schedule, geometry, CoolestCornerPolicy())
+    return planned.tracker, stepped.tracker
 
 
 def main():
@@ -190,16 +185,16 @@ def main():
         "buys only a little more balance for a pivot search."
     )
 
-    planned, walked = demo_custom_policy()
+    planned, stepped = demo_custom_policy()
     identical = bool(
-        np.array_equal(planned.execution_counts, walked.execution_counts)
+        np.array_equal(planned.execution_counts, stepped.execution_counts)
     )
     print(
         "\nCustom policy (coolest_corner): replayed "
         f"{planned.total_executions} launches in "
         f"{np.count_nonzero(planned.execution_counts)} stressed cells "
-        "with plan_segments; launch-by-launch walk with next_pivot "
-        f"identical: {identical}"
+        "with plan_segments; launch-by-launch allocate loop with "
+        f"next_pivot identical: {identical}"
     )
 
 

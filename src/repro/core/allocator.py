@@ -27,13 +27,19 @@ Two entry points share one engine:
   first offending launch. Flushes happen at the end of the batch and
   before any tracker read: the policy reads stress through a flushing
   tracker view, so every resumption of its plan generator observes
-  exactly the counter state the scalar loop would have shown it. A
+  exactly the counter state the per-launch loop would have shown it. A
   policy that does not override ``plan_segments`` is planned one
   launch per segment through its ``next_pivot`` hook.
-* :meth:`ConfigurationAllocator.allocate` — the scalar API, the
-  engine's single-launch fast path (shared validation and tracker
-  accounting, no per-launch numpy batch overhead). Property tests
-  assert the two paths stay bit-identical.
+* :meth:`ConfigurationAllocator.allocate` — one launch: the policy's
+  ``next_pivot`` hook picks the pivot from the current tracker and the
+  launch is folded in as a one-launch batch with that pivot. A loop of
+  it is the reference the batch path is property-tested against.
+
+Consecutive batches on one allocator equal one batch of the
+concatenated launches, so a caller may defer launches and fold them
+whenever it next reads the tracker: the stress-coupled walk
+(:func:`~repro.system.schedule.compute_schedule` with an allocator)
+does so each time its mapper reads the stress map.
 
 Both paths take integral, non-negative cycle weights, and a batch's
 weights must sum below :data:`MAX_BATCH_CYCLES`.
@@ -112,7 +118,7 @@ class BatchPlacement:
 
 #: Upper bound (exclusive) on a batch's summed cycle weights: the fold
 #: adds cycles as float64 ``np.bincount`` weights, which count exactly
-#: only below 2**53. A single launch's weight obeys the same bound.
+#: only below 2**53.
 MAX_BATCH_CYCLES = 2**53
 
 #: Flushes of at most this many launches skip the (unit, pivot)
@@ -120,11 +126,6 @@ MAX_BATCH_CYCLES = 2**53
 #: sweep's schedules that is ~30% cheaper per flush at 4–64 launches
 #: and dearer from ~256, and it cut stress_aware(4) replay by ~15%.
 _SMALL_FLUSH = 64
-
-_FOLDED = (
-    "wrap-around folded two ops onto one cell; configuration is wider "
-    "or taller than the fabric"
-)
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +160,7 @@ class _BatchFold:
     histogram. Fit and wrap-around folding are pivot-independent, so
     they are checked once per unit up front; :meth:`accept` stops at
     the first launch of an invalid unit, which keeps ``launches`` and
-    the tracker equal to the scalar loop's on every error path.
+    the tracker equal to the per-launch loop's on every error path.
     """
 
     def __init__(
@@ -199,13 +200,15 @@ class _BatchFold:
         offsets = np.cumsum(lengths) - lengths
 
         # A unit folds iff two of its cells share a physical cell under
-        # the origin pivot (any pivot gives the same answer).
+        # the origin pivot (any pivot gives the same answer). Sorted
+        # (unit, cell) keys count each distinct pair once (not
+        # ``np.unique``: its first call imports ``numpy.ma``, ~1 MB).
         owner = np.repeat(np.arange(len(units)), lengths)
         origin = (cell_rows % rows) * cols + cell_cols % cols
-        distinct = np.bincount(
-            np.unique(owner * n_cells + origin) // n_cells,
-            minlength=len(units),
-        )
+        placed = np.sort(owner * n_cells + origin)
+        first = np.ones(len(placed), dtype=bool)
+        first[1:] = placed[1:] != placed[:-1]
+        distinct = np.bincount(placed[first] // n_cells, minlength=len(units))
         invalid = (distinct != lengths) | np.fromiter(
             (
                 unit.geometry_rows > rows or unit.geometry_cols > cols
@@ -305,7 +308,7 @@ class _FlushingTrackerView:
 
     The batched allocator postpones stress accrual so it can fold whole
     launch ranges at once; policies, however, must observe exactly
-    the counters the scalar loop would have shown them. Every
+    the counters the per-launch loop would have shown them. Every
     attribute access on this view first flushes the pending launches
     into the real tracker, then delegates — a policy that never reads
     the tracker (rotation, random, ...) never forces a flush.
@@ -326,15 +329,10 @@ class _FlushingTrackerView:
 class ConfigurationAllocator:
     """Applies an allocation policy launch by launch or batch by batch."""
 
-    def __init__(
-        self,
-        geometry: FabricGeometry,
-        policy: AllocationPolicy,
-        tracker: UtilizationTracker | None = None,
-    ) -> None:
+    def __init__(self, geometry: FabricGeometry, policy: AllocationPolicy) -> None:
         self.geometry = geometry
         self.policy = policy
-        self.tracker = tracker if tracker is not None else UtilizationTracker(geometry)
+        self.tracker = UtilizationTracker(geometry)
         policy.bind(geometry)
         self.launches = 0
 
@@ -343,11 +341,13 @@ class ConfigurationAllocator:
     ) -> PhysicalPlacement:
         """Place one launch of ``config`` and record its stress.
 
-        Single-launch fast path of the batch engine: same validation,
-        same policy protocol (the scalar ``next_pivot`` hook), same
-        tracker accounting — ``allocate_batch([config])`` is
-        bit-identical (property-tested) but pays fixed numpy batch
-        overhead the simulator's launch-at-a-time walk should not.
+        The per-launch form of the policy protocol: the policy's
+        ``next_pivot`` hook picks the pivot from the current tracker,
+        and the launch is recorded by :meth:`allocate_batch` with that
+        pivot, so both entry points share one validation and one fold.
+        The cycle weight and the fit are checked before ``next_pivot``
+        runs, so a launch rejected for either leaves the policy as it
+        was.
 
         Args:
             config: the virtual configuration being launched.
@@ -365,27 +365,8 @@ class ConfigurationAllocator:
             cycles = int(self._cycles_array(cycles, 1)[0])
         self._check_fit(config)
         pivot = self.policy.next_pivot(config, self.tracker)
-        pivot_row, pivot_col = int(pivot[0]), int(pivot[1])
-        if not self.geometry.contains(pivot_row, pivot_col):
-            name = getattr(self.policy, "name", "?")
-            raise AllocationError(
-                f"policy {name!r} returned pivot {(pivot_row, pivot_col)} "
-                f"outside {self.geometry}"
-            )
-        rows, cols = self.geometry.rows, self.geometry.cols
-        cells = tuple(
-            ((row + pivot_row) % rows, (col + pivot_col) % cols)
-            for row, col in config.cells
-        )
-        if len(set(cells)) != len(cells):
-            raise AllocationError(_FOLDED)
-        self.tracker.record(config.start_pc, cells, cycles=cycles)
-        self.launches += 1
-        if obs.state.enabled:
-            obs.count("allocator.scalar_launches")
-        return PhysicalPlacement(
-            pivot=(pivot_row, pivot_col), cells=cells, config=config
-        )
+        batch = self.allocate_batch((config,), pivots=(pivot,), cycles=cycles)
+        return batch.placement(0)
 
     def allocate_batch(
         self,
@@ -495,12 +476,15 @@ class ConfigurationAllocator:
     # -- validation helpers ------------------------------------------------
 
     def _accept(self, fold: _BatchFold, start: int, stop: int) -> None:
-        """Accept a segment, raising the scalar loop's error at the
-        first launch of a unit that cannot be placed."""
+        """Accept a segment, raising at the first launch of a unit that
+        cannot be placed: the fit error, else the wrap-around fold."""
         unit = fold.accept(start, stop)
         if unit is not None:
             self._check_fit(unit)
-            raise AllocationError(_FOLDED)
+            raise AllocationError(
+                "wrap-around folded two ops onto one cell; configuration "
+                "is wider or taller than the fabric"
+            )
 
     @staticmethod
     def _check_plan(

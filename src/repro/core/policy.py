@@ -7,12 +7,12 @@ two hooks.
 :meth:`AllocationPolicy.next_pivot` (required)
     the pivot of one upcoming launch, given the tracker's accumulated
     stress. :meth:`~repro.core.allocator.ConfigurationAllocator.allocate`
-    calls it once per launch; the stress-coupled walk places its
-    launches this way.
+    calls it once per launch.
 :meth:`AllocationPolicy.plan_segments` (optional)
     pivots for a whole launch sequence, planned as schedule segments.
     :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`
-    drives it. The base class plans one launch per segment through
+    drives it; replay and the stress-coupled walk place every launch
+    this way. The base class plans one launch per segment through
     ``next_pivot``, which is exact for any policy; override it to plan
     many launches per segment.
 
@@ -185,10 +185,10 @@ class AllocationPolicy:
     """Chooses pivot cells for configuration launches.
 
     Lifecycle: the :class:`~repro.core.allocator.ConfigurationAllocator`
-    calls :meth:`bind` once with the fabric geometry. The scalar path
-    then calls :meth:`next_pivot` before every launch; the batched path
-    drives :meth:`plan_segments` over the whole launch sequence (see
-    the module docstring for the protocol).
+    calls :meth:`bind` once with the fabric geometry. ``allocate``
+    then calls :meth:`next_pivot` before every launch; ``allocate_batch``
+    drives :meth:`plan_segments` over a whole launch sequence (see the
+    module docstring for the protocol).
     """
 
     #: Registry key; subclasses override.
@@ -225,7 +225,7 @@ class AllocationPolicy:
         The default yields one single-launch segment per
         :meth:`next_pivot` call. The allocator folds each segment into
         the tracker before the next tracker read, so every call sees
-        exactly the stress the scalar launch loop would have shown it.
+        exactly the stress the per-launch loop would have shown it.
         """
         for index, config in enumerate(schedule.configs):
             pivots = np.asarray(

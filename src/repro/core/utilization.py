@@ -12,11 +12,10 @@ physically precise one:
 * ``CYCLES``: busy-cycle weighted — each launch contributes its
   execution cycle count, normalising by total fabric-active cycles.
 
-Stress arrives two ways: :meth:`UtilizationTracker.record` adds one
-launch (the scalar allocation path), and
-:meth:`UtilizationTracker.accrue` adds a histogram the batch allocator
-folded from many launches — per-cell launch and cycle counts, their
-totals, and the cells to OR into each configuration's footprint.
+Stress arrives one way: :meth:`UtilizationTracker.accrue` adds a
+histogram the allocator folded from one or more launches — per-cell
+launch and cycle counts, their totals, and the cells to OR into each
+configuration's footprint (:mod:`repro.core.allocator`).
 """
 
 from __future__ import annotations
@@ -47,37 +46,13 @@ class UtilizationTracker:
         self._cycle_counts = np.zeros(shape, dtype=np.int64)
         # Per-config footprints as flat boolean bitmaps (``row * cols +
         # col``), one row of ``_footprints`` per config key in
-        # first-record order, so a batch fold ORs all its cells in with
-        # one fancy assignment; exposed as frozensets of ``(row, col)``
+        # first-fold order, so a fold ORs all its cells in with one
+        # fancy assignment; exposed as frozensets of ``(row, col)``
         # via :attr:`config_footprints`.
         self._footprint_rows: dict[int, int] = {}
         self._footprints = np.zeros((4, geometry.n_cells), dtype=bool)
         self.total_executions = 0
         self.total_cycles = 0
-
-    def record(
-        self,
-        config_key: int,
-        cells: tuple[tuple[int, int], ...],
-        cycles: int = 1,
-    ) -> None:
-        """Record one launch stressing ``cells`` for ``cycles`` cycles.
-
-        ``config_key`` identifies the virtual configuration (its start
-        PC) so the CONFIGS weighting can count distinct footprints.
-        """
-        rows = [cell[0] for cell in cells]
-        cols = [cell[1] for cell in cells]
-        self._execution_counts[rows, cols] += 1
-        self._cycle_counts[rows, cols] += cycles
-        self.total_executions += 1
-        self.total_cycles += cycles
-        # Take the row first: adding a key may grow ``_footprints``.
-        footprint = self._footprint_row(config_key)
-        mask = self._footprints[footprint]
-        n_cols = self.geometry.cols
-        for row, col in cells:
-            mask[row * n_cols + col] = True
 
     def footprint_rows(self, config_keys) -> list[int]:
         """Footprint row of each key, adding unseen keys in order.
@@ -86,17 +61,17 @@ class UtilizationTracker:
         counts as a configuration (:attr:`n_configs`) from the moment
         it has a row.
         """
-        return [self._footprint_row(key) for key in config_keys]
-
-    def _footprint_row(self, config_key: int) -> int:
-        row = self._footprint_rows.get(config_key)
-        if row is None:
-            row = self._footprint_rows[config_key] = len(self._footprint_rows)
-            if row == len(self._footprints):
-                grown = np.zeros((2 * row, self.geometry.n_cells), dtype=bool)
-                grown[:row] = self._footprints
-                self._footprints = grown
-        return row
+        rows = []
+        for key in config_keys:
+            row = self._footprint_rows.get(key)
+            if row is None:
+                row = self._footprint_rows[key] = len(self._footprint_rows)
+                if row == len(self._footprints):
+                    grown = np.zeros((2 * row, self.geometry.n_cells), dtype=bool)
+                    grown[:row] = self._footprints
+                    self._footprints = grown
+            rows.append(row)
+        return rows
 
     def accrue(
         self,

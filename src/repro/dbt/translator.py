@@ -31,10 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DBTLimits(UnitLimits):
     """Unit limits plus engine-level knobs."""
 
-    # Attempting translation again at a PC that already failed wastes
-    # DBT bandwidth; remember and skip (the hardware keeps a small
-    # reject filter for the same reason).
-    remember_rejects: bool = True
     # Misspeculation monitor: once a unit has been launched this many
     # times with divergence on at least half of them, it is truncated
     # to its reliably committing prefix (or dropped when too short).
@@ -76,6 +72,9 @@ class DBTEngine:
                 f"config cache namespace {self.cache.mapper_key!r} does "
                 f"not match the engine's mapper identity {produced!r}"
             )
+        # Attempting translation again at a PC that already failed
+        # wastes DBT bandwidth; remember and skip (the hardware keeps a
+        # small reject filter for the same reason).
         self._rejected_pcs: set[int] = set()
         self.translations = 0
         #: Worst per-column context-line pressure over every unit this
@@ -132,7 +131,7 @@ class DBTEngine:
         viable unit (too short, or unmappable head instruction).
         """
         pc = int(trace.pc_array[position])
-        if self.limits.remember_rejects and pc in self._rejected_pcs:
+        if pc in self._rejected_pcs:
             return None
         unit = build_unit(
             trace,
@@ -145,8 +144,7 @@ class DBTEngine:
         self.translations += 1
         if unit is None:
             self.cache.stats.rejected += 1
-            if self.limits.remember_rejects:
-                self._rejected_pcs.add(pc)
+            self._rejected_pcs.add(pc)
             return None
         self._note_line_pressure(trace, position, unit)
         self.cache.insert(unit)
@@ -189,8 +187,7 @@ class DBTEngine:
         if truncated is None:
             self.cache.remove(unit.start_pc)
             self.cache.stats.blacklisted += 1
-            if self.limits.remember_rejects:
-                self._rejected_pcs.add(unit.start_pc)
+            self._rejected_pcs.add(unit.start_pc)
             return
         self.cache.insert(truncated)
         self.cache.stats.truncations += 1

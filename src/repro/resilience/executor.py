@@ -5,9 +5,12 @@ through one worker function and keeps going where a bare
 ``ProcessPoolExecutor`` would abort the whole campaign:
 
 * **Worker crashes** (OOM kill, segfault, injected ``os._exit``) break
-  the pool; the executor detects the broken pool, counts every
-  in-flight task as a crash attempt (the culprit is unknowable — the
-  innocents succeed on requeue), rebuilds the pool and requeues.
+  the pool; the executor detects the broken pool (while waiting, or at
+  the next submit), delivers the in-flight tasks that had finished,
+  counts every other in-flight task as a crash attempt (the culprit is
+  unknowable — the innocents succeed on requeue), rebuilds the pool
+  and requeues. A task whose submit found the pool broken never ran
+  and requeues without a charge.
 * **Hangs** are bounded by a per-task wall-clock ``task_timeout``
   (measured from submission; submissions are capped at ``max_workers``
   in flight so a queued task's clock never runs while it waits). A
@@ -204,36 +207,52 @@ class ResilientExecutor:
                 ready = len(
                     [t for t in queue if t.not_before <= now]
                 )
+                broken = False
                 while ready and len(inflight) < self.max_workers:
                     task = self._pop_ready(queue, now)
                     if task is None:
                         break
                     ready -= 1
-                    future = pool.submit(
-                        _run_task,
-                        (self.fn, task.payload, task.key, task.attempts,
-                         plan_payload),
-                    )
+                    try:
+                        future = pool.submit(
+                            _run_task,
+                            (self.fn, task.payload, task.key, task.attempts,
+                             plan_payload),
+                        )
+                    except BrokenExecutor:
+                        # A worker died since the last wait: this task
+                        # never ran, so it requeues without a charge.
+                        queue.appendleft(task)
+                        broken = True
+                        break
                     deadline = (
                         now + self.task_timeout
                         if self.task_timeout is not None
                         else float("inf")
                     )
                     inflight[future] = (task, deadline)
-                if not inflight:
+                if broken:
+                    # Deliver what finished before the pool broke; the
+                    # rest is charged below, as when a wait finds it.
+                    done = [future for future in inflight if future.done()]
+                elif not inflight:
                     # Everything queued is backing off; sleep to the
                     # earliest release.
                     wake = min(task.not_before for task in queue)
                     self.sleep(max(0.0, wake - time.monotonic()))
                     continue
-                next_deadline = min(dl for _, dl in inflight.values())
-                wait_budget = None
-                if next_deadline != float("inf"):
-                    wait_budget = max(0.0, next_deadline - time.monotonic())
-                done, _ = wait(
-                    inflight, timeout=wait_budget, return_when=FIRST_COMPLETED
-                )
-                broken = False
+                else:
+                    next_deadline = min(dl for _, dl in inflight.values())
+                    wait_budget = None
+                    if next_deadline != float("inf"):
+                        wait_budget = max(
+                            0.0, next_deadline - time.monotonic()
+                        )
+                    done, _ = wait(
+                        inflight,
+                        timeout=wait_budget,
+                        return_when=FIRST_COMPLETED,
+                    )
                 for future in done:
                     task, _ = inflight.pop(future)
                     try:

@@ -9,10 +9,13 @@ per policy:
   parameters) records the policy-independent event stream as a
   :class:`LaunchSchedule` — per-launch unit and execution cycles, the
   final cycle count, fabric/cache counters and the energy-model
-  activity summary. The walk itself only feeds the allocator when one
-  is attached, which is required exactly when the mapper is
+  activity summary. The walk only feeds an allocator when one is
+  attached, which is required exactly when the mapper is
   *stress-coupled* (it reads the allocator's live stress map, closing
   the feedback loop that makes the launch stream policy-dependent).
+  It then folds the launches recorded since the previous fold through
+  the batch engine each time the mapper reads the stress map, and the
+  rest once at its end.
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
   policy is applied to a recorded schedule, reconstructing the
   policy-dependent utilization tracker without touching the trace.
@@ -21,8 +24,8 @@ per policy:
   hands them straight to the batch engine
   (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate_indexed`),
   which folds each range of planned launches into the tracker as one
-  (unit, pivot) histogram. Replay is bit-identical to the interleaved
-  walk (the batch engine is property-tested against the scalar loop,
+  (unit, pivot) histogram. Replay is bit-identical to the coupled
+  walk (the batch engine is property-tested against a per-launch loop,
   ``tests/test_schedule_equivalence.py`` pins the system level and
   ``tests/test_replay_trackers.py`` the per-cell results of the
   benchmarked policy sweep).
@@ -291,12 +294,14 @@ def compute_schedule(
 ) -> LaunchSchedule:
     """Walk ``trace`` once and record its launch schedule.
 
-    With ``allocator`` the walk is *coupled*: every recorded launch is
-    also allocated immediately (scalar fast path), so stress-coupled
-    mappers see the live stress map exactly as the legacy
-    single-phase simulation did. Without it the walk is
-    policy-independent; a stress-coupled mapper then raises, because
-    its placements would silently diverge from the coupled pipeline.
+    With ``allocator`` the walk is *coupled*: whenever the mapper reads
+    the stress map, the launches recorded since the previous read are
+    first allocated as one ``allocate_batch``, and the rest when the
+    walk ends. Consecutive batches equal one launch-by-launch loop and
+    the mapper copies the map it reads, so this is exact. Without it
+    the walk is policy-independent; a stress-coupled mapper then
+    raises, because its placements would silently diverge from the
+    coupled pipeline.
 
     With ``params.frontend`` set, the committed trace is first expanded
     into its speculative fetch stream (memoised per trace/spec): the
@@ -328,9 +333,26 @@ def compute_schedule(
     cache = ConfigCache(
         capacity=params.config_cache_entries, mapper_key=mapper.identity()
     )
+    launch_configs: list[VirtualConfiguration] = []
+    launch_exec_cycles: list[int] = []
     stress_provider = None
     if allocator is not None:
-        stress_provider = lambda: allocator.tracker.stress_map  # noqa: E731
+        folded = 0
+
+        def fold_launches() -> None:
+            # Allocate the launches recorded since the previous fold.
+            nonlocal folded
+            if folded < len(launch_configs):
+                allocator.allocate_batch(
+                    launch_configs[folded:],
+                    cycles=launch_exec_cycles[folded:],
+                )
+                folded = len(launch_configs)
+
+        def stress_provider():
+            fold_launches()
+            return allocator.tracker.stress_map
+
     engine = DBTEngine(
         geometry=geometry,
         cache=cache,
@@ -350,8 +372,6 @@ def compute_schedule(
     activity = SystemActivity(fabric_cells=geometry.n_cells)
     gpp_class_counts: dict[int, int] = {}
     unit_launches: dict[int, _UnitLaunch] = {}
-    launch_configs: list[VirtualConfiguration] = []
-    launch_exec_cycles: list[int] = []
     gpp_segments: list[tuple[int, int]] = []
 
     pcs = memoryview(trace.pc_array)
@@ -435,8 +455,6 @@ def compute_schedule(
             exec_cost = launch.exec_cycles
             launch_configs.append(unit)
             launch_exec_cycles.append(exec_cost)
-            if allocator is not None:
-                allocator.allocate(unit, cycles=exec_cost)
             if cold:
                 cold_launches += 1
                 cold_config_bits += launch.cold_config_bits
@@ -495,6 +513,8 @@ def compute_schedule(
 
     if segment_start >= 0:
         gpp_segments.append((segment_start, n_records))
+    if allocator is not None:
+        fold_launches()
     stats.launches = activity.launches = len(launch_configs)
     stats.cold_launches = cold_launches
     stats.committed_instructions = committed

@@ -17,11 +17,12 @@ policy-independent :class:`~repro.system.schedule.LaunchSchedule`
 (everything above plus the activity counts the energy model needs).
 The pipeline decides how the allocation policy is applied. A
 stress-coupled mapper reads the allocator's live stress map, so its
-walk allocates every launch as it is discovered (the *coupled* walk).
-Every other pipeline replays, vectorized, a schedule shared across all
-policies of the same pipeline — the lever that makes policy-sweep
-campaigns cheap. Replay hands the policy the whole launch sequence as
-segment plans
+walk (the *coupled* walk) carries an allocator and folds the launches
+recorded since the previous read into it, as one batch, every time the
+mapper reads the map. Every other pipeline replays, vectorized, a
+schedule shared across all policies of the same pipeline — the lever
+that makes policy-sweep campaigns cheap. Replay hands the policy the
+whole launch sequence as segment plans
 (:meth:`~repro.core.policy.AllocationPolicy.plan_segments`), so even
 stress-searching policies replay in a few vectorized passes per search
 interval rather than launch by launch.
@@ -83,9 +84,12 @@ class TransRecSystem:
         return self._assemble(schedule, allocator, trace)
 
     def _run_coupled(self, trace: Trace) -> SystemResult:
-        """The walk with every launch allocated as it is discovered (the
-        only path for stress-coupled pipelines; tests use it as the
-        reference that replay must match bit for bit)."""
+        """The walk with the allocator brought up to date at every
+        stress read: the only path for stress-coupled pipelines. On a
+        greedy pipeline nothing reads stress, so the walk folds all its
+        launches in one batch at its end; tests match replay against
+        it for the walk's counters and against a per-launch
+        ``allocate`` loop for the tracker."""
         obs.count("transrec.runs.coupled")
         with obs.span("schedule.walk", trace=trace.name, coupled=True):
             allocator = ConfigurationAllocator(self.geometry, self._policy())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.allocator import ConfigurationAllocator
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.cpu import CPU
@@ -89,3 +92,25 @@ POLICY_IDS = (
     "stress_aware-interval8",
     "stress_aware-default",
 )
+
+
+def allocate_each(schedule, geometry, policy) -> ConfigurationAllocator:
+    """A fresh allocator after placing ``schedule``'s launches one by
+    one with ``allocate``: the policy's ``next_pivot`` hook picks each
+    pivot from the stress of every launch before it. This is the
+    per-launch reference for the batch replay and the coupled walk."""
+    allocator = ConfigurationAllocator(geometry, policy)
+    for unit, cycles in zip(schedule.configs, schedule.exec_cycles.tolist()):
+        allocator.allocate(unit, cycles=cycles)
+    return allocator
+
+
+def assert_trackers_equal(expected, actual):
+    """Bit-identity of two utilization trackers."""
+    np.testing.assert_array_equal(
+        expected.execution_counts, actual.execution_counts
+    )
+    np.testing.assert_array_equal(expected.cycle_counts, actual.cycle_counts)
+    assert expected.total_executions == actual.total_executions
+    assert expected.total_cycles == actual.total_cycles
+    assert expected.config_footprints == actual.config_footprints

@@ -21,7 +21,7 @@ from repro.dbt.window import build_unit
 from repro.errors import AllocationError
 from repro.workloads.suite import run_workload, workload_names
 
-from tests.support import POLICIES
+from tests.support import POLICIES, assert_trackers_equal
 
 ROWS, COLS = 4, 8
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -52,17 +52,7 @@ def synthetic_config(cells, start_pc=0x1000):
 
 
 def assert_trackers_identical(scalar, batched):
-    np.testing.assert_array_equal(
-        scalar.tracker.execution_counts, batched.tracker.execution_counts
-    )
-    np.testing.assert_array_equal(
-        scalar.tracker.cycle_counts, batched.tracker.cycle_counts
-    )
-    assert scalar.tracker.total_executions == batched.tracker.total_executions
-    assert scalar.tracker.total_cycles == batched.tracker.total_cycles
-    assert (
-        scalar.tracker.config_footprints == batched.tracker.config_footprints
-    )
+    assert_trackers_equal(scalar.tracker, batched.tracker)
     assert scalar.launches == batched.launches
 
 

@@ -174,6 +174,27 @@ class TestAllocatorValidation:
         with pytest.raises(AllocationError):
             alloc.allocate(config([(0, 0)]))
 
+    @pytest.mark.parametrize(
+        "policy_name,kwargs",
+        (("rotation", {}), ("random", {"seed": 5}), ("stress_aware", {})),
+        ids=("rotation", "random", "stress_aware"),
+    )
+    def test_rejected_launch_leaves_policy_untouched(self, policy_name, kwargs):
+        """A launch rejected for its cycle weight or its fit does not
+        consume a policy step: the pivots that follow are those of an
+        allocator that never saw it."""
+        c = config([(0, 0), (1, 3)])
+        rejected = allocator(policy_name, **kwargs)
+        clean = allocator(policy_name, **kwargs)
+        rejected.allocate(c)
+        clean.allocate(c)
+        with pytest.raises(AllocationError, match="integral"):
+            rejected.allocate(c, cycles=1.7)
+        with pytest.raises(AllocationError, match="cannot launch"):
+            rejected.allocate(config([(0, 0)], rows=4))
+        for _ in range(6):
+            assert rejected.allocate(c).pivot == clean.allocate(c).pivot
+
 
 class TestCycleWeights:
     """Both allocation paths take only integral, non-negative cycle

@@ -34,6 +34,7 @@ from repro.core.policy import (
     policy_class,
 )
 from repro.errors import AllocationError
+from tests.support import allocate_each
 
 ROWS, COLS = 4, 8
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -416,35 +417,29 @@ class TestExamplePolicies:
 
     @pytest.mark.parametrize("epoch", [3, 5, 7, 16, 64])
     def test_variants_identical_across_epochs(self, example, epoch):
-        """The two hooks agree for any epoch, not just the demo's: the
-        coupled walk (``next_pivot``) and the schedule replay
-        (``plan_segments``) place every crc32 launch identically."""
-        from repro.system import (
-            SystemParams,
-            compute_schedule,
-            replay_schedule,
-            shared_schedule,
-        )
+        """The two hooks agree for any epoch, not just the demo's: a
+        per-launch ``allocate`` loop (``next_pivot``) and the schedule
+        replay (``plan_segments``) place every crc32 launch
+        identically."""
+        from repro.system import SystemParams, replay_schedule, shared_schedule
         from repro.workloads.suite import run_workload
 
         geometry = FabricGeometry(rows=4, cols=16)
-        params = SystemParams(geometry=geometry)
-        trace = run_workload("crc32")
-        walked = ConfigurationAllocator(
-            geometry, example.CoolestCornerPolicy(epoch=epoch)
+        schedule = shared_schedule(
+            SystemParams(geometry=geometry), run_workload("crc32")
         )
-        compute_schedule(params, trace, allocator=walked)
+        stepped = allocate_each(
+            schedule, geometry, example.CoolestCornerPolicy(epoch=epoch)
+        )
         planned = replay_schedule(
-            shared_schedule(params, trace),
-            geometry,
-            example.CoolestCornerPolicy(epoch=epoch),
+            schedule, geometry, example.CoolestCornerPolicy(epoch=epoch)
         )
         np.testing.assert_array_equal(
-            walked.tracker.execution_counts,
+            stepped.tracker.execution_counts,
             planned.tracker.execution_counts,
         )
         np.testing.assert_array_equal(
-            walked.tracker.cycle_counts, planned.tracker.cycle_counts
+            stepped.tracker.cycle_counts, planned.tracker.cycle_counts
         )
 
     @pytest.mark.parametrize("epoch", [3, 16])

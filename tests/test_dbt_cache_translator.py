@@ -118,10 +118,3 @@ class TestDBTEngine:
         assert engine.translate_at(trace, 0) is None
         assert engine.translations == translations_after_first
 
-    def test_reject_not_remembered_when_disabled(self):
-        trace = trace_of("li a0, 0\nli a7, 93\necall")
-        engine = self.make_engine(remember_rejects=False)
-        engine.translate_at(trace, 0)
-        first = engine.translations
-        engine.translate_at(trace, 0)
-        assert engine.translations == first + 1

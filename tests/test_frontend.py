@@ -40,7 +40,10 @@ from repro.system import (
 )
 from repro.workloads.suite import run_workload
 from tests.support import POLICIES, POLICY_IDS
-from tests.test_schedule_equivalence import assert_results_identical
+from tests.test_schedule_equivalence import (
+    assert_matches_per_launch,
+    assert_results_identical,
+)
 
 GEOMETRY = FabricGeometry(rows=4, cols=16)
 
@@ -296,6 +299,7 @@ class TestReplayEquivalenceWithFrontEnd:
         coupled = TransRecSystem(params())._run_coupled(trace)
         replayed = TransRecSystem(params()).run_trace(trace)
         assert_results_identical(coupled, replayed)
+        assert_matches_per_launch(params(), trace, replayed)
         assert coupled.cgra.wrong_path_launches > 0
 
 

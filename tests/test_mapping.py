@@ -225,11 +225,13 @@ class TestConfigCacheMapperKeying:
         assert unit.start_pc not in cache
 
     def test_stress_map_is_live_readonly_view(self):
-        from repro.core.utilization import UtilizationTracker
+        from tests.test_core_allocator import allocator, config
 
-        tracker = UtilizationTracker(GEOMETRY)
+        alloc = allocator("baseline", rows=GEOMETRY.rows, cols=GEOMETRY.cols)
+        tracker = alloc.tracker
         before = tracker.stress_map.copy()
-        tracker.record(0x1000, ((0, 0), (1, 2)))
+        unit = config([(0, 0), (1, 2)], rows=GEOMETRY.rows, cols=GEOMETRY.cols)
+        alloc.allocate_batch([unit], pivots=[(0, 0)])
         assert tracker.stress_map[0, 0] == before[0, 0] + 1
         with pytest.raises(ValueError):
             tracker.stress_map[0, 0] = 99

@@ -4,6 +4,8 @@ resilient executor's recovery + bit-identity guarantees."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,57 @@ def test_executor_survives_worker_crash():
     )
     assert report.results == [x * x for x in range(6)]
     assert report.pool_rebuilds >= 1
+    assert report.ok and not report.degraded_serial
+
+
+def _pool_broken_at_submit(broken_at: int, finish_in_flight: bool):
+    """An inline stand-in for ``ProcessPoolExecutor`` whose
+    ``broken_at``-th submit (counted over every pool it builds) finds
+    the pool broken, as when a worker dies between two submits. With
+    ``finish_in_flight`` false, the tasks submitted before the break
+    never finish."""
+    submits = [0]
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def submit(self, fn, *args):
+            submits[0] += 1
+            if submits[0] == broken_at:
+                raise BrokenProcessPool("a worker died between submits")
+            future = Future()
+            if finish_in_flight or submits[0] > broken_at:
+                future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    return Pool
+
+
+@pytest.mark.parametrize(
+    "finish_in_flight,charged",
+    ((True, 0), (False, 1)),
+    ids=("in-flight-finished", "in-flight-running"),
+)
+def test_executor_survives_pool_breaking_at_submit(
+    monkeypatch, finish_in_flight, charged
+):
+    """The task whose submit found the pool broken requeues uncharged;
+    a task in flight is delivered if it finished and charged a crash
+    if it did not, as when a wait finds the pool broken."""
+    monkeypatch.setattr(
+        "repro.resilience.executor.ProcessPoolExecutor",
+        _pool_broken_at_submit(2, finish_in_flight),
+    )
+    report = ResilientExecutor(_square, 2, retry=_fast_retry()).run(
+        list(range(6))
+    )
+    assert report.results == [x * x for x in range(6)]
+    assert report.pool_rebuilds == 1
+    assert report.retries == charged
     assert report.ok and not report.degraded_serial
 
 

@@ -3,10 +3,13 @@
 The two-phase simulation (one policy-independent
 :class:`~repro.system.schedule.LaunchSchedule` walk + vectorized
 policy replay) must be *bit-identical* to the coupled walk
-(``TransRecSystem._run_coupled``, every launch allocated as it is
-discovered): same cycles, same fabric/cache counters, same tracker
+(``TransRecSystem._run_coupled``, the walk with the allocator
+attached): same cycles, same fabric/cache counters, same tracker
 matrices, same energy floats — for every allocation policy, on every
-workload of the verified suite. Stress-coupled pipelines (annealing
+workload of the verified suite. On a greedy pipeline both fold the
+launches in batches, so the tracker is also checked against the
+per-launch reference: the policy's ``next_pivot`` placing each launch
+in turn through ``allocate``. Stress-coupled pipelines (annealing
 with live stress feedback) must refuse to share schedules; a
 decoupled annealing configuration (zero stress weight) must share and
 stay exact.
@@ -36,7 +39,12 @@ from repro.system import (
 from repro.system.schedule import gpp_reference, params_stress_coupled
 from repro.workloads.suite import run_workload, workload_names
 
-from tests.support import POLICIES, POLICY_IDS
+from tests.support import (
+    POLICIES,
+    POLICY_IDS,
+    allocate_each,
+    assert_trackers_equal,
+)
 
 ROWS, COLS = 4, 16
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -70,20 +78,20 @@ def assert_results_identical(coupled, replayed):
     # intended — both sides must run the identical float computation.
     assert coupled.gpp_energy == replayed.gpp_energy
     assert coupled.transrec_energy == replayed.transrec_energy
-    np.testing.assert_array_equal(
-        coupled.tracker.execution_counts, replayed.tracker.execution_counts
+    assert_trackers_equal(coupled.tracker, replayed.tracker)
+
+
+def assert_matches_per_launch(params, trace, result):
+    """``result``'s tracker equals the per-launch reference: the
+    policy's ``next_pivot`` placing the launches of the schedule
+    ``params`` walks for ``trace`` one by one (see
+    :func:`tests.support.allocate_each`)."""
+    stepped = allocate_each(
+        shared_schedule(params, trace),
+        params.geometry,
+        make_policy(params.policy, **params.policy_kwargs),
     )
-    np.testing.assert_array_equal(
-        coupled.tracker.cycle_counts, replayed.tracker.cycle_counts
-    )
-    assert (
-        coupled.tracker.total_executions == replayed.tracker.total_executions
-    )
-    assert coupled.tracker.total_cycles == replayed.tracker.total_cycles
-    assert (
-        coupled.tracker.config_footprints
-        == replayed.tracker.config_footprints
-    )
+    assert_trackers_equal(stepped.tracker, result.tracker)
 
 
 class TestReplayEquivalence:
@@ -102,6 +110,7 @@ class TestReplayEquivalence:
         params = make_params(policy_name, make_kwargs)
         replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
+        assert_matches_per_launch(params, trace, replayed)
 
     def test_run_trace_matches_coupled(self):
         trace = run_workload("sha")
@@ -123,6 +132,7 @@ class TestReplayEquivalence:
         coupled = TransRecSystem(params)._run_coupled(trace)
         replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
+        assert_matches_per_launch(params, trace, replayed)
 
 
 def _distinct_units(schedule, limit=4):
@@ -268,26 +278,15 @@ class LegacyProbePolicy(AllocationPolicy):
 
 class TestLegacyPolicyReplay:
     def test_legacy_policy_replay_matches_coupled_walk(self):
-        trace = run_workload("bitcount")
-        params = SystemParams(geometry=GEOMETRY)
-        coupled_allocator = ConfigurationAllocator(
-            GEOMETRY, LegacyProbePolicy()
+        """Replay equals placing the schedule's launches one by one
+        with ``allocate`` (each ``next_pivot`` call reading the stress
+        of every launch before it)."""
+        schedule = shared_schedule(
+            SystemParams(geometry=GEOMETRY), run_workload("bitcount")
         )
-        compute_schedule(params, trace, allocator=coupled_allocator)
-        schedule = shared_schedule(params, trace)
+        stepped = allocate_each(schedule, GEOMETRY, LegacyProbePolicy())
         replayed = replay_schedule(schedule, GEOMETRY, LegacyProbePolicy())
-        np.testing.assert_array_equal(
-            coupled_allocator.tracker.execution_counts,
-            replayed.tracker.execution_counts,
-        )
-        np.testing.assert_array_equal(
-            coupled_allocator.tracker.cycle_counts,
-            replayed.tracker.cycle_counts,
-        )
-        assert (
-            coupled_allocator.tracker.config_footprints
-            == replayed.tracker.config_footprints
-        )
+        assert_trackers_equal(stepped.tracker, replayed.tracker)
 
 
 class TestStressCoupling:
@@ -349,6 +348,7 @@ class TestStressCoupling:
         coupled = TransRecSystem(params)._run_coupled(trace)
         replayed = TransRecSystem(params).run_trace(trace)
         assert_results_identical(coupled, replayed)
+        assert_matches_per_launch(params, trace, replayed)
 
 
 class TestScheduleSharing:

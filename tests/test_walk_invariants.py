@@ -9,7 +9,9 @@ model sums their floats in dict order — and committed work plus GPP
 work covers the trace exactly once. The utilization tracker a replay
 (or the stress-coupled walk) fills holds exactly the stress the
 schedule's launches put on the fabric: launches, cycles, per-cell
-counts and per-config footprints.
+counts and per-config footprints. The stress-coupled walk folds its
+launches in batches; its tracker equals a per-launch allocation loop
+over its schedule.
 """
 
 import math
@@ -22,6 +24,7 @@ from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
 from repro.frontend import FrontEndSpec
 from repro.frontend.speculative import speculative_trace
+from repro.sim.trace import Trace
 from repro.system import (
     SystemParams,
     compute_schedule,
@@ -29,7 +32,8 @@ from repro.system import (
     shared_schedule,
 )
 from repro.workloads.suite import run_workload, workload_names
-from tests.support import POLICIES, POLICY_IDS
+from tests.support import POLICIES, POLICY_IDS, allocate_each
+from tests.test_batch_equivalence import assert_trackers_identical
 from tests.test_schedule_equivalence import GEOMETRY
 
 GEOMETRIES = ((2, 16), (4, 32), (8, 24))
@@ -140,13 +144,30 @@ def test_replay_conservation(name, policy_name, make_kwargs):
     _assert_tracker_conserves(schedule, allocator.tracker)
 
 
+def _trace_prefix(trace, n_records):
+    """The first ``n_records`` records of ``trace`` as a trace."""
+    return Trace(
+        trace.table,
+        trace.static_index_array[:n_records],
+        trace.mem_addr_array[:n_records],
+        trace.rd_value_array[:n_records],
+        trace.taken_array[:n_records],
+        trace.next_pc_array[:n_records],
+        name=trace.name,
+    )
+
+
 @pytest.mark.parametrize(
     "policy_name,policy_kwargs",
     (("rotation", {}), ("stress_aware", {"interval": 8})),
     ids=("rotation", "stress_aware"),
 )
+@pytest.mark.parametrize("cut", (False, True), ids=("whole", "cut"))
 @pytest.mark.parametrize("name", ("bitcount", "crc32", "sha"))
-def test_coupled_walk_conservation(name, policy_name, policy_kwargs):
+def test_coupled_walk_conservation(name, cut, policy_name, policy_kwargs):
+    """A whole suite walk ends with a stress read (its exit sequence is
+    a fresh unit head), so only a walk cut inside the kernel ends with
+    launches that just the walk's final fold allocates."""
     geometry = FabricGeometry(rows=2, cols=16)
     params = SystemParams(
         geometry=geometry, mapper="annealing", mapper_kwargs={"seed": 0}
@@ -154,9 +175,19 @@ def test_coupled_walk_conservation(name, policy_name, policy_kwargs):
     allocator = ConfigurationAllocator(
         geometry, make_policy(policy_name, **policy_kwargs)
     )
-    schedule = compute_schedule(params, run_workload(name), allocator=allocator)
+    trace = run_workload(name)
+    if cut:
+        trace = _trace_prefix(trace, 2 * len(trace) // 3)
+    schedule = compute_schedule(params, trace, allocator=allocator)
     assert schedule.stress_coupled
     _assert_tracker_conserves(schedule, allocator.tracker)
+    # The walk folds its launches in batches, at the mapper's stress
+    # reads and once at its end; that must equal allocating every
+    # launch as it is discovered.
+    reference = allocate_each(
+        schedule, geometry, make_policy(policy_name, **policy_kwargs)
+    )
+    assert_trackers_identical(reference, allocator)
 
 
 # ----------------------------------------------------------------------
