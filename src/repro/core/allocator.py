@@ -365,7 +365,14 @@ class ConfigurationAllocator:
             cycles = int(self._cycles_array(cycles, 1)[0])
         self._check_fit(config)
         pivot = self.policy.next_pivot(config, self.tracker)
-        batch = self.allocate_batch((config,), pivots=(pivot,), cycles=cycles)
+        pivots = np.asarray([pivot], dtype=np.int64)
+        if pivots.shape == (1, 2):
+            # Name the policy; a malformed pivot fails the batch's
+            # shape check instead.
+            self._check_pivots(
+                pivots, f"policy {getattr(self.policy, 'name', '?')!r}"
+            )
+        batch = self.allocate_batch((config,), pivots=pivots, cycles=cycles)
         return batch.placement(0)
 
     def allocate_batch(

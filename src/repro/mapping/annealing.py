@@ -1,4 +1,4 @@
-"""Simulated-annealing mapper with a vectorized incremental cost.
+"""Simulated-annealing mapper with an incremental move cost.
 
 In the style of cgra_pnr's ``SADetailedPlacer``: start from the greedy
 first-fit placement, then anneal single-op moves (new row and/or a
@@ -32,14 +32,23 @@ trades *wear* against *time*:
   any boundary over it are additionally rejected outright — annealed
   placements can never be less routable than the budget allows.
 
-Move evaluation is incremental: per-row cumulative stress sums give
-O(1) stress deltas, per-row occupancy bitmasks give O(1) exclusivity
-checks (the scheduler's own representation), and the critical-path term
-is re-reduced over the op end-column vector only when the moved op
-touches the current maximum. Random draws are batched per sweep from a
-:class:`numpy.random.Generator` seeded deterministically per unit, so
-identical (seed, window) inputs map identically regardless of
-translation order.
+Move evaluation is incremental, and each proposal pays only for what
+decides it. Random draws are batched per sweep (four ``rng`` calls)
+from a :class:`numpy.random.Generator` seeded deterministically per
+unit, so identical (seed, window) inputs map identically regardless of
+translation order; each batch becomes a Python list once. Every op's
+dependence-legal column window is cached and, after a commit, refreshed
+only for the moved op's predecessors and successors. Most proposals
+are illegal (same cell, occupied cells, port clash); the move loop
+rejects them inline with per-op width masks against per-row occupancy
+bitmasks (the scheduler's own representation) before any cost is
+computed. A legal move is priced term by term — congestion, row
+balance, stress, critical path, always in that order: per-row
+cumulative stress sums (Python lists of the normalised float64 map)
+give O(1) stress deltas; each producer's live value interval is cached,
+so the line-pressure change computes only the intervals the move
+changes; and the critical-path term is re-reduced over the op
+end-column vector only when the moved op holds the current maximum.
 """
 
 from __future__ import annotations
@@ -205,6 +214,10 @@ class SimulatedAnnealingMapper(Mapper):
             geometry,
             stress_hint,
             line_limit=limit,
+            cp_weight=self.cp_weight,
+            balance_weight=self.balance_weight,
+            stress_weight=self.stress_weight,
+            congestion_weight=self.congestion_weight,
         )
         if obs.state.enabled:
             obs.count("mapping.sa.units")
@@ -229,12 +242,15 @@ class SimulatedAnnealingMapper(Mapper):
         seed: VirtualConfiguration,
         state: "_AnnealState | None" = None,
     ) -> VirtualConfiguration:
-        """Rebuild the unit under this mapper's cache identity."""
+        """Rebuild the unit under this mapper's cache identity (only the
+        ops the annealer moved are rebuilt)."""
         if state is None:
             new_ops = seed.ops
         else:
             new_ops = tuple(
-                replace(op, row=int(row), col=int(col))
+                op
+                if op.row == row and op.col == col
+                else replace(op, row=row, col=col)
                 for op, row, col in zip(
                     seed.ops, state.best_rows, state.best_cols
                 )
@@ -248,38 +264,56 @@ class SimulatedAnnealingMapper(Mapper):
         proposals = self.proposals_per_op * n_ops
         temperature = self.t0
         accepted = rejected = 0
+        # The state's lists, mutated in place by ``commit``.
+        win_lo, win_hi = state.win_lo, state.win_hi
+        op_rows, op_cols = state.op_rows, state.op_cols
+        busy, width_masks = state.busy, state.width_masks
+        port_peers = state.port_peers
+        try_move, commit = state.try_move, state.commit
         for _ in range(self._n_sweeps()):
-            # One batched draw per sweep instead of four per proposal.
-            pick_op = rng.integers(0, n_ops, size=proposals)
-            pick_row = rng.integers(0, state.rows, size=proposals)
-            pick_frac = rng.random(size=proposals)
-            pick_accept = rng.random(size=proposals)
-            for k in range(proposals):
-                index = int(pick_op[k])
-                lo, hi = state.column_window(index)
+            # One batched draw per sweep instead of four per proposal;
+            # ``tolist`` hands the loop the same values as Python scalars.
+            pick_op = rng.integers(0, n_ops, size=proposals).tolist()
+            pick_row = rng.integers(0, state.rows, size=proposals).tolist()
+            pick_frac = rng.random(size=proposals).tolist()
+            pick_accept = rng.random(size=proposals).tolist()
+            for index, new_row, frac, accept in zip(
+                pick_op, pick_row, pick_frac, pick_accept
+            ):
+                lo = win_lo[index]
+                hi = win_hi[index]
                 if hi < lo:
                     continue
-                new_row = int(pick_row[k])
-                new_col = lo + int(pick_frac[k] * (hi - lo + 1))
-                delta = state.try_move(
-                    index,
-                    new_row,
-                    min(new_col, hi),
-                    self.cp_weight,
-                    self.balance_weight,
-                    self.stress_weight,
-                    self.congestion_weight,
-                )
+                new_col = lo + int(frac * (hi - lo + 1))
+                if new_col > hi:
+                    new_col = hi
+                # Illegal moves (same cell, occupied cells, port clash)
+                # are rejected here, before any cost is computed.
+                occupied = busy[new_row]
+                if new_row == op_rows[index]:
+                    old_col = op_cols[index]
+                    if new_col == old_col:
+                        rejected += 1
+                        continue
+                    occupied ^= width_masks[index] << old_col
+                if occupied & (width_masks[index] << new_col):
+                    rejected += 1
+                    continue
+                peers = port_peers[index]
+                if peers and any(
+                    abs(new_col - op_cols[peer]) < MEM_PORT_ISSUE_COLUMNS
+                    for peer in peers
+                ):
+                    rejected += 1
+                    continue
+                delta = try_move(index, new_row, new_col)
                 if delta is None:
                     rejected += 1
-                    continue  # illegal (occupied cells or port clash)
-                if delta <= 0.0 or (
-                    pick_accept[k] < math.exp(-delta / temperature)
-                ):
+                    continue  # would overflow a context line
+                if delta <= 0.0 or accept < math.exp(-delta / temperature):
                     accepted += 1
-                    state.commit(index, new_row, min(new_col, hi), delta)
+                    commit(delta)
             temperature *= self.cooling
-        state.restore_best()
         if obs.state.enabled:
             obs.count(
                 "mapping.sa.moves_tried", self._n_sweeps() * proposals
@@ -292,7 +326,14 @@ class SimulatedAnnealingMapper(Mapper):
 
 
 class _AnnealState:
-    """Mutable annealing state with incremental cost bookkeeping."""
+    """Mutable annealing state with incremental cost bookkeeping.
+
+    The move loop reads the cached dependence windows (``win_lo``,
+    ``win_hi``), the occupancy masks (``busy``, ``width_masks``) and the
+    port peers directly; :meth:`try_move` prices a legal move and
+    :meth:`commit` applies the move it last priced, refreshing exactly
+    the cached windows and live intervals that move changes.
+    """
 
     def __init__(
         self,
@@ -300,11 +341,19 @@ class _AnnealState:
         records: Sequence[TraceRecord],
         geometry: FabricGeometry,
         stress_hint: np.ndarray | None,
-        line_limit: int | None = None,
+        line_limit: int | None,
+        cp_weight: float,
+        balance_weight: float,
+        stress_weight: float,
+        congestion_weight: float,
     ) -> None:
         ops = seed.ops
         self.n_ops = len(ops)
         self.rows = geometry.rows
+        self.cp_weight = cp_weight
+        self.balance_weight = balance_weight
+        self.stress_weight = stress_weight
+        self.congestion_weight = congestion_weight
         # Hard bound: never grow past the greedy bounding width, so the
         # timing model can only improve (execution cycles are a pure
         # function of used columns).
@@ -312,6 +361,7 @@ class _AnnealState:
         self.op_rows = [op.row for op in ops]
         self.op_cols = [op.col for op in ops]
         self.widths = [op.width for op in ops]
+        self.width_masks = [(1 << op.width) - 1 for op in ops]
         self.end_cols = [op.end_col for op in ops]
         self.used_max = max(self.end_cols)  # incremental critical path
         self.total_cells = sum(self.widths)
@@ -338,23 +388,37 @@ class _AnnealState:
                 if kind == "raw":
                     self.raw_preds[v].append(u)
                     self.raw_succs[u].append(v)
+        #: Ops whose window reads op ``i``'s column: its preds and succs
+        #: (each edge is listed once, and no op precedes itself).
+        self.window_dependents = [
+            tuple(self.preds[i] + self.succs[i]) for i in range(self.n_ops)
+        ]
+        #: Producers whose live interval reads op ``i``'s column: its
+        #: raw preds, and ``i`` itself when its value has a consumer.
+        self.line_producers = [
+            tuple(self.raw_preds[i]) + ((i,) if self.raw_succs[i] else ())
+            for i in range(self.n_ops)
+        ]
+        self.win_lo = [0] * self.n_ops
+        self.win_hi = [0] * self.n_ops
+        for index in range(self.n_ops):
+            self.win_lo[index], self.win_hi[index] = self.column_window(index)
 
         # Per-boundary context-line pressure of the current placement
         # (diff-free direct counts; moves patch it incrementally). The
         # cost term charges only pressure above the fabric's nominal
         # line sizing, so wear-leveling moves below it stay free.
-        # Maintained only while something reads it (a hard limit or a
-        # non-zero congestion weight) — see ``try_move``/``commit``.
+        # Pressure and the live intervals are maintained only while
+        # something reads them (a hard limit or a non-zero congestion
+        # weight).
         self.line_limit = line_limit
         self.line_soft_cap = geometry.ctx_lines
+        self.track_lines = congestion_weight != 0.0 or line_limit is not None
+        self.intervals = [self._interval(i) for i in range(self.n_ops)]
         self.line_pressure = [0] * (geometry.cols + 1)
-        for index in range(self.n_ops):
-            first, last = self._interval(index)
+        for first, last in self.intervals:
             for boundary in range(first, last + 1):
                 self.line_pressure[boundary] += 1
-        #: Deltas computed by the latest ``try_move``, reused verbatim
-        #: by the matching ``commit`` (``None`` = congestion inactive).
-        self._pending_lines: tuple[int, int, int, dict[int, int] | None] | None = None
 
         # Occupancy bitmasks, one int per fabric row (the scheduler's
         # own representation — O(1) exclusivity tests).
@@ -373,10 +437,12 @@ class _AnnealState:
                     peer for peer in members if peer != index
                 ]
 
-        # Row-balance counts and normalised stress prefix sums.
+        # Row-balance counts and normalised stress prefix sums, one
+        # Python list of float64 values per row.
         self.row_counts = [0] * self.rows
         for index in range(self.n_ops):
             self.row_counts[self.op_rows[index]] += self.widths[index]
+        self.stress_cum: list[list[float]] | None = None
         if stress_hint is not None and np.asarray(stress_hint).size:
             hint = np.asarray(stress_hint, dtype=np.float64)
             hint = hint[: self.rows, : geometry.cols]
@@ -386,10 +452,12 @@ class _AnnealState:
             self.stress_cum = np.concatenate(
                 [np.zeros((norm.shape[0], 1)), np.cumsum(norm, axis=1)],
                 axis=1,
-            )
-        else:
-            self.stress_cum = None
+            ).tolist()
 
+        #: The move last priced by ``try_move``: (index, new_row,
+        #: new_col, used columns after it, line-pressure deltas or
+        #: ``None`` while lines are untracked).
+        self._move: tuple | None = None
         self.cost_delta = 0.0  # accumulated (relative) cost
         self.best_delta = 0.0
         self.best_rows = list(self.op_rows)
@@ -402,14 +470,13 @@ class _AnnealState:
 
     def _mask(self, index: int, col: int | None = None) -> int:
         col = self.op_cols[index] if col is None else col
-        return ((1 << self.widths[index]) - 1) << col
+        return self.width_masks[index] << col
 
     def _stress(self, row: int, col: int, width: int) -> float:
         if self.stress_cum is None:
             return 0.0
-        return float(
-            self.stress_cum[row, col + width] - self.stress_cum[row, col]
-        )
+        sums = self.stress_cum[row]
+        return sums[col + width] - sums[col]
 
     # -- context-line pressure ----------------------------------------
 
@@ -438,12 +505,11 @@ class _AnnealState:
         """Per-boundary pressure change of moving ``index`` to
         ``new_col``: its own value shifts availability, and each
         producer feeding it may stretch or shrink its live range."""
-        affected = set(self.raw_preds[index])
-        if self.raw_succs[index]:
-            affected.add(index)
         deltas: dict[int, int] = {}
-        for producer in affected:
-            old = self._interval(producer)
+        if new_col == self.op_cols[index]:
+            return deltas  # a row-only move changes no interval
+        for producer in self.line_producers[index]:
+            old = self.intervals[producer]
             new = self._interval(producer, moved=index, moved_col=new_col)
             if old == new:
                 continue
@@ -465,33 +531,17 @@ class _AnnealState:
 
     # -- move evaluation ----------------------------------------------
 
-    def try_move(
-        self,
-        index: int,
-        new_row: int,
-        new_col: int,
-        cp_weight: float,
-        balance_weight: float,
-        stress_weight: float,
-        congestion_weight: float = 0.0,
-    ) -> float | None:
-        """Cost delta of moving ``index`` to ``(new_row, new_col)``,
-        or ``None`` when the move is illegal."""
-        old_row, old_col = self.op_rows[index], self.op_cols[index]
-        if new_row == old_row and new_col == old_col:
-            return None
-        width = self.widths[index]
-        occupied = self.busy[new_row]
-        if new_row == old_row:
-            occupied &= ~self._mask(index)
-        if occupied & self._mask(index, new_col):
-            return None
-        for peer in self.port_peers[index]:
-            if abs(new_col - self.op_cols[peer]) < MEM_PORT_ISSUE_COLUMNS:
-                return None
+    def try_move(self, index: int, new_row: int, new_col: int) -> float | None:
+        """Cost delta of moving ``index`` to ``(new_row, new_col)``, or
+        ``None`` when the move would overflow a context line.
 
+        The caller has already rejected the same cell, occupied cells
+        and port clashes. The delta's terms are added in a fixed order:
+        congestion, row balance, stress, critical path.
+        """
         delta = 0.0
-        if congestion_weight != 0.0 or self.line_limit is not None:
+        line_deltas = None
+        if self.track_lines:
             cap = self.line_soft_cap
             raw = 0
             line_deltas = self._line_deltas(index, new_col)
@@ -507,10 +557,9 @@ class _AnnealState:
                 old_excess = max(0, pressure - cap)
                 new_excess = max(0, pressure + change - cap)
                 raw += new_excess**2 - old_excess**2
-            delta += congestion_weight * raw / max(1, self.total_cells)
-            self._pending_lines = (index, new_row, new_col, line_deltas)
-        else:
-            self._pending_lines = (index, new_row, new_col, None)
+            delta += self.congestion_weight * raw / max(1, self.total_cells)
+        old_row, old_col = self.op_rows[index], self.op_cols[index]
+        width = self.widths[index]
         if new_row != old_row:
             n_old = self.row_counts[old_row]
             n_new = self.row_counts[new_row]
@@ -520,14 +569,14 @@ class _AnnealState:
                 - n_old**2
                 - n_new**2
             )
-            delta += balance_weight * raw / max(1, self.total_cells)
-        delta += stress_weight * (
+            delta += self.balance_weight * raw / max(1, self.total_cells)
+        delta += self.stress_weight * (
             self._stress(new_row, new_col, width)
             - self._stress(old_row, old_col, width)
         )
-        delta += cp_weight * (
-            self._used_cols_after(index, new_col) - self.used_max
-        )
+        used = self._used_cols_after(index, new_col)
+        delta += self.cp_weight * (used - self.used_max)
+        self._move = (index, new_row, new_col, used, line_deltas)
         return delta
 
     def _used_cols_after(self, index: int, new_col: int) -> int:
@@ -548,22 +597,16 @@ class _AnnealState:
             ),
         )
 
-    def commit(
-        self, index: int, new_row: int, new_col: int, delta: float
-    ) -> None:
-        self.used_max = self._used_cols_after(index, new_col)
-        # Patch the line-pressure profile before coordinates mutate,
-        # reusing the deltas the accepting try_move already computed
-        # (or recomputing for a commit that didn't come through it).
-        pending = self._pending_lines
-        if pending is not None and pending[:3] == (index, new_row, new_col):
-            line_deltas = pending[3]  # None = congestion inactive
-        else:
-            line_deltas = self._line_deltas(index, new_col)
+    def commit(self, delta: float) -> None:
+        """Apply the move last priced by :meth:`try_move` (whose cost
+        delta is ``delta``)."""
+        index, new_row, new_col, used, line_deltas = self._move
+        self._move = None
+        self.used_max = used
         if line_deltas:
             for boundary, change in line_deltas.items():
                 self.line_pressure[boundary] += change
-        old_row = self.op_rows[index]
+        old_row, old_col = self.op_rows[index], self.op_cols[index]
         width = self.widths[index]
         self.busy[old_row] &= ~self._mask(index)
         self.busy[new_row] |= self._mask(index, new_col)
@@ -572,13 +615,16 @@ class _AnnealState:
         self.op_rows[index] = new_row
         self.op_cols[index] = new_col
         self.end_cols[index] = new_col + width
+        if new_col != old_col:
+            for other in self.window_dependents[index]:
+                self.win_lo[other], self.win_hi[other] = self.column_window(
+                    other
+                )
+            if self.track_lines:
+                for producer in self.line_producers[index]:
+                    self.intervals[producer] = self._interval(producer)
         self.cost_delta += delta
         if self.cost_delta < self.best_delta - 1e-12:
             self.best_delta = self.cost_delta
             self.best_rows = list(self.op_rows)
             self.best_cols = list(self.op_cols)
-
-    def restore_best(self) -> None:
-        """Leave ``best_rows``/``best_cols`` as the annealing result."""
-        # Nothing to do — best state is tracked on every commit; the
-        # method exists so callers read an explicit final step.

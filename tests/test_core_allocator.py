@@ -9,8 +9,7 @@ from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import available_policies, make_policy
-from repro.core.utilization import UtilizationTracker, Weighting
+from repro.core.policy import AllocationPolicy, available_policies, make_policy
 from repro.errors import AllocationError, ConfigurationError
 
 
@@ -173,6 +172,35 @@ class TestAllocatorValidation:
         alloc = ConfigurationAllocator(geometry, BadPolicy())
         with pytest.raises(AllocationError):
             alloc.allocate(config([(0, 0)]))
+
+    def test_out_of_range_pivot_names_the_policy_on_both_paths(self):
+        """Both entry points blame the policy for its pivot, not the
+        explicit-pivots argument ``allocate`` hands the batch; an
+        explicit argument is still named as such."""
+
+        class BadPolicy(AllocationPolicy):
+            name = "bad"
+
+            def next_pivot(self, config_, tracker):
+                return (9, 9)
+
+        geometry = FabricGeometry(rows=2, cols=8)
+        message = "policy 'bad' returned pivot (9, 9) outside L8xW2"
+        c = config([(0, 0)])
+        alloc = ConfigurationAllocator(geometry, BadPolicy())
+        with pytest.raises(AllocationError) as scalar:
+            alloc.allocate(c)
+        assert str(scalar.value) == message
+        with pytest.raises(AllocationError) as batch:
+            alloc.allocate_batch((c,))
+        assert str(batch.value) == message
+        assert alloc.launches == 0
+        assert alloc.tracker.total_executions == 0
+        with pytest.raises(
+            AllocationError,
+            match=r"^explicit pivots argument returned pivot \(9, 9\)",
+        ):
+            alloc.allocate_batch((c,), pivots=[(9, 9)])
 
     @pytest.mark.parametrize(
         "policy_name,kwargs",
