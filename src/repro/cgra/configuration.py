@@ -30,9 +30,10 @@ def greedy_identity(row_policy: str) -> str:
 
     One formatter shared by unit discovery (which stamps the seed
     placement it produced) and :class:`repro.mapping.greedy.GreedyMapper`
-    (which only adopts seeds carrying its own identity) — equal
-    identity must imply identical placement, so the row-scan order is
-    part of the name.
+    — equal identity must imply identical placement, so the row-scan
+    order is part of the name. :func:`repro.dbt.window.translate_unit`
+    owns the rule that uses it: a mapper whose identity equals the
+    seed's is not called, and the seed is kept.
     """
     if row_policy == "first_fit":
         return DEFAULT_MAPPER_KEY

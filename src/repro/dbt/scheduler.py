@@ -10,11 +10,22 @@ rows is what produces the top-left utilization bias of Fig. 1.
 The scheduler only decides *virtual* coordinates. Where the
 configuration lands on the physical fabric is the allocation policy's
 job (:mod:`repro.core`), which is the paper's contribution.
+
+Placement reads :class:`PlacementFacts`, the per-instruction facts it
+needs (unit-ending test, ``jal`` handling, FU kind and span, source and
+destination registers, branch flag, access width), plus the record's
+memory address. Unit discovery decodes each row of a trace's
+:class:`~repro.sim.trace.InstructionTable` once (:func:`table_facts`)
+and places straight from the trace's columns;
+:meth:`SchedulerState.try_place` decodes one
+:class:`~repro.sim.trace.TraceRecord` and delegates, so discovery,
+window re-placement and the tests share one placement semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from repro.cgra.configuration import PlacedOp
 from repro.cgra.fabric import FabricGeometry
@@ -31,7 +42,87 @@ from repro.cgra.interconnect import (
 )
 from repro.dbt.dfg import source_registers
 from repro.isa.instructions import InstrClass
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import ABSENT, InstructionTable, TraceRecord
+
+#: Sentinel returned by :meth:`SchedulerState.place` for instructions
+#: that stay on the recorded path but contribute no fabric op
+#: (``jal x0``, a pure goto with no dataflow).
+NO_FABRIC_OP = object()
+
+#: Cache-port occupancy of a memory op starting at column 0: the port
+#: is pipelined, so only the issue cycle's columns are held.
+_PORT_MASK = (1 << MEM_PORT_ISSUE_COLUMNS) - 1
+
+
+class PlacementFacts:
+    """What placing one static instruction needs to know, decoded from
+    a record (its dynamic fields are ignored).
+
+    Attributes:
+        op: mnemonic (copied onto the placed op).
+        ends_unit: the unit can never contain or continue across the
+            instruction (DIV, SYSTEM, ``jalr``: target unknown at
+            translation time).
+        jal: a ``jal``: a goto without fabric op when ``rd`` is
+            ``None``, otherwise a link-value constant generator.
+        kind: FU kind executing the instruction, ``None`` when the
+            fabric cannot (DIV, JUMP, SYSTEM).
+        width: columns the op spans (0 when ``kind`` is ``None``).
+        sources: registers read, by :func:`repro.dbt.dfg.source_registers`.
+        rd: destination register, or ``None``.
+        is_branch: a speculated branch comparison.
+        mem_bytes: access width in bytes (0 for non-memory ops).
+    """
+
+    # A plain slotted class: no caller needs a dataclass's generated
+    # methods, which would cost each process ~1 ms to build at import.
+    __slots__ = (
+        "op", "ends_unit", "jal", "kind", "width", "sources", "rd",
+        "is_branch", "mem_bytes",
+    )
+
+    def __init__(self, record: TraceRecord) -> None:
+        cls = record.cls
+        kind = fu_kind_for(cls)
+        is_jump = cls is InstrClass.JUMP
+        self.op = record.op
+        self.ends_unit = cls in (InstrClass.DIV, InstrClass.SYSTEM) or (
+            is_jump and record.op == "jalr"
+        )
+        self.jal = is_jump and record.op == "jal"
+        self.kind = kind
+        self.width = 0 if kind is None else latency_columns(kind)
+        self.sources = source_registers(record)
+        self.rd = record.rd
+        self.is_branch = cls is InstrClass.BRANCH
+        self.mem_bytes = record.mem_bytes
+
+
+#: Decoded rows per instruction table; weak keys, so a table's facts
+#: go with the last trace that holds it.
+_TABLE_FACTS: WeakKeyDictionary[InstructionTable, tuple[PlacementFacts, ...]]
+_TABLE_FACTS = WeakKeyDictionary()
+
+
+def table_facts(table: InstructionTable) -> tuple[PlacementFacts, ...]:
+    """:class:`PlacementFacts` of every row of ``table``, indexed like
+    the table (decoded once per table)."""
+    facts = _TABLE_FACTS.get(table)
+    if facts is None:
+        facts = tuple(
+            PlacementFacts(
+                TraceRecord(
+                    pc, op, cls, rd, rs1, rs2, imm,
+                    None, None, mem_bytes, None, pc + 4,
+                )
+            )
+            for pc, op, cls, rd, rs1, rs2, imm, mem_bytes in zip(
+                table.pc, table.op, table.cls, table.rd, table.rs1,
+                table.rs2, table.imm, table.mem_bytes,
+            )
+        )
+        _TABLE_FACTS[table] = facts
+    return facts
 
 
 @dataclass
@@ -48,10 +139,11 @@ class SchedulerState:
       exactly why the paper moves whole configurations at run time
       instead of touching the scheduler.
 
-    ``line_budget`` bounds the per-column context-line pressure: a
-    candidate column whose operand routing would overflow is skipped
-    (the op falls back to a later column, or placement fails and the
-    unit closes). The default follows the geometry's declared routing
+    ``line_budget`` bounds the per-column context-line pressure: the
+    slot search stops at the first candidate column whose operand
+    routing would overflow, so placement fails and the unit closes (a
+    later column only lengthens the routed values, so none can fit).
+    The default follows the geometry's declared routing
     budget — elastic unless ``ctx_lines`` was set explicitly, so the
     paper pipeline is untouched; pass an int to override, or ``None``
     to force elastic routing.
@@ -64,7 +156,10 @@ class SchedulerState:
     def __post_init__(self) -> None:
         if self.row_policy not in ("first_fit", "round_robin"):
             raise ValueError(f"unknown row policy {self.row_policy!r}")
-        self._row_busy = [0] * self.geometry.rows  # column bitmask per row
+        self._rows = self.geometry.rows
+        self._cols = self.geometry.cols
+        self._round_robin = self.row_policy == "round_robin"
+        self._row_busy = [0] * self._rows  # column bitmask per row
         self._load_busy = 0    # columns with a load in flight (1 read port)
         self._store_busy = 0   # columns with a store in flight (1 write port)
         self._reg_ready: dict[int, int] = {}        # reg -> producer end col
@@ -72,86 +167,109 @@ class SchedulerState:
         self._load_ready: dict[int, int] = {}       # word -> last load end
         self._next_start_row = 0
         self._lines = LinePressureTracker(
-            self.geometry.cols,
+            self._cols,
             resolve_line_budget(self.line_budget, self.geometry),
         )
 
-    # -- dependence queries ------------------------------------------------
+    # -- placement ----------------------------------------------------------
 
-    def earliest_column(
-        self, record: TraceRecord, sources: tuple[int, ...]
-    ) -> int:
-        """First column where ``record`` (reading ``sources``) may
-        start, per dependences.
+    def try_place(
+        self, record: TraceRecord, trace_offset: int
+    ) -> PlacedOp | object | None:
+        """Greedily place ``record``: :meth:`place` on its decoded
+        facts and memory address."""
+        mem_addr = record.mem_addr
+        return self.place(
+            PlacementFacts(record),
+            ABSENT if mem_addr is None else mem_addr,
+            trace_offset,
+        )
+
+    def place(
+        self, facts: PlacementFacts, mem_addr: int, trace_offset: int
+    ) -> PlacedOp | object | None:
+        """Greedily place one instruction.
+
+        ``mem_addr`` is the record's effective address, or
+        :data:`~repro.sim.trace.ABSENT` for none. Returns the
+        :class:`PlacedOp`, :data:`NO_FABRIC_OP` for ``jal x0``, or
+        ``None`` when the instruction is unmappable or found no free
+        slot. On success the occupancy and dependence state are
+        updated; on failure the state is left untouched (so the caller
+        can close the unit).
 
         Loads are ordered after overlapping stores (RAW through memory);
         stores are ordered after overlapping stores (WAW) and loads
         (WAR); load-load pairs stay unordered, matching
         :func:`repro.dbt.dfg.build_dfg`.
         """
-        earliest = 0
-        for reg in sources:
-            earliest = max(earliest, self._reg_ready.get(reg, 0))
-        if record.mem_addr is not None:
-            is_store = record.cls is InstrClass.STORE
-            for word in self._word_span(record):
-                earliest = max(earliest, self._store_ready.get(word, 0))
-                if is_store:
-                    earliest = max(earliest, self._load_ready.get(word, 0))
-        return earliest
-
-    @staticmethod
-    def _word_span(record: TraceRecord) -> range:
-        first = record.mem_addr >> 2
-        last = (record.mem_addr + record.mem_bytes - 1) >> 2
-        return range(first, last + 1)
-
-    # -- placement ----------------------------------------------------------
-
-    def try_place(
-        self, record: TraceRecord, trace_offset: int
-    ) -> PlacedOp | None:
-        """Greedily place ``record``; return the op or ``None`` if full.
-
-        On success the occupancy and dependence state are updated; on
-        failure the state is left untouched (so the caller can close
-        the unit).
-        """
-        kind = fu_kind_for(record.cls)
+        if facts.jal:
+            if facts.rd is None:
+                return NO_FABRIC_OP
+            # The link value pc+4 is a translation-time constant
+            # generated by an ALU cell with no input dependences.
+            return self.try_place_constant(facts.op, facts.rd, trace_offset)
+        kind = facts.kind
         if kind is None:
             return None
-        width = latency_columns(kind)
-        span = (1 << width) - 1
-        # Dependences and line charges resolve sources through the DFG
-        # oracle's single source-register rule, once per placement.
-        sources = source_registers(record)
-        earliest = self.earliest_column(record, sources)
-        slot = self._find_slot(kind, width, span, earliest, sources=sources)
+        sources = facts.sources
+        earliest = 0
+        reg_ready = self._reg_ready
+        for reg in sources:
+            ready = reg_ready.get(reg, 0)
+            if ready > earliest:
+                earliest = ready
+        words = None
+        if mem_addr != ABSENT:
+            words = range(
+                mem_addr >> 2, ((mem_addr + facts.mem_bytes - 1) >> 2) + 1
+            )
+            store_ready = self._store_ready
+            load_ready = self._load_ready
+            is_store = kind is FUKind.STORE
+            for word in words:
+                ready = store_ready.get(word, 0)
+                if ready > earliest:
+                    earliest = ready
+                if is_store:
+                    ready = load_ready.get(word, 0)
+                    if ready > earliest:
+                        earliest = ready
+        width = facts.width
+        slot = self._find_slot(kind, width, earliest, sources)
         if slot is None:
             return None
         row, col = slot
-        self._commit(record, sources, kind, row, col, width)
+        end = col + width
+        self._row_busy[row] |= ((1 << width) - 1) << col
+        # Charge operand routing before (re)defining rd: when rd is
+        # also a source, the read refers to the previous value.
+        if sources:
+            self._lines.charge(sources, col)
+        rd = facts.rd
+        if rd:
+            reg_ready[rd] = end
+            self._lines.define(rd, end)
+        if kind is FUKind.LOAD:
+            self._load_busy |= _PORT_MASK << col
+            ready_map = self._load_ready
+        elif kind is FUKind.STORE:
+            self._store_busy |= _PORT_MASK << col
+            ready_map = self._store_ready
+        else:
+            ready_map = None
+        if ready_map is not None and words is not None:
+            for word in words:
+                if ready_map.get(word, 0) < end:
+                    ready_map[word] = end
         return PlacedOp(
-            op=record.op,
-            kind=kind,
-            row=row,
-            col=col,
-            width=width,
-            trace_offset=trace_offset,
-            is_branch=record.cls is InstrClass.BRANCH,
+            facts.op, kind, row, col, width, trace_offset, facts.is_branch
         )
-
-    @staticmethod
-    def _port_mask(col: int) -> int:
-        """Cache-port occupancy of a memory op starting at ``col``: the
-        port is pipelined, so only the issue cycle's columns are held."""
-        return ((1 << MEM_PORT_ISSUE_COLUMNS) - 1) << col
 
     def _find_slot(
         self,
         kind: FUKind,
         width: int,
-        span: int,
         earliest: int,
         sources: tuple[int, ...] = (),
     ) -> tuple[int, int] | None:
@@ -162,69 +280,42 @@ class SchedulerState:
         range only grows with later columns, so the overflowing
         boundary stays overflowed for every column further right.
         """
-        rows = self.geometry.rows
-        if self.row_policy == "round_robin":
+        rows = self._rows
+        if self._round_robin:
             start = self._next_start_row
             row_order = [(start + r) % rows for r in range(rows)]
         else:
             row_order = range(rows)
-        last_start = self.geometry.cols - width
-        for col in range(earliest, last_start + 1):
-            mask = span << col
-            if not self._port_free(kind, col):
+        if kind is FUKind.LOAD:
+            port_busy = self._load_busy
+        elif kind is FUKind.STORE:
+            port_busy = self._store_busy
+        else:
+            port_busy = 0
+        lines = self._lines
+        if not sources or lines.limit is None:
+            lines = None  # fits() holds trivially
+        row_busy = self._row_busy
+        span = (1 << width) - 1
+        for col in range(earliest, self._cols - width + 1):
+            if port_busy & (_PORT_MASK << col):
                 continue
-            if not self._lines.fits(sources, col):
+            if lines is not None and not lines.fits(sources, col):
                 break
+            mask = span << col
             for row in row_order:
-                if not self._row_busy[row] & mask:
-                    if self.row_policy == "round_robin":
+                if not row_busy[row] & mask:
+                    if self._round_robin:
                         self._next_start_row = (row + 1) % rows
                     return (row, col)
         return None
-
-    def _port_free(self, kind: FUKind, col: int) -> bool:
-        if kind is FUKind.LOAD:
-            return not self._load_busy & self._port_mask(col)
-        if kind is FUKind.STORE:
-            return not self._store_busy & self._port_mask(col)
-        return True
-
-    def _commit(
-        self,
-        record: TraceRecord,
-        sources: tuple[int, ...],
-        kind: FUKind,
-        row: int,
-        col: int,
-        width: int,
-    ) -> None:
-        self._row_busy[row] |= ((1 << width) - 1) << col
-        if kind is FUKind.LOAD:
-            self._load_busy |= self._port_mask(col)
-        elif kind is FUKind.STORE:
-            self._store_busy |= self._port_mask(col)
-        end = col + width
-        # Charge operand routing before (re)defining rd: when rd is
-        # also a source, the read refers to the previous value.
-        self._lines.charge(sources, col)
-        if record.rd:
-            self._reg_ready[record.rd] = end
-            self._lines.define(record.rd, end)
-        if kind is FUKind.STORE:
-            for word in self._word_span(record):
-                self._store_ready[word] = max(
-                    self._store_ready.get(word, 0), end
-                )
-        elif kind is FUKind.LOAD:
-            for word in self._word_span(record):
-                self._load_ready[word] = max(self._load_ready.get(word, 0), end)
 
     def try_place_constant(
         self, op: str, rd: int | None, trace_offset: int
     ) -> PlacedOp | None:
         """Place a dependence-free single-column ALU op (constant
         generator, e.g. the ``pc+4`` link value of ``jal``)."""
-        slot = self._find_slot(FUKind.ALU, 1, 1, 0)
+        slot = self._find_slot(FUKind.ALU, 1, 0)
         if slot is None:
             return None
         row, col = slot

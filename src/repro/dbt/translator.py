@@ -19,7 +19,7 @@ import numpy as np
 from repro.cgra.configuration import VirtualConfiguration, greedy_identity
 from repro.cgra.fabric import FabricGeometry
 from repro.dbt.config_cache import ConfigCache
-from repro.dbt.window import UnitLimits, build_unit, truncate_unit
+from repro.dbt.window import UnitLimits, translate_unit, truncate_unit
 from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 
@@ -103,15 +103,10 @@ class DBTEngine:
             return None
         return self.stress_provider()
 
-    def is_unit_head(self, trace: Trace, position: int) -> bool:
-        """Whether ``trace[position]`` can start a translation unit."""
-        if position == 0:
-            return True
-        return bool(trace.redirect_array[position - 1])
-
     @staticmethod
     def unit_head_flags(trace: Trace) -> "np.ndarray":
-        """Per-position :meth:`is_unit_head` flags, vectorized.
+        """Per-position flags: whether ``trace[position]`` can start a
+        translation unit.
 
         Single owner of the superblock-head rule shared with the
         schedule walk (:mod:`repro.system.schedule`): position 0 and
@@ -133,7 +128,7 @@ class DBTEngine:
         pc = int(trace.pc_array[position])
         if pc in self._rejected_pcs:
             return None
-        unit = build_unit(
+        unit, line_pressure = translate_unit(
             trace,
             position,
             self.geometry,
@@ -146,21 +141,10 @@ class DBTEngine:
             self.cache.stats.rejected += 1
             self._rejected_pcs.add(pc)
             return None
-        self._note_line_pressure(trace, position, unit)
+        if line_pressure > self.peak_line_pressure:
+            self.peak_line_pressure = line_pressure
         self.cache.insert(unit)
         return unit
-
-    def _note_line_pressure(
-        self, trace: Trace, position: int, unit: VirtualConfiguration
-    ) -> None:
-        # Local import: repro.mapping pulls this module back in through
-        # the greedy mapper, so binding at call time avoids the cycle.
-        from repro.mapping.routing import peak_pressure
-
-        window = trace[position : position + unit.n_instructions]
-        self.peak_line_pressure = max(
-            self.peak_line_pressure, peak_pressure(unit, window)
-        )
 
     def note_replay(self, unit: VirtualConfiguration, matched: int) -> None:
         """Feed the misspeculation monitor after a replay.

@@ -15,6 +15,12 @@ no fabric op but stays on the recorded path.
 
 Units shorter than ``min_instructions`` are rejected (not worth a
 configuration-cache entry).
+
+Discovery builds no :class:`~repro.sim.trace.TraceRecord` views: it
+reads the trace's static-index and memory-address columns and places
+from each instruction-table row's :class:`~repro.dbt.scheduler.PlacementFacts`,
+decoded once per table. Record views of a window are built once, as
+one slice, only for a mapper that may re-place the greedy seed.
 """
 
 from __future__ import annotations
@@ -28,9 +34,8 @@ from repro.cgra.configuration import (
     greedy_identity,
 )
 from repro.cgra.fabric import FabricGeometry
-from repro.dbt.scheduler import SchedulerState
-from repro.isa.instructions import InstrClass
-from repro.sim.trace import Trace, TraceRecord
+from repro.dbt.scheduler import NO_FABRIC_OP, SchedulerState, table_facts
+from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import numpy as np
@@ -51,40 +56,83 @@ class UnitLimits:
     row_policy: str = "first_fit"
 
 
-def _ends_unit(record: TraceRecord) -> bool:
-    """Instructions the unit can never contain (or continue across)."""
-    if record.cls in (InstrClass.DIV, InstrClass.SYSTEM):
-        return True
-    return record.cls is InstrClass.JUMP and record.op == "jalr"
+def translate_unit(
+    trace: Trace,
+    start: int,
+    geometry: FabricGeometry,
+    limits: UnitLimits | None = None,
+    mapper: "Mapper | None" = None,
+    stress_hint: "np.ndarray | None" = None,
+) -> tuple[VirtualConfiguration | None, int]:
+    """:func:`build_unit` and the unit's peak context-line pressure.
 
-
-#: Sentinel returned by :func:`place_record` for instructions that stay
-#: on the recorded path but contribute no fabric op (``jal x0``).
-NO_FABRIC_OP = object()
-
-
-def place_record(
-    state: SchedulerState, record: TraceRecord, offset: int
-) -> PlacedOp | object | None:
-    """Place one record on ``state``'s grid.
-
-    The single definition of per-instruction placement semantics,
-    shared by unit discovery (:func:`build_unit`) and by mappers that
-    re-place fixed windows (:func:`repro.mapping.greedy.place_window`).
-
-    Returns the :class:`PlacedOp`, :data:`NO_FABRIC_OP` for ``jal x0``
-    (a pure goto with no dataflow), or ``None`` when the record is
-    unmappable or found no free slot.
+    A greedy seed's peak is the discovery scheduler's own
+    :class:`~repro.cgra.interconnect.LinePressureTracker` reading; a
+    unit the mapper re-placed is measured by the routing oracle
+    (:func:`repro.mapping.routing.peak_pressure`) over the same window
+    the mapper placed. The peak is 0 when no unit forms.
     """
-    if record.cls is InstrClass.JUMP:
-        if record.op != "jal":
-            return None  # jalr: target unknown at translation time
-        if record.rd is None:
-            return NO_FABRIC_OP
-        # The link value pc+4 is a translation-time constant generated
-        # by an ALU cell with no input dependences.
-        return state.try_place_constant(record.op, record.rd, offset)
-    return state.try_place(record, trace_offset=offset)
+    limits = limits if limits is not None else UnitLimits()
+    state = SchedulerState(geometry, row_policy=limits.row_policy)
+    facts_of = table_facts(trace.table)
+    static_pcs = trace.table.pc
+    static_index = memoryview(trace.static_index_array)
+    mem_addr = memoryview(trace.mem_addr_array)
+    place = state.place
+    max_branches = limits.max_branches
+    ops: list[PlacedOp] = []
+    pc_path: list[int] = []
+    branches = 0
+
+    position = start
+    stop = min(len(trace), start + limits.max_instructions)
+    while position < stop:
+        static = static_index[position]
+        facts = facts_of[static]
+        if facts.ends_unit:
+            break
+        if facts.is_branch and branches >= max_branches:
+            break
+        placed = place(facts, mem_addr[position], len(pc_path))
+        if placed is None:
+            break  # no free slot (or link register op did not fit)
+        if placed is not NO_FABRIC_OP:
+            ops.append(placed)
+            if facts.is_branch:
+                branches += 1
+        pc_path.append(static_pcs[static])
+        position += 1
+
+    if len(pc_path) < limits.min_instructions or not ops:
+        return None, 0
+    seed = VirtualConfiguration(
+        start_pc=pc_path[0],
+        pc_path=tuple(pc_path),
+        ops=tuple(ops),
+        n_instructions=len(pc_path),
+        geometry_rows=geometry.rows,
+        geometry_cols=geometry.cols,
+        # The seed carries the identity of the scheduler configuration
+        # that actually placed it (row policy included), so mappers and
+        # the config cache never alias distinct placements.
+        mapper_key=greedy_identity(limits.row_policy),
+    )
+    # Equal mapper identity implies identical placement (the contract
+    # of greedy_identity), so only a mapper of another identity may
+    # re-place the seed, and only then are record views built.
+    if mapper is None or mapper.identity() == seed.mapper_key:
+        return seed, state.peak_line_pressure
+    window = trace[start:position]
+    unit = mapper.map_unit(
+        window, geometry, stress_hint=stress_hint, seed=seed
+    )
+    if unit is None:
+        return None, 0
+    # Local import: repro.mapping pulls this module back in through
+    # the greedy mapper, so binding at call time avoids the cycle.
+    from repro.mapping.routing import peak_pressure
+
+    return unit, peak_pressure(unit, window)
 
 
 def build_unit(
@@ -100,60 +148,19 @@ def build_unit(
     The *window* (which instructions belong to the unit) is always
     discovered by the greedy scheduler — unit boundaries, ``pc_path``
     and speculation behaviour are therefore mapper-independent. When a
-    ``mapper`` is injected, the discovered window is handed to it for
-    placement, with the greedy result as seed (the default
-    :class:`~repro.mapping.greedy.GreedyMapper` returns the seed
-    untouched, keeping the pipeline byte-identical).
+    ``mapper`` of another identity than the greedy seed's is injected,
+    the discovered window is handed to it for placement, with the
+    greedy result as seed; a mapper of the seed's identity (the
+    default :class:`~repro.mapping.greedy.GreedyMapper`) places
+    exactly the seed, so it is not called, keeping the pipeline
+    byte-identical.
 
     Returns ``None`` when no unit of at least ``min_instructions`` can
     be formed at this position.
     """
-    limits = limits if limits is not None else UnitLimits()
-    state = SchedulerState(geometry, row_policy=limits.row_policy)
-    ops: list[PlacedOp] = []
-    pc_path: list[int] = []
-    window: list[TraceRecord] = []
-    branches = 0
-
-    position = start
-    stop = min(len(trace), start + limits.max_instructions)
-    while position < stop:
-        record = trace[position]
-        if _ends_unit(record):
-            break
-        if record.cls is InstrClass.BRANCH:
-            if branches + 1 > limits.max_branches:
-                break
-        placed = place_record(state, record, len(pc_path))
-        if placed is None:
-            break  # no free slot (or link register op did not fit)
-        if placed is not NO_FABRIC_OP:
-            ops.append(placed)
-            if record.cls is InstrClass.BRANCH:
-                branches += 1
-        pc_path.append(record.pc)
-        window.append(record)
-        position += 1
-
-    if len(pc_path) < limits.min_instructions or not ops:
-        return None
-    unit = VirtualConfiguration(
-        start_pc=pc_path[0],
-        pc_path=tuple(pc_path),
-        ops=tuple(ops),
-        n_instructions=len(pc_path),
-        geometry_rows=geometry.rows,
-        geometry_cols=geometry.cols,
-        # The seed carries the identity of the scheduler configuration
-        # that actually placed it (row policy included), so mappers and
-        # the config cache never alias distinct placements.
-        mapper_key=greedy_identity(limits.row_policy),
-    )
-    if mapper is None:
-        return unit
-    return mapper.map_unit(
-        window, geometry, stress_hint=stress_hint, seed=unit
-    )
+    return translate_unit(
+        trace, start, geometry, limits, mapper, stress_hint
+    )[0]
 
 
 def truncate_unit(
@@ -163,9 +170,12 @@ def truncate_unit(
 
     Used by the misspeculation monitor: a unit that keeps diverging at
     some branch is cut back to the prefix that reliably commits. Ops
-    keep their placement (the prefix was scheduled first, so its
-    placement is unchanged by dropping later ops). Returns ``None``
-    when the prefix is too short to be worth a cache entry.
+    keep their placement. For a greedy unit that is the greedy
+    placement of the prefix (the prefix was scheduled first, and later
+    ops never move it); a unit a mapper re-placed keeps the columns
+    the mapper chose within the whole unit's bound, so its prefix can
+    run wider than the greedy prefix. Returns ``None`` when the prefix
+    is too short to be worth a cache entry.
     """
     if length >= unit.n_instructions:
         return unit

@@ -16,9 +16,12 @@ allocation-level        greedy     stress_aware
 combined                annealing  stress_aware
 ======================  =========  =============
 
-The annealing mapper is bounded to the greedy bounding width, so its
-launches cost the same execution cycles (the cycle-overhead column is
-an invariant check, not a trade-off knob).
+The annealing mapper is bounded to the greedy bounding width of each
+translated window, so its units cost no more execution cycles than
+greedy's, except a misspeculation-truncated unit, whose annealed
+prefix keeps its columns and can run wider than the greedy prefix
+(:func:`repro.dbt.window.truncate_unit`); the cycle-overhead column
+shows what that costs.
 """
 
 from __future__ import annotations

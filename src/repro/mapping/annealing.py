@@ -8,9 +8,13 @@ trades *wear* against *time*:
 * **critical path** — the unit's used-column count, which is exactly
   what the datapath timing model charges
   (:func:`repro.cgra.datapath.execution_cycles`). Moves are bounded so
-  the annealed unit never grows past the greedy bounding width —
-  mapper-level wear leveling is guaranteed to cost zero execution
-  cycles (it may *save* some by shrinking the critical path);
+  the annealed unit never grows past the greedy bounding width of its
+  window, so a translated unit costs no more execution cycles than
+  the greedy one (it may *save* some by shrinking the critical path).
+  The bound does not survive misspeculation truncation: a truncated
+  unit keeps its annealed columns, so its prefix can run wider than
+  the greedy placement of that prefix
+  (:func:`repro.dbt.window.truncate_unit`);
 * **row balance** — a quadratic penalty on per-row occupied-cell
   counts. The greedy scheduler's row-0 bias (Fig. 1's corner) makes
   this term large; spreading ops over rows flattens the stress the

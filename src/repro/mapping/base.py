@@ -109,7 +109,9 @@ class Mapper:
         Two mappers with equal identity must produce identical output
         for identical input; the config cache keys entries by it so a
         campaign sweeping several mappers never replays a placement
-        produced by a different mapper.
+        produced by a different mapper, and unit discovery
+        (:func:`repro.dbt.window.translate_unit`) keeps its greedy seed
+        without calling a mapper whose identity equals the seed's.
         """
         return self.name
 

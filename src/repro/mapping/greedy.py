@@ -3,9 +3,10 @@
 ``GreedyMapper`` wraps the existing DBT scheduler
 (:class:`repro.dbt.scheduler.SchedulerState`) unchanged: ops go to the
 earliest dependence-legal column, first free row scanning from row 0.
-It is the default mapper, and when the DBT engine hands it the greedy
-seed placement it returns that object untouched — every paper output
-stays byte-identical to the hardwired pipeline.
+It is the default mapper; its default identity equals the greedy
+seed's, so unit discovery (:func:`repro.dbt.window.translate_unit`)
+keeps the seed without calling it — every paper output stays
+byte-identical to the hardwired pipeline.
 
 :func:`place_window` is the shared placement routine: it replays the
 scheduler over an already-discovered window, exactly the placement the
@@ -28,8 +29,7 @@ from repro.cgra.configuration import (
 )
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.interconnect import FOLLOW_GEOMETRY
-from repro.dbt.scheduler import SchedulerState
-from repro.dbt.window import NO_FABRIC_OP, place_record
+from repro.dbt.scheduler import NO_FABRIC_OP, SchedulerState
 from repro.mapping.base import Mapper, register_mapper
 from repro.sim.trace import TraceRecord
 
@@ -44,7 +44,7 @@ def place_window(
     """First-fit placement of a fixed instruction window.
 
     Per-record semantics are shared with unit discovery through
-    :func:`repro.dbt.window.place_record`; unlike
+    :meth:`repro.dbt.scheduler.SchedulerState.try_place`; unlike
     :func:`~repro.dbt.window.build_unit` this does not *discover* the
     window — the caller fixed it — so placement is all-or-nothing:
     ``None`` is returned when any record is unmappable or does not fit,
@@ -62,7 +62,7 @@ def place_window(
         )
         ops: list[PlacedOp] = []
         for offset, record in enumerate(records):
-            placed = place_record(state, record, offset)
+            placed = state.try_place(record, offset)
             if placed is None:
                 if obs.state.enabled:
                     obs.count("mapping.greedy.unplaced")
@@ -124,15 +124,6 @@ class GreedyMapper(Mapper):
         stress_hint: np.ndarray | None = None,
         seed: VirtualConfiguration | None = None,
     ) -> VirtualConfiguration | None:
-        # The seed *is* this mapper's output — but only when the cache
-        # identities agree: the engine's discovery pass ran the
-        # first-fit scheduler, so the default mapper returns the seed
-        # unchanged (keeping default-pipeline outputs byte-identical),
-        # while a non-default variant must re-place or its entries
-        # would be filed under the seed's 'greedy' namespace and every
-        # cache probe in its own namespace would miss.
-        if seed is not None and seed.mapper_key == self.identity():
-            return seed
         return place_window(
             ops,
             geometry,

@@ -9,10 +9,11 @@ from gem5 execution).
 A :class:`Trace` holds its program's decoded static instructions once,
 as an :class:`InstructionTable`, and per record only compact read-only
 numpy columns: the static index, the memory address, the value written
-to ``rd``, the branch outcome and the next pc. The walkers and the GPP
-reference read the columns; ``trace[i]``, slices and iteration build
-:class:`TraceRecord` views on demand for the code that wants whole
-records (DBT windows, the mappers, the CGRA value oracle and tests).
+to ``rd``, the branch outcome and the next pc. The walkers, the GPP
+reference and DBT unit discovery read the columns (discovery places
+from facts decoded once per table row); ``trace[i]``, slices and
+iteration build :class:`TraceRecord` views on demand for the code that
+wants whole records (mapper windows, the CGRA value oracle and tests).
 """
 
 from __future__ import annotations
@@ -205,8 +206,8 @@ class Trace(Sequence[TraceRecord]):
     def __getitem__(self, index):  # noqa: ANN001 - Sequence protocol
         if isinstance(index, slice):
             return self._records(index)
-        # One record is the DBT's per-instruction read; building it
-        # directly costs a third of a one-element slice.
+        # Building one record directly costs a third of a one-element
+        # slice.
         static_index, rd_values, mem_addrs, outcomes, next_pcs = (
             self._record_columns
         )

@@ -1,7 +1,5 @@
 """Tests for configuration execution timing."""
 
-import pytest
-
 from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.datapath import (
     DatapathParams,

@@ -92,16 +92,19 @@ class TestDBTEngine:
 
     def test_unit_heads(self):
         trace = self.loop_trace()
-        engine = self.make_engine()
-        assert engine.is_unit_head(trace, 0)
+        flags = DBTEngine.unit_head_flags(trace)
+        assert flags.shape == (len(trace),)
+        assert flags[0]
         # The instruction after a taken branch is a head.
         redirect_positions = [
             i + 1 for i, r in enumerate(trace[:-1]) if r.redirects
         ]
+        assert redirect_positions
         for position in redirect_positions:
-            assert engine.is_unit_head(trace, position)
-        # A mid-straight-line instruction is not.
-        assert not engine.is_unit_head(trace, 1)
+            assert flags[position]
+        # A mid-straight-line instruction is not, and nothing else is.
+        assert not flags[1]
+        assert sorted(map(int, flags.nonzero()[0])) == [0, *redirect_positions]
 
     def test_translate_and_cache(self):
         trace = self.loop_trace()

@@ -2,7 +2,6 @@
 
 from repro.cgra.fabric import FabricGeometry
 from repro.dbt.window import UnitLimits, build_unit
-from repro.isa.instructions import InstrClass
 
 from tests.support import trace_of
 

@@ -9,7 +9,6 @@ closing the loop: asm == our reference == independent implementation.
 import zlib
 
 import networkx as nx
-import pytest
 
 from repro.workloads import crc32 as crc32_mod
 from repro.workloads import dijkstra as dijkstra_mod
