@@ -113,6 +113,13 @@ class VirtualConfiguration:
                     f"op {op.op} at ({op.row},{op.col}) spans "
                     f"{op.width} columns; ops span at least one"
                 )
+            if op.row < 0 or op.col < 0:
+                # Cells lie inside the grid, so no two of them can wrap
+                # onto one physical cell of any fabric they fit.
+                raise ConfigurationError(
+                    f"op {op.op} at ({op.row},{op.col}) lies before the "
+                    f"grid's origin"
+                )
             if op.row >= self.geometry_rows or op.end_col > self.geometry_cols:
                 raise ConfigurationError(
                     f"op {op.op} at ({op.row},{op.col})+{op.width} exceeds "
@@ -152,6 +159,28 @@ class VirtualConfiguration:
         cols = np.array([cell[1] for cell in self._cells], dtype=np.int64)
         cols.flags.writeable = False
         return cols
+
+    def fold_row(self, rows: int, cols: int) -> np.ndarray:
+        """The stressed cells as *doubled* coordinates
+        ``row * 2 * cols + col`` on a ``rows x cols`` fabric (int64):
+        the per-unit row of :class:`repro.core.policy.FoldTables`.
+
+        Memoised (read-only) on the configuration's own fabric, where
+        every pipeline launches it. On another fabric the cells are
+        reduced modulo the fabric first, so the row stays in the
+        doubled range even for a configuration too large to launch
+        there, which a planner may still translate.
+        """
+        if rows == self.geometry_rows and cols == self.geometry_cols:
+            return self._own_fold_row
+        return (self.cell_rows % rows) * (2 * cols) + self.cell_cols % cols
+
+    @cached_property
+    def _own_fold_row(self) -> np.ndarray:
+        # fold_row's row on the configuration's own fabric.
+        row = self.cell_rows * (2 * self.geometry_cols) + self.cell_cols
+        row.flags.writeable = False
+        return row
 
     @cached_property
     def used_rows(self) -> int:

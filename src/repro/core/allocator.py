@@ -21,15 +21,19 @@ Two entry points share one engine:
   one ``np.bincount`` over ``unit * n_cells + pivot`` keys gives the
   distinct (unit, pivot) pairs with their launch counts and cycle sums,
   one gather translates those pairs' cells, and two weighted
-  ``np.bincount`` calls add executions and cycles (a flush of a few
-  launches skips the histogram and translates each launch). Fit and
-  wrap-around folding are checked once per unit and raised at the
-  first offending launch. Flushes happen at the end of the batch and
-  before any tracker read: the policy reads stress through a flushing
-  tracker view, so every resumption of its plan generator observes
-  exactly the counter state the per-launch loop would have shown it. A
-  policy that does not override ``plan_segments`` is planned one
-  launch per segment through its ``next_pivot`` hook.
+  ``np.bincount`` calls add executions and cycles. The translation is
+  the batch's :class:`~repro.core.policy.FoldTables`, built once per
+  batch from each unit's memoised row and handed to the policy on its
+  :class:`~repro.core.policy.ScheduleView`. The fit is checked once
+  per unit and raised at the first launch of a unit that does not
+  fit. Flushes happen at the end of the batch and before any tracker
+  read: a policy that re-enters mid-batch (static_remap, custom
+  planners) reads stress through a flushing tracker view, so every
+  resumption of its plan generator observes exactly the counter state
+  the per-launch loop would have shown it; stress_aware reads the
+  tracker once and plans the batch as one segment. A policy that does
+  not override ``plan_segments`` is planned one launch per segment
+  through its ``next_pivot`` hook.
 * :meth:`ConfigurationAllocator.allocate` — one launch: the policy's
   ``next_pivot`` hook picks the pivot from the current tracker and the
   launch is folded in as a one-launch batch with that pivot. A loop of
@@ -50,14 +54,18 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
-from repro.core.policy import AllocationPolicy, ScheduleView, unit_column
+from repro.core.policy import (
+    AllocationPolicy,
+    FoldTables,
+    ScheduleView,
+    unit_column,
+)
 from repro.core.utilization import UtilizationTracker
 from repro.errors import AllocationError
 
@@ -106,11 +114,9 @@ class BatchPlacement:
         config = self.configs[index]
         pivot_row = int(self.pivots[index, 0])
         pivot_col = int(self.pivots[index, 1])
-        rows, cols = self.geometry.rows, self.geometry.cols
-        cells = tuple(
-            ((row + pivot_row) % rows, (col + pivot_col) % cols)
-            for row, col in config.cells
-        )
+        rows = ((config.cell_rows + pivot_row) % self.geometry.rows).tolist()
+        cols = ((config.cell_cols + pivot_col) % self.geometry.cols).tolist()
+        cells = tuple(zip(rows, cols))
         return PhysicalPlacement(
             pivot=(pivot_row, pivot_col), cells=cells, config=config
         )
@@ -121,34 +127,9 @@ class BatchPlacement:
 #: only below 2**53.
 MAX_BATCH_CYCLES = 2**53
 
-#: Flushes of at most this many launches skip the (unit, pivot)
-#: histogram and translate every launch (each its own pair): on the
-#: sweep's schedules that is ~30% cheaper per flush at 4–64 launches
-#: and dearer from ~256, and it cut stress_aware(4) replay by ~15%.
-_SMALL_FLUSH = 64
-
-
-@lru_cache(maxsize=None)
-def _wrap_tables(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Wrap-around translation of one fabric as two small lookups.
-
-    A cell ``(row, col)`` with ``row < 2 * rows`` and ``col < 2 * cols``
-    has the *doubled* coordinate ``row * 2 * cols + col``. A virtual
-    cell plus a pivot stays inside that range, and adding two doubled
-    coordinates adds rows and columns without carries. Returns
-    ``(wrap, doubled)``: ``wrap[d]`` is the flat physical cell
-    ``(row % rows) * cols + col % cols`` of doubled coordinate ``d``
-    (the arithmetic of :func:`~repro.core.policy.candidate_footprints`),
-    and ``doubled[p]`` is the doubled coordinate of flat pivot ``p``.
-    """
-    row = np.arange(2 * rows) % rows
-    col = np.arange(2 * cols) % cols
-    wrap = (row[:, None] * cols + col[None, :]).reshape(-1)
-    flat = np.arange(rows * cols)
-    doubled = flat // cols * (2 * cols) + flat % cols
-    for table in (wrap, doubled):
-        table.flags.writeable = False
-    return wrap, doubled
+#: The unit-index column of a one-launch batch.
+_ONE_LAUNCH = np.zeros(1, dtype=np.int32)
+_ONE_LAUNCH.flags.writeable = False
 
 
 class _BatchFold:
@@ -157,21 +138,24 @@ class _BatchFold:
     The allocator marks launches accepted segment by segment
     (:meth:`accept`); :meth:`flush` folds the contiguous range accepted
     since the previous flush into the tracker as one (unit, pivot)
-    histogram. Fit and wrap-around folding are pivot-independent, so
-    they are checked once per unit up front; :meth:`accept` stops at
-    the first launch of an invalid unit, which keeps ``launches`` and
-    the tracker equal to the per-launch loop's on every error path.
+    histogram, translated by the batch's
+    :class:`~repro.core.policy.FoldTables` (None for an empty batch).
+    The fit is pivot-independent, so the tables carry one verdict per
+    unit; :meth:`accept` stops at the first launch of a unit that does
+    not fit, which keeps ``launches`` and the tracker equal to the
+    per-launch loop's on every error path.
     """
 
     def __init__(
         self,
-        geometry: FabricGeometry,
+        tables: FoldTables | None,
         tracker: UtilizationTracker,
         units: Sequence[VirtualConfiguration],
         unit_index: np.ndarray,
         pivots: np.ndarray,
         cycles: np.ndarray,
     ) -> None:
+        self.tables = tables
         self.tracker = tracker
         self.units = units
         self.unit_index = unit_index
@@ -179,55 +163,13 @@ class _BatchFold:
         self.cycles = cycles
         self.accepted = 0
         self.folded = 0
-        #: First launch whose unit cannot be placed (``n_launches``
-        #: when every unit can).
+        #: First launch whose unit does not fit (``n_launches`` when
+        #: every unit fits).
         self.first_invalid = len(unit_index)
         if not units:
             return
-        rows, cols = geometry.rows, geometry.cols
-        n_cells = geometry.n_cells
-        self.n_cells = n_cells
-        self.cols = cols
-        self.wrap, self.pivot_doubled = _wrap_tables(rows, cols)
-
-        lengths = np.fromiter(
-            (len(unit.cell_rows) for unit in units),
-            dtype=np.int64,
-            count=len(units),
-        )
-        cell_rows = np.concatenate([unit.cell_rows for unit in units])
-        cell_cols = np.concatenate([unit.cell_cols for unit in units])
-        offsets = np.cumsum(lengths) - lengths
-
-        # A unit folds iff two of its cells share a physical cell under
-        # the origin pivot (any pivot gives the same answer). Sorted
-        # (unit, cell) keys count each distinct pair once (not
-        # ``np.unique``: its first call imports ``numpy.ma``, ~1 MB).
-        owner = np.repeat(np.arange(len(units)), lengths)
-        origin = (cell_rows % rows) * cols + cell_cols % cols
-        placed = np.sort(owner * n_cells + origin)
-        first = np.ones(len(placed), dtype=bool)
-        first[1:] = placed[1:] != placed[:-1]
-        distinct = np.bincount(placed[first] // n_cells, minlength=len(units))
-        invalid = (distinct != lengths) | np.fromiter(
-            (
-                unit.geometry_rows > rows or unit.geometry_cols > cols
-                for unit in units
-            ),
-            dtype=bool,
-            count=len(units),
-        )
-        if invalid.any():
-            self.first_invalid = int(np.argmax(invalid[unit_index]))
-
-        # Per unit its cells' doubled coordinates, padded to one width
-        # by repeating its last cell; ``real`` weighs the padding 0.
-        slot = np.arange(int(lengths.max()))
-        last = lengths[:, None] - 1
-        self.doubled = (cell_rows * (2 * cols) + cell_cols)[
-            offsets[:, None] + np.minimum(slot, last)
-        ]
-        self.real = (slot <= last).astype(np.float64)
+        if not tables.fits.all():
+            self.first_invalid = int(np.argmax(~tables.fits[unit_index]))
 
         # Footprint keys (start PCs) numbered in first-launch order;
         # ``keys_through[u]`` counts the keys of units ``0..u``, which
@@ -245,8 +187,8 @@ class _BatchFold:
 
     def accept(self, start: int, stop: int) -> VirtualConfiguration | None:
         """Mark launches ``[start, stop)`` placed, up to the first
-        launch of a unit that cannot be placed; return that unit, or
-        None when the whole range is placed."""
+        launch of a unit that does not fit; return that unit, or None
+        when the whole range is placed."""
         self.accepted = min(stop, self.first_invalid)
         if self.accepted < stop:
             return self.units[self.unit_index[self.accepted]]
@@ -260,32 +202,29 @@ class _BatchFold:
         self.folded = stop
         if obs.state.enabled:
             obs.count("allocator.flushes")
-        n_cells = self.n_cells
+        tables = self.tables
+        n_cells = tables.geometry.n_cells
         pivots = self.pivots[start:stop]
-        if stop - start <= _SMALL_FLUSH:
-            # A few launches: each one is its own (unit, pivot) pair.
-            units = self.unit_index[start:stop]
-            shifts = pivots[:, 0] * (2 * self.cols) + pivots[:, 1]
-            counts = None
-            busy = self.cycles[start:stop]
-        else:
-            keys = np.multiply(
-                self.unit_index[start:stop], n_cells, dtype=np.int64
-            )
-            keys += pivots[:, 0] * self.cols
-            keys += pivots[:, 1]
-            counts = np.bincount(keys)
-            pairs = np.flatnonzero(counts)
-            busy = np.bincount(keys, weights=self.cycles[start:stop])[pairs]
-            counts = counts[pairs]
-            units, pair_pivots = np.divmod(pairs, n_cells)
-            shifts = self.pivot_doubled[pair_pivots]
-        cells = self.wrap[self.doubled[units] + shifts[:, None]]
-        real = self.real[units]
-        launch_weights = real if counts is None else real * counts[:, None]
+        keys = np.multiply(
+            self.unit_index[start:stop], n_cells, dtype=np.int64
+        )
+        keys += pivots[:, 0] * tables.geometry.cols
+        keys += pivots[:, 1]
+        counts = np.bincount(keys)
+        pairs = np.flatnonzero(counts)
+        busy = np.bincount(keys, weights=self.cycles[start:stop])[pairs]
+        counts = counts[pairs]
+        units, pair_pivots = np.divmod(pairs, n_cells)
+        cells = tables.cells(units, pair_pivots)
         flat = cells.reshape(-1)
-        executions = np.bincount(flat, launch_weights.reshape(-1), n_cells)
-        cycles = np.bincount(flat, (real * busy[:, None]).reshape(-1), n_cells)
+        # One (pairs, width) weight buffer, scaled in place: a flush of
+        # a whole batch may hold thousands of pairs.
+        weights = tables.real[units]
+        weights *= counts[:, None]
+        executions = np.bincount(flat, weights.reshape(-1), n_cells)
+        np.take(tables.real, units, axis=0, out=weights)
+        weights *= busy[:, None]
+        cycles = np.bincount(flat, weights.reshape(-1), n_cells)
         n_keys = self.keys_through[units.max()]
         if n_keys > self.registered:
             self.key_rows[self.registered : n_keys] = (
@@ -311,7 +250,9 @@ class _FlushingTrackerView:
     the counters the per-launch loop would have shown them. Every
     attribute access on this view first flushes the pending launches
     into the real tracker, then delegates — a policy that never reads
-    the tracker (rotation, random, ...) never forces a flush.
+    the tracker (rotation, random, ...) never forces a flush, and
+    stress_aware reads it once, before any launch of the batch is
+    pending.
     """
 
     __slots__ = ("_tracker", "_flush")
@@ -372,7 +313,9 @@ class ConfigurationAllocator:
             self._check_pivots(
                 pivots, f"policy {getattr(self.policy, 'name', '?')!r}"
             )
-        batch = self.allocate_batch((config,), pivots=pivots, cycles=cycles)
+        batch = self.allocate_indexed(
+            (config,), (config,), _ONE_LAUNCH, pivots=pivots, cycles=cycles
+        )
         return batch.placement(0)
 
     def allocate_batch(
@@ -423,9 +366,9 @@ class ConfigurationAllocator:
                     f"got {pivots.shape}"
                 )
         pivots_out = np.empty((n_launches, 2), dtype=np.int64)
+        tables = FoldTables(self.geometry, units) if units else None
         fold = _BatchFold(
-            self.geometry, self.tracker, units, unit_index, pivots_out,
-            cycles_arr,
+            tables, self.tracker, units, unit_index, pivots_out, cycles_arr
         )
         tracker_view = _FlushingTrackerView(self.tracker, fold.flush)
         # Telemetry: one flag test per batch and per flush — nothing on
@@ -446,7 +389,9 @@ class ConfigurationAllocator:
                 self._accept(fold, 0, n_launches)
             elif n_launches > 0:
                 origin = f"policy {getattr(self.policy, 'name', '?')!r}"
-                schedule = ScheduleView(configs, cycles_arr, unit_index)
+                schedule = ScheduleView(
+                    configs, cycles_arr, unit_index, tables
+                )
                 planned = 0
                 for plan in self.policy.plan_segments(schedule, tracker_view):
                     if obs.state.enabled:
@@ -483,15 +428,11 @@ class ConfigurationAllocator:
     # -- validation helpers ------------------------------------------------
 
     def _accept(self, fold: _BatchFold, start: int, stop: int) -> None:
-        """Accept a segment, raising at the first launch of a unit that
-        cannot be placed: the fit error, else the wrap-around fold."""
+        """Accept a segment, raising the fit error at the first launch
+        of a unit that does not fit."""
         unit = fold.accept(start, stop)
         if unit is not None:
-            self._check_fit(unit)
-            raise AllocationError(
-                "wrap-around folded two ops onto one cell; configuration "
-                "is wider or taller than the fabric"
-            )
+            self._check_fit(unit)  # raises: ``accept`` stops only there
 
     @staticmethod
     def _check_plan(

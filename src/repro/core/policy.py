@@ -21,7 +21,8 @@ sequence and yields :class:`SegmentPlan`\\ s covering it front to
 back::
 
     def plan_segments(self, schedule, tracker):
-        # schedule: ScheduleView (configs, runs(), n_launches)
+        # schedule: ScheduleView (configs, runs(), n_launches,
+        #           unit_index, fold_tables(geometry))
         # tracker: UtilizationTracker view; any read observes exactly
         #          the stress of every launch planned so far
         yield SegmentPlan(start=0, stop=schedule.n_launches, pivots=...)
@@ -29,12 +30,24 @@ back::
 Yield plans in order, contiguously from 0 to ``schedule.n_launches``;
 ``pivots`` is an ``(stop - start, 2)`` int64 array of in-range fabric
 coordinates. The generator is re-entered only at segment boundaries,
-which is exactly where the policy may read fresh tracker state: the
-:class:`~repro.core.allocator.ConfigurationAllocator` folds the
-previous segment's stress into the tracker before any read. Both
-hooks must produce the same pivot sequence, so ``allocate_batch`` is
-bit-identical to a loop of ``allocate``. Policies declare how often
-they need re-entry points via :attr:`AllocationPolicy.plan_granularity`:
+which is where a policy that plans against the tracker may read fresh
+state: the :class:`~repro.core.allocator.ConfigurationAllocator` folds
+the previous segment's stress into the tracker (through a flushing
+tracker view) before any read. A policy may instead read the tracker
+once and count the stress of its own planned launches with the
+schedule's :class:`FoldTables` — the fold's own translation — and so
+plan the whole batch in one segment. Both hooks must produce the same
+pivot sequence, so ``allocate_batch`` is bit-identical to a loop of
+``allocate``.
+
+Of the built-in policies only static_remap re-enters mid-batch (at
+each epoch) and so relies on the flushing view, as do the base-class
+``plan_segments`` (every launch) and custom planners such as the one
+in ``examples/adaptive_policy.py``. baseline, rotation and random never
+read stress, and stress_aware reads it once per batch. Each policy
+declares how often it needs fresh stress via
+:attr:`AllocationPolicy.plan_granularity` (campaign tooling weighs
+replay cost by it):
 
 ``"schedule"``
     the pivot stream is a pure function of internal policy state — one
@@ -44,7 +57,8 @@ they need re-entry points via :attr:`AllocationPolicy.plan_granularity`:
     launch of a new configuration (static_remap);
 ``"interval"``
     re-planning happens on a fixed duty cycle (stress_aware's periodic
-    pivot search);
+    pivot search, planned in one segment against a private copy of
+    the counts);
 ``"launch"``
     every launch needs fresh tracker state — the base-class
     ``plan_segments``.
@@ -54,6 +68,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,23 +111,124 @@ def unit_column(
     return tuple(first.values()), unit_index
 
 
+@lru_cache(maxsize=None)
+def _wrap_tables(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wrap-around translation of one fabric as two small lookups.
+
+    A cell ``(row, col)`` with ``row < 2 * rows`` and ``col < 2 * cols``
+    has the *doubled* coordinate ``row * 2 * cols + col``. A virtual
+    cell plus a pivot stays inside that range, and adding two doubled
+    coordinates adds rows and columns without carries. Returns
+    ``(wrap, doubled)``: ``wrap[d]`` is the flat physical cell
+    ``(row % rows) * cols + col % cols`` of doubled coordinate ``d``
+    (the arithmetic of :func:`candidate_footprints`), and
+    ``doubled[p]`` is the doubled coordinate of flat pivot ``p``.
+    """
+    row = np.arange(2 * rows) % rows
+    col = np.arange(2 * cols) % cols
+    wrap = (row[:, None] * cols + col[None, :]).reshape(-1)
+    flat = np.arange(rows * cols)
+    doubled = flat // cols * (2 * cols) + flat % cols
+    for table in (wrap, doubled):
+        table.flags.writeable = False
+    return wrap, doubled
+
+
+class FoldTables:
+    """The wrap-around translation of a sequence's units on one fabric.
+
+    The allocator's stress fold translates every launch through these
+    tables; it builds them once per batch and hands them to the policy
+    through the :class:`ScheduleView`, so a planner that counts the
+    stress of the launches it planned (:meth:`launch_counts`) counts
+    exactly what the fold will add. Pivots are flat fabric cells
+    ``row * cols + col``.
+
+    Args:
+        geometry: the fabric.
+        units: the sequence's distinct units (at least one), in
+            :func:`unit_column` order.
+
+    Attributes:
+        geometry: the fabric.
+        real: ``(n_units, width)`` float64 — 1 for each of a unit's
+            cells, 0 for the padding that brings every unit's row to
+            one width (padding repeats the unit's last cell).
+        fits: ``(n_units,)`` bool — whether the unit fits the fabric.
+            Cells are distinct and inside the unit's own grid, so a
+            unit that fits never wraps two cells onto one.
+    """
+
+    __slots__ = (
+        "geometry", "real", "fits", "_wrap", "_pivot_doubled", "_doubled",
+    )
+
+    def __init__(
+        self, geometry: FabricGeometry, units: Sequence[VirtualConfiguration]
+    ) -> None:
+        rows, cols = geometry.rows, geometry.cols
+        self.geometry = geometry
+        self._wrap, self._pivot_doubled = _wrap_tables(rows, cols)
+        self.fits = np.fromiter(
+            (
+                unit.geometry_rows <= rows and unit.geometry_cols <= cols
+                for unit in units
+            ),
+            dtype=bool,
+            count=len(units),
+        )
+        # Per unit its cells' doubled coordinates (see _wrap_tables),
+        # padded to one width.
+        unit_rows = [unit.fold_row(rows, cols) for unit in units]
+        lengths = np.fromiter(
+            (len(row) for row in unit_rows), dtype=np.int64, count=len(units)
+        )
+        offsets = np.cumsum(lengths) - lengths
+        slot = np.arange(int(lengths.max()))
+        last = lengths[:, None] - 1
+        self._doubled = np.concatenate(unit_rows)[
+            offsets[:, None] + np.minimum(slot, last)
+        ]
+        self.real = (slot <= last).astype(np.float64)
+
+    def cells(self, units: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+        """``(k, width)`` flat physical cells of ``k`` launches: unit
+        ``units[i]`` at flat pivot ``pivots[i]`` (padding repeats a
+        real cell)."""
+        shifts = self._pivot_doubled[pivots]
+        return self._wrap[self._doubled[units] + shifts[:, None]]
+
+    def launch_counts(
+        self, units: np.ndarray, pivots: np.ndarray
+    ) -> np.ndarray:
+        """Per flat cell, how many of those launches stress it
+        (float64 ``(n_cells,)``, exact)."""
+        return np.bincount(
+            self.cells(units, pivots).reshape(-1),
+            self.real[units].reshape(-1),
+            self.geometry.n_cells,
+        )
+
+
 class ScheduleView:
     """Read-only view of a launch sequence handed to ``plan_segments``.
 
     Wraps the launch order (configuration per launch, repeats allowed)
     plus the per-launch execution cycle weights; policies plan pivots
     over it without being able to mutate the allocator's batch state.
-    ``unit_index`` is the sequence's :func:`unit_column` index, when
-    the caller already holds it.
+    ``unit_index`` is the sequence's :func:`unit_column` index and
+    ``tables`` its units' :class:`FoldTables`, when the caller already
+    holds them (the allocator passes both).
     """
 
-    __slots__ = ("_configs", "_cycles", "_unit_index")
+    __slots__ = ("_configs", "_cycles", "_unit_index", "_tables")
 
     def __init__(
         self,
         configs: Sequence[VirtualConfiguration],
         cycles: np.ndarray | None = None,
         unit_index: np.ndarray | None = None,
+        tables: FoldTables | None = None,
     ) -> None:
         self._configs = tuple(configs)
         if cycles is not None:
@@ -124,6 +240,7 @@ class ScheduleView:
         if unit_index is None:
             unit_index = unit_column(self._configs)[1]
         self._unit_index = unit_index
+        self._tables = tables
 
     @property
     def configs(self) -> tuple[VirtualConfiguration, ...]:
@@ -139,6 +256,22 @@ class ScheduleView:
     @property
     def n_launches(self) -> int:
         return len(self._configs)
+
+    @property
+    def unit_index(self) -> np.ndarray:
+        """Per launch the position of its unit in the sequence's
+        :func:`unit_column` units (read-only int32)."""
+        return self._unit_index
+
+    def fold_tables(self, geometry: FabricGeometry) -> FoldTables:
+        """The :class:`FoldTables` of the sequence's units on
+        ``geometry``: the allocator's own when it built this view,
+        else built on first use."""
+        tables = self._tables
+        if tables is None or tables.geometry != geometry:
+            tables = FoldTables(geometry, unit_column(self._configs)[0])
+            self._tables = tables
+        return tables
 
     def runs(
         self, start: int = 0, stop: int | None = None

@@ -18,6 +18,35 @@ from repro.cgra.fabric import FabricGeometry
 from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
 
 
+def draw_pivots(
+    rng: random.Random, rows: int, cols: int, count: int
+) -> np.ndarray:
+    """``count`` pivots drawn as ``(rng.randrange(rows),
+    rng.randrange(cols))`` pairs, as an ``(count, 2)`` int64 array.
+
+    The draws stay on the scalar ``random.Random`` stream (not a numpy
+    generator) so batched and scalar sequences are bit-identical for
+    the same seed. They inline ``randrange``'s own rule for a bound
+    ``n``: draw ``n.bit_length()`` bits and redraw while the value is
+    ``>= n`` — the same draws and the same final RNG state, without
+    its per-call argument handling.
+    """
+    getrandbits = rng.getrandbits
+    row_bits, col_bits = rows.bit_length(), cols.bit_length()
+    draws = []
+    append = draws.append
+    for _ in range(count):
+        draw = getrandbits(row_bits)
+        while draw >= rows:
+            draw = getrandbits(row_bits)
+        append(draw)
+        draw = getrandbits(col_bits)
+        while draw >= cols:
+            draw = getrandbits(col_bits)
+        append(draw)
+    return np.array(draws, dtype=np.int64).reshape(count, 2)
+
+
 @register_policy
 class RandomPolicy(AllocationPolicy):
     """Uniformly random pivot per launch (deterministic under ``seed``)."""
@@ -42,16 +71,10 @@ class RandomPolicy(AllocationPolicy):
 
     def plan_segments(self, schedule, tracker):
         """One whole-schedule segment on the scalar RNG stream."""
-        # Draws stay on the scalar ``random.Random`` stream (not a
-        # numpy generator) so batched and scalar sequences are
-        # bit-identical for the same seed.
         count = schedule.n_launches
-        rows, cols = self.geometry.rows, self.geometry.cols
-        randrange = self._rng.randrange
-        pivots = np.empty((count, 2), dtype=np.int64)
-        for index in range(count):
-            pivots[index, 0] = randrange(rows)
-            pivots[index, 1] = randrange(cols)
+        pivots = draw_pivots(
+            self._rng, self.geometry.rows, self.geometry.cols, count
+        )
         yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
     def describe(self) -> str:

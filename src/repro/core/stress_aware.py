@@ -14,9 +14,11 @@ snake in between — a realistic duty cycle for a hardware controller.
 
 The search itself is vectorized: every candidate pattern pivot's
 stressed footprint is a row of one integer index matrix, and the
-min-max selection happens in numpy. Batched, ``plan_segments`` plans
-one segment per re-search window, so a whole batch is bit-identical to
-the scalar ``next_pivot`` loop it replaces.
+min-max selection happens in numpy. Batched, ``plan_segments`` reads
+the tracker once and plans the whole batch as one segment against a
+private copy of the counts, adding each re-search window's launches
+to the copy through the allocator's own translation tables, so a whole
+batch is bit-identical to the scalar ``next_pivot`` loop it replaces.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class StressAwarePolicy(AllocationPolicy):
         self.pattern_name = pattern
         self._pattern: list[tuple[int, int]] = []
         self._pattern_array = np.empty((0, 2), dtype=np.int64)
-        self._pattern_index: dict[tuple[int, int], int] = {}
+        self._pattern_cells = np.empty(0, dtype=np.int64)
         self._position = 0
         self._launches = 0
         # (config, footprint-matrix) memo for the pivot search, keyed
@@ -71,9 +73,12 @@ class StressAwarePolicy(AllocationPolicy):
             self.pattern_name, geometry.rows, geometry.cols
         )
         self._pattern_array = np.asarray(self._pattern, dtype=np.int64)
-        self._pattern_index = {
-            pivot: index for index, pivot in enumerate(self._pattern)
-        }
+        # Flat fabric cell of every pattern pivot, the pivot form the
+        # fold's tables take.
+        self._pattern_cells = (
+            self._pattern_array[:, 0] * geometry.cols
+            + self._pattern_array[:, 1]
+        )
         self._position = 0
         self._launches = 0
         self._footprint_memo = {}
@@ -81,68 +86,78 @@ class StressAwarePolicy(AllocationPolicy):
     def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
         self._launches += 1
         if self._launches % self.interval == 1 or self.interval == 1:
-            pivot = self._best_pivot(config, tracker.execution_counts)
-            self._position = self._pattern_index[pivot]
-            return pivot
-        self._position = (self._position + 1) % len(self._pattern)
+            self._position = self._best_position(
+                config, np.asarray(tracker.execution_counts).reshape(-1)
+            )
+        else:
+            self._position = (self._position + 1) % len(self._pattern)
         return self._pattern[self._position]
 
     def plan_segments(self, schedule, tracker):
-        """One segment per re-search window: each segment opens on a
-        *search* launch (whose pivot needs the accumulated stress of
-        every launch before it — the allocator folds the previous
-        segment in before we read the tracker) and extends through the
-        snake-following launches until the next search, which is a
-        pure vectorized gather from the movement pattern. This is what
-        closes the replay gap to the whole-schedule policies: the
-        allocator's per-segment work is amortised over ``interval``
-        launches instead of paid per launch.
+        """The whole batch as one segment, planned against a private
+        copy of the tracker's counts.
+
+        The batch splits into *windows*: each opens on a search launch
+        (counter ≡ 1 mod ``interval``; every launch when the interval
+        is 1) and follows the pattern up to the next one; a batch that
+        resumes mid-interval first follows the pattern up to its first
+        search. The tracker is read once, before any launch of the
+        batch is folded; after each window but the last, the window's
+        per-cell launch counts — translated by the fold's own
+        :class:`~repro.core.policy.FoldTables` — are added to the
+        copy, so every search sees exactly the counts the per-launch
+        loop would have shown it.
         """
         n_launches = schedule.n_launches
-        configs = schedule.configs
+        if n_launches == 0:
+            return
+        interval = self.interval
         length = len(self._pattern)
-        index = 0
-        while index < n_launches:
-            self._launches += 1
-            if self._launches % self.interval == 1 or self.interval == 1:
-                # Search launch: reading the tracker flushes all
-                # previously planned launches, so the candidate scan
-                # sees exactly the scalar-loop counter state.
-                pivot = self._best_pivot(
-                    configs[index], tracker.execution_counts
-                )
-                self._position = self._pattern_index[pivot]
+        configs = schedule.configs
+        unit_index = schedule.unit_index
+        tables = schedule.fold_tables(self.geometry)
+        counts = np.array(tracker.execution_counts, dtype=np.int64).reshape(-1)
+        pattern_cells = self._pattern_cells
+        steps = np.arange(min(interval, n_launches), dtype=np.int64)
+        positions = np.empty(n_launches, dtype=np.int64)
+        # Launch ``i`` of the batch carries counter ``launches + i + 1``,
+        # so searches fall where ``launches + i`` is a multiple of the
+        # interval.
+        first_search = (-self._launches) % interval
+        bounds = [0, *range(first_search, n_launches, interval), n_launches]
+        position = self._position
+        for start, stop in zip(bounds, bounds[1:]):
+            if start == stop:
+                continue
+            if start < first_search:
+                position = (position + 1) % length
             else:
-                self._position = (self._position + 1) % length
-            # Snake-follow until the launch before the next search:
-            # searches fire whenever the launch counter is ≡ 1 mod
-            # interval, so (-launches) mod interval more launches pass
-            # before the counter gets there again.
-            follow = (-self._launches) % self.interval
-            count = min(1 + follow, n_launches - index)
-            positions = (self._position + np.arange(count)) % length
-            pivots = self._pattern_array[positions]
-            self._position = (self._position + count - 1) % length
-            self._launches += count - 1
-            yield SegmentPlan(
-                start=index,
-                stop=index + count,
-                pivots=pivots,
-            )
-            index += count
+                position = self._best_position(configs[start], counts)
+            window = positions[start:stop]
+            np.add(position, steps[: stop - start], out=window)
+            np.remainder(window, length, out=window)
+            if stop < n_launches:
+                window_counts = tables.launch_counts(
+                    unit_index[start:stop], pattern_cells[window]
+                )
+                np.add(counts, window_counts, out=counts, casting="unsafe")
+            position = int(window[-1])
+        self._position = position
+        self._launches += n_launches
+        yield SegmentPlan(
+            start=0, stop=n_launches, pivots=self._pattern_array[positions]
+        )
 
-    def _best_pivot(
+    def _best_position(
         self, config: VirtualConfiguration, counts: np.ndarray
-    ) -> tuple[int, int]:
-        """Pivot minimising the max stress over the cells it would touch.
+    ) -> int:
+        """Pattern position of the pivot minimising the max stress over
+        the cells ``config`` would touch, given flat per-cell ``counts``.
 
         Ties break towards lower current totals, then pattern order, so
         behaviour is deterministic.
         """
-        best = min_stress_index(
-            np.asarray(counts).reshape(-1), self._pattern_footprints(config)
-        )
-        return self._pattern[best]
+        return min_stress_index(counts, self._pattern_footprints(config))
 
     def _pattern_footprints(self, config: VirtualConfiguration) -> np.ndarray:
         """``config``'s stressed cells under every pattern pivot,

@@ -47,8 +47,9 @@ class DBTEngine:
             the two are byte-identical, the injection point just
             avoids a no-op call).
         stress_provider: zero-argument callable returning the
-            allocator's live per-cell stress map; snapshotted per
-            translation for mappers that declare ``uses_stress``.
+            allocator's live per-cell stress map; read for mappers
+            that declare ``uses_stress``, once per translation that
+            forms a seed for the mapper to place.
     """
 
     geometry: FabricGeometry
@@ -134,7 +135,7 @@ class DBTEngine:
             self.geometry,
             self.limits,
             mapper=self.mapper,
-            stress_hint=self._stress_hint(),
+            stress=self._stress_hint,
         )
         self.translations += 1
         if unit is None:

@@ -38,6 +38,8 @@ from repro.dbt.scheduler import NO_FABRIC_OP, SchedulerState, table_facts
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from collections.abc import Callable
+
     import numpy as np
 
     from repro.mapping.base import Mapper
@@ -62,9 +64,15 @@ def translate_unit(
     geometry: FabricGeometry,
     limits: UnitLimits | None = None,
     mapper: "Mapper | None" = None,
-    stress_hint: "np.ndarray | None" = None,
+    stress: "Callable[[], np.ndarray | None] | None" = None,
 ) -> tuple[VirtualConfiguration | None, int]:
     """:func:`build_unit` and the unit's peak context-line pressure.
+
+    ``stress`` returns the stress hint for the mapper. It is called
+    only once a seed has formed and the mapper's identity differs from
+    the seed's, i.e. only when the mapper actually places the window:
+    reading a live stress map may fold pending launches, which
+    discovery never needs.
 
     A greedy seed's peak is the discovery scheduler's own
     :class:`~repro.cgra.interconnect.LinePressureTracker` reading; a
@@ -124,7 +132,10 @@ def translate_unit(
         return seed, state.peak_line_pressure
     window = trace[start:position]
     unit = mapper.map_unit(
-        window, geometry, stress_hint=stress_hint, seed=seed
+        window,
+        geometry,
+        stress_hint=None if stress is None else stress(),
+        seed=seed,
     )
     if unit is None:
         return None, 0
@@ -159,7 +170,7 @@ def build_unit(
     be formed at this position.
     """
     return translate_unit(
-        trace, start, geometry, limits, mapper, stress_hint
+        trace, start, geometry, limits, mapper, lambda: stress_hint
     )[0]
 
 

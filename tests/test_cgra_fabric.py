@@ -139,6 +139,15 @@ class TestVirtualConfiguration:
         with pytest.raises(ConfigurationError, match="at least one"):
             make_config([alu_op(0, 0), empty])
 
+    def test_negative_coordinate_rejected(self):
+        # A cell before the origin would wrap onto another op's cell.
+        with pytest.raises(ConfigurationError, match="origin"):
+            make_config([alu_op(-1, 0), alu_op(1, 0, offset=1)], rows=2)
+        before = PlacedOp(op="add", kind=FUKind.ALU, row=0, col=-1, width=2,
+                          trace_offset=1)
+        with pytest.raises(ConfigurationError, match="origin"):
+            make_config([before])
+
     def test_branch_count(self):
         branch = PlacedOp(op="beq", kind=FUKind.ALU, row=0, col=1, width=1,
                           trace_offset=1, is_branch=True)

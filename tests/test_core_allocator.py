@@ -223,6 +223,17 @@ class TestAllocatorValidation:
         for _ in range(6):
             assert rejected.allocate(c).pivot == clean.allocate(c).pivot
 
+    def test_unit_beyond_the_fabric_stops_a_planned_batch(self):
+        """A unit with cells beyond the fabric stops a batch with the fit
+        error after the launches before it, although stress_aware has
+        already counted its launch into the next search's counts."""
+        small = config([(0, 0), (1, 3)])
+        wide = config([(0, 0), (5, 11)], rows=6, cols=12, start_pc=0x2000)
+        alloc = allocator("stress_aware", interval=1)
+        with pytest.raises(AllocationError, match="cannot launch"):
+            alloc.allocate_batch([small, small, wide, small, small])
+        assert alloc.launches == alloc.tracker.total_executions == 2
+
 
 class TestCycleWeights:
     """Both allocation paths take only integral, non-negative cycle

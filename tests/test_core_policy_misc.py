@@ -1,5 +1,7 @@
 """Edge-case tests for the policy registry and base classes."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.core.policy import (
     min_stress_index,
     register_policy,
 )
+from repro.core.random_policy import draw_pivots
 from repro.errors import ConfigurationError
 
 
@@ -191,3 +194,24 @@ class TestPivotSearchTieBreak:
             [int(value) for value in counts.reshape(-1)], footprints
         )
         assert allocator.allocate(probe).pivot == tuple(candidates[best])
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**32 + 5])
+    def test_draws_are_the_randrange_stream(self, seed):
+        """``draw_pivots`` inlines ``randrange``'s rejection rule, so for
+        every bound 1..300 (rows ``n`` with columns ``301 - n``, one RNG
+        carried through all of them) it must make exactly the draws of
+        ``randrange`` and leave the same RNG state: a Python whose
+        ``randrange`` draws differently fails here instead of shifting
+        every random-policy result."""
+        drawn_rng, reference = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            drawn = draw_pivots(drawn_rng, n, 301 - n, 7)
+            expected = [
+                (reference.randrange(n), reference.randrange(301 - n))
+                for _ in range(7)
+            ]
+            assert drawn.dtype == np.int64
+            assert [tuple(pivot) for pivot in drawn.tolist()] == expected
+            assert drawn_rng.getstate() == reference.getstate()

@@ -34,7 +34,7 @@ from repro.core.policy import (
     policy_class,
 )
 from repro.errors import AllocationError
-from tests.support import allocate_each
+from tests.support import allocate_each, assert_trackers_equal
 
 ROWS, COLS = 4, 8
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -179,26 +179,26 @@ class TestBuiltinPlans:
         # appears, then [2, 5) runs to the end (no further new configs).
         assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 5)]
 
-    def test_stress_aware_segments_align_to_search_interval(self):
-        policy = make_policy("stress_aware", interval=4)
-        allocator = ConfigurationAllocator(GEOMETRY, policy)
-        view = ScheduleView((CONFIG_A,) * 10)
-        plans = list(policy.plan_segments(view, allocator.tracker))
-        assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 8), (8, 10)]
-
-    def test_stress_aware_segments_resume_mid_interval(self):
-        policy = make_policy("stress_aware", interval=4)
-        allocator = ConfigurationAllocator(GEOMETRY, policy)
-        allocator.allocate(CONFIG_A)
-        allocator.allocate(CONFIG_A)
-        plans = list(
-            policy.plan_segments(
-                ScheduleView((CONFIG_A,) * 6), allocator.tracker
-            )
+    def test_stress_aware_searches_align_to_search_interval(self):
+        """One segment covers the batch; its searches fall on launches
+        0, 4 and 8 (counter ≡ 1 mod 4), each seeing the per-launch
+        loop's counts, and its pivots are the loop's."""
+        sequence = (CONFIG_A,) * 10
+        plan, searches = _plan_stress_aware(4, (), sequence)
+        assert (plan.start, plan.stop) == (0, 10)
+        _assert_matches_scalar_loop(
+            4, (), sequence, plan, searches, [0, 4, 8]
         )
-        # Two scalar launches consumed the first half of the interval:
-        # the first segment only runs to the next search boundary.
-        assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 6)]
+
+    def test_stress_aware_searches_resume_mid_interval(self):
+        """After two scalar launches the batch's launch 2 carries
+        counter 5, so it alone searches; launches 0 and 1 follow the
+        pattern from the scalar launches' last pivot."""
+        prefix = (CONFIG_A, CONFIG_A)
+        sequence = (CONFIG_A,) * 6
+        plan, searches = _plan_stress_aware(4, prefix, sequence)
+        assert (plan.start, plan.stop) == (0, 6)
+        _assert_matches_scalar_loop(4, prefix, sequence, plan, searches, [2])
 
 
     @settings(max_examples=40, deadline=None)
@@ -236,21 +236,149 @@ class TestBuiltinPlans:
         )
 
     @pytest.mark.parametrize("interval", [2, 5])
-    def test_stress_aware_segments_follow_the_pattern(self, interval):
-        """Between searches a stress_aware segment walks the movement
-        pattern one step per launch from the searched pivot."""
-        policy = make_policy("stress_aware", interval=interval)
-        allocator = ConfigurationAllocator(GEOMETRY, policy)
-        allocator.allocate_batch([CONFIG_A, CONFIG_B] * 9)
-        view = ScheduleView((CONFIG_A, CONFIG_B) * 6)
+    def test_stress_aware_plan_follows_the_pattern(self, interval):
+        """Between searches the plan walks the movement pattern one step
+        per launch from the searched pivot; the searches fall where the
+        counter (18 launches in) is ≡ 1 mod the interval."""
+        prefix = [CONFIG_A, CONFIG_B] * 9
+        sequence = (CONFIG_A, CONFIG_B) * 6
+        plan, searches = _plan_stress_aware(interval, prefix, sequence)
+        assert (plan.start, plan.stop) == (0, 12)
+        searched = [i for i in range(12) if (18 + i) % interval == 0]
         pattern = movement_pattern("snake", ROWS, COLS)
-        for plan in policy.plan_segments(view, allocator.tracker):
-            first = pattern.index(tuple(plan.pivots[0]))
-            expected = [
-                pattern[(first + step) % len(pattern)]
-                for step in range(plan.n_launches)
-            ]
-            assert [tuple(p) for p in plan.pivots] == expected
+        pivots = [tuple(pivot) for pivot in plan.pivots.tolist()]
+        for index in range(1, 12):
+            if index not in searched:
+                step = pattern.index(pivots[index - 1]) + 1
+                assert pivots[index] == pattern[step % len(pattern)]
+        _assert_matches_scalar_loop(
+            interval, prefix, sequence, plan, searches, searched
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pattern=st.sampled_from(sorted(MOVEMENT_PATTERNS)),
+        interval=st.integers(1, 9),
+        shape=st.sampled_from([(4, 8), (3, 10), (1, 7)]),
+        data=st.data(),
+    )
+    def test_stress_aware_cut_batches_match_scalar_loop(
+        self, pattern, interval, shape, data
+    ):
+        """A schedule cut at random points into consecutive
+        ``allocate_batch`` calls places every launch as a per-launch
+        ``allocate`` loop does: same pivots, same tracker, and the
+        policies leave off in the same state (same next pivot)."""
+        rows, cols = shape
+        geometry = FabricGeometry(rows=rows, cols=cols)
+        pool = [
+            _config_on(geometry, [(0, 0), (0, 1)], 0x1000),
+            _config_on(geometry, [(rows - 1, cols - 1)], 0x2000),
+            _config_on(
+                geometry, [(0, 2), (rows - 1, 0), (rows // 2, 4)], 0x3000
+            ),
+        ]
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=40))
+        sequence = [pool[pick] for pick in picks]
+        cycles = data.draw(
+            st.lists(
+                st.integers(0, 5), min_size=len(picks), max_size=len(picks)
+            )
+        )
+        cuts = sorted(
+            data.draw(st.sets(st.integers(1, len(picks) - 1), max_size=6))
+            if len(picks) > 1
+            else ()
+        )
+
+        def policy():
+            return make_policy(
+                "stress_aware", interval=interval, pattern=pattern
+            )
+
+        scalar = ConfigurationAllocator(geometry, policy())
+        pivots = [
+            scalar.allocate(config, cycles=cycle).pivot
+            for config, cycle in zip(sequence, cycles)
+        ]
+        batched = ConfigurationAllocator(geometry, policy())
+        planned = []
+        for start, stop in zip([0, *cuts], [*cuts, len(picks)]):
+            batch = batched.allocate_batch(
+                sequence[start:stop], cycles=cycles[start:stop]
+            )
+            planned.extend(tuple(pivot) for pivot in batch.pivots.tolist())
+        assert planned == pivots
+        assert_trackers_equal(scalar.tracker, batched.tracker)
+        assert scalar.policy.next_pivot(
+            pool[0], scalar.tracker
+        ) == batched.policy.next_pivot(pool[0], batched.tracker)
+
+
+def _config_on(geometry, cells, start_pc):
+    """A configuration of single-column ALU ops on ``geometry``."""
+    ops = tuple(
+        PlacedOp(
+            op="add", kind=FUKind.ALU, row=row, col=col, width=1,
+            trace_offset=index,
+        )
+        for index, (row, col) in enumerate(dict.fromkeys(cells))
+    )
+    return VirtualConfiguration(
+        start_pc=start_pc,
+        pc_path=tuple(start_pc + 4 * i for i in range(len(ops))),
+        ops=ops,
+        n_instructions=len(ops),
+        geometry_rows=geometry.rows,
+        geometry_cols=geometry.cols,
+    )
+
+
+def _plan_stress_aware(interval, prefix, sequence):
+    """Plan ``sequence`` with a stress_aware policy whose allocator has
+    first placed ``prefix`` per launch. Returns the one plan and the
+    flat counts each search saw."""
+    policy = make_policy("stress_aware", interval=interval)
+    allocator = ConfigurationAllocator(GEOMETRY, policy)
+    for config in prefix:
+        allocator.allocate(config)
+    searches = []
+    search = policy._best_position
+
+    def spy(config, counts):
+        searches.append(counts.copy())
+        return search(config, counts)
+
+    policy._best_position = spy
+    plans = list(
+        policy.plan_segments(ScheduleView(sequence), allocator.tracker)
+    )
+    assert len(plans) == 1
+    return plans[0], searches
+
+
+def _assert_matches_scalar_loop(
+    interval, prefix, sequence, plan, searches, searched
+):
+    """The plan's pivots are a fresh per-launch loop's (the
+    ``next_pivot`` reference), and its searches ran exactly before the
+    ``searched`` launches, on the counts the loop's tracker held
+    there."""
+    scalar = ConfigurationAllocator(
+        GEOMETRY, make_policy("stress_aware", interval=interval)
+    )
+    for config in prefix:
+        scalar.allocate(config)
+    pivots, counts_before = [], []
+    for config in sequence:
+        counts_before.append(
+            scalar.tracker.execution_counts.reshape(-1).copy()
+        )
+        pivots.append(scalar.allocate(config).pivot)
+    assert [tuple(pivot) for pivot in plan.pivots.tolist()] == pivots
+    assert len(searches) == len(searched)
+    for seen, index in zip(searches, searched):
+        np.testing.assert_array_equal(seen, counts_before[index])
 
 
 class FixedStepPolicy(AllocationPolicy):
