@@ -9,11 +9,11 @@ the cheap hardware rotation is already close to the balancing optimum.
 Part 2 shows how to write a *custom* policy
 (`repro.core.policy.AllocationPolicy`). It implements both hooks:
 ``next_pivot`` places one launch (``ConfigurationAllocator.allocate``
-calls it launch by launch), and ``plan_segments`` consumes a view of the whole launch
-schedule and yields `SegmentPlan`s — contiguous launch ranges with
-precomputed pivots — re-reading the stress tracker only at the segment
-boundaries where it actually adapts. Both hooks produce bit-identical
-stress.
+calls it launch by launch with the live per-cell launch counts), and
+``plan_pivots`` plans a whole launch schedule in one call against a
+private copy of those counts, adding the launches it has planned to
+the copy only where it reads it again. Both hooks produce
+bit-identical stress.
 
 Run:  python examples/adaptive_policy.py
 """
@@ -25,11 +25,7 @@ from repro.analysis.distribution import gini, summary_statistics
 from repro.analysis.tables import render_table
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import (
-    AllocationPolicy,
-    SegmentPlan,
-    candidate_footprints,
-)
+from repro.core.policy import AllocationPolicy, candidate_footprints
 from repro.core.utilization import Weighting
 from repro.experiments.common import run_suite
 from repro.system import SystemParams, replay_schedule, shared_schedule
@@ -62,8 +58,8 @@ def label_of(policy, kwargs):
 # reads the accumulated stress and re-anchors the pivot at the
 # candidate whose footprint has the lowest *total* stress (a simpler
 # duty cycle than stress_aware's min-max search); between re-anchors
-# the pivot holds still. One segment per epoch is all the planner
-# needs — the fill inside an epoch is a constant tile.
+# the pivot holds still, so the plan inside an epoch is a constant
+# tile and the planner reads the counts once per epoch.
 
 
 class CoolestCornerPolicy(AllocationPolicy):
@@ -91,39 +87,46 @@ class CoolestCornerPolicy(AllocationPolicy):
             dtype=np.int64,
         )
 
-    def _re_anchor(self, config, tracker) -> tuple[int, int]:
+    def _re_anchor(self, config, counts) -> tuple[int, int]:
         footprints = candidate_footprints(
             config, self._candidates, self.geometry
         )
-        totals = tracker.execution_counts.reshape(-1)[footprints].sum(axis=1)
+        totals = counts[footprints].sum(axis=1)
         best = int(np.argmin(totals))  # first minimum wins: deterministic
         return (int(self._candidates[best, 0]), int(self._candidates[best, 1]))
 
-    def next_pivot(self, config, tracker) -> tuple[int, int]:
+    def next_pivot(self, config, counts) -> tuple[int, int]:
         if self._launches % self.epoch == 0:
-            self._pivot = self._re_anchor(config, tracker)
+            self._pivot = self._re_anchor(config, counts)
         self._launches += 1
         return self._pivot
 
-    def plan_segments(self, schedule, tracker):
+    def plan_pivots(self, schedule, counts):
         n_launches = schedule.n_launches
-        configs = schedule.configs
-        index = 0
+        cols = self.geometry.cols
+        pivots = np.empty((n_launches, 2), dtype=np.int64)
+        counted = index = 0
         while index < n_launches:
             if self._launches % self.epoch == 0:
-                # Reading the tracker here observes every launch of the
-                # segments yielded so far — the allocator flushes its
-                # deferred stress before the read.
-                self._pivot = self._re_anchor(configs[index], tracker)
+                # ``counts`` is the allocator's private copy: add the
+                # launches planned since the last re-anchor, through the
+                # fold's own tables, so this read sees what next_pivot
+                # would see here.
+                planned = pivots[counted:index]
+                schedule.fold_tables(self.geometry).add_counts(
+                    counts,
+                    schedule.unit_index[counted:index],
+                    planned[:, 0] * cols + planned[:, 1],
+                )
+                counted = index
+                self._pivot = self._re_anchor(schedule.configs[index], counts)
             count = min(
                 self.epoch - self._launches % self.epoch, n_launches - index
             )
             self._launches += count
-            pivots = np.tile(
-                np.asarray(self._pivot, dtype=np.int64), (count, 1)
-            )
-            yield SegmentPlan(start=index, stop=index + count, pivots=pivots)
+            pivots[index : index + count] = self._pivot
             index += count
+        return pivots
 
     def describe(self) -> str:
         return f"coolest_corner(epoch={self.epoch})"
@@ -132,7 +135,7 @@ class CoolestCornerPolicy(AllocationPolicy):
 def demo_custom_policy(rows: int = 4, cols: int = 16):
     """Run one workload's schedule through both hooks: a per-launch
     ``allocate`` loop places every launch with ``next_pivot``, the
-    schedule replay plans segments with ``plan_segments``. Returns the
+    schedule replay plans them all with ``plan_pivots``. Returns the
     two trackers (identical)."""
     geometry = FabricGeometry(rows=rows, cols=cols)
     schedule = shared_schedule(
@@ -193,7 +196,7 @@ def main():
         "\nCustom policy (coolest_corner): replayed "
         f"{planned.total_executions} launches in "
         f"{np.count_nonzero(planned.execution_counts)} stressed cells "
-        "with plan_segments; launch-by-launch allocate loop with "
+        "with plan_pivots; launch-by-launch allocate loop with "
         f"next_pivot identical: {identical}"
     )
 

@@ -268,7 +268,8 @@ class CampaignRunner:
         estimated replay cost — points are weighted by their policy's
         :attr:`~repro.core.policy.AllocationPolicy.plan_granularity`,
         so a group of per-interval stress-search replays splits before
-        an equally sized group of one-segment whole-schedule replays.
+        an equally sized group of whole-schedule replays that never
+        read stress.
         """
         groups = [list(group) for group in groups]
 

@@ -99,8 +99,8 @@ class PolicySpec(ComponentSpec):
 
     @property
     def plan_granularity(self) -> str:
-        """How often the policy re-enters its segment planner (one of
-        :data:`repro.core.policy.PLAN_GRANULARITIES`). The runner
+        """How often the policy's planner reads the stress counts (one
+        of :data:`repro.core.policy.PLAN_GRANULARITIES`). The runner
         weights design points by it when balancing pool payloads:
         per-launch planners replay far slower than whole-``"schedule"``
         planners."""

@@ -160,24 +160,22 @@ class VirtualConfiguration:
         cols.flags.writeable = False
         return cols
 
-    def fold_row(self, rows: int, cols: int) -> np.ndarray:
+    def fold_row(self, cols: int) -> np.ndarray:
         """The stressed cells as *doubled* coordinates
-        ``row * 2 * cols + col`` on a ``rows x cols`` fabric (int64):
-        the per-unit row of :class:`repro.core.policy.FoldTables`.
+        ``row * 2 * cols + col`` on a fabric ``cols`` wide (int64): the
+        per-unit row of :class:`repro.core.policy.FoldTables`, which
+        translates a configuration only on a fabric it fits.
 
-        Memoised (read-only) on the configuration's own fabric, where
-        every pipeline launches it. On another fabric the cells are
-        reduced modulo the fabric first, so the row stays in the
-        doubled range even for a configuration too large to launch
-        there, which a planner may still translate.
+        Memoised (read-only) for the configuration's own width, where
+        every pipeline launches it.
         """
-        if rows == self.geometry_rows and cols == self.geometry_cols:
+        if cols == self.geometry_cols:
             return self._own_fold_row
-        return (self.cell_rows % rows) * (2 * cols) + self.cell_cols % cols
+        return self.cell_rows * (2 * cols) + self.cell_cols
 
     @cached_property
     def _own_fold_row(self) -> np.ndarray:
-        # fold_row's row on the configuration's own fabric.
+        # fold_row's row for the configuration's own width.
         row = self.cell_rows * (2 * self.geometry_cols) + self.cell_cols
         row.flags.writeable = False
         return row

@@ -5,9 +5,9 @@ A *virtual configuration* produced by the DBT is anchored at origin
 *pivot* — the physical cell where the virtual origin lands — and the
 :class:`ConfigurationAllocator` translates every op by that pivot with
 wrap-around in both axes (Fig. 3), recording per-FU stress in a
-:class:`UtilizationTracker`. Batched, the policy plans *whole launch
-schedules* as :class:`SegmentPlan` sequences (see
-:mod:`repro.core.policy` for the two-hook protocol).
+:class:`UtilizationTracker`. Batched, the policy plans a *whole launch
+sequence* in one call, against a private copy of the stress counts
+(see :mod:`repro.core.policy` for the two-hook protocol).
 
 Policies:
 
@@ -34,7 +34,6 @@ from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
     ScheduleView,
-    SegmentPlan,
     available_policies,
     make_policy,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "RandomPolicy",
     "RotationPolicy",
     "ScheduleView",
-    "SegmentPlan",
     "StaticRemapPolicy",
     "StressAwarePolicy",
     "UtilizationTracker",

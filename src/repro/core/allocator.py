@@ -6,38 +6,34 @@ all virtual cells by the pivot with wrap-around in both axes (the
 circular-buffer behaviour enabled by the paper's hardware extensions)
 and records the stressed physical cells in the utilization tracker.
 
-Two entry points share one engine:
+Two entry points share one fold:
 
 * :meth:`ConfigurationAllocator.allocate_batch` — the vectorized path.
   The launch sequence is indexed by unit identity
   (:func:`~repro.core.policy.unit_column`; a
   :class:`~repro.system.schedule.LaunchSchedule` carries the columns
   and hands them to :meth:`ConfigurationAllocator.allocate_indexed`).
-  The policy plans the sequence as *schedule segments* (contiguous
-  launch ranges with precomputed pivot arrays) through its
-  :meth:`~repro.core.policy.AllocationPolicy.plan_segments` hook.
-  Stress accrual is *deferred*: accepted segments only extend a launch
-  range, and a flush folds the range into the tracker as a histogram —
-  one ``np.bincount`` over ``unit * n_cells + pivot`` keys gives the
-  distinct (unit, pivot) pairs with their launch counts and cycle sums,
-  one gather translates those pairs' cells, and two weighted
-  ``np.bincount`` calls add executions and cycles. The translation is
-  the batch's :class:`~repro.core.policy.FoldTables`, built once per
-  batch from each unit's memoised row and handed to the policy on its
-  :class:`~repro.core.policy.ScheduleView`. The fit is checked once
-  per unit and raised at the first launch of a unit that does not
-  fit. Flushes happen at the end of the batch and before any tracker
-  read: a policy that re-enters mid-batch (static_remap, custom
-  planners) reads stress through a flushing tracker view, so every
-  resumption of its plan generator observes exactly the counter state
-  the per-launch loop would have shown it; stress_aware reads the
-  tracker once and plans the batch as one segment. A policy that does
-  not override ``plan_segments`` is planned one launch per segment
-  through its ``next_pivot`` hook.
+  The batch's :class:`~repro.core.policy.FoldTables` — each unit's
+  memoised cell row plus the wrap-around lookup — are built once and
+  give each unit's fit. The policy plans the launches before the first
+  unit that does not fit in one
+  :meth:`~repro.core.policy.AllocationPolicy.plan_pivots` call,
+  against a private copy of the tracker's counts and with the same
+  tables, handed over on a :class:`~repro.core.policy.ScheduleView`.
+  The pivots are checked once, and the launches before the first
+  failing one (a unit that does not fit, or a pivot off the fabric)
+  fold into the tracker as one histogram: one ``np.bincount`` over
+  ``unit * n_cells + pivot`` keys gives the distinct (unit, pivot)
+  pairs with their launch counts and cycle sums, one gather translates
+  those pairs' cells, and two weighted ``np.bincount`` calls add
+  executions and cycles. The batch then raises the failing launch's
+  error, so ``launches`` and the tracker agree with the per-launch
+  loop's on every error path.
 * :meth:`ConfigurationAllocator.allocate` — one launch: the policy's
-  ``next_pivot`` hook picks the pivot from the current tracker and the
-  launch is folded in as a one-launch batch with that pivot. A loop of
-  it is the reference the batch path is property-tested against.
+  ``next_pivot`` hook picks the pivot from a read-only view of the
+  tracker's counts, and the launch is folded as a one-launch
+  histogram. A loop of it is the reference the batch path is
+  property-tested against.
 
 Consecutive batches on one allocator equal one batch of the
 concatenated launches, so a caller may defer launches and fold them
@@ -64,6 +60,7 @@ from repro.core.policy import (
     AllocationPolicy,
     FoldTables,
     ScheduleView,
+    pivot_pair,
     unit_column,
 )
 from repro.core.utilization import UtilizationTracker
@@ -132,141 +129,6 @@ _ONE_LAUNCH = np.zeros(1, dtype=np.int32)
 _ONE_LAUNCH.flags.writeable = False
 
 
-class _BatchFold:
-    """Deferred stress accrual of one batch.
-
-    The allocator marks launches accepted segment by segment
-    (:meth:`accept`); :meth:`flush` folds the contiguous range accepted
-    since the previous flush into the tracker as one (unit, pivot)
-    histogram, translated by the batch's
-    :class:`~repro.core.policy.FoldTables` (None for an empty batch).
-    The fit is pivot-independent, so the tables carry one verdict per
-    unit; :meth:`accept` stops at the first launch of a unit that does
-    not fit, which keeps ``launches`` and the tracker equal to the
-    per-launch loop's on every error path.
-    """
-
-    def __init__(
-        self,
-        tables: FoldTables | None,
-        tracker: UtilizationTracker,
-        units: Sequence[VirtualConfiguration],
-        unit_index: np.ndarray,
-        pivots: np.ndarray,
-        cycles: np.ndarray,
-    ) -> None:
-        self.tables = tables
-        self.tracker = tracker
-        self.units = units
-        self.unit_index = unit_index
-        self.pivots = pivots
-        self.cycles = cycles
-        self.accepted = 0
-        self.folded = 0
-        #: First launch whose unit does not fit (``n_launches`` when
-        #: every unit fits).
-        self.first_invalid = len(unit_index)
-        if not units:
-            return
-        if not tables.fits.all():
-            self.first_invalid = int(np.argmax(~tables.fits[unit_index]))
-
-        # Footprint keys (start PCs) numbered in first-launch order;
-        # ``keys_through[u]`` counts the keys of units ``0..u``, which
-        # are exactly the keys launched before unit ``u + 1``.
-        key_ids: dict[int, int] = {}
-        unit_key = [
-            key_ids.setdefault(unit.start_pc, len(key_ids)) for unit in units
-        ]
-        self.keys = list(key_ids)
-        self.unit_key = np.asarray(unit_key, dtype=np.int64)
-        self.keys_through = (np.maximum.accumulate(self.unit_key) + 1).tolist()
-        self.key_rows = np.zeros(len(self.keys), dtype=np.int64)
-        self.unit_rows = self.key_rows[self.unit_key]
-        self.registered = 0
-
-    def accept(self, start: int, stop: int) -> VirtualConfiguration | None:
-        """Mark launches ``[start, stop)`` placed, up to the first
-        launch of a unit that does not fit; return that unit, or None
-        when the whole range is placed."""
-        self.accepted = min(stop, self.first_invalid)
-        if self.accepted < stop:
-            return self.units[self.unit_index[self.accepted]]
-        return None
-
-    def flush(self) -> None:
-        """Fold the launches accepted since the last flush."""
-        start, stop = self.folded, self.accepted
-        if start == stop:
-            return
-        self.folded = stop
-        if obs.state.enabled:
-            obs.count("allocator.flushes")
-        tables = self.tables
-        n_cells = tables.geometry.n_cells
-        pivots = self.pivots[start:stop]
-        keys = np.multiply(
-            self.unit_index[start:stop], n_cells, dtype=np.int64
-        )
-        keys += pivots[:, 0] * tables.geometry.cols
-        keys += pivots[:, 1]
-        counts = np.bincount(keys)
-        pairs = np.flatnonzero(counts)
-        busy = np.bincount(keys, weights=self.cycles[start:stop])[pairs]
-        counts = counts[pairs]
-        units, pair_pivots = np.divmod(pairs, n_cells)
-        cells = tables.cells(units, pair_pivots)
-        flat = cells.reshape(-1)
-        # One (pairs, width) weight buffer, scaled in place: a flush of
-        # a whole batch may hold thousands of pairs.
-        weights = tables.real[units]
-        weights *= counts[:, None]
-        executions = np.bincount(flat, weights.reshape(-1), n_cells)
-        np.take(tables.real, units, axis=0, out=weights)
-        weights *= busy[:, None]
-        cycles = np.bincount(flat, weights.reshape(-1), n_cells)
-        n_keys = self.keys_through[units.max()]
-        if n_keys > self.registered:
-            self.key_rows[self.registered : n_keys] = (
-                self.tracker.footprint_rows(self.keys[self.registered : n_keys])
-            )
-            self.registered = n_keys
-            self.unit_rows = self.key_rows[self.unit_key]
-        self.tracker.accrue(
-            executions.astype(np.int64),
-            cycles.astype(np.int64),
-            stop - start,
-            int(busy.sum()),
-            self.unit_rows[units][:, None],
-            cells,
-        )
-
-
-class _FlushingTrackerView:
-    """Tracker proxy that folds deferred launches in before any read.
-
-    The batched allocator postpones stress accrual so it can fold whole
-    launch ranges at once; policies, however, must observe exactly
-    the counters the per-launch loop would have shown them. Every
-    attribute access on this view first flushes the pending launches
-    into the real tracker, then delegates — a policy that never reads
-    the tracker (rotation, random, ...) never forces a flush, and
-    stress_aware reads it once, before any launch of the batch is
-    pending.
-    """
-
-    __slots__ = ("_tracker", "_flush")
-
-    def __init__(self, tracker: UtilizationTracker, flush) -> None:
-        self._tracker = tracker
-        self._flush = flush
-
-    def __getattr__(self, name: str):
-        # Only reached for non-slot names, i.e. every delegated read.
-        self._flush()
-        return getattr(self._tracker, name)
-
-
 class ConfigurationAllocator:
     """Applies an allocation policy launch by launch or batch by batch."""
 
@@ -283,12 +145,11 @@ class ConfigurationAllocator:
         """Place one launch of ``config`` and record its stress.
 
         The per-launch form of the policy protocol: the policy's
-        ``next_pivot`` hook picks the pivot from the current tracker,
-        and the launch is recorded by :meth:`allocate_batch` with that
-        pivot, so both entry points share one validation and one fold.
-        The cycle weight and the fit are checked before ``next_pivot``
-        runs, so a launch rejected for either leaves the policy as it
-        was.
+        ``next_pivot`` hook picks the pivot from a read-only view of
+        the tracker's counts, the pivot is checked once, and the launch
+        is folded as a batch's launches are. The cycle weight and the
+        fit are checked before ``next_pivot`` runs, so a launch
+        rejected for either leaves the policy as it was.
 
         Args:
             config: the virtual configuration being launched.
@@ -300,21 +161,31 @@ class ConfigurationAllocator:
             AllocationError: if the configuration does not fit the
                 fabric (it was scheduled for a different geometry),
                 ``cycles`` is not a valid weight, or the policy returns
-                an out-of-range pivot.
+                a pivot that is not a (row, col) pair on the fabric.
         """
         if type(cycles) is not int or not 0 <= cycles < MAX_BATCH_CYCLES:
             cycles = int(self._cycles_array(cycles, 1)[0])
         self._check_fit(config)
-        pivot = self.policy.next_pivot(config, self.tracker)
-        pivots = np.asarray([pivot], dtype=np.int64)
-        if pivots.shape == (1, 2):
-            # Name the policy; a malformed pivot fails the batch's
-            # shape check instead.
-            self._check_pivots(
-                pivots, f"policy {getattr(self.policy, 'name', '?')!r}"
-            )
-        batch = self.allocate_indexed(
-            (config,), (config,), _ONE_LAUNCH, pivots=pivots, cycles=cycles
+        row, col = pivot_pair(
+            self.policy,
+            self.policy.next_pivot(
+                config, self.tracker.execution_counts.reshape(-1)
+            ),
+        )
+        if not (0 <= row < self.geometry.rows and 0 <= col < self.geometry.cols):
+            raise self._pivot_error(self._policy_origin(), (row, col))
+        batch = BatchPlacement(
+            geometry=self.geometry,
+            configs=(config,),
+            pivots=np.array([[row, col]], dtype=np.int64),
+            cycles=np.asarray([cycles], dtype=np.int64),
+        )
+        self._fold(
+            FoldTables(self.geometry, batch.configs),
+            batch.configs,
+            _ONE_LAUNCH,
+            batch.pivots,
+            batch.cycles,
         )
         return batch.placement(0)
 
@@ -330,7 +201,7 @@ class ConfigurationAllocator:
             configs: configurations in launch order (repeats allowed).
             pivots: optional ``(n_launches, 2)`` pivot overrides; when
                 omitted the bound policy plans the sequence via its
-                ``plan_segments`` hook.
+                ``plan_pivots`` hook.
             cycles: scalar or per-launch execution cycle counts:
                 integral and non-negative, summing below
                 :data:`MAX_BATCH_CYCLES`.
@@ -338,8 +209,9 @@ class ConfigurationAllocator:
         Raises:
             AllocationError: if any configuration does not fit the
                 fabric, any pivot is outside it, a cycle weight is
-                invalid, or the policy's segment plans do not tile the
-                sequence contiguously.
+                invalid, or the policy's plan has the wrong shape. The
+                launches before the first launch that does not fit or
+                has a pivot outside the fabric are recorded first.
         """
         configs = tuple(configs)
         units, unit_index = unit_column(configs)
@@ -358,106 +230,135 @@ class ConfigurationAllocator:
         ``unit_index`` as it returns them for ``configs``)."""
         n_launches = len(configs)
         cycles_arr = self._cycles_array(cycles, n_launches)
+        origin = "explicit pivots argument"
         if pivots is not None:
-            pivots = np.asarray(pivots, dtype=np.int64)
+            pivots = np.array(pivots, dtype=np.int64)
             if pivots.shape != (n_launches, 2):
                 raise AllocationError(
                     f"pivots must have shape ({n_launches}, 2), "
                     f"got {pivots.shape}"
                 )
-        pivots_out = np.empty((n_launches, 2), dtype=np.int64)
-        tables = FoldTables(self.geometry, units) if units else None
-        fold = _BatchFold(
-            tables, self.tracker, units, unit_index, pivots_out, cycles_arr
-        )
-        tracker_view = _FlushingTrackerView(self.tracker, fold.flush)
-        # Telemetry: one flag test per batch and per flush — nothing on
-        # the per-launch path.
-        if obs.state.enabled:
-            obs.count("allocator.launches", n_launches)
-
-        batch_span = obs.span(
+        elif not n_launches:
+            pivots = np.empty((0, 2), dtype=np.int64)
+        with obs.span(
             "allocate.batch",
             policy=getattr(self.policy, "name", "?"),
             launches=n_launches,
-        )
-        try:
-            batch_span.__enter__()
-            if pivots is not None:
-                self._check_pivots(pivots, "explicit pivots argument")
-                pivots_out[:] = pivots
-                self._accept(fold, 0, n_launches)
-            elif n_launches > 0:
-                origin = f"policy {getattr(self.policy, 'name', '?')!r}"
-                schedule = ScheduleView(
-                    configs, cycles_arr, unit_index, tables
-                )
-                planned = 0
-                for plan in self.policy.plan_segments(schedule, tracker_view):
-                    if obs.state.enabled:
-                        obs.count("allocator.segments")
-                    seg_pivots = np.asarray(plan.pivots, dtype=np.int64)
-                    self._check_plan(plan, seg_pivots, planned, n_launches, origin)
-                    self._check_pivots(seg_pivots, origin)
-                    pivots_out[plan.start : plan.stop] = seg_pivots
-                    self._accept(fold, plan.start, plan.stop)
-                    planned = plan.stop
-                if planned != n_launches:
-                    raise AllocationError(
-                        f"{origin} planned segments covering only "
-                        f"{planned} of {n_launches} launches"
+        ):
+            if n_launches:
+                tables = FoldTables(self.geometry, units)
+                # Launches before the first unit that does not fit.
+                fitting = n_launches
+                if not tables.fits.all():
+                    fitting = int(np.argmax(~tables.fits[unit_index]))
+                if pivots is None:
+                    origin = self._policy_origin()
+                    pivots = self._plan(
+                        configs[:fitting], unit_index[:fitting], tables, origin
                     )
-        finally:
-            # Keep the allocator's observable state consistent even
-            # when a segment fails validation (or a policy hook
-            # raises): the launches accepted before the error are
-            # recorded, so ``launches`` and the tracker agree. On
-            # success this is the ordinary final flush.
-            fold.flush()
-            self.launches += fold.accepted
-            batch_span.__exit__(None, None, None)
+                placed = self._on_fabric(pivots[:fitting])
+                self._fold(
+                    tables,
+                    units,
+                    unit_index[:placed],
+                    pivots[:placed],
+                    cycles_arr[:placed],
+                )
+                if placed < fitting:
+                    raise self._pivot_error(
+                        origin, tuple(pivots[placed].tolist())
+                    )
+                if fitting < n_launches:
+                    self._check_fit(units[unit_index[fitting]])  # raises
         placed_cycles = cycles_arr.view()
         placed_cycles.flags.writeable = False
         return BatchPlacement(
             geometry=self.geometry,
             configs=configs,
-            pivots=pivots_out,
+            pivots=pivots,
             cycles=placed_cycles,
         )
 
+    def _plan(
+        self,
+        configs: tuple[VirtualConfiguration, ...],
+        unit_index: np.ndarray,
+        tables: FoldTables,
+        origin: str,
+    ) -> np.ndarray:
+        """The policy's pivots for ``configs``, planned in one
+        ``plan_pivots`` call against a private copy of the counts."""
+        counts = np.array(self.tracker.execution_counts, dtype=np.int64)
+        planned = self.policy.plan_pivots(
+            ScheduleView(configs, unit_index, tables), counts.reshape(-1)
+        )
+        pivots = np.asarray(planned, dtype=np.int64)
+        if pivots.shape != (len(configs), 2):
+            raise AllocationError(
+                f"{origin} planned pivots of shape {pivots.shape} for "
+                f"{len(configs)} launches; expected ({len(configs)}, 2)"
+            )
+        return pivots
+
+    def _fold(
+        self,
+        tables: FoldTables,
+        units: Sequence[VirtualConfiguration],
+        unit_index: np.ndarray,
+        pivots: np.ndarray,
+        cycles: np.ndarray,
+    ) -> None:
+        """Record launches — unit ``units[unit_index[i]]`` at
+        ``pivots[i]`` with weight ``cycles[i]`` — in the tracker as one
+        (unit, pivot) histogram translated by ``tables``."""
+        n_launches = len(unit_index)
+        if not n_launches:
+            return
+        if obs.state.enabled:
+            obs.count("allocator.launches", n_launches)
+            obs.count("allocator.folds")
+        n_cells = tables.geometry.n_cells
+        keys = np.multiply(unit_index, n_cells, dtype=np.int64)
+        keys += pivots[:, 0] * tables.geometry.cols
+        keys += pivots[:, 1]
+        counts = np.bincount(keys)
+        pairs = np.flatnonzero(counts)
+        busy = np.bincount(keys, weights=cycles)[pairs]
+        counts = counts[pairs]
+        pair_units, pair_pivots = np.divmod(pairs, n_cells)
+        cells = tables.cells(pair_units, pair_pivots)
+        flat = cells.reshape(-1)
+        # One (pairs, width) weight buffer, scaled in place: a whole
+        # batch may hold thousands of pairs.
+        weights = tables.real[pair_units]
+        weights *= counts[:, None]
+        executions = np.bincount(flat, weights.reshape(-1), n_cells)
+        np.take(tables.real, pair_units, axis=0, out=weights)
+        weights *= busy[:, None]
+        busy_cells = np.bincount(flat, weights.reshape(-1), n_cells)
+        # Units are numbered in first-launch order, so the launches hold
+        # units 0..max and register their footprint keys (start PCs) in
+        # the order the per-launch loop would.
+        footprint_rows = np.asarray(
+            self.tracker.footprint_rows(
+                unit.start_pc for unit in units[: int(pair_units[-1]) + 1]
+            ),
+            dtype=np.int64,
+        )
+        self.tracker.accrue(
+            executions.astype(np.int64),
+            busy_cells.astype(np.int64),
+            n_launches,
+            int(busy.sum()),
+            footprint_rows[pair_units][:, None],
+            cells,
+        )
+        self.launches += n_launches
+
     # -- validation helpers ------------------------------------------------
 
-    def _accept(self, fold: _BatchFold, start: int, stop: int) -> None:
-        """Accept a segment, raising the fit error at the first launch
-        of a unit that does not fit."""
-        unit = fold.accept(start, stop)
-        if unit is not None:
-            self._check_fit(unit)  # raises: ``accept`` stops only there
-
-    @staticmethod
-    def _check_plan(
-        plan, seg_pivots: np.ndarray, expected_start: int,
-        n_launches: int, origin: str,
-    ) -> None:
-        """Segment plans must tile the sequence contiguously from the
-        front, each carrying one pivot row per covered launch."""
-        if plan.start != expected_start or plan.stop > n_launches:
-            raise AllocationError(
-                f"{origin} yielded segment [{plan.start}, {plan.stop}) "
-                f"out of order; expected the next segment to start at "
-                f"{expected_start} (schedule has {n_launches} launches)"
-            )
-        if plan.stop < plan.start:
-            raise AllocationError(
-                f"{origin} yielded negative-length segment "
-                f"[{plan.start}, {plan.stop})"
-            )
-        if seg_pivots.shape != (plan.stop - plan.start, 2):
-            raise AllocationError(
-                f"{origin} segment [{plan.start}, {plan.stop}) pivots "
-                f"must have shape ({plan.stop - plan.start}, 2), got "
-                f"{seg_pivots.shape}"
-            )
+    def _policy_origin(self) -> str:
+        return f"policy {getattr(self.policy, 'name', '?')!r}"
 
     @staticmethod
     def _cycles_array(
@@ -519,17 +420,20 @@ class ConfigurationAllocator:
                 f"{config.geometry_cols} grid cannot launch on {self.geometry}"
             )
 
-    def _check_pivots(self, pivots: np.ndarray, origin: str) -> None:
+    def _on_fabric(self, pivots: np.ndarray) -> int:
+        """How many leading pivots lie on the fabric."""
         rows, cols = self.geometry.rows, self.geometry.cols
-        in_range = (
-            (pivots[:, 0] >= 0)
-            & (pivots[:, 0] < rows)
-            & (pivots[:, 1] >= 0)
-            & (pivots[:, 1] < cols)
+        off = (
+            (pivots[:, 0] < 0)
+            | (pivots[:, 0] >= rows)
+            | (pivots[:, 1] < 0)
+            | (pivots[:, 1] >= cols)
         )
-        if not in_range.all():
-            bad = pivots[int(np.flatnonzero(~in_range)[0])]
-            pivot = (int(bad[0]), int(bad[1]))
-            raise AllocationError(
-                f"{origin} returned pivot {pivot} outside {self.geometry}"
-            )
+        return int(np.argmax(off)) if off.any() else len(pivots)
+
+    def _pivot_error(
+        self, origin: str, pivot: tuple[int, int]
+    ) -> AllocationError:
+        return AllocationError(
+            f"{origin} returned pivot {pivot} outside {self.geometry}"
+        )

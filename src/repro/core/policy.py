@@ -2,89 +2,75 @@
 
 A policy chooses the *pivot* of every configuration launch: the
 physical cell where the configuration's virtual origin lands. It has
-two hooks.
+two hooks. Both read ``counts``, the flat int64 launch count per
+fabric cell (``row * cols + col``) of every launch before the ones
+they place — the run-time aging information a policy may adapt to.
 
 :meth:`AllocationPolicy.next_pivot` (required)
-    the pivot of one upcoming launch, given the tracker's accumulated
-    stress. :meth:`~repro.core.allocator.ConfigurationAllocator.allocate`
-    calls it once per launch.
-:meth:`AllocationPolicy.plan_segments` (optional)
-    pivots for a whole launch sequence, planned as schedule segments.
+    the pivot of one upcoming launch.
+    :meth:`~repro.core.allocator.ConfigurationAllocator.allocate`
+    calls it once per launch, with a read-only view of the tracker's
+    counts.
+:meth:`AllocationPolicy.plan_pivots` (optional)
+    the pivots of a whole launch sequence, as one
+    ``(n_launches, 2)`` int64 array of fabric coordinates.
     :meth:`~repro.core.allocator.ConfigurationAllocator.allocate_batch`
-    drives it; replay and the stress-coupled walk place every launch
-    this way. The base class plans one launch per segment through
-    ``next_pivot``, which is exact for any policy; override it to plan
-    many launches per segment.
+    calls it once per batch, with a private copy of the counts; replay
+    and the stress-coupled walk place every launch this way.
 
-``plan_segments`` consumes a :class:`ScheduleView` of the whole launch
-sequence and yields :class:`SegmentPlan`\\ s covering it front to
-back::
+``counts`` belongs to the planner for the batch. A planner that reads
+stress keeps it current itself: before it reads the counts again, it
+adds the launches it has planned since its last read through
+:meth:`FoldTables.add_counts` — the allocator fold's own translation,
+from the schedule's :meth:`ScheduleView.fold_tables` — so each read
+sees what the per-launch loop would have shown ``next_pivot`` there::
 
-    def plan_segments(self, schedule, tracker):
+    def plan_pivots(self, schedule, counts):
         # schedule: ScheduleView (configs, runs(), n_launches,
         #           unit_index, fold_tables(geometry))
-        # tracker: UtilizationTracker view; any read observes exactly
-        #          the stress of every launch planned so far
-        yield SegmentPlan(start=0, stop=schedule.n_launches, pivots=...)
+        # counts:   private flat int64 launch counts
+        return pivots  # (schedule.n_launches, 2) int64
 
-Yield plans in order, contiguously from 0 to ``schedule.n_launches``;
-``pivots`` is an ``(stop - start, 2)`` int64 array of in-range fabric
-coordinates. The generator is re-entered only at segment boundaries,
-which is where a policy that plans against the tracker may read fresh
-state: the :class:`~repro.core.allocator.ConfigurationAllocator` folds
-the previous segment's stress into the tracker (through a flushing
-tracker view) before any read. A policy may instead read the tracker
-once and count the stress of its own planned launches with the
-schedule's :class:`FoldTables` — the fold's own translation — and so
-plan the whole batch in one segment. Both hooks must produce the same
-pivot sequence, so ``allocate_batch`` is bit-identical to a loop of
-``allocate``.
+Both hooks must produce the same pivot sequence, so ``allocate_batch``
+is bit-identical to a loop of ``allocate``. The base-class
+``plan_pivots`` calls ``next_pivot`` launch by launch and adds each
+launch once its pivot is on the fabric, which is exact for any policy;
+every built-in policy overrides it. The allocator hands a planner only
+the launches before the batch's first unit that does not fit the
+fabric, so no planner ever translates one.
 
-Of the built-in policies only static_remap re-enters mid-batch (at
-each epoch) and so relies on the flushing view, as do the base-class
-``plan_segments`` (every launch) and custom planners such as the one
-in ``examples/adaptive_policy.py``. baseline, rotation and random never
-read stress, and stress_aware reads it once per batch. Each policy
-declares how often it needs fresh stress via
+Each policy declares how often it reads the counts via
 :attr:`AllocationPolicy.plan_granularity` (campaign tooling weighs
 replay cost by it):
 
 ``"schedule"``
-    the pivot stream is a pure function of internal policy state — one
-    segment covers the whole schedule (baseline, rotation, random);
+    never — the pivot stream is a pure function of internal policy
+    state (baseline, rotation, random);
 ``"epoch"``
-    re-planning happens only at rare state changes, e.g. the first
-    launch of a new configuration (static_remap);
+    at rare state changes, e.g. the first launch of a new
+    configuration (static_remap);
 ``"interval"``
-    re-planning happens on a fixed duty cycle (stress_aware's periodic
-    pivot search, planned in one segment against a private copy of
-    the counts);
+    on a fixed duty cycle (stress_aware's periodic pivot search);
 ``"launch"``
-    every launch needs fresh tracker state — the base-class
-    ``plan_segments``.
+    at every launch — the base-class ``plan_pivots``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
-from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.utilization import UtilizationTracker
+from repro.errors import AllocationError, ConfigurationError
 
 
 #: Valid :attr:`AllocationPolicy.plan_granularity` values, coarsest
 #: first. The granularity is declarative metadata (campaign tooling
-#: uses it to weight replay cost); the allocator always drives
-#: whatever segments the policy actually yields.
+#: uses it to weight replay cost); the allocator calls every planner
+#: once per batch.
 PLAN_GRANULARITIES = ("schedule", "epoch", "interval", "launch")
 
 
@@ -140,9 +126,8 @@ class FoldTables:
     The allocator's stress fold translates every launch through these
     tables; it builds them once per batch and hands them to the policy
     through the :class:`ScheduleView`, so a planner that counts the
-    stress of the launches it planned (:meth:`launch_counts`) counts
-    exactly what the fold will add. Pivots are flat fabric cells
-    ``row * cols + col``.
+    launches it planned (:meth:`add_counts`) counts exactly what the
+    fold will add. Pivots are flat fabric cells ``row * cols + col``.
 
     Args:
         geometry: the fabric.
@@ -155,8 +140,9 @@ class FoldTables:
             cells, 0 for the padding that brings every unit's row to
             one width (padding repeats the unit's last cell).
         fits: ``(n_units,)`` bool — whether the unit fits the fabric.
-            Cells are distinct and inside the unit's own grid, so a
-            unit that fits never wraps two cells onto one.
+            Only a unit that fits may be translated. Its cells are
+            distinct and inside its own grid, so it never wraps two
+            cells onto one.
     """
 
     __slots__ = (
@@ -179,7 +165,7 @@ class FoldTables:
         )
         # Per unit its cells' doubled coordinates (see _wrap_tables),
         # padded to one width.
-        unit_rows = [unit.fold_row(rows, cols) for unit in units]
+        unit_rows = [unit.fold_row(cols) for unit in units]
         lengths = np.fromiter(
             (len(row) for row in unit_rows), dtype=np.int64, count=len(units)
         )
@@ -198,45 +184,37 @@ class FoldTables:
         shifts = self._pivot_doubled[pivots]
         return self._wrap[self._doubled[units] + shifts[:, None]]
 
-    def launch_counts(
-        self, units: np.ndarray, pivots: np.ndarray
-    ) -> np.ndarray:
-        """Per flat cell, how many of those launches stress it
-        (float64 ``(n_cells,)``, exact)."""
-        return np.bincount(
+    def add_counts(
+        self, counts: np.ndarray, units: np.ndarray, pivots: np.ndarray
+    ) -> None:
+        """Add to the flat int64 ``counts``, in place, how many of those
+        launches stress each cell."""
+        launches = np.bincount(
             self.cells(units, pivots).reshape(-1),
             self.real[units].reshape(-1),
             self.geometry.n_cells,
         )
+        np.add(counts, launches, out=counts, casting="unsafe")
 
 
 class ScheduleView:
-    """Read-only view of a launch sequence handed to ``plan_segments``.
+    """Read-only view of a launch sequence handed to ``plan_pivots``.
 
-    Wraps the launch order (configuration per launch, repeats allowed)
-    plus the per-launch execution cycle weights; policies plan pivots
-    over it without being able to mutate the allocator's batch state.
+    Wraps the launch order (configuration per launch, repeats allowed).
     ``unit_index`` is the sequence's :func:`unit_column` index and
     ``tables`` its units' :class:`FoldTables`, when the caller already
     holds them (the allocator passes both).
     """
 
-    __slots__ = ("_configs", "_cycles", "_unit_index", "_tables")
+    __slots__ = ("_configs", "_unit_index", "_tables")
 
     def __init__(
         self,
         configs: Sequence[VirtualConfiguration],
-        cycles: np.ndarray | None = None,
         unit_index: np.ndarray | None = None,
         tables: FoldTables | None = None,
     ) -> None:
         self._configs = tuple(configs)
-        if cycles is not None:
-            # Policies plan over the view but must not be able to edit
-            # the cycle weights the allocator goes on to record.
-            cycles = cycles.view()
-            cycles.flags.writeable = False
-        self._cycles = cycles
         if unit_index is None:
             unit_index = unit_column(self._configs)[1]
         self._unit_index = unit_index
@@ -246,12 +224,6 @@ class ScheduleView:
     def configs(self) -> tuple[VirtualConfiguration, ...]:
         """Launched configuration per launch slot, in launch order."""
         return self._configs
-
-    @property
-    def cycles(self) -> np.ndarray | None:
-        """Per-launch execution cycles (stress weights), if known
-        (read-only view)."""
-        return self._cycles
 
     @property
     def n_launches(self) -> int:
@@ -273,45 +245,22 @@ class ScheduleView:
             self._tables = tables
         return tables
 
-    def runs(
-        self, start: int = 0, stop: int | None = None
-    ) -> Iterator[tuple[VirtualConfiguration, int, int]]:
+    def runs(self) -> Iterator[tuple[VirtualConfiguration, int, int]]:
         """``(config, run_start, run_stop)`` for each run of consecutive
-        identical configuration objects within ``[start, stop)``: the
-        places where the unit index column changes value."""
-        stop = len(self._configs) if stop is None else stop
-        if start >= stop:
+        identical configuration objects: the places where the unit
+        index column changes value."""
+        column = self._unit_index
+        if not len(column):
             return iter(())
-        column = self._unit_index[start:stop]
-        changes = np.flatnonzero(column[1:] != column[:-1])
-        bounds = (changes + (start + 1)).tolist()
+        bounds = (np.flatnonzero(column[1:] != column[:-1]) + 1).tolist()
         configs = self._configs
         return (
-            (configs[run_start], run_start, run_stop)
-            for run_start, run_stop in zip([start, *bounds], [*bounds, stop])
+            (configs[start], start, stop)
+            for start, stop in zip([0, *bounds], [*bounds, len(column)])
         )
 
     def __len__(self) -> int:
         return len(self._configs)
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """A contiguous launch range with precomputed pivots.
-
-    Attributes:
-        start: first launch index covered (inclusive).
-        stop: first launch index *not* covered (exclusive).
-        pivots: ``(stop - start, 2)`` int64 pivot per covered launch.
-    """
-
-    start: int
-    stop: int
-    pivots: np.ndarray = field(repr=False)
-
-    @property
-    def n_launches(self) -> int:
-        return self.stop - self.start
 
 
 class AllocationPolicy:
@@ -320,8 +269,8 @@ class AllocationPolicy:
     Lifecycle: the :class:`~repro.core.allocator.ConfigurationAllocator`
     calls :meth:`bind` once with the fabric geometry. ``allocate``
     then calls :meth:`next_pivot` before every launch; ``allocate_batch``
-    drives :meth:`plan_segments` over a whole launch sequence (see the
-    module docstring for the protocol).
+    calls :meth:`plan_pivots` once per batch (see the module docstring
+    for the protocol).
     """
 
     #: Registry key; subclasses override.
@@ -331,9 +280,9 @@ class AllocationPolicy:
     #: this to expand one policy into per-seed design points).
     seedable = False
 
-    #: How often the policy needs fresh tracker state while planning a
-    #: schedule (one of :data:`PLAN_GRANULARITIES`). The base class
-    #: plans launch by launch.
+    #: How often the policy reads the counts while planning a schedule
+    #: (one of :data:`PLAN_GRANULARITIES`). The base class plans launch
+    #: by launch.
     plan_granularity = "launch"
 
     def bind(self, geometry: FabricGeometry) -> None:
@@ -341,34 +290,66 @@ class AllocationPolicy:
         self.geometry = geometry
 
     def next_pivot(
-        self, config: VirtualConfiguration, tracker: "UtilizationTracker"
+        self, config: VirtualConfiguration, counts: np.ndarray
     ) -> tuple[int, int]:
         """Pivot ``(row, col)`` for the upcoming launch of ``config``.
 
-        ``tracker`` exposes the accumulated per-FU stress for policies
-        that adapt to run-time aging information.
+        ``counts`` is the flat per-cell launch count of every launch
+        before it, for policies that adapt to run-time aging
+        information.
         """
         raise NotImplementedError
 
-    def plan_segments(
-        self, schedule: ScheduleView, tracker: "UtilizationTracker"
-    ) -> Iterator[SegmentPlan]:
-        """Plan the schedule's pivots as contiguous segments.
+    def plan_pivots(
+        self, schedule: ScheduleView, counts: np.ndarray
+    ) -> np.ndarray:
+        """``(n_launches, 2)`` int64 pivots of the schedule's launches.
 
-        The default yields one single-launch segment per
-        :meth:`next_pivot` call. The allocator folds each segment into
-        the tracker before the next tracker read, so every call sees
-        exactly the stress the per-launch loop would have shown it.
+        ``counts`` is a private copy of the flat per-cell launch counts
+        before the schedule. The default asks :meth:`next_pivot` launch
+        by launch and adds each launch to ``counts`` once its pivot is
+        on the fabric, so every call sees exactly the counts the
+        per-launch loop would show it. It stops asking at a pivot off
+        the fabric and repeats that pivot to the end: the allocator
+        stops the batch there, as the loop does.
         """
+        geometry = self.geometry
+        rows, cols = geometry.rows, geometry.cols
+        unit_index = schedule.unit_index
+        pivots = np.empty((schedule.n_launches, 2), dtype=np.int64)
         for index, config in enumerate(schedule.configs):
-            pivots = np.asarray(
-                [self.next_pivot(config, tracker)], dtype=np.int64
+            row, col = pivots[index] = pivot_pair(
+                self, self.next_pivot(config, counts)
             )
-            yield SegmentPlan(start=index, stop=index + 1, pivots=pivots)
+            if not (0 <= row < rows and 0 <= col < cols):
+                pivots[index:] = row, col
+                break
+            schedule.fold_tables(geometry).add_counts(
+                counts, unit_index[index : index + 1], [row * cols + col]
+            )
+        return pivots
 
     def describe(self) -> str:
         """One-line human-readable description."""
         return self.name
+
+
+def pivot_pair(policy, pivot) -> tuple[int, int]:
+    """A ``next_pivot`` result as a ``(row, col)`` pair of ints (cast
+    as ``np.int64`` casts them).
+
+    Raises:
+        AllocationError: naming ``policy``, when ``pivot`` is not a
+            pair.
+    """
+    pair = np.asarray(pivot, dtype=np.int64)
+    if pair.shape != (2,):
+        raise AllocationError(
+            f"policy {getattr(policy, 'name', '?')!r} returned pivot "
+            f"{pivot!r}, not a (row, col) pair"
+        )
+    row, col = pair.tolist()
+    return row, col
 
 
 def min_stress_index(counts_flat: np.ndarray, footprints: np.ndarray) -> int:
@@ -376,7 +357,7 @@ def min_stress_index(counts_flat: np.ndarray, footprints: np.ndarray) -> int:
 
     ``footprints`` is ``(n_candidates, n_cells)`` flat indices into
     ``counts_flat``, the per-cell stress (the stress-searching policies
-    pass the tracker's execution counts). Ties on the max break towards
+    pass the flat launch counts). Ties on the max break towards
     the lower sum, then the earlier candidate. Sums are taken only over
     the candidates tied on the max.
     """
@@ -398,8 +379,8 @@ def candidate_footprints(
 
     ``pivots`` is ``(n_candidates, 2)``; the result is
     ``(n_candidates, n_cells)`` flat raster indices with wrap-around —
-    the integer-arithmetic footprint translation shared by the batched
-    allocator and the stress-searching policies.
+    the candidate footprints the stress-searching policies search
+    over (see :func:`min_stress_index`).
     """
     rows, cols = geometry.rows, geometry.cols
     phys_rows = (config.cell_rows[None, :] + pivots[:, :1]) % rows

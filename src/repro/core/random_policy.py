@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
-from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
+from repro.core.policy import AllocationPolicy, register_policy
 
 
 def draw_pivots(
@@ -63,19 +63,18 @@ class RandomPolicy(AllocationPolicy):
         super().bind(geometry)
         self._rng = random.Random(self.seed)
 
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
+    def next_pivot(self, config: VirtualConfiguration, counts) -> tuple[int, int]:
         return (
             self._rng.randrange(self.geometry.rows),
             self._rng.randrange(self.geometry.cols),
         )
 
-    def plan_segments(self, schedule, tracker):
-        """One whole-schedule segment on the scalar RNG stream."""
-        count = schedule.n_launches
-        pivots = draw_pivots(
-            self._rng, self.geometry.rows, self.geometry.cols, count
+    def plan_pivots(self, schedule, counts):
+        """The whole schedule's draws on the scalar RNG stream."""
+        return draw_pivots(
+            self._rng, self.geometry.rows, self.geometry.cols,
+            schedule.n_launches,
         )
-        yield SegmentPlan(start=0, stop=count, pivots=pivots)
 
     def describe(self) -> str:
         return f"random(seed={self.seed})"

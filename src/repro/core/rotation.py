@@ -16,7 +16,7 @@ import numpy as np
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.core.patterns import movement_pattern
-from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
+from repro.core.policy import AllocationPolicy, register_policy
 
 
 @register_policy
@@ -49,12 +49,12 @@ class RotationPolicy(AllocationPolicy):
         self._pattern_array = np.asarray(self._pattern, dtype=np.int64)
         self._position = 0
 
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
+    def next_pivot(self, config: VirtualConfiguration, counts) -> tuple[int, int]:
         pivot = self._pattern[self._position]
         self._position = (self._position + self.stride) % len(self._pattern)
         return pivot
 
-    def plan_segments(self, schedule, tracker):
+    def plan_pivots(self, schedule, counts):
         """The hardware counter never reads stress: one strided gather
         from the pattern covers the whole schedule."""
         count = schedule.n_launches
@@ -65,9 +65,7 @@ class RotationPolicy(AllocationPolicy):
         self._position = int(
             (self._position + self.stride * count) % length
         )
-        yield SegmentPlan(
-            start=0, stop=count, pivots=self._pattern_array[positions]
-        )
+        return self._pattern_array[positions]
 
     def describe(self) -> str:
         return f"rotation({self.pattern_name}, stride={self.stride})"

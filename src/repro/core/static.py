@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cgra.configuration import VirtualConfiguration
-from repro.core.policy import AllocationPolicy, SegmentPlan, register_policy
+from repro.core.policy import AllocationPolicy, register_policy
 
 
 @register_policy
@@ -20,12 +20,9 @@ class BaselinePolicy(AllocationPolicy):
     name = "baseline"
     plan_granularity = "schedule"
 
-    def next_pivot(self, config: VirtualConfiguration, tracker) -> tuple[int, int]:
+    def next_pivot(self, config: VirtualConfiguration, counts) -> tuple[int, int]:
         return (0, 0)
 
-    def plan_segments(self, schedule, tracker):
-        """One all-origin segment covers any schedule."""
-        count = schedule.n_launches
-        yield SegmentPlan(
-            start=0, stop=count, pivots=np.zeros((count, 2), dtype=np.int64)
-        )
+    def plan_pivots(self, schedule, counts):
+        """Every launch at the origin."""
+        return np.zeros((schedule.n_launches, 2), dtype=np.int64)

@@ -13,6 +13,11 @@ argues: with few distinct configurations the static choice cannot
 spread a hot loop's stress (its one pivot keeps hitting the same FUs),
 while the rotation spreads even a single configuration over the full
 fabric.
+
+Batched, the planner reads the counts only at the first launch of a
+configuration not yet frozen: there it adds the launches it has
+planned since the previous such launch to the private counts (with
+the fold's own translation tables), then searches.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.core.policy import (
     AllocationPolicy,
-    SegmentPlan,
     candidate_footprints,
     min_stress_index,
     register_policy,
@@ -49,59 +53,50 @@ class StaticRemapPolicy(AllocationPolicy):
         )
 
     def next_pivot(
-        self, config: VirtualConfiguration, tracker
+        self, config: VirtualConfiguration, counts: np.ndarray
     ) -> tuple[int, int]:
         pivot = self._pivots.get(config.start_pc)
         if pivot is None:
-            pivot = self._choose_pivot(config, tracker)
+            pivot = self._choose_pivot(config, counts)
             self._pivots[config.start_pc] = pivot
         return pivot
 
-    def plan_segments(self, schedule, tracker):
-        """One segment per *remap epoch*: a new segment opens exactly
-        at the first launch of a not-yet-frozen configuration, because
-        choosing its pivot must observe the stress of every launch
-        before it. Within an epoch all pivots are frozen, so the fill
-        is a pure per-run tile — a schedule whose configurations are
-        all known collapses to a single segment.
+    def plan_pivots(self, schedule, counts):
+        """Frozen pivots tile each run of a known configuration. At the
+        first launch of a configuration not yet frozen — the start of a
+        *remap epoch* — the planner adds the launches planned since the
+        previous epoch to ``counts`` and chooses its pivot from them,
+        so the choice sees exactly the per-launch loop's counts there.
         """
-        n_launches = schedule.n_launches
-        pivots = np.empty((n_launches, 2), dtype=np.int64)
-        segment_start = 0
+        cols = self.geometry.cols
+        unit_index = schedule.unit_index
+        pivots = np.empty((schedule.n_launches, 2), dtype=np.int64)
+        counted = 0
         for config, start, stop in schedule.runs():
             pivot = self._pivots.get(config.start_pc)
             if pivot is None:
-                if start > segment_start:
-                    # Close the running epoch; the allocator records it
-                    # before resuming us, so the tracker read below
-                    # sees exactly the scalar-loop state at ``start``.
-                    yield SegmentPlan(
-                        start=segment_start,
-                        stop=start,
-                        pivots=pivots[segment_start:start],
-                    )
-                    segment_start = start
-                pivot = self._choose_pivot(config, tracker)
+                epoch = pivots[counted:start]
+                schedule.fold_tables(self.geometry).add_counts(
+                    counts,
+                    unit_index[counted:start],
+                    epoch[:, 0] * cols + epoch[:, 1],
+                )
+                counted = start
+                pivot = self._choose_pivot(config, counts)
                 self._pivots[config.start_pc] = pivot
             pivots[start:stop] = pivot
-        if segment_start < n_launches:
-            yield SegmentPlan(
-                start=segment_start,
-                stop=n_launches,
-                pivots=pivots[segment_start:],
-            )
+        return pivots
 
     def _choose_pivot(
-        self, config: VirtualConfiguration, tracker
+        self, config: VirtualConfiguration, counts: np.ndarray
     ) -> tuple[int, int]:
-        """Min-max stress pivot given the tracker state at first use.
+        """Min-max stress pivot given the flat counts at first use.
 
         Candidates are scanned in raster order and ties break towards
         lower totals then earlier cells, matching the original scalar
         double loop.
         """
         footprints = candidate_footprints(config, self._raster, self.geometry)
-        counts = np.asarray(tracker.execution_counts).reshape(-1)
         best = min_stress_index(counts, footprints)
         return (int(self._raster[best, 0]), int(self._raster[best, 1]))
 

@@ -23,8 +23,8 @@ per policy:
   launch into its distinct units, beside the cycle weights — and
   hands them straight to the batch engine
   (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate_indexed`),
-  which folds each range of planned launches into the tracker as one
-  (unit, pivot) histogram. Replay is bit-identical to the coupled
+  which has the policy plan every launch in one call and folds them
+  into the tracker as one (unit, pivot) histogram. Replay is bit-identical to the coupled
   walk (the batch engine is property-tested against a per-launch loop,
   ``tests/test_schedule_equivalence.py`` pins the system level and
   ``tests/test_replay_trackers.py`` the per-cell results of the
@@ -583,10 +583,11 @@ def replay_schedule(
     outcome; the launch stream itself is replayed bit-identically to
     the coupled walk through the batch engine
     (:meth:`~repro.core.allocator.ConfigurationAllocator.allocate_indexed`
-    on the schedule's unit columns), which drives the policy's whole-schedule *segment plans*
-    (:meth:`~repro.core.policy.AllocationPolicy.plan_segments`): the
-    policy sees the full launch sequence up front and is re-entered
-    only where it actually needs fresh tracker state.
+    on the schedule's unit columns): the policy plans the whole launch
+    sequence in one
+    :meth:`~repro.core.policy.AllocationPolicy.plan_pivots` call,
+    against a private copy of the stress counts, and the launches fold
+    into the tracker once.
     """
     if schedule.stress_coupled:
         raise ConfigurationError(

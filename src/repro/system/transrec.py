@@ -22,8 +22,8 @@ recorded since the previous read into it, as one batch, every time the
 mapper reads the map. Every other pipeline replays, vectorized, a
 schedule shared across all policies of the same pipeline — the lever
 that makes policy-sweep campaigns cheap. Replay hands the policy the
-whole launch sequence as segment plans
-(:meth:`~repro.core.policy.AllocationPolicy.plan_segments`), so even
+whole launch sequence in one call
+(:meth:`~repro.core.policy.AllocationPolicy.plan_pivots`), so even
 stress-searching policies replay in a few vectorized passes per search
 interval rather than launch by launch.
 """

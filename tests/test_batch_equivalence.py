@@ -16,7 +16,12 @@ from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
 from repro.core.allocator import ConfigurationAllocator
-from repro.core.policy import AllocationPolicy, make_policy
+from repro.core.policy import (
+    AllocationPolicy,
+    FoldTables,
+    make_policy,
+    unit_column,
+)
 from repro.dbt.window import build_unit
 from repro.errors import AllocationError
 from repro.workloads.suite import run_workload, workload_names
@@ -198,32 +203,35 @@ def test_explicit_pivots_replay(suite_units):
 
 
 class DiagonalPolicy(AllocationPolicy):
-    """next_pivot-only policy whose pivots ignore the tracker."""
+    """next_pivot-only policy whose pivots ignore the counts."""
 
     name = "diagonal_test"
 
     def __init__(self):
         self._step = 0
 
-    def next_pivot(self, config, tracker):
+    def next_pivot(self, config, counts):
         pivot = (self._step % ROWS, self._step % COLS)
         self._step += 1
         return pivot
 
 
 class CoolestPivotPolicy(AllocationPolicy):
-    """next_pivot-only policy that reads the tracker on every launch:
+    """next_pivot-only policy that reads the counts on every launch:
     the pivot whose footprint has the lowest (max, sum) stress, first
     in raster order on ties."""
 
     name = "coolest_pivot_test"
 
-    def next_pivot(self, config, tracker):
-        counts = tracker.execution_counts
-
+    def next_pivot(self, config, counts):
         def stress(pivot):
             values = [
-                int(counts[(row + pivot[0]) % ROWS, (col + pivot[1]) % COLS])
+                int(
+                    counts[
+                        (row + pivot[0]) % ROWS * COLS
+                        + (col + pivot[1]) % COLS
+                    ]
+                )
                 for row, col in config.cells
             ]
             return max(values), sum(values)
@@ -235,24 +243,24 @@ class CoolestPivotPolicy(AllocationPolicy):
 
 
 class LeastBusyColumnPolicy(AllocationPolicy):
-    """next_pivot-only policy that reads the launch total and the
-    busy-cycle counts: the row is the number of launches so far modulo
-    the rows, the column is that row's least-busy one."""
+    """next_pivot-only policy that reads the whole count vector: the
+    row is the sum of all counts so far modulo the rows, the column is
+    that row's least-launched one."""
 
     name = "least_busy_column_test"
 
-    def next_pivot(self, config, tracker):
-        row = tracker.total_executions % ROWS
-        return (row, int(np.argmin(tracker.cycle_counts[row])))
+    def next_pivot(self, config, counts):
+        row = int(counts.sum()) % ROWS
+        return (row, int(np.argmin(counts.reshape(ROWS, COLS)[row])))
 
 
 @pytest.mark.parametrize(
     "policy_cls", [DiagonalPolicy, CoolestPivotPolicy, LeastBusyColumnPolicy]
 )
-def test_default_plan_segments_fallback(policy_cls):
+def test_default_plan_pivots_fallback(policy_cls):
     """A policy that only implements the scalar hook runs in a batch
-    through the base-class ``plan_segments``, exactly as the scalar
-    loop places it — also when it reads the stress of the launches
+    through the base-class ``plan_pivots``, exactly as the scalar
+    loop places it — also when it reads the counts of the launches
     before it in the same run."""
     config = synthetic_config([(0, 0), (1, 3)])
     other = synthetic_config([(0, 1)], start_pc=0x2000)
@@ -274,7 +282,7 @@ def test_default_plan_segments_fallback(policy_cls):
 @pytest.mark.parametrize(
     "policy_cls", [DiagonalPolicy, CoolestPivotPolicy, LeastBusyColumnPolicy]
 )
-def test_default_plan_segments_mid_batch_error(policy_cls):
+def test_default_plan_pivots_mid_batch_error(policy_cls):
     """A configuration that cannot fit stops the base-class planner's
     batch where it stops the scalar loop: the launches before it are
     recorded identically, and none after it."""
@@ -306,9 +314,55 @@ def test_default_plan_segments_mid_batch_error(policy_cls):
     assert batched.launches == 6
 
 
+@pytest.mark.parametrize("unfit_at", (0, 3))
+@pytest.mark.parametrize(
+    "policy",
+    (
+        lambda: make_policy("rotation"),
+        lambda: make_policy("stress_aware", interval=2),
+        lambda: make_policy("random", seed=0),
+        lambda: make_policy("static_remap"),
+        lambda: NextPivotOnly(make_policy("stress_aware", interval=2)),
+    ),
+    ids=("rotation", "stress_aware", "random", "static_remap", "base_class"),
+)
+def test_failed_batch_leaves_the_policy_where_the_loop_does(policy, unfit_at):
+    """A unit that does not fit at launch 0 or 3 of 9 stops a batch
+    where it stops the per-launch loop, and the policy is left there
+    too: its planner saw only the launches before it, so the next
+    ``allocate`` picks the loop's pivot."""
+    config = synthetic_config([(0, 0), (1, 3)])
+    other = synthetic_config([(0, 1)], start_pc=0x2000)
+    oversized = VirtualConfiguration(
+        start_pc=0x3000,
+        pc_path=(0x3000,),
+        ops=(
+            PlacedOp(
+                op="add", kind=FUKind.ALU, row=0, col=0, width=1,
+                trace_offset=0,
+            ),
+        ),
+        n_instructions=1,
+        geometry_rows=ROWS,
+        geometry_cols=COLS + 1,
+    )
+    sequence = [config, other, config, config, other] + [config] * 3
+    sequence.insert(unfit_at, oversized)
+    scalar = ConfigurationAllocator(GEOMETRY, policy())
+    batched = ConfigurationAllocator(GEOMETRY, policy())
+    with pytest.raises(AllocationError, match="cannot launch"):
+        for c in sequence:
+            scalar.allocate(c)
+    with pytest.raises(AllocationError, match="cannot launch"):
+        batched.allocate_batch(sequence)
+    assert batched.launches == scalar.launches == unfit_at
+    assert batched.allocate(other).pivot == scalar.allocate(other).pivot
+    assert_trackers_identical(scalar, batched)
+
+
 class NextPivotOnly(AllocationPolicy):
     """Hides a policy's own planner: batches of the wrapper run through
-    the base-class ``plan_segments`` and the wrapped ``next_pivot``."""
+    the base-class ``plan_pivots`` and the wrapped ``next_pivot``."""
 
     name = "next_pivot_only_test"
 
@@ -319,15 +373,15 @@ class NextPivotOnly(AllocationPolicy):
         super().bind(geometry)
         self.inner.bind(geometry)
 
-    def next_pivot(self, config, tracker):
-        return self.inner.next_pivot(config, tracker)
+    def next_pivot(self, config, counts):
+        return self.inner.next_pivot(config, counts)
 
 
 @pytest.mark.parametrize("policy_name,make_kwargs", POLICIES)
 def test_base_class_planner_exact_for_every_policy(
     suite_units, policy_name, make_kwargs
 ):
-    """Planning one launch per segment through ``next_pivot`` is exact
+    """Planning launch by launch through ``next_pivot`` is exact
     for any policy: it reproduces every built-in policy's own planner
     on an interleaved batch of suite units."""
     sequence = [
@@ -362,7 +416,8 @@ cell_sets = st.sets(
 def test_explicit_pivots_match_add_at_reference(footprints, data):
     """The batch's grouped stress fold equals accruing every launch on
     its own with ``np.add.at`` over the wrapped physical footprint —
-    for any configs, run structure, pivots and cycle weights."""
+    for any configs, run structure, pivots and cycle weights — and so
+    does ``FoldTables.add_counts``, a planner's count of them."""
     configs = [
         synthetic_config(sorted(cells), start_pc=0x1000 * (index + 1))
         for index, cells in enumerate(footprints)
@@ -385,6 +440,12 @@ def test_explicit_pivots_match_add_at_reference(footprints, data):
     cycles = [cyc for _, _, _, cyc in launches]
     allocator = ConfigurationAllocator(GEOMETRY, make_policy("baseline"))
     allocator.allocate_batch(sequence, pivots=pivots, cycles=cycles)
+    # A planner counts its planned launches with the fold's own tables.
+    units, unit_index = unit_column(sequence)
+    counted = np.zeros(ROWS * COLS, dtype=np.int64)
+    FoldTables(GEOMETRY, units).add_counts(
+        counted, unit_index, [row * COLS + col for row, col in pivots]
+    )
 
     executions = np.zeros(ROWS * COLS, dtype=np.int64)
     busy = np.zeros(ROWS * COLS, dtype=np.int64)
@@ -409,6 +470,7 @@ def test_explicit_pivots_match_add_at_reference(footprints, data):
     }
     assert tracker.total_executions == allocator.launches == n_launches
     assert tracker.total_cycles == sum(cycles)
+    np.testing.assert_array_equal(counted, executions)
 
 
 config_cells = st.lists(

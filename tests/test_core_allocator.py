@@ -223,10 +223,52 @@ class TestAllocatorValidation:
         for _ in range(6):
             assert rejected.allocate(c).pivot == clean.allocate(c).pivot
 
+    def test_malformed_pivot_names_the_policy_on_both_paths(self):
+        """A ``next_pivot`` result that is not a (row, col) pair is
+        rejected with the same error by ``allocate`` and by the
+        base-class planner, and nothing is recorded."""
+
+        class TriplePolicy(AllocationPolicy):
+            name = "triple"
+
+            def next_pivot(self, config_, counts):
+                return (0, 1, 2)
+
+        c = config([(0, 0)])
+        alloc = ConfigurationAllocator(
+            FabricGeometry(rows=2, cols=8), TriplePolicy()
+        )
+        message = (
+            r"^policy 'triple' returned pivot \(0, 1, 2\), "
+            r"not a \(row, col\) pair$"
+        )
+        with pytest.raises(AllocationError, match=message):
+            alloc.allocate(c)
+        with pytest.raises(AllocationError, match=message):
+            alloc.allocate_batch((c, c))
+        assert alloc.launches == alloc.tracker.total_executions == 0
+
+    def test_explicit_off_fabric_pivot_stops_the_batch_there(self):
+        """An explicit pivot off the fabric stops a batch as a planned
+        one does: the launches before it are recorded, then the error
+        names the argument."""
+        c = config([(0, 0), (1, 3)])
+        alloc = allocator("baseline")
+        with pytest.raises(
+            AllocationError,
+            match=r"^explicit pivots argument returned pivot \(0, 8\)",
+        ):
+            alloc.allocate_batch(
+                [c] * 4, pivots=[(0, 0), (1, 2), (0, 8), (0, 1)]
+            )
+        assert alloc.launches == alloc.tracker.total_executions == 2
+        assert alloc.tracker.execution_counts.sum() == 4
+
     def test_unit_beyond_the_fabric_stops_a_planned_batch(self):
-        """A unit with cells beyond the fabric stops a batch with the fit
-        error after the launches before it, although stress_aware has
-        already counted its launch into the next search's counts."""
+        """A unit with cells beyond the fabric stops a stress_aware
+        batch with the fit error after the launches before it; the
+        planner, which counts each launch into the next search's
+        counts, never sees it."""
         small = config([(0, 0), (1, 3)])
         wide = config([(0, 0), (5, 11)], rows=6, cols=12, start_pc=0x2000)
         alloc = allocator("stress_aware", interval=1)

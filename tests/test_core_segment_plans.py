@@ -1,12 +1,12 @@
-"""The sequence-planning policy protocol: segment plans, the schedule
-view, the base-class ``plan_segments`` and the allocator's plan
-validation.
+"""The batch-planning policy protocol: the schedule view, each
+policy's ``plan_pivots``, the base-class planner and the allocator's
+plan validation.
 
 Companion to ``tests/test_batch_equivalence.py`` (which pins the
 engine's bit-identity to the scalar loop): this file pins the protocol
-itself — plan granularities, contiguity validation, the one-launch
-segments of the base-class planner, and the custom policy in
-``examples/adaptive_policy.py``.
+itself — plan granularities, the counts a stress-reading planner sees
+at each search, plan shape and pivot validation, the base-class
+planner, and the custom policy in ``examples/adaptive_policy.py``.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.stress_aware
 from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import FUKind
@@ -29,12 +30,12 @@ from repro.core.policy import (
     PLAN_GRANULARITIES,
     AllocationPolicy,
     ScheduleView,
-    SegmentPlan,
     make_policy,
     policy_class,
 )
 from repro.errors import AllocationError
 from tests.support import allocate_each, assert_trackers_equal
+from tests.test_batch_equivalence import NextPivotOnly
 
 ROWS, COLS = 4, 8
 GEOMETRY = FabricGeometry(rows=ROWS, cols=COLS)
@@ -72,49 +73,27 @@ class TestScheduleView:
         ]
         assert view.n_launches == len(view) == 4
 
-    def test_runs_within_slice(self):
-        configs = (CONFIG_A, CONFIG_A, CONFIG_B, CONFIG_B, CONFIG_A)
-        assert list(ScheduleView(configs).runs(1, 4)) == [
-            (CONFIG_A, 1, 2),
-            (CONFIG_B, 2, 4),
-        ]
-
     @settings(max_examples=60, deadline=None)
-    @given(
-        picks=st.lists(st.integers(0, 3), min_size=1, max_size=30),
-        data=st.data(),
-    )
-    def test_runs_match_identity_run_loop(self, picks, data):
-        """``runs(start, stop)`` over random sequences of 1–4 distinct
-        objects equals a plain loop that cuts a run wherever the next
-        launch is a different object — also between equal objects."""
+    @given(picks=st.lists(st.integers(0, 3), max_size=30))
+    def test_runs_match_identity_run_loop(self, picks):
+        """``runs()`` over random sequences of 0–4 distinct objects
+        equals a plain loop that cuts a run wherever the next launch is
+        a different object — also between equal objects."""
         pool = (CONFIG_A, CONFIG_B, dataclasses.replace(CONFIG_A),
                 synthetic_config([(3, 7)], 0x4000))
         configs = tuple(pool[pick] for pick in picks)
-        start = data.draw(st.integers(0, len(configs)))
-        stop = data.draw(st.integers(start, len(configs)))
         reference = []
-        position = start
-        while position < stop:
+        position = 0
+        while position < len(configs):
             run_stop = position + 1
-            while run_stop < stop and configs[run_stop] is configs[position]:
+            while (
+                run_stop < len(configs)
+                and configs[run_stop] is configs[position]
+            ):
                 run_stop += 1
             reference.append((configs[position], position, run_stop))
             position = run_stop
-        assert list(ScheduleView(configs).runs(start, stop)) == reference
-        if (start, stop) == (0, len(configs)):
-            assert list(ScheduleView(configs).runs()) == reference
-
-    def test_cycles_exposed_read_only(self):
-        cycles = np.asarray([3, 5], dtype=np.int64)
-        view = ScheduleView((CONFIG_A, CONFIG_A), cycles)
-        np.testing.assert_array_equal(view.cycles, cycles)
-        # The view must not let a planner edit the weights the
-        # allocator goes on to record.
-        assert not view.cycles.flags.writeable
-        with pytest.raises(ValueError):
-            view.cycles[0] = 9
-        assert ScheduleView((CONFIG_A,)).cycles is None
+        assert list(ScheduleView(configs).runs()) == reference
 
 
 class TestPlanGranularity:
@@ -148,46 +127,33 @@ BUILTIN_POLICIES = (
 class TestBuiltinPlans:
     @pytest.mark.parametrize("name", BUILTIN_POLICIES)
     def test_builtin_policy_overrides_the_planner(self, name):
-        """Every built-in policy plans its own segments; none falls back
-        to the base class's one launch per segment."""
+        """Every built-in policy plans its own batches; none falls back
+        to the base class's launch-by-launch planner."""
         assert (
-            policy_class(name).plan_segments
-            is not AllocationPolicy.plan_segments
+            policy_class(name).plan_pivots
+            is not AllocationPolicy.plan_pivots
         )
 
-    def test_whole_schedule_policies_yield_one_segment(self):
+    def test_whole_schedule_policies_plan_without_counts(self):
+        """baseline, rotation and random never read the counts: they
+        plan a whole schedule with none at all."""
         for name in ("baseline", "rotation", "random"):
             policy = make_policy(name)
             policy.bind(GEOMETRY)
-            plans = list(
-                policy.plan_segments(
-                    ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
-                )
+            pivots = policy.plan_pivots(
+                ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
             )
-            assert [(p.start, p.stop) for p in plans] == [(0, 3)]
-            assert plans[0].pivots.shape == (3, 2)
-            assert plans[0].n_launches == 3
-
-    def test_static_remap_segments_break_at_new_configs(self):
-        policy = make_policy("static_remap")
-        allocator = ConfigurationAllocator(GEOMETRY, policy)
-        view = ScheduleView(
-            (CONFIG_A, CONFIG_A, CONFIG_B, CONFIG_A, CONFIG_B)
-        )
-        plans = list(policy.plan_segments(view, allocator.tracker))
-        # One epoch per first-seen config: [0, 2) closes when B first
-        # appears, then [2, 5) runs to the end (no further new configs).
-        assert [(p.start, p.stop) for p in plans] == [(0, 2), (2, 5)]
+            assert pivots.shape == (3, 2)
+            assert pivots.dtype == np.int64
 
     def test_stress_aware_searches_align_to_search_interval(self):
-        """One segment covers the batch; its searches fall on launches
-        0, 4 and 8 (counter ≡ 1 mod 4), each seeing the per-launch
-        loop's counts, and its pivots are the loop's."""
+        """The batch's searches fall on launches 0, 4 and 8 (counter
+        ≡ 1 mod 4), each seeing the per-launch loop's counts, and its
+        pivots are the loop's."""
         sequence = (CONFIG_A,) * 10
-        plan, searches = _plan_stress_aware(4, (), sequence)
-        assert (plan.start, plan.stop) == (0, 10)
+        pivots, searches = _plan_stress_aware(4, (), sequence)
         _assert_matches_scalar_loop(
-            4, (), sequence, plan, searches, [0, 4, 8]
+            4, (), sequence, pivots, searches, [0, 4, 8]
         )
 
     def test_stress_aware_searches_resume_mid_interval(self):
@@ -196,10 +162,8 @@ class TestBuiltinPlans:
         pattern from the scalar launches' last pivot."""
         prefix = (CONFIG_A, CONFIG_A)
         sequence = (CONFIG_A,) * 6
-        plan, searches = _plan_stress_aware(4, prefix, sequence)
-        assert (plan.start, plan.stop) == (0, 6)
-        _assert_matches_scalar_loop(4, prefix, sequence, plan, searches, [2])
-
+        pivots, searches = _plan_stress_aware(4, prefix, sequence)
+        _assert_matches_scalar_loop(4, prefix, sequence, pivots, searches, [2])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -221,14 +185,10 @@ class TestBuiltinPlans:
         for _ in range(prefix):
             planned.next_pivot(CONFIG_A, None)
             walked.next_pivot(CONFIG_A, None)
-        plans = list(
-            planned.plan_segments(ScheduleView((CONFIG_A,) * count), None)
-        )
-        assert [(p.start, p.stop) for p in plans] == [(0, count)]
+        pivots = planned.plan_pivots(ScheduleView((CONFIG_A,) * count), None)
         expected = [walked.next_pivot(CONFIG_A, None) for _ in range(count)]
         np.testing.assert_array_equal(
-            plans[0].pivots.reshape(-1, 2),
-            np.asarray(expected, dtype=np.int64).reshape(-1, 2),
+            pivots, np.asarray(expected, dtype=np.int64).reshape(-1, 2)
         )
         # The counter ends where the walk's does.
         assert planned.next_pivot(CONFIG_A, None) == walked.next_pivot(
@@ -242,17 +202,16 @@ class TestBuiltinPlans:
         counter (18 launches in) is ≡ 1 mod the interval."""
         prefix = [CONFIG_A, CONFIG_B] * 9
         sequence = (CONFIG_A, CONFIG_B) * 6
-        plan, searches = _plan_stress_aware(interval, prefix, sequence)
-        assert (plan.start, plan.stop) == (0, 12)
+        planned, searches = _plan_stress_aware(interval, prefix, sequence)
         searched = [i for i in range(12) if (18 + i) % interval == 0]
         pattern = movement_pattern("snake", ROWS, COLS)
-        pivots = [tuple(pivot) for pivot in plan.pivots.tolist()]
+        pivots = [tuple(pivot) for pivot in planned.tolist()]
         for index in range(1, 12):
             if index not in searched:
                 step = pattern.index(pivots[index - 1]) + 1
                 assert pivots[index] == pattern[step % len(pattern)]
         _assert_matches_scalar_loop(
-            interval, prefix, sequence, plan, searches, searched
+            interval, prefix, sequence, planned, searches, searched
         )
 
     @settings(max_examples=120, deadline=None)
@@ -268,7 +227,9 @@ class TestBuiltinPlans:
         """A schedule cut at random points into consecutive
         ``allocate_batch`` calls places every launch as a per-launch
         ``allocate`` loop does: same pivots, same tracker, and the
-        policies leave off in the same state (same next pivot)."""
+        policies leave off in the same state (same next pivot). The
+        planners are stress_aware's own, static_remap's and the base
+        class's (stress_aware behind :class:`NextPivotOnly`)."""
         rows, cols = shape
         geometry = FabricGeometry(rows=rows, cols=cols)
         pool = [
@@ -291,28 +252,37 @@ class TestBuiltinPlans:
             else ()
         )
 
-        def policy():
+        def stress_aware():
             return make_policy(
                 "stress_aware", interval=interval, pattern=pattern
             )
 
-        scalar = ConfigurationAllocator(geometry, policy())
-        pivots = [
-            scalar.allocate(config, cycles=cycle).pivot
-            for config, cycle in zip(sequence, cycles)
-        ]
-        batched = ConfigurationAllocator(geometry, policy())
-        planned = []
-        for start, stop in zip([0, *cuts], [*cuts, len(picks)]):
-            batch = batched.allocate_batch(
-                sequence[start:stop], cycles=cycles[start:stop]
+        for policy in (
+            stress_aware,
+            lambda: make_policy("static_remap"),
+            lambda: NextPivotOnly(stress_aware()),
+        ):
+            scalar = ConfigurationAllocator(geometry, policy())
+            pivots = [
+                scalar.allocate(config, cycles=cycle).pivot
+                for config, cycle in zip(sequence, cycles)
+            ]
+            batched = ConfigurationAllocator(geometry, policy())
+            planned = []
+            for start, stop in zip([0, *cuts], [*cuts, len(picks)]):
+                batch = batched.allocate_batch(
+                    sequence[start:stop], cycles=cycles[start:stop]
+                )
+                planned.extend(
+                    tuple(pivot) for pivot in batch.pivots.tolist()
+                )
+            assert planned == pivots
+            assert_trackers_equal(scalar.tracker, batched.tracker)
+            assert scalar.policy.next_pivot(
+                pool[0], scalar.tracker.execution_counts.reshape(-1)
+            ) == batched.policy.next_pivot(
+                pool[0], batched.tracker.execution_counts.reshape(-1)
             )
-            planned.extend(tuple(pivot) for pivot in batch.pivots.tolist())
-        assert planned == pivots
-        assert_trackers_equal(scalar.tracker, batched.tracker)
-        assert scalar.policy.next_pivot(
-            pool[0], scalar.tracker
-        ) == batched.policy.next_pivot(pool[0], batched.tracker)
 
 
 def _config_on(geometry, cells, start_pc):
@@ -336,29 +306,28 @@ def _config_on(geometry, cells, start_pc):
 
 def _plan_stress_aware(interval, prefix, sequence):
     """Plan ``sequence`` with a stress_aware policy whose allocator has
-    first placed ``prefix`` per launch. Returns the one plan and the
-    flat counts each search saw."""
+    first placed ``prefix`` per launch. Returns the planned pivots and
+    the flat counts each search saw."""
     policy = make_policy("stress_aware", interval=interval)
     allocator = ConfigurationAllocator(GEOMETRY, policy)
     for config in prefix:
         allocator.allocate(config)
     searches = []
-    search = policy._best_position
+    search = repro.core.stress_aware.min_stress_index
 
-    def spy(config, counts):
+    def spy(counts, footprints):
         searches.append(counts.copy())
-        return search(config, counts)
+        return search(counts, footprints)
 
-    policy._best_position = spy
-    plans = list(
-        policy.plan_segments(ScheduleView(sequence), allocator.tracker)
-    )
-    assert len(plans) == 1
-    return plans[0], searches
+    counts = np.array(allocator.tracker.execution_counts).reshape(-1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.core.stress_aware, "min_stress_index", spy)
+        planned = policy.plan_pivots(ScheduleView(sequence), counts)
+    return planned, searches
 
 
 def _assert_matches_scalar_loop(
-    interval, prefix, sequence, plan, searches, searched
+    interval, prefix, sequence, planned, searches, searched
 ):
     """The plan's pivots are a fresh per-launch loop's (the
     ``next_pivot`` reference), and its searches ran exactly before the
@@ -375,7 +344,7 @@ def _assert_matches_scalar_loop(
             scalar.tracker.execution_counts.reshape(-1).copy()
         )
         pivots.append(scalar.allocate(config).pivot)
-    assert [tuple(pivot) for pivot in plan.pivots.tolist()] == pivots
+    assert [tuple(pivot) for pivot in planned.tolist()] == pivots
     assert len(searches) == len(searched)
     for seen, index in zip(searches, searched):
         np.testing.assert_array_equal(seen, counts_before[index])
@@ -389,47 +358,19 @@ class FixedStepPolicy(AllocationPolicy):
     def __init__(self):
         self._step = 0
 
-    def next_pivot(self, config, tracker):
+    def next_pivot(self, config, counts):
         pivot = (self._step % ROWS, self._step % COLS)
         self._step += 1
         return pivot
 
 
-class TestDefaultPlanSegments:
-    def test_one_segment_per_launch(self):
+class TestDefaultPlanPivots:
+    def test_empty_schedule_plans_nothing(self):
         policy = FixedStepPolicy()
         policy.bind(GEOMETRY)
-        view = ScheduleView((CONFIG_A, CONFIG_A, CONFIG_B))
-        plans = list(policy.plan_segments(view, None))
-        assert [(p.start, p.stop) for p in plans] == [(0, 1), (1, 2), (2, 3)]
-        np.testing.assert_array_equal(
-            np.concatenate([p.pivots for p in plans]),
-            [[0, 0], [1, 1], [2, 2]],
-        )
-
-    def test_empty_schedule_yields_nothing(self):
-        policy = FixedStepPolicy()
-        assert list(policy.plan_segments(ScheduleView(()), None)) == []
-
-    def test_plans_lazily_one_next_pivot_per_segment(self):
-        """``next_pivot`` runs only when the allocator asks for the next
-        segment — after it has folded the previous one into the
-        tracker — never ahead of it."""
-        calls = []
-
-        class Counting(FixedStepPolicy):
-            def next_pivot(self, config, tracker):
-                calls.append(config)
-                return super().next_pivot(config, tracker)
-
-        plans = Counting().plan_segments(
-            ScheduleView((CONFIG_A, CONFIG_B, CONFIG_A)), None
-        )
-        assert calls == []
-        next(plans)
-        assert calls == [CONFIG_A]
-        next(plans)
-        assert calls == [CONFIG_A, CONFIG_B]
+        pivots = policy.plan_pivots(ScheduleView(()), np.zeros(ROWS * COLS))
+        assert pivots.shape == (0, 2)
+        assert policy._step == 0
 
     def test_next_pivot_only_batch_emits_no_warning(self):
         """A policy without its own planner is a supported policy, not a
@@ -440,20 +381,46 @@ class TestDefaultPlanSegments:
             allocator.allocate_batch([CONFIG_A, CONFIG_A, CONFIG_B])
         assert allocator.launches == 3
 
+    def test_stops_asking_at_an_off_fabric_pivot(self):
+        """The base-class planner stops calling ``next_pivot`` at the
+        first pivot off the fabric, as the per-launch loop stops there:
+        the launches before it are recorded, the error names the
+        policy, and the policy has stepped as often as the loop's."""
+
+        class RunsOffTheRow(FixedStepPolicy):
+            def next_pivot(self, config, counts):
+                self._step += 1
+                return (0, self._step - 1)
+
+        sequence = [CONFIG_A, CONFIG_B] * 6
+        scalar = ConfigurationAllocator(GEOMETRY, RunsOffTheRow())
+        with pytest.raises(AllocationError) as stepped:
+            for config in sequence:
+                scalar.allocate(config)
+        batched = ConfigurationAllocator(GEOMETRY, RunsOffTheRow())
+        with pytest.raises(AllocationError) as planned:
+            batched.allocate_batch(sequence)
+        assert str(planned.value) == str(stepped.value) == (
+            "policy 'fixed_step' returned pivot (0, 8) outside L8xW4"
+        )
+        assert batched.launches == scalar.launches == COLS
+        assert_trackers_equal(scalar.tracker, batched.tracker)
+        assert batched.policy._step == scalar.policy._step == COLS + 1
+
 
 class _MisplannedPolicy(AllocationPolicy):
-    """Yields whatever segments the test injects."""
+    """Plans whatever pivots the test injects."""
 
     name = "misplanned"
 
-    def __init__(self, plans):
-        self._plans = plans
+    def __init__(self, pivots):
+        self._pivots = pivots
 
-    def next_pivot(self, config, tracker):  # pragma: no cover
+    def next_pivot(self, config, counts):  # pragma: no cover
         return (0, 0)
 
-    def plan_segments(self, schedule, tracker):
-        yield from self._plans
+    def plan_pivots(self, schedule, counts):
+        return self._pivots
 
 
 def _zeros(count):
@@ -461,55 +428,38 @@ def _zeros(count):
 
 
 class TestPlanValidation:
-    def _allocate(self, plans, sequence=None):
+    def _allocate(self, pivots, sequence=None):
         sequence = sequence or [CONFIG_A] * 4
         allocator = ConfigurationAllocator(
-            GEOMETRY, _MisplannedPolicy(plans)
+            GEOMETRY, _MisplannedPolicy(pivots)
         )
         return allocator, lambda: allocator.allocate_batch(sequence)
 
-    def test_gap_between_segments_rejected(self):
-        _, run = self._allocate(
-            [SegmentPlan(0, 2, _zeros(2)), SegmentPlan(3, 4, _zeros(1))]
-        )
-        with pytest.raises(AllocationError, match="out of order"):
-            run()
-
-    def test_overlapping_segments_rejected(self):
-        _, run = self._allocate(
-            [SegmentPlan(0, 3, _zeros(3)), SegmentPlan(2, 4, _zeros(2))]
-        )
-        with pytest.raises(AllocationError, match="out of order"):
-            run()
-
-    def test_overrunning_segment_rejected(self):
-        _, run = self._allocate([SegmentPlan(0, 9, _zeros(9))])
-        with pytest.raises(AllocationError, match="out of order"):
-            run()
-
-    def test_short_coverage_rejected(self):
-        _, run = self._allocate([SegmentPlan(0, 2, _zeros(2))])
-        with pytest.raises(AllocationError, match="covering only 2 of 4"):
-            run()
-
     def test_bad_pivot_shape_rejected(self):
-        _, run = self._allocate([SegmentPlan(0, 4, _zeros(3))])
-        with pytest.raises(AllocationError, match="shape"):
+        allocator, run = self._allocate(_zeros(3))
+        with pytest.raises(
+            AllocationError,
+            match=r"^policy 'misplanned' planned pivots of shape \(3, 2\)",
+        ):
             run()
+        assert allocator.launches == allocator.tracker.total_executions == 0
 
     def test_out_of_range_pivot_rejected(self):
         bad = _zeros(4)
         bad[2] = (ROWS, 0)
-        _, run = self._allocate([SegmentPlan(0, 4, bad)])
-        with pytest.raises(AllocationError, match="outside"):
+        _, run = self._allocate(bad)
+        with pytest.raises(
+            AllocationError,
+            match=r"^policy 'misplanned' returned pivot \(4, 0\) outside",
+        ):
             run()
 
     def test_tracker_consistent_after_bad_plan(self):
-        """Segments accepted before the error are recorded; launches
-        and the tracker agree."""
-        allocator, run = self._allocate(
-            [SegmentPlan(0, 2, _zeros(2)), SegmentPlan(3, 4, _zeros(1))]
-        )
+        """The launches before the first off-fabric pivot are recorded;
+        launches and the tracker agree."""
+        bad = _zeros(4)
+        bad[2:] = (0, -1)
+        allocator, run = self._allocate(bad)
         with pytest.raises(AllocationError):
             run()
         assert allocator.launches == 2
@@ -547,7 +497,7 @@ class TestExamplePolicies:
     def test_variants_identical_across_epochs(self, example, epoch):
         """The two hooks agree for any epoch, not just the demo's: a
         per-launch ``allocate`` loop (``next_pivot``) and the schedule
-        replay (``plan_segments``) place every crc32 launch
+        replay (``plan_pivots``) place every crc32 launch
         identically."""
         from repro.system import SystemParams, replay_schedule, shared_schedule
         from repro.workloads.suite import run_workload
@@ -588,16 +538,22 @@ class TestExamplePolicies:
             planned.tracker.execution_counts,
         )
 
-    def test_modern_variant_plans_epoch_segments(self, example):
+    def test_modern_variant_re_anchors_once_per_epoch(self, example):
+        """The planner reads the counts only where it re-anchors: at
+        launches 0, 4 and 8 of a 10-launch batch with epoch 4."""
         policy = example.CoolestCornerPolicy(epoch=4)
-        policy.bind(GEOMETRY)
         allocator = ConfigurationAllocator(GEOMETRY, policy)
-        plans = list(
-            policy.plan_segments(
-                ScheduleView((CONFIG_A,) * 10), allocator.tracker
-            )
-        )
-        assert [(p.start, p.stop) for p in plans] == [(0, 4), (4, 8), (8, 10)]
+        anchors = []
+        re_anchor = policy._re_anchor
+
+        def spy(config, counts):
+            anchors.append(int(counts.sum()))
+            return re_anchor(config, counts)
+
+        policy._re_anchor = spy
+        allocator.allocate_batch((CONFIG_A,) * 10)
+        # CONFIG_A stresses two cells per launch.
+        assert anchors == [0, 8, 16]
 
     def test_scalar_and_planned_example_policy_agree(self, example):
         sequence = [CONFIG_A, CONFIG_A, CONFIG_B] * 7

@@ -257,8 +257,8 @@ class TestSyntheticScheduleReplay:
 
 
 class LegacyProbePolicy(AllocationPolicy):
-    """next_pivot-only policy that reads the tracker on every launch,
-    used to pin the base-class ``plan_segments`` at system level: the
+    """next_pivot-only policy that reads the counts on every launch,
+    used to pin the base-class ``plan_pivots`` at system level: the
     row steps per launch, the column is the row's least-executed one."""
 
     name = "legacy_probe"
@@ -270,10 +270,11 @@ class LegacyProbePolicy(AllocationPolicy):
         super().bind(geometry)
         self._step = 0
 
-    def next_pivot(self, config, tracker):
-        row = self._step % self.geometry.rows
+    def next_pivot(self, config, counts):
+        rows = self.geometry.rows
+        row = self._step % rows
         self._step += 1
-        return (row, int(np.argmin(tracker.execution_counts[row])))
+        return (row, int(np.argmin(counts.reshape(rows, -1)[row])))
 
 
 class TestLegacyPolicyReplay:
