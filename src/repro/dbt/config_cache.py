@@ -9,6 +9,11 @@ several mappers over one fabric: a virtual configuration placed by one
 mapper must never replay as if another mapper had produced it, so
 entries from different mappers can coexist without aliasing.
 
+Each resident :class:`CacheEntry` carries its unit and the two replay
+counters of the misspeculation monitor, so a launch probes the cache
+once and hands the probed entry to
+:meth:`repro.dbt.translator.DBTEngine.note_replay`.
+
 Capacity is expressed in entries; the bit cost of one entry for a given
 fabric geometry is available from
 :class:`repro.cgra.reconfig.ReconfigLogicSpec`.
@@ -25,9 +30,9 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_MAPPER_KEY",  # re-export: the cache's default namespace
+    "CacheEntry",
     "ConfigCache",
     "ConfigCacheStats",
-    "EntryStats",
 ]
 
 
@@ -53,11 +58,12 @@ class ConfigCacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class EntryStats:
-    """Replay monitoring counters for one cached unit (the two small
-    hardware counters of the adaptive DBT)."""
+@dataclass(slots=True)
+class CacheEntry:
+    """One resident unit and its replay monitoring counters (the two
+    small hardware counters of the adaptive DBT)."""
 
+    unit: VirtualConfiguration
     launches: int = 0
     misspeculations: int = 0
 
@@ -72,11 +78,11 @@ class EntryStats:
 @dataclass
 class ConfigCache:
     """LRU cache mapping (mapper identity, start PC) ->
-    :class:`VirtualConfiguration`.
+    :class:`CacheEntry`.
 
     ``mapper_key`` is the namespace that PC-based probes
-    (:meth:`lookup`, :meth:`remove`, :meth:`entry_stats`,
-    ``pc in cache``) resolve in; :meth:`insert` always files a unit
+    (:meth:`lookup`, :meth:`remove`, ``pc in cache``) resolve in;
+    :meth:`insert` always files a unit
     under the identity recorded on the unit itself, so stale
     cross-mapper reuse is structurally impossible even when one cache
     object is shared by several engines.
@@ -89,25 +95,21 @@ class ConfigCache:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ConfigurationError("config cache capacity must be >= 1")
-        self._entries: OrderedDict[
-            tuple[str, int], VirtualConfiguration
-        ] = OrderedDict()
-        self._entry_stats: dict[tuple[str, int], EntryStats] = {}
-
-    def _key(self, pc: int) -> tuple[str, int]:
-        return (self.mapper_key, pc)
+        self._entries: OrderedDict[tuple[str, int], CacheEntry] = (
+            OrderedDict()
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, pc: int) -> bool:
-        return self._key(pc) in self._entries
+        return (self.mapper_key, pc) in self._entries
 
-    def lookup(self, pc: int) -> VirtualConfiguration | None:
+    def lookup(self, pc: int) -> CacheEntry | None:
         """Probe the cache; counts a hit/miss and refreshes recency."""
-        key = self._key(pc)
-        unit = self._entries.get(key)
-        if unit is None:
+        key = (self.mapper_key, pc)
+        entry = self._entries.get(key)
+        if entry is None:
             self.stats.misses += 1
             if obs.state.enabled:
                 obs.count(f"config_cache.misses[{self.mapper_key}]")
@@ -116,7 +118,7 @@ class ConfigCache:
         self.stats.hits += 1
         if obs.state.enabled:
             obs.count(f"config_cache.hits[{self.mapper_key}]")
-        return unit
+        return entry
 
     def insert(self, unit: VirtualConfiguration) -> None:
         """Insert a freshly translated unit, evicting the LRU entry.
@@ -129,29 +131,20 @@ class ConfigCache:
         key = (unit.mapper_key, unit.start_pc)
         if key in self._entries:
             self._entries.move_to_end(key)
-            self._entries[key] = unit
-            self._entry_stats[key] = EntryStats()
+            self._entries[key] = CacheEntry(unit)
             return
         if len(self._entries) >= self.capacity:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._entry_stats.pop(evicted_key, None)
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
             if obs.state.enabled:
                 obs.count(f"config_cache.evictions[{unit.mapper_key}]")
-        self._entries[key] = unit
-        self._entry_stats[key] = EntryStats()
+        self._entries[key] = CacheEntry(unit)
         self.stats.insertions += 1
 
     def remove(self, pc: int) -> None:
         """Drop an entry (misspec-monitor blacklisting)."""
-        key = self._key(pc)
-        self._entries.pop(key, None)
-        self._entry_stats.pop(key, None)
-
-    def entry_stats(self, pc: int) -> EntryStats | None:
-        """Replay counters for the unit at ``pc``, if resident."""
-        return self._entry_stats.get(self._key(pc))
+        self._entries.pop((self.mapper_key, pc), None)
 
     def units(self) -> tuple[VirtualConfiguration, ...]:
         """All resident units (every mapper namespace), LRU-first."""
-        return tuple(self._entries.values())
+        return tuple(entry.unit for entry in self._entries.values())

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.cgra.configuration import VirtualConfiguration, greedy_identity
 from repro.cgra.fabric import FabricGeometry
-from repro.dbt.config_cache import ConfigCache
+from repro.dbt.config_cache import CacheEntry, ConfigCache
 from repro.dbt.window import UnitLimits, translate_unit, truncate_unit
 from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
@@ -147,8 +147,9 @@ class DBTEngine:
         self.cache.insert(unit)
         return unit
 
-    def note_replay(self, unit: VirtualConfiguration, matched: int) -> None:
-        """Feed the misspeculation monitor after a replay.
+    def note_replay(self, entry: CacheEntry, matched: int) -> None:
+        """Feed the misspeculation monitor after a replay of the unit
+        of ``entry``, the cache entry its launch probed.
 
         A unit that diverges on at least half of a minimum number of
         launches is truncated to the prefix that has been committing
@@ -157,14 +158,12 @@ class DBTEngine:
         blacklisted. This is the adaptive behaviour that keeps units
         with data-dependent branches from thrashing the fabric.
         """
-        stats = self.cache.entry_stats(unit.start_pc)
-        if stats is None:
-            return
-        stats.launches += 1
+        entry.launches += 1
+        unit = entry.unit
         if matched >= unit.n_instructions:
             return
-        stats.misspeculations += 1
-        if not stats.misspec_dominated(self.limits.misspec_monitor_launches):
+        entry.misspeculations += 1
+        if not entry.misspec_dominated(self.limits.misspec_monitor_launches):
             return
         truncated = truncate_unit(
             unit, matched, self.limits.min_instructions

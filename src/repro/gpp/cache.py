@@ -3,12 +3,13 @@
 Only hit/miss behaviour is modelled — no data storage — because the
 functional simulator already provides values. The model is shared by
 the instruction and data caches of the GPP and sized like the paper's
-embedded Rocket configuration by default.
+embedded Rocket configuration by default. Callers charge
+``misses * miss_penalty``: the GPP's icache per fetch, and the shared
+dcache once per stream (:func:`repro.gpp.timing.stream_dcache`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -26,7 +27,10 @@ class CacheParams:
         size_bytes: total capacity.
         line_bytes: cache line size.
         ways: associativity.
-        miss_penalty: extra cycles charged on a miss.
+        miss_penalty: extra cycles charged on a miss (>= 0).
+
+    Frozen and validated on construction: a cache's per-stream outcome
+    is memoised under its params.
     """
 
     size_bytes: int = 16 * 1024
@@ -40,6 +44,10 @@ class CacheParams:
                 raise ConfigurationError(f"{name} must be a power of two")
         if self.size_bytes < self.line_bytes * self.ways:
             raise ConfigurationError("cache smaller than one set")
+        if self.miss_penalty < 0:
+            raise ConfigurationError(
+                f"miss_penalty must be >= 0, got {self.miss_penalty}"
+            )
 
     @property
     def n_sets(self) -> int:
@@ -79,19 +87,6 @@ class CacheModel:
         self.hits += 1
         tags.insert(0, tag)
         return True
-
-    def access_cycles(self, address: int) -> int:
-        """Touch ``address``; return the miss penalty incurred (0 on hit)."""
-        return 0 if self.access(address) else self.params.miss_penalty
-
-    def span_cycles(self, addresses: Iterable[int]) -> int:
-        """Touch every address in order; return the total miss penalty
-        (one call per launched unit instead of one per access)."""
-        access = self.access
-        misses = self.misses
-        for address in addresses:
-            access(address)
-        return (self.misses - misses) * self.params.miss_penalty
 
     @property
     def accesses(self) -> int:

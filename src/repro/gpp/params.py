@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.gpp.cache import CacheParams
 from repro.isa.instructions import InstrClass
 
@@ -17,8 +18,10 @@ class GPPParams:
     gem5's TimingSimple model of a Rocket-class core.
 
     Attributes:
-        class_cycles: base cycles per instruction class.
-        branch_mispredict_penalty: pipeline refill cycles on mispredict.
+        class_cycles: base cycles per instruction class (every class,
+            each >= 0).
+        branch_mispredict_penalty: pipeline refill cycles on mispredict
+            (>= 0).
         predictor: a registered name from :mod:`repro.gpp.branch`
             (``"btfn"``, ``"taken"``, ``"bimodal"``, ``"gshare"``).
         icache: instruction cache geometry/penalty.
@@ -49,6 +52,25 @@ class GPPParams:
             size_bytes=16 * 1024, line_bytes=64, ways=4, miss_penalty=20
         )
     )
+
+    def __post_init__(self) -> None:
+        missing = [
+            cls.name for cls in InstrClass if cls not in self.class_cycles
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"class_cycles has no entry for {', '.join(missing)}"
+            )
+        for cls, cycles in self.class_cycles.items():
+            if cycles < 0:
+                raise ConfigurationError(
+                    f"class_cycles[{cls.name}] must be >= 0, got {cycles}"
+                )
+        if self.branch_mispredict_penalty < 0:
+            raise ConfigurationError(
+                "branch_mispredict_penalty must be >= 0, got "
+                f"{self.branch_mispredict_penalty}"
+            )
 
     def cycles_for(self, cls: InstrClass) -> int:
         """Base cycles for one instruction of class ``cls``."""

@@ -4,28 +4,83 @@ Walks a committed trace and accumulates cycles:
 
 ``cycles = sum(base cycles per class)
          + icache miss penalties (per fetch)
-         + dcache miss penalties (per load/store)
-         + branch mispredict penalties``
+         + branch mispredict penalties
+         + dcache misses of the stream * dcache miss penalty``
 
-One per-record cost, :meth:`GPPTimingModel.span_cycles`, reads the
-trace's columns; the stand-alone reference times a whole trace with it
-and the TransRec walk times the instructions that execute on the GPP
-side with it.
+The GPP and the CGRA share one L1 data cache, and every load/store of
+a stream passes through it exactly once, in stream order, on whichever
+side runs it. So a stream's dcache hit/miss sequence depends only on
+the stream and the cache's params, and its penalty is charged once per
+stream: :func:`stream_dcache` memoises the ``(misses, accesses)`` of
+each (stream, :class:`~repro.gpp.cache.CacheParams`) pair, weakly
+keyed on the stream. One per-record cost,
+:meth:`GPPTimingModel.span_cycles`, charges the rest from the trace's
+columns; the stand-alone reference times a whole trace with it and the
+TransRec walk times the instructions that execute on the GPP side with
+it, and both add the stream's dcache penalty once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from repro.gpp.branch import make_predictor
-from repro.gpp.cache import CacheModel
+from repro.gpp.cache import CacheModel, CacheParams
 from repro.gpp.params import GPPParams
 from repro.isa.instructions import InstrClass
-from repro.sim.trace import CLASS_MEMBERS, Trace
+from repro.sim.trace import ABSENT, CLASS_MEMBERS, Trace
 
 _BRANCH_CODE = CLASS_MEMBERS.index(InstrClass.BRANCH)
 
-__all__ = ["GPPTimingModel", "GPPTimingResult", "make_predictor"]
+__all__ = [
+    "CacheOutcome",
+    "GPPTimingModel",
+    "GPPTimingResult",
+    "clear_stream_dcache",
+    "make_predictor",
+    "stream_dcache",
+]
+
+
+class CacheOutcome(NamedTuple):
+    """Hit/miss outcome of one cold cache over a whole stream."""
+
+    misses: int
+    accesses: int
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.accesses if self.accesses else 0.0
+
+
+_STREAM_DCACHE: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def stream_dcache(trace: Trace, params: CacheParams) -> CacheOutcome:
+    """Outcome of a cold data cache with ``params`` that sees every
+    load/store of ``trace`` once, in order (memoised per process,
+    weakly keyed on the stream)."""
+    per_stream = _STREAM_DCACHE.get(trace)
+    if per_stream is None:
+        per_stream = _STREAM_DCACHE[trace] = {}
+    outcome = per_stream.get(params)
+    if outcome is None:
+        cache = CacheModel(params)
+        access = cache.access
+        addresses = trace.mem_addr_array
+        for address in memoryview(addresses[addresses != ABSENT]):
+            access(address)
+        outcome = per_stream[params] = CacheOutcome(
+            cache.misses, cache.accesses
+        )
+    return outcome
+
+
+def clear_stream_dcache() -> None:
+    """Drop every memoised :func:`stream_dcache` outcome."""
+    _STREAM_DCACHE.clear()
 
 
 @dataclass
@@ -70,7 +125,6 @@ class GPPTimingModel:
                 for column in (
                     trace.class_code_array,
                     trace.pc_array,
-                    trace.mem_addr_array,
                     trace.taken_array,
                     trace.static_index_array,
                 )
@@ -79,25 +133,23 @@ class GPPTimingModel:
         return columns
 
     def span_cycles(self, trace: Trace, start: int, stop: int) -> int:
-        """Cycles of ``trace[start:stop]`` executed in order on this GPP.
+        """Cycles of ``trace[start:stop]`` executed in order on this GPP,
+        without the dcache (charged once per stream).
 
         The model's one per-record cost: base cycles per class, plus
-        the icache penalty of every fetch, the dcache penalty of every
-        load/store and the refill penalty of every mispredicted branch.
-        Updates the cache and predictor state, and the running
-        :attr:`base_cycles` and :attr:`mispredicts` :meth:`run` reports.
+        the icache penalty of every fetch and the refill penalty of
+        every mispredicted branch. Updates the icache and predictor
+        state, and the running :attr:`base_cycles` and
+        :attr:`mispredicts` :meth:`run` reports.
         """
-        codes, pcs, addresses, outcomes, indices = self._columns_of(trace)
+        codes, pcs, outcomes, indices = self._columns_of(trace)
         imms = trace.table.imm
         class_cycles = self._class_cycles
         icache = self.icache
-        dcache = self.dcache
         icache_access = icache.access
-        dcache_access = dcache.access
         predict = self.predictor.predict
         update = self.predictor.update
         icache_misses = icache.misses
-        dcache_misses = dcache.misses
         base = 0
         mispredicts = 0
         for position in range(start, stop):
@@ -105,9 +157,6 @@ class GPPTimingModel:
             base += class_cycles[code]
             pc = pcs[position]
             icache_access(pc)
-            address = addresses[position]
-            if address >= 0:
-                dcache_access(address)
             if code == _BRANCH_CODE:
                 imm = imms[indices[position]]
                 taken = outcomes[position] == 1
@@ -119,35 +168,35 @@ class GPPTimingModel:
         return (
             base
             + (icache.misses - icache_misses) * icache.params.miss_penalty
-            + (dcache.misses - dcache_misses) * dcache.params.miss_penalty
             + mispredicts * self.params.branch_mispredict_penalty
         )
 
     def run(self, trace: Trace) -> GPPTimingResult:
         """Time a whole trace on a fresh GPP (state is reset first)."""
         self.reset()
-        total = self.span_cycles(trace, 0, len(trace))
         params = self.params
+        dcache = stream_dcache(trace, params.dcache)
+        dcache_miss_cycles = dcache.misses * params.dcache.miss_penalty
+        total = self.span_cycles(trace, 0, len(trace)) + dcache_miss_cycles
         return GPPTimingResult(
             cycles=total,
             instructions=len(trace),
             base_cycles=self.base_cycles,
             icache_miss_cycles=self.icache.misses * params.icache.miss_penalty,
-            dcache_miss_cycles=self.dcache.misses * params.dcache.miss_penalty,
+            dcache_miss_cycles=dcache_miss_cycles,
             mispredict_cycles=(
                 self.mispredicts * params.branch_mispredict_penalty
             ),
             icache_miss_rate=self.icache.miss_rate,
-            dcache_miss_rate=self.dcache.miss_rate,
+            dcache_miss_rate=dcache.miss_rate,
             icache_misses=self.icache.misses,
-            dcache_misses=self.dcache.misses,
+            dcache_misses=dcache.misses,
         )
 
     def reset(self) -> None:
-        """Reset caches, predictor and counts to their initial (cold)
-        state."""
+        """Reset the icache, predictor and counts to their initial
+        (cold) state."""
         self.icache = CacheModel(self.params.icache)
-        self.dcache = CacheModel(self.params.dcache)
         self.predictor.reset()
         #: Base (class) cycles charged since the last reset.
         self.base_cycles = 0

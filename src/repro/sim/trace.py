@@ -262,24 +262,6 @@ class Trace(Sequence[TraceRecord]):
         return _column(self.next_pc_array != self.pc_array + 4, bool)
 
     @cached_property
-    def _mem_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        positions = np.flatnonzero(self.mem_addr_array != ABSENT)
-        return (
-            _column(positions, np.int64),
-            _column(self.mem_addr_array[positions], np.int64),
-        )
-
-    @property
-    def mem_positions(self) -> np.ndarray:
-        """Sorted record indices of all loads/stores (read-only)."""
-        return self._mem_arrays[0]
-
-    @property
-    def mem_addresses(self) -> np.ndarray:
-        """Effective addresses aligned with :attr:`mem_positions`."""
-        return self._mem_arrays[1]
-
-    @cached_property
     def class_code_array(self) -> np.ndarray:
         """Per-record instruction-class codes (read-only int64).
 

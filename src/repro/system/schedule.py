@@ -15,7 +15,11 @@ per policy:
   the feedback loop that makes the launch stream policy-dependent).
   It then folds the launches recorded since the previous fold through
   the batch engine each time the mapper reads the stress map, and the
-  rest once at its end.
+  rest once at its end. The GPP and the fabric share one L1 data
+  cache that sees every load/store of the stream once, in stream
+  order, so the walk adds the stream's dcache penalty once
+  (:func:`repro.gpp.timing.stream_dcache`) instead of costing it per
+  launch and per GPP record.
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
   policy is applied to a recorded schedule, reconstructing the
   policy-dependent utilization tracker without touching the trace.
@@ -34,14 +38,14 @@ Schedules and the stand-alone GPP reference timing are memoised per
 process, keyed weakly by trace object, so serial campaigns and the
 experiment drivers share one walk per pipeline across the whole
 policy x seed axis. Nothing is cached across processes: a pool worker
-walks each pipeline of its schedule group once.
+walks each pipeline of its schedule group once. Each stream's dcache
+outcome is memoised the same way (by :mod:`repro.gpp.timing`).
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -65,7 +69,12 @@ from repro.dbt.config_cache import ConfigCache, ConfigCacheStats
 from repro.dbt.translator import DBTEngine
 from repro.errors import ConfigurationError
 from repro.frontend.speculative import clear_annotation_cache, speculative_trace
-from repro.gpp.timing import GPPTimingModel, GPPTimingResult
+from repro.gpp.timing import (
+    GPPTimingModel,
+    GPPTimingResult,
+    clear_stream_dcache,
+    stream_dcache,
+)
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
 from repro.sim.trace import (
@@ -313,7 +322,9 @@ def compute_schedule(
     The per-launch path reads only Python ints: launch costs are
     memoised per unit, trace columns are read through bytes and
     memoryviews, and op-kind counts are folded per unit by launch
-    multiplicity after the walk.
+    multiplicity after the walk. A launch probes the configuration
+    cache once and hands the probed entry to the misspeculation
+    monitor; the dcache penalty is the stream's, added once.
     """
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)
@@ -364,7 +375,6 @@ def compute_schedule(
     obs.count("schedule.walks")
     datapath = params.datapath
     misspeculation_penalty = datapath.misspeculation_penalty
-    dcache = gpp.dcache
     gpp_cycles = gpp.span_cycles
     lookup = cache.lookup
     note_replay = engine.note_replay
@@ -379,8 +389,6 @@ def compute_schedule(
     pc_width = trace.pc_array.itemsize
     head_flags = engine.unit_head_flags(trace).tobytes()
     class_codes = memoryview(trace.class_code_array)
-    mem_positions = memoryview(trace.mem_positions)
-    mem_addresses = memoryview(trace.mem_addresses)
 
     # Front-end annotation columns; only consulted on speculative
     # streams, so plain committed walks stay byte-identical and never
@@ -418,11 +426,12 @@ def compute_schedule(
     n_records = len(trace)
     while position < n_records:
         is_head = position == pending_head or head_flags[position]
-        unit = None
+        entry = None
         if is_head:
             config_cache_accesses += 1
-            unit = lookup(pcs[position])
-        if unit is not None:
+            entry = lookup(pcs[position])
+        if entry is not None:
+            unit = entry.unit
             if segment_start >= 0:
                 gpp_segments.append((segment_start, position))
                 segment_start = -1
@@ -442,12 +451,6 @@ def compute_schedule(
             end = position + matched
             cold = loaded_pc != unit.start_pc
             launch_cost = launch.launch_cycles[cold][chained]
-            # Data-cache effects of the unit's memory ops (shared L1) —
-            # only the precomputed load/store positions are touched.
-            lo = bisect_left(mem_positions, position)
-            hi = bisect_left(mem_positions, end, lo)
-            if hi > lo:
-                launch_cost += dcache.span_cycles(mem_addresses[lo:hi])
             if matched < length:
                 launch_cost += misspeculation_penalty
                 misspeculations += 1
@@ -479,7 +482,7 @@ def compute_schedule(
             else:
                 committed += matched
             loaded_pc = unit.start_pc
-            note_replay(unit, matched)
+            note_replay(entry, matched)
             cycles += launch_cost
             position = end
             pending_head = position
@@ -515,6 +518,11 @@ def compute_schedule(
         gpp_segments.append((segment_start, n_records))
     if allocator is not None:
         fold_launches()
+    # The shared L1 dcache sees every load/store of the stream once, in
+    # stream order, on whichever side runs it, and every cost above only
+    # adds into ``cycles``: its penalty is the stream's, charged once.
+    dcache = stream_dcache(trace, params.gpp.dcache)
+    cycles += dcache.misses * params.gpp.dcache.miss_penalty
     stats.launches = activity.launches = len(launch_configs)
     stats.cold_launches = cold_launches
     stats.committed_instructions = committed
@@ -527,7 +535,7 @@ def compute_schedule(
     activity.gpp_class_counts = {
         CLASS_MEMBERS[code]: count for code, count in gpp_class_counts.items()
     }
-    activity.cache_misses = gpp.icache.misses + gpp.dcache.misses
+    activity.cache_misses = gpp.icache.misses + dcache.misses
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure
     if speculative:
@@ -684,8 +692,10 @@ def gpp_reference(
 
 
 def clear_schedule_caches() -> None:
-    """Drop all in-process memoised schedules, GPP references and
-    front-end annotations (benchmarking and test isolation)."""
+    """Drop all in-process memoised schedules, GPP references, stream
+    dcache outcomes and front-end annotations (benchmarking and test
+    isolation)."""
     _SCHEDULE_CACHE.clear()
     _GPP_CACHE.clear()
+    clear_stream_dcache()
     clear_annotation_cache()

@@ -52,7 +52,7 @@ class TestConfigCache:
         cache.insert(unit_at(0x1000, n_ops=1))
         cache.insert(unit_at(0x1000, n_ops=3))
         assert len(cache) == 1
-        assert cache.lookup(0x1000).n_ops == 3
+        assert cache.lookup(0x1000).unit.n_ops == 3
 
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
@@ -111,7 +111,7 @@ class TestDBTEngine:
         engine = self.make_engine()
         unit = engine.translate_at(trace, 0)
         assert unit is not None
-        assert engine.cache.lookup(unit.start_pc) is unit
+        assert engine.cache.lookup(unit.start_pc).unit is unit
 
     def test_reject_remembered(self):
         trace = trace_of("li a0, 0\nli a7, 93\necall")

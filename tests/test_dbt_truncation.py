@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cgra.fabric import FabricGeometry
-from repro.dbt.config_cache import ConfigCache, EntryStats
+from repro.dbt.config_cache import CacheEntry, ConfigCache
 from repro.dbt.translator import DBTEngine, DBTLimits
 from repro.dbt.window import build_unit, truncate_unit
 
@@ -45,18 +45,26 @@ class TestTruncateUnit:
         assert shorter.start_pc == unit.start_pc
 
 
-class TestEntryStats:
-    def test_not_dominated_below_min_launches(self):
-        stats = EntryStats(launches=3, misspeculations=3)
-        assert not stats.misspec_dominated(min_launches=4)
+class TestCacheEntry:
+    def test_not_dominated_below_min_launches(self, unit):
+        entry = CacheEntry(unit, launches=3, misspeculations=3)
+        assert not entry.misspec_dominated(min_launches=4)
 
-    def test_dominated_at_half(self):
-        stats = EntryStats(launches=4, misspeculations=2)
-        assert stats.misspec_dominated(min_launches=4)
+    def test_dominated_at_half(self, unit):
+        entry = CacheEntry(unit, launches=4, misspeculations=2)
+        assert entry.misspec_dominated(min_launches=4)
 
-    def test_not_dominated_below_half(self):
-        stats = EntryStats(launches=10, misspeculations=4)
-        assert not stats.misspec_dominated(min_launches=4)
+    def test_not_dominated_below_half(self, unit):
+        entry = CacheEntry(unit, launches=10, misspeculations=4)
+        assert not entry.misspec_dominated(min_launches=4)
+
+
+def replay(engine, unit, matched):
+    """Probe the cache at ``unit``'s start PC, as a launch does, and
+    feed the monitor the probed entry; return that entry."""
+    entry = engine.cache.lookup(unit.start_pc)
+    engine.note_replay(entry, matched)
+    return entry
 
 
 class TestMonitor:
@@ -71,25 +79,28 @@ class TestMonitor:
         engine = self.make_engine()
         engine.cache.insert(unit)
         for _ in range(20):
-            engine.note_replay(unit, unit.n_instructions)
-        assert engine.cache.lookup(unit.start_pc) is unit
+            entry = replay(engine, unit, unit.n_instructions)
+        assert engine.cache.lookup(unit.start_pc) is entry
+        assert entry.unit is unit
+        assert (entry.launches, entry.misspeculations) == (20, 0)
         assert engine.cache.stats.truncations == 0
 
     def test_repeated_misspec_truncates(self, unit):
         engine = self.make_engine(misspec_monitor_launches=4)
         engine.cache.insert(unit)
         for _ in range(4):
-            engine.note_replay(unit, 6)
+            replay(engine, unit, 6)
         replacement = engine.cache.lookup(unit.start_pc)
         assert replacement is not None
-        assert replacement.n_instructions == 6
+        assert replacement.unit.n_instructions == 6
+        assert (replacement.launches, replacement.misspeculations) == (0, 0)
         assert engine.cache.stats.truncations == 1
 
     def test_short_divergence_blacklists(self, unit):
         engine = self.make_engine(misspec_monitor_launches=4)
         engine.cache.insert(unit)
         for _ in range(4):
-            engine.note_replay(unit, 1)  # diverges immediately
+            replay(engine, unit, 1)  # diverges immediately
         assert engine.cache.lookup(unit.start_pc) is None
         assert engine.cache.stats.blacklisted == 1
 
@@ -98,7 +109,7 @@ class TestMonitor:
         trace = straight_trace()
         engine.cache.insert(unit)
         for _ in range(4):
-            engine.note_replay(unit, 1)
+            replay(engine, unit, 1)
         assert engine.translate_at(trace, 0) is None
 
     def test_mixed_outcomes_below_half_survive(self, unit):
@@ -108,10 +119,7 @@ class TestMonitor:
         # ratio stays at 1/4, below the monitor's 1/2 trigger.
         for index in range(20):
             matched = 6 if index % 4 == 3 else unit.n_instructions
-            engine.note_replay(unit, matched)
-        assert engine.cache.lookup(unit.start_pc) is unit
-
-    def test_replay_of_untracked_unit_is_noop(self, unit):
-        engine = self.make_engine()
-        engine.note_replay(unit, 1)  # never inserted: must not raise
-        assert engine.cache.stats.truncations == 0
+            entry = replay(engine, unit, matched)
+        assert engine.cache.lookup(unit.start_pc) is entry
+        assert entry.unit is unit
+        assert (entry.launches, entry.misspeculations) == (20, 5)

@@ -1,9 +1,20 @@
-"""Tests for the set-associative cache model."""
+"""Tests for the set-associative cache model and the per-stream dcache
+outcome."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.gpp.cache import CacheModel, CacheParams
+from repro.gpp.timing import stream_dcache
+from repro.isa.instructions import InstrClass
+from repro.sim.trace import ABSENT, InstructionTable, Trace
+from repro.system.schedule import clear_schedule_caches
+
+from tests.support import trace_of
 
 
 def small_cache(ways=2, sets=2, line=16, penalty=10):
@@ -33,6 +44,11 @@ class TestParams:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigurationError):
             CacheParams(size_bytes=64, line_bytes=64, ways=4)
+
+    def test_negative_miss_penalty_rejected(self):
+        with pytest.raises(ConfigurationError, match="miss_penalty"):
+            CacheParams(miss_penalty=-20)
+        assert CacheParams(miss_penalty=0).miss_penalty == 0
 
 
 class TestBehaviour:
@@ -65,11 +81,6 @@ class TestBehaviour:
         assert cache.access(0x00)
         assert cache.access(0x10)
 
-    def test_access_cycles(self):
-        cache = small_cache(penalty=7)
-        assert cache.access_cycles(0x40) == 7
-        assert cache.access_cycles(0x40) == 0
-
     def test_stats(self):
         cache = small_cache()
         cache.access(0)
@@ -83,21 +94,87 @@ class TestBehaviour:
         assert cache.accesses == 0
         assert cache.miss_rate == 0.0
 
-    def test_span_cycles_matches_per_access_costing(self):
-        addresses = [(i * 52) % 3000 for i in range(400)] + [8, 8, 12, 8]
-        one_by_one = small_cache(ways=2, sets=8)
-        spanned = small_cache(ways=2, sets=8)
-        expected = sum(one_by_one.access_cycles(a) for a in addresses)
-        assert spanned.span_cycles(addresses[:150]) + spanned.span_cycles(
-            addresses[150:]
-        ) == expected
-        assert (spanned.hits, spanned.misses) == (
-            one_by_one.hits,
-            one_by_one.misses,
+
+#: One ALU and one load row: a stream's records index these.
+_TABLE = InstructionTable.from_rows(
+    [
+        (0x1000, "addi", InstrClass.ALU, 5, 5, None, 1, 0),
+        (0x1004, "lw", InstrClass.LOAD, 6, 5, None, 0, 4),
+    ]
+)
+
+
+def stream_trace(addresses):
+    """A trace with one load per address and one ALU record per
+    ``None``, in order."""
+    n_records = len(addresses)
+    return Trace(
+        _TABLE,
+        [0 if address is None else 1 for address in addresses],
+        [ABSENT if address is None else address for address in addresses],
+        [ABSENT] * n_records,
+        [ABSENT] * n_records,
+        [0x1000] * n_records,
+        name="stream",
+    )
+
+
+@st.composite
+def cache_params(draw):
+    line = 1 << draw(st.integers(2, 7))
+    ways = 1 << draw(st.integers(0, 3))
+    sets = 1 << draw(st.integers(0, 5))
+    return CacheParams(
+        size_bytes=line * ways * sets,
+        line_bytes=line,
+        ways=ways,
+        miss_penalty=draw(st.integers(0, 50)),
+    )
+
+
+class TestStreamOutcome:
+    @given(
+        params=cache_params(),
+        addresses=st.lists(
+            st.one_of(st.none(), st.integers(0, 1 << 14)), max_size=300
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_access_loop(self, params, addresses):
+        """A cold cache over the stream's loads/stores, one access at a
+        time, misses what the memoised outcome counts."""
+        cache = CacheModel(params)
+        for address in addresses:
+            if address is not None:
+                cache.access(address)
+        trace = stream_trace(addresses)
+        outcome = stream_dcache(trace, params)
+        assert (outcome.misses, outcome.accesses) == (
+            cache.misses,
+            cache.accesses,
         )
-        # Same LRU state: any later access sequence hits and misses alike.
-        probe = list(range(0, 3000, 40))
-        assert [spanned.access(a) for a in probe] == [
-            one_by_one.access(a) for a in probe
-        ]
-        assert spanned.span_cycles([]) == 0
+        assert outcome.miss_rate == cache.miss_rate
+        assert stream_dcache(trace, params) is outcome
+
+    def test_stream_without_memory_records(self):
+        trace = trace_of("li a0, 1\naddi a0, a0, 2\nli a7, 93\necall")
+        outcome = stream_dcache(trace, CacheParams())
+        assert (outcome.misses, outcome.accesses) == (0, 0)
+        assert outcome.miss_rate == 0.0
+
+    def test_empty_trace(self):
+        outcome = stream_dcache(stream_trace([]), CacheParams())
+        assert (outcome.misses, outcome.accesses) == (0, 0)
+        assert outcome.miss_rate == 0.0
+
+    def test_memo_returns_one_entry_until_schedules_clear(self):
+        trace = stream_trace([0, 64, 0, None, 128, 64])
+        params = CacheParams(size_bytes=128, line_bytes=64, ways=1)
+        outcome = stream_dcache(trace, params)
+        assert stream_dcache(trace, params) is outcome
+        # The outcome does not depend on the penalty.
+        charged = stream_dcache(trace, replace(params, miss_penalty=5))
+        assert charged == outcome == (3, 5)
+        clear_schedule_caches()
+        fresh = stream_dcache(trace, params)
+        assert fresh == outcome and fresh is not outcome

@@ -134,6 +134,33 @@ class TestPenalties:
         assert result.mispredict_cycles <= 30
 
 
+class TestParamsValidation:
+    def test_negative_mispredict_penalty_rejected(self):
+        with pytest.raises(ConfigurationError, match="mispredict"):
+            GPPParams(branch_mispredict_penalty=-3)
+
+    def test_negative_class_cycles_rejected(self):
+        cycles = dict(GPPParams().class_cycles)
+        cycles[InstrClass.LOAD] = -1
+        with pytest.raises(ConfigurationError, match="LOAD"):
+            GPPParams(class_cycles=cycles)
+
+    def test_missing_class_rejected(self):
+        with pytest.raises(ConfigurationError, match="MUL"):
+            GPPParams(class_cycles={InstrClass.ALU: 1})
+
+    def test_negative_cache_penalty_rejected(self):
+        with pytest.raises(ConfigurationError, match="miss_penalty"):
+            GPPParams(dcache=CacheParams(miss_penalty=-20))
+
+    def test_zero_costs_stay_legal(self):
+        params = ideal_params(
+            class_cycles={cls: 0 for cls in InstrClass}
+        )
+        trace = trace_of("li a0, 1\nli a7, 93\necall")
+        assert GPPTimingModel(params).run(trace).cycles == 0
+
+
 class TestPredictorsFactory:
     def test_known_predictors(self):
         for name in ("btfn", "taken", "bimodal"):

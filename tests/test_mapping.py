@@ -218,14 +218,14 @@ class TestConfigCacheMapperKeying:
         cache.insert(greedy_unit)  # filed under its own (greedy) key
         assert cache.lookup(greedy_unit.start_pc) is None  # no aliasing
         cache.insert(sa_unit)
-        assert cache.lookup(sa_unit.start_pc) is sa_unit
+        assert cache.lookup(sa_unit.start_pc).unit is sa_unit
         assert len(cache) == 2  # both entries coexist
 
     def test_default_namespace_matches_default_units(self):
         unit = self.unit()
         cache = ConfigCache(capacity=8)
         cache.insert(unit)
-        assert cache.lookup(unit.start_pc) is unit
+        assert cache.lookup(unit.start_pc).unit is unit
         assert unit.start_pc in cache
         cache.remove(unit.start_pc)
         assert unit.start_pc not in cache
@@ -250,7 +250,7 @@ class TestConfigCacheMapperKeying:
         unit = engine.translate_at(trace, 0)
         assert unit is not None
         assert unit.mapper_key == mapper.identity()
-        assert cache.lookup(unit.start_pc) is unit
+        assert cache.lookup(unit.start_pc).unit is unit
 
     def test_engine_rejects_mismatched_cache_namespace(self):
         mapper = SimulatedAnnealingMapper(seed=0)

@@ -24,7 +24,7 @@ import pytest
 from repro.cgra.fabric import FabricGeometry
 from repro.experiments.speculation import ARMS
 from repro.frontend.speculative import speculative_trace
-from repro.gpp.timing import GPPTimingModel
+from repro.gpp.timing import GPPTimingModel, stream_dcache
 from repro.isa.instructions import InstrClass
 from repro.sim.cpu import CPU
 from repro.sim.trace import (
@@ -233,19 +233,35 @@ def test_iss_front_end_and_gpp_reference_build_no_records(monkeypatch):
         trace[0]
 
 
-def test_gpp_cost_is_additive_over_spans():
-    """Timing a trace record by record, as the walk does on the GPP
-    side, costs exactly what the whole-trace reference charges."""
+@pytest.mark.parametrize("cut", ("per_record", "random"))
+def test_gpp_cost_is_additive_over_spans(cut):
+    """Timing a trace span by span — record by record, as the walk does
+    on the GPP side, or cut at random points — and adding the stream's
+    dcache penalty once costs exactly what the whole-trace reference
+    charges, with the same icache misses."""
     trace = run_workload("dijkstra")
     reference = GPPTimingModel().run(trace)
     model = GPPTimingModel()
+    params = model.params
+    if cut == "per_record":
+        bounds = list(range(len(trace) + 1))
+    else:
+        points = np.random.default_rng(0).choice(
+            np.arange(1, len(trace)), size=64, replace=False
+        )
+        bounds = [0, *sorted(points.tolist()), len(trace)]
     cycles = sum(
-        model.span_cycles(trace, position, position + 1)
-        for position in range(len(trace))
+        model.span_cycles(trace, start, stop)
+        for start, stop in zip(bounds, bounds[1:])
     )
-    assert cycles == reference.cycles
+    dcache = stream_dcache(trace, params.dcache)
+    assert cycles + dcache.misses * params.dcache.miss_penalty == (
+        reference.cycles
+    )
+    assert model.icache.misses == reference.icache_misses
+    assert dcache.misses == reference.dcache_misses
     assert model.base_cycles == reference.base_cycles
-    assert model.mispredicts * model.params.branch_mispredict_penalty == (
+    assert model.mispredicts * params.branch_mispredict_penalty == (
         reference.mispredict_cycles
     )
 

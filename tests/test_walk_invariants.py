@@ -12,25 +12,37 @@ schedule's launches put on the fabric: launches, cycles, per-cell
 counts and per-config footprints. The stress-coupled walk folds its
 launches in batches; its tracker equals a per-launch allocation loop
 over its schedule.
+
+The caches obey their own laws. The icache sees exactly the GPP side's
+fetches and the shared dcache every load/store of the stream once, in
+stream order, so the walk's cache misses equal two fresh replays; the
+dcache penalty is linear in the stream's misses, for the walk and the
+stand-alone reference alike. The configuration cache's telemetry
+counts the same probes and evictions as its stats.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.cgra.configuration import greedy_identity
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
 from repro.frontend import FrontEndSpec
 from repro.frontend.speculative import speculative_trace
-from repro.sim.trace import Trace
+from repro.gpp.cache import CacheModel
+from repro.sim.trace import ABSENT, Trace
 from repro.system import (
     SystemParams,
     compute_schedule,
     replay_schedule,
     shared_schedule,
 )
+from repro.system.schedule import gpp_reference
 from repro.workloads.suite import run_workload, workload_names
 from tests.support import POLICIES, POLICY_IDS, allocate_each
 from tests.test_batch_equivalence import assert_trackers_identical
@@ -47,6 +59,20 @@ def _walk(name, rows, cols, frontend):
     )
     stream = trace if frontend is None else speculative_trace(trace, frontend)
     return params, trace, stream, compute_schedule(params, trace)
+
+
+def _fresh_misses(cache_params, addresses):
+    """Misses of a cold cache that sees ``addresses`` in order."""
+    cache = CacheModel(cache_params)
+    for address in addresses:
+        cache.access(address)
+    return cache.misses
+
+
+def _memory_addresses(stream):
+    """Every load/store address of ``stream``, in stream order."""
+    addresses = stream.mem_addr_array
+    return addresses[addresses != ABSENT].tolist()
 
 
 def _first_seen_counts(keys_per_item):
@@ -100,6 +126,99 @@ def test_walk_conservation(name, rows, cols, frontend):
             == trace.n_committed
             == len(trace)
         )
+
+    # Cache misses: the icache sees the GPP side's fetches, the shared
+    # dcache every load/store of the stream, each in stream order.
+    fetched = [
+        pc for start, stop in segments
+        for pc in stream.pc_array[start:stop].tolist()
+    ]
+    assert activity.cache_misses == _fresh_misses(
+        params.gpp.icache, fetched
+    ) + _fresh_misses(params.gpp.dcache, _memory_addresses(stream))
+
+
+#: Data-cache miss penalty of the linearity law (any positive value).
+DCACHE_PENALTY = 37
+
+
+def _with_dcache_penalty(params, penalty):
+    gpp = params.gpp
+    return replace(
+        params,
+        gpp=replace(gpp, dcache=replace(gpp.dcache, miss_penalty=penalty)),
+    )
+
+
+@pytest.mark.parametrize("frontend", FRONTENDS, ids=("clean", "spec"))
+@pytest.mark.parametrize("name", workload_names())
+def test_dcache_penalty_is_linear_in_stream_misses(name, frontend):
+    """Raising only the dcache miss penalty from 0 to p adds exactly
+    misses x p cycles to the walk (misses of the stream it walks) and
+    to the stand-alone reference (misses of the committed trace), and
+    the reference's four cycle parts add up to its total."""
+    trace = run_workload(name)
+    stream = trace if frontend is None else speculative_trace(trace, frontend)
+    params = SystemParams(
+        geometry=FabricGeometry(rows=2, cols=16), frontend=frontend
+    )
+    walks, references = [], []
+    for penalty in (0, DCACHE_PENALTY):
+        point = _with_dcache_penalty(params, penalty)
+        walks.append(compute_schedule(point, trace))
+        references.append(gpp_reference(trace, point)[0])
+    dcache = params.gpp.dcache
+    stream_misses = _fresh_misses(dcache, _memory_addresses(stream))
+    trace_misses = _fresh_misses(dcache, _memory_addresses(trace))
+    if frontend is None:
+        assert stream_misses == trace_misses
+    free, charged = walks
+    assert charged.transrec_cycles - free.transrec_cycles == (
+        stream_misses * DCACHE_PENALTY
+    )
+    assert charged.activity.cache_misses == free.activity.cache_misses
+    free, charged = references
+    assert charged.cycles - free.cycles == trace_misses * DCACHE_PENALTY
+    assert charged.dcache_miss_cycles == trace_misses * DCACHE_PENALTY
+    for reference in references:
+        assert reference.dcache_misses == trace_misses
+        assert reference.cycles == (
+            reference.base_cycles
+            + reference.icache_miss_cycles
+            + reference.dcache_miss_cycles
+            + reference.mispredict_cycles
+        )
+
+
+@pytest.mark.parametrize("frontend", FRONTENDS, ids=("clean", "spec"))
+@pytest.mark.parametrize("name", ("dijkstra", "sha", "qsort"))
+def test_config_cache_telemetry_counts_its_stats(name, frontend):
+    """With telemetry on, the configuration cache's hit, miss and
+    eviction counters add what its stats count, and every probe the
+    walk makes is one hit or one miss (an 8-entry cache evicts)."""
+    params = SystemParams(
+        geometry=FabricGeometry(rows=2, cols=8),
+        frontend=frontend,
+        config_cache_entries=8,
+    )
+    trace = run_workload(name)
+    mapper_key = greedy_identity(params.dbt.row_policy)
+    names = [
+        f"config_cache.{event}[{mapper_key}]"
+        for event in ("hits", "misses", "evictions")
+    ]
+    counters = obs.state.counters
+    with obs.telemetry():
+        before = [counters.get(counter, 0) for counter in names]
+        schedule = compute_schedule(params, trace)
+        added = [
+            counters.get(counter, 0) - old
+            for counter, old in zip(names, before)
+        ]
+    stats = schedule.cache_stats
+    assert added == [stats.hits, stats.misses, stats.evictions]
+    assert stats.evictions > 0
+    assert schedule.activity.config_cache_accesses == stats.hits + stats.misses
 
 
 def _assert_tracker_conserves(schedule, tracker):
