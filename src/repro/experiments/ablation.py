@@ -4,8 +4,8 @@ Not a paper figure — this quantifies the choices DESIGN.md makes and
 the comparisons the paper argues qualitatively: movement-pattern
 equivalence, the static related-work placement ([19]) versus run-time
 rotation, and the misspeculation monitor's effect. Runs on a fast
-workload subset; the full-depth versions live in
-``benchmarks/bench_ablation.py``.
+workload subset; ``tests/test_ablation_claims.py`` asserts these
+comparisons and the stride, config-cache and branch-budget ones.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ enabled.
 
 Disabled (the default) everything is a near-zero no-op — one flag
 check per event — and no output changes anywhere. Enable with
-``REPRO_TELEMETRY=1``, :func:`set_enabled`, or the ``--profile`` CLI
-flags (which additionally capture spans to a trace file).
+``REPRO_TELEMETRY=1``, :func:`set_enabled`, or the ``--profile`` flag
+of ``repro.experiments`` (which additionally captures spans to a trace
+file).
 
 Quick start::
 
@@ -38,7 +39,6 @@ from repro.obs.core import (
     snapshot,
     span,
     state,
-    stopwatch,
     telemetry,
     timed,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "snapshot",
     "span",
     "state",
-    "stopwatch",
     "telemetry",
     "timed",
     "tracing",

@@ -4,10 +4,10 @@ The registry is process-wide and **disabled by default**: every
 recording entry point checks one module-level flag before doing any
 work, so instrumented hot paths pay a single attribute test (plus one
 function call for the convenience wrappers) when telemetry is off —
-the golden experiment outputs and the committed perf floors are
-measured in exactly this state. Set ``REPRO_TELEMETRY=1`` in the
-environment, call :func:`set_enabled`, or use the ``--profile`` flags
-on ``repro.experiments`` / ``benchmarks/run_bench.py`` to turn it on.
+the golden experiment outputs and the repository benchmark
+(``perfbench/``) are measured in exactly this state. Set
+``REPRO_TELEMETRY=1`` in the environment, call :func:`set_enabled`, or
+use the ``--profile`` flag of ``repro.experiments`` to turn it on.
 
 Three primitive families share the registry:
 
@@ -15,7 +15,7 @@ Three primitive families share the registry:
   (launches, cache hits, SA moves accepted, ...);
 * **values** (:func:`observe`) — min/max/total/count summaries of a
   named quantity (histogram-style aggregation without buckets);
-* **timers** (:func:`span`, :func:`stopwatch`, :func:`timed`) —
+* **timers** (:func:`span`, :func:`timed`) —
   min/max/total/count of wall-clock durations, one entry per phase
   name. When span capture is active
   (:func:`repro.obs.tracing.start`), every recorded timer also emits
@@ -52,7 +52,6 @@ __all__ = [
     "snapshot",
     "span",
     "state",
-    "stopwatch",
     "telemetry",
     "timed",
 ]
@@ -170,17 +169,16 @@ def _record(table: dict[str, list], name: str, value: float) -> None:
 
 
 class Stopwatch:
-    """Context manager timing one block.
+    """Context manager timing one named block (the enabled-mode span).
 
-    Always measures (``.elapsed`` in seconds after exit); records a
-    phase-timer entry — and a trace event while span capture is active
-    — only when telemetry is enabled *and* a name was given. Extra
-    keyword arguments become trace-event ``args``.
+    Measures ``.elapsed`` in seconds; on exit records a phase-timer
+    entry — and a trace event while span capture is active — if
+    telemetry is still enabled. ``args`` become trace-event ``args``.
     """
 
     __slots__ = ("name", "args", "elapsed", "_t0")
 
-    def __init__(self, name: str | None = None, args: dict | None = None):
+    def __init__(self, name: str, args: dict | None = None):
         self.name = name
         self.args = args
         self.elapsed = 0.0
@@ -192,7 +190,7 @@ class Stopwatch:
 
     def __exit__(self, *exc) -> bool:
         self.elapsed = time.perf_counter() - self._t0
-        if self.name is not None and state.enabled:
+        if state.enabled:
             _record(state.timers, self.name, self.elapsed)
             from repro.obs import tracing
 
@@ -226,13 +224,6 @@ def span(name: str, **args):
     a shared no-op (the instrumentation-site entry point)."""
     if not state.enabled:
         return _NULL_SPAN
-    return Stopwatch(name, args or None)
-
-
-def stopwatch(name: str | None = None, **args) -> Stopwatch:
-    """A stopwatch that *always* measures (callers that need
-    ``.elapsed`` regardless of the telemetry flag, e.g. benchmarks);
-    it still records into the registry only while enabled."""
     return Stopwatch(name, args or None)
 
 

@@ -19,7 +19,8 @@ per policy:
   cache that sees every load/store of the stream once, in stream
   order, so the walk adds the stream's dcache penalty once
   (:func:`repro.gpp.timing.stream_dcache`) instead of costing it per
-  launch and per GPP record.
+  launch and per GPP record; the GPP's other costs are charged once
+  per GPP segment.
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
   policy is applied to a recorded schedule, reconstructing the
   policy-dependent utilization tracker without touching the trace.
@@ -196,7 +197,8 @@ class LaunchSchedule:
         cache_stats: final configuration-cache counters (template).
         activity: energy-model activity summary of the walk.
         gpp_segments: half-open ``[start, stop)`` trace ranges executed
-            on the GPP side (diagnostics; replay never touches them).
+            on the GPP side, in stream order; the walk charges each one
+            GPP span (replay never touches them).
         units: the distinct unit objects of ``configs`` in first-launch
             order (derived; see :func:`~repro.core.policy.unit_column`).
         unit_index: per launch, the position of its unit in ``units``
@@ -375,7 +377,6 @@ def compute_schedule(
     obs.count("schedule.walks")
     datapath = params.datapath
     misspeculation_penalty = datapath.misspeculation_penalty
-    gpp_cycles = gpp.span_cycles
     lookup = cache.lookup
     note_replay = engine.note_replay
     stats = CGRAStats()
@@ -490,7 +491,6 @@ def compute_schedule(
         chained = False
         if segment_start < 0:
             segment_start = position
-        cycles += gpp_cycles(trace, position, position + 1)
         code = class_codes[position]
         gpp_class_counts[code] = gpp_class_counts.get(code, 0) + 1
         if speculative:
@@ -518,6 +518,10 @@ def compute_schedule(
         gpp_segments.append((segment_start, n_records))
     if allocator is not None:
         fold_launches()
+    # The GPP's icache and predictor see only GPP-side records, in
+    # stream order, so each segment is one span.
+    for start, stop in gpp_segments:
+        cycles += gpp.span_cycles(trace, start, stop)
     # The shared L1 dcache sees every load/store of the stream once, in
     # stream order, on whichever side runs it, and every cost above only
     # adds into ``cycles``: its penalty is the stream's, charged once.

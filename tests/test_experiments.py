@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import fig1, fig7, fig8, mapping_ablation, table1, table2
+from repro.experiments import (
+    fig1,
+    fig6,
+    fig7,
+    fig8,
+    mapping_ablation,
+    table1,
+    table2,
+)
 from repro.experiments.common import run_suite
 from repro.experiments.speculation import SpeculationResult
 
@@ -17,6 +25,11 @@ from repro.experiments.speculation import SpeculationResult
 @pytest.fixture(scope="module")
 def fig1_result():
     return fig1.run()
+
+
+@pytest.fixture(scope="module")
+def fig6_result():
+    return fig6.run()
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +56,40 @@ class TestFig1:
         row_means = fig1_result.utilization.mean(axis=1)
         assert all(a >= b for a, b in zip(row_means, row_means[1:]))
 
+    def test_column_decay(self, fig1_result):
+        col_means = fig1_result.utilization.mean(axis=0)
+        assert col_means[0] > 2 * col_means[-1]
+
     def test_render_mentions_paper(self, fig1_result):
         rendered = fig1.render(fig1_result)
         assert "paper" in rendered
         assert "100" in rendered
+
+
+class TestFig6:
+    def test_every_design_point_accelerates(self, fig6_result):
+        assert all(p.exec_time_ratio < 1.0 for p in fig6_result.points)
+
+    def test_energy_grows_and_occupation_falls_with_width(self, fig6_result):
+        by_shape = {(p.cols, p.rows): p for p in fig6_result.points}
+        for cols in (8, 16, 24, 32):
+            column = [by_shape[(cols, rows)] for rows in (2, 4, 8)]
+            energies = [p.energy_ratio for p in column]
+            utils = [p.avg_utilization for p in column]
+            assert energies[0] < energies[1] < energies[2]
+            assert utils[0] > utils[1] > utils[2]
+
+    def test_named_scenarios_keep_their_roles(self, fig6_result):
+        be, bp, bu = (fig6_result.scenarios[k] for k in ("BE", "BP", "BU"))
+        # BE is the energy minimum and below the GPP line; BP/BU are the
+        # fastest; BU has the lowest occupation.
+        assert be.energy_ratio < 1.0
+        assert be.energy_ratio < bp.energy_ratio < bu.energy_ratio
+        assert bp.speedup >= be.speedup
+        assert bu.avg_utilization < bp.avg_utilization < be.avg_utilization
+        # The paper's band is ~2.1-2.5x.
+        assert 1.5 < be.speedup < 3.0
+        assert 1.7 < bp.speedup < 3.2
 
 
 class TestFig7:
@@ -54,6 +97,14 @@ class TestFig7:
         assert fig7_result.baseline_max >= 0.90
         assert fig7_result.flatness >= 0.90
         assert 0.35 <= fig7_result.proposed_max <= 0.60
+        # Paper: 94.5 / 41.2 = 2.3x.
+        assert fig7_result.baseline_max / fig7_result.proposed_max >= 1.8
+
+    def test_balancing_keeps_the_configurations(self, fig7_result):
+        baseline = fig7_result.baseline_run.results
+        for name, proposed in fig7_result.proposed_run.results.items():
+            assert proposed.instructions == baseline[name].instructions
+            assert proposed.cgra.launches == baseline[name].cgra.launches
 
     def test_mean_stress_conserved(self, fig7_result):
         np.testing.assert_allclose(
@@ -89,6 +140,18 @@ class TestFig8:
     def test_delay_ordering(self, fig8_result):
         for curves in fig8_result.scenarios.values():
             assert (curves.proposed_delay < curves.baseline_delay).all()
+            assert (np.diff(curves.baseline_delay) > 0).all()
+            assert (np.diff(curves.proposed_delay) > 0).all()
+            assert curves.proposed_lifetime > curves.baseline_lifetime
+
+    def test_proposed_distribution_tighter_same_mean(self, fig8_result):
+        for curves in fig8_result.scenarios.values():
+            assert curves.proposed_values.std() < curves.baseline_values.std()
+            np.testing.assert_allclose(
+                curves.proposed_values.mean(),
+                curves.baseline_values.mean(),
+                rtol=1e-9,
+            )
 
     def test_lifetime_trend_with_size(self, fig8_result):
         improvements = [
@@ -117,6 +180,21 @@ class TestTable1:
             assert row.lifetime_improvement == pytest.approx(
                 row.baseline_worst / row.proposed_worst, rel=1e-9
             )
+
+    def test_worst_utilizations_and_size_trends(self, table1_result):
+        for row in table1_result.rows:
+            assert row.baseline_worst >= 0.90
+            # The proposed worst FU approaches the fabric mean from above.
+            assert row.proposed_worst >= row.avg_utilization * 0.95
+            assert row.proposed_worst <= row.avg_utilization * 1.5
+        be, bp, bu = ({r.scenario: r for r in table1_result.rows}[k]
+                      for k in ("BE", "BP", "BU"))
+        assert (
+            be.lifetime_improvement
+            < bp.lifetime_improvement
+            < bu.lifetime_improvement
+        )
+        assert be.avg_utilization > bp.avg_utilization > bu.avg_utilization
 
     def test_render_contains_scenarios(self, table1_result):
         rendered = table1.render(table1_result)

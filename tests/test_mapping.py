@@ -410,178 +410,6 @@ class TestSystemLevelAcceptance:
         )
 
 
-def _load_bench_module(stem):
-    import importlib.util
-    from pathlib import Path
-
-    bench_path = (
-        Path(__file__).resolve().parent.parent / "benchmarks" / f"{stem}.py"
-    )
-    spec = importlib.util.spec_from_file_location(stem, bench_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestPerfSmokeGuard:
-    """`check_perf_smoke.py` guards multiple metrics, including the
-    stress-aware replay floor, skipping metrics the history predates."""
-
-    def _run(self, tmp_path, history, argv=()):
-        module = _load_bench_module("check_perf_smoke")
-        path = tmp_path / "BENCH_alloc.json"
-        path.write_text(json.dumps({"history": history}))
-        return module.main(["--history", str(path), *argv])
-
-    def test_default_metrics_include_stress_aware_floor(self):
-        module = _load_bench_module("check_perf_smoke")
-        assert (
-            "schedule_replay_launches_per_sec_stress_aware"
-            in module.DEFAULT_METRICS
-        )
-        assert "batch_launches_per_sec" in module.DEFAULT_METRICS
-
-    def test_stress_aware_regression_fails(self, tmp_path):
-        history = [
-            {
-                "batch_launches_per_sec": 100.0,
-                "schedule_replay_launches_per_sec_stress_aware": 100.0,
-            },
-            {
-                "batch_launches_per_sec": 99.0,
-                "schedule_replay_launches_per_sec_stress_aware": 10.0,
-                "quick": True,
-            },
-        ]
-        assert self._run(tmp_path, history) == 1
-
-    def test_within_tolerance_passes(self, tmp_path):
-        history = [
-            {
-                "batch_launches_per_sec": 100.0,
-                "schedule_replay_launches_per_sec_stress_aware": 100.0,
-            },
-            {
-                "batch_launches_per_sec": 90.0,
-                "schedule_replay_launches_per_sec_stress_aware": 80.0,
-                "quick": True,
-            },
-        ]
-        assert self._run(tmp_path, history) == 0
-
-    def test_metric_missing_from_history_skipped(self, tmp_path):
-        history = [
-            {"batch_launches_per_sec": 100.0},
-            {"batch_launches_per_sec": 95.0, "quick": True},
-        ]
-        assert self._run(tmp_path, history) == 0
-
-    def test_explicit_metric_flags_override_defaults(self, tmp_path):
-        history = [
-            {"batch_launches_per_sec": 100.0, "other_metric": 100.0},
-            {
-                "batch_launches_per_sec": 99.0,
-                "other_metric": 1.0,
-                "quick": True,
-            },
-        ]
-        assert (
-            self._run(tmp_path, history, ("--metric", "batch_launches_per_sec"))
-            == 0
-        )
-        assert (
-            self._run(tmp_path, history, ("--metric", "other_metric")) == 1
-        )
-
-    def test_telemetry_records_never_form_the_floor(self, tmp_path):
-        # A slow profiled record would lower the floor to 10 and let
-        # the 50% drop through.
-        history = [
-            {"batch_launches_per_sec": 100.0},
-            {"batch_launches_per_sec": 10.0, "telemetry_enabled": True},
-            {"batch_launches_per_sec": 50.0, "quick": True},
-        ]
-        argv = ("--metric", "batch_launches_per_sec")
-        assert self._run(tmp_path, history, argv) == 1
-
-    def test_floor_is_minimum_of_last_window_committed(self, tmp_path):
-        module = _load_bench_module("check_perf_smoke")
-        history = [
-            {"batch_launches_per_sec": 10.0},
-            {"batch_launches_per_sec": 100.0},
-            {"batch_launches_per_sec": 60.0, "quick": True},
-            {"batch_launches_per_sec": 120.0},
-            {"batch_launches_per_sec": 110.0},
-            {"batch_launches_per_sec": 75.0, "quick": True},
-        ]
-        for window, floor in ((1, 110.0), (3, 100.0), (4, 10.0)):
-            candidate, baseline = module.find_candidate_and_baseline(
-                history, "batch_launches_per_sec", window
-            )
-            assert candidate is history[-1]
-            assert baseline == floor
-        argv = ("--metric", "batch_launches_per_sec", "--tolerance", "0.2")
-        assert self._run(
-            tmp_path, history, (*argv, "--baseline-window", "3")
-        ) == 1
-        assert self._run(
-            tmp_path, history, (*argv, "--baseline-window", "4")
-        ) == 0
-
-
-class TestBenchAppendHistory:
-    """`run_bench.py --append` accumulates a history list."""
-
-    @staticmethod
-    def _append_history():
-        return _load_bench_module("run_bench").append_history
-
-    def test_fresh_file_starts_history(self, tmp_path):
-        append_history = self._append_history()
-        output = tmp_path / "BENCH_alloc.json"
-        payload = append_history(output, {"scalar_launches_per_sec": 1.0})
-        assert [entry["scalar_launches_per_sec"] for entry in payload["history"]] == [
-            1.0
-        ]
-
-    def test_flat_legacy_payload_adopted(self, tmp_path):
-        append_history = self._append_history()
-        output = tmp_path / "BENCH_alloc.json"
-        output.write_text(json.dumps({"scalar_launches_per_sec": 1.0}))
-        payload = append_history(output, {"scalar_launches_per_sec": 2.0})
-        rates = [
-            entry["scalar_launches_per_sec"] for entry in payload["history"]
-        ]
-        assert rates == [1.0, 2.0]
-
-    def test_bare_list_payload_adopted(self, tmp_path):
-        append_history = self._append_history()
-        output = tmp_path / "BENCH_alloc.json"
-        output.write_text(json.dumps([{"scalar_launches_per_sec": 1.0}]))
-        payload = append_history(output, {"scalar_launches_per_sec": 2.0})
-        assert len(payload["history"]) == 2
-
-    def test_corrupt_payload_recovers_with_warning(self, tmp_path, capsys):
-        append_history = self._append_history()
-        output = tmp_path / "BENCH_alloc.json"
-        output.write_text("{truncated")
-        payload = append_history(output, {"scalar_launches_per_sec": 2.0})
-        assert len(payload["history"]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_history_keeps_growing(self, tmp_path):
-        append_history = self._append_history()
-        output = tmp_path / "BENCH_alloc.json"
-        for index in range(3):
-            payload = append_history(
-                output, {"scalar_launches_per_sec": float(index)}
-            )
-            output.write_text(json.dumps(payload))
-        assert [
-            entry["scalar_launches_per_sec"] for entry in payload["history"]
-        ] == [0.0, 1.0, 2.0]
-
-
 class TestPlaceWindow:
     def test_rejects_unmappable_record(self):
         from tests.support import rec, reset_rec_pcs
