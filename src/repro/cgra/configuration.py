@@ -105,35 +105,47 @@ class VirtualConfiguration:
     def __post_init__(self) -> None:
         if not self.ops:
             raise ConfigurationError("configuration has no operations")
+        # One column bitmask per row. Every op's own checks run before
+        # an overlap is reported, and the cell reported is the first one
+        # the op order and each op's columns reach.
+        rows, cols = self.geometry_rows, self.geometry_cols
+        busy = [0] * rows
+        overlap = None
         for op in self.ops:
-            if op.width < 1:
+            row, col, width = op.row, op.col, op.width
+            if width < 1:
                 # Every launch must stress at least one FU: the batch
                 # allocator's stress fold relies on it.
                 raise ConfigurationError(
-                    f"op {op.op} at ({op.row},{op.col}) spans "
-                    f"{op.width} columns; ops span at least one"
+                    f"op {op.op} at ({row},{col}) spans "
+                    f"{width} columns; ops span at least one"
                 )
-            if op.row < 0 or op.col < 0:
+            if row < 0 or col < 0:
                 # Cells lie inside the grid, so no two of them can wrap
                 # onto one physical cell of any fabric they fit.
                 raise ConfigurationError(
-                    f"op {op.op} at ({op.row},{op.col}) lies before the "
+                    f"op {op.op} at ({row},{col}) lies before the "
                     f"grid's origin"
                 )
-            if op.row >= self.geometry_rows or op.end_col > self.geometry_cols:
+            if row >= rows or col + width > cols:
                 raise ConfigurationError(
-                    f"op {op.op} at ({op.row},{op.col})+{op.width} exceeds "
-                    f"{self.geometry_rows}x{self.geometry_cols} grid"
+                    f"op {op.op} at ({row},{col})+{width} exceeds "
+                    f"{rows}x{cols} grid"
                 )
-        seen: set[tuple[int, int]] = set()
-        for op in self.ops:
-            for cell in op.cells():
-                if cell in seen:
-                    raise ConfigurationError(f"overlapping ops at cell {cell}")
-                seen.add(cell)
-        object.__setattr__(
-            self, "_cells", tuple(sorted(seen))
-        )
+            mask = ((1 << width) - 1) << col
+            clash = busy[row] & mask
+            if clash and overlap is None:
+                overlap = (row, (clash & -clash).bit_length() - 1)
+            busy[row] |= mask
+        if overlap is not None:
+            raise ConfigurationError(f"overlapping ops at cell {overlap}")
+        cells = []
+        for row, mask in enumerate(busy):
+            while mask:
+                low = mask & -mask
+                cells.append((row, low.bit_length() - 1))
+                mask ^= low
+        object.__setattr__(self, "_cells", tuple(cells))
 
     @property
     def cells(self) -> tuple[tuple[int, int], ...]:

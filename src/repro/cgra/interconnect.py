@@ -74,21 +74,6 @@ def pressure_profile(
     return np.cumsum(diff[:n_cols])
 
 
-class _LiveValue:
-    """One in-flight routed value: availability boundary and the last
-    boundary already charged to the pressure profile."""
-
-    __slots__ = ("avail", "last")
-
-    def __init__(self, avail: int) -> None:
-        self.avail = avail
-        self.last = avail - 1  # nothing charged yet
-
-    def charge_range(self, col: int) -> range:
-        """Boundaries newly covered if a consumer reads at ``col``."""
-        return range(max(self.avail, self.last + 1), col + 1)
-
-
 class LinePressureTracker:
     """Incremental context-line pressure bookkeeping for one unit.
 
@@ -97,42 +82,69 @@ class LinePressureTracker:
     profile computation so the two can never drift. ``limit`` is the
     hard budget (``None`` = elastic: everything fits, pressure is still
     tracked for reporting).
+
+    Each register's current value is held as the last boundary already
+    charged to the profile (one before the value's availability until
+    a consumer reads it). A consumer at column ``c`` extends the value
+    to ``c``: it charges the boundaries after the last charged one, up
+    to ``c``. A consumer reads at most :data:`OPERANDS_PER_FU` registers,
+    and a register read twice is one value on one line.
     """
 
     def __init__(self, n_cols: int, limit: int | None) -> None:
         self.limit = limit
         self.pressure = [0] * (n_cols + 1)
-        self._values: dict[int, _LiveValue] = {}  # reg -> current value
+        self._last: dict[int, int] = {}  # reg -> last charged boundary
 
     def define(self, reg: int, end_col: int) -> None:
         """A new value for ``reg`` becomes available at ``end_col``."""
-        self._values[reg] = _LiveValue(end_col)
+        self._last[reg] = end_col - 1  # nothing charged yet
 
-    def _live(self, regs: Iterable[int]) -> set[_LiveValue]:
-        return {
-            self._values[reg] for reg in regs if reg in self._values
-        }
+    def _firsts(self, regs: tuple[int, ...], col: int) -> tuple[int, int]:
+        """The first boundary a consumer at ``col`` newly charges for
+        each source value, in ascending order (``col + 1``: none)."""
+        if len(regs) > OPERANDS_PER_FU:
+            raise ValueError(
+                f"a consumer reads at most {OPERANDS_PER_FU} registers, "
+                f"got {regs}"
+            )
+        last = self._last
+        end = col + 1
+        first = second = end
+        if regs:
+            charged = last.get(regs[0])
+            if charged is not None and charged < col:
+                first = charged + 1
+            if len(regs) == 2 and regs[1] != regs[0]:
+                charged = last.get(regs[1])
+                if charged is not None and charged < col:
+                    second = charged + 1
+        return (first, second) if first <= second else (second, first)
 
-    def fits(self, regs: Iterable[int], col: int) -> bool:
+    def fits(self, regs: tuple[int, ...], col: int) -> bool:
         """Whether a consumer of ``regs`` at ``col`` stays in budget."""
-        if self.limit is None:
+        limit = self.limit
+        if limit is None:
             return True
-        added: dict[int, int] = {}
-        for value in self._live(regs):
-            for boundary in value.charge_range(col):
-                added[boundary] = added.get(boundary, 0) + 1
-        return all(
-            self.pressure[boundary] + extra <= self.limit
-            for boundary, extra in added.items()
-        )
+        low, high = self._firsts(regs, col)
+        # One new line on [low, high), two on [high, col].
+        pressure = self.pressure
+        if low < high and max(pressure[low:high]) >= limit:
+            return False
+        return high > col or max(pressure[high : col + 1]) + 2 <= limit
 
-    def charge(self, regs: Iterable[int], col: int) -> None:
+    def charge(self, regs: tuple[int, ...], col: int) -> None:
         """Commit a consumer of ``regs`` at ``col``."""
-        for value in self._live(regs):
-            for boundary in value.charge_range(col):
-                self.pressure[boundary] += 1
-            if col > value.last:
-                value.last = col
+        low, high = self._firsts(regs, col)
+        pressure = self.pressure
+        for boundary in range(low, high):
+            pressure[boundary] += 1
+        for boundary in range(high, col + 1):
+            pressure[boundary] += 2
+        last = self._last
+        for reg in regs:
+            if reg in last and last[reg] < col:
+                last[reg] = col
 
     @property
     def peak(self) -> int:

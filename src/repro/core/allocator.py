@@ -32,8 +32,9 @@ Two entry points share one fold:
 * :meth:`ConfigurationAllocator.allocate` — one launch: the policy's
   ``next_pivot`` hook picks the pivot from a read-only view of the
   tracker's counts, and the launch is folded as a one-launch
-  histogram. A loop of it is the reference the batch path is
-  property-tested against.
+  histogram through fold tables built once per unit and allocator. A
+  loop of it is the reference the batch path is property-tested
+  against.
 
 Consecutive batches on one allocator equal one batch of the
 concatenated launches, so a caller may defer launches and fold them
@@ -138,6 +139,11 @@ class ConfigurationAllocator:
         self.tracker = UtilizationTracker(geometry)
         policy.bind(geometry)
         self.launches = 0
+        # allocate's one-unit fold tables, per unit identity (the entry
+        # holds the unit, so its id is not reused while it lives here).
+        self._unit_tables: dict[
+            int, tuple[VirtualConfiguration, FoldTables]
+        ] = {}
 
     def allocate(
         self, config: VirtualConfiguration, cycles: int = 1
@@ -174,6 +180,12 @@ class ConfigurationAllocator:
         )
         if not (0 <= row < self.geometry.rows and 0 <= col < self.geometry.cols):
             raise self._pivot_error(self._policy_origin(), (row, col))
+        entry = self._unit_tables.get(id(config))
+        if entry is None:
+            entry = self._unit_tables[id(config)] = (
+                config,
+                FoldTables(self.geometry, (config,)),
+            )
         batch = BatchPlacement(
             geometry=self.geometry,
             configs=(config,),
@@ -181,11 +193,7 @@ class ConfigurationAllocator:
             cycles=np.asarray([cycles], dtype=np.int64),
         )
         self._fold(
-            FoldTables(self.geometry, batch.configs),
-            batch.configs,
-            _ONE_LAUNCH,
-            batch.pivots,
-            batch.cycles,
+            entry[1], batch.configs, _ONE_LAUNCH, batch.pivots, batch.cycles
         )
         return batch.placement(0)
 

@@ -6,11 +6,20 @@ the instruction and data caches of the GPP and sized like the paper's
 embedded Rocket configuration by default. Callers charge
 ``misses * miss_penalty``: the GPP's icache per fetch, and the shared
 dcache once per stream (:func:`repro.gpp.timing.stream_dcache`).
+
+Both feed whole address arrays through :meth:`CacheModel.access_many`,
+which merges runs of accesses to one line. The merge is exact: an
+access leaves its line the most recent of its set, so an access to the
+line the access before it touched is a hit that reorders nothing. Only
+the first access of each run can change the LRU state or miss; every
+repeat adds one hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -87,6 +96,26 @@ class CacheModel:
         self.hits += 1
         tags.insert(0, tag)
         return True
+
+    def access_many(self, addresses: np.ndarray) -> None:
+        """Touch every address of the int array ``addresses``, in order.
+
+        Equivalent to :meth:`access` per address: only the first access
+        of each run on one line goes through it, and each repeat counts
+        one hit (a repeat hits the most recent line of its set).
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if not addresses.size:
+            return
+        lines = addresses >> self._offset_bits
+        run_heads = np.empty(lines.size, dtype=bool)
+        run_heads[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=run_heads[1:])
+        heads = addresses[run_heads].tolist()
+        access = self.access
+        for address in heads:
+            access(address)
+        self.hits += addresses.size - len(heads)
 
     @property
     def accesses(self) -> int:

@@ -53,6 +53,22 @@ def _column(values, dtype) -> np.ndarray:
     return column
 
 
+def class_histogram(codes: np.ndarray) -> dict[InstrClass, int]:
+    """Records per class among the class codes ``codes``, keyed in
+    first-occurrence order.
+
+    Downstream energy sums iterate the dict, so its insertion order is
+    part of the bit-identical contract with a per-record count.
+    """
+    counts = np.bincount(codes, minlength=len(CLASS_MEMBERS))
+    present = np.flatnonzero(counts).tolist()
+    first = [int(np.argmax(codes == code)) for code in present]
+    return {
+        CLASS_MEMBERS[code]: int(counts[code])
+        for _, code in sorted(zip(first, present))
+    }
+
+
 @dataclass(slots=True)
 class TraceRecord:
     """One committed instruction (a view built from a :class:`Trace`).
@@ -273,21 +289,7 @@ class Trace(Sequence[TraceRecord]):
 
     @cached_property
     def _class_counts(self) -> Counter[InstrClass]:
-        codes = self.class_code_array
-        if codes.size == 0:
-            return Counter()
-        values, first_index = np.unique(codes, return_index=True)
-        counts = np.bincount(codes)
-        # Preserve first-occurrence order: downstream energy sums
-        # iterate the dict, so insertion order is part of the
-        # bit-identical contract with the per-record Counter walk.
-        order = np.argsort(first_index, kind="stable")
-        return Counter(
-            {
-                CLASS_MEMBERS[int(values[i])]: int(counts[values[i]])
-                for i in order
-            }
-        )
+        return Counter(class_histogram(self.class_code_array))
 
     def class_counts(self) -> Counter[InstrClass]:
         """Histogram of committed instructions by functional class.

@@ -19,8 +19,9 @@ per policy:
   cache that sees every load/store of the stream once, in stream
   order, so the walk adds the stream's dcache penalty once
   (:func:`repro.gpp.timing.stream_dcache`) instead of costing it per
-  launch and per GPP record; the GPP's other costs are charged once
-  per GPP segment.
+  launch and per GPP record. The GPP's other costs come from one pass
+  over the positions of all its GPP segments
+  (:meth:`repro.gpp.timing.GPPTimingModel.cycles_at`).
 * **Phase B — replay** (:func:`replay_schedule`): any allocation
   policy is applied to a recorded schedule, reconstructing the
   policy-dependent utilization tracker without touching the trace.
@@ -78,12 +79,7 @@ from repro.gpp.timing import (
 )
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
-from repro.sim.trace import (
-    CLASS_MEMBERS,
-    KIND_COMMITTED,
-    KIND_WRONG_PATH,
-    Trace,
-)
+from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace
 from repro.system.params import SystemParams
 from repro.system.stats import CGRAStats
 
@@ -197,8 +193,8 @@ class LaunchSchedule:
         cache_stats: final configuration-cache counters (template).
         activity: energy-model activity summary of the walk.
         gpp_segments: half-open ``[start, stop)`` trace ranges executed
-            on the GPP side, in stream order; the walk charges each one
-            GPP span (replay never touches them).
+            on the GPP side, in stream order; the walk times their union
+            in one GPP pass (replay never touches them).
         units: the distinct unit objects of ``configs`` in first-launch
             order (derived; see :func:`~repro.core.policy.unit_column`).
         unit_index: per launch, the position of its unit in ``units``
@@ -298,6 +294,20 @@ def _matched_prefix(
     return limit
 
 
+def _segment_positions(segments: list[tuple[int, int]]) -> np.ndarray:
+    """The record positions of ascending, disjoint half-open
+    ``segments``, in order (int64)."""
+    if not segments:
+        return np.empty(0, dtype=np.int64)
+    starts, stops = np.array(segments, dtype=np.int64).T
+    lengths = stops - starts
+    # Position i of the union is i plus the gap before its segment.
+    gaps = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        gaps, lengths
+    )
+
+
 def compute_schedule(
     params: SystemParams,
     trace: Trace,
@@ -326,7 +336,13 @@ def compute_schedule(
     memoryviews, and op-kind counts are folded per unit by launch
     multiplicity after the walk. A launch probes the configuration
     cache once and hands the probed entry to the misspeculation
-    monitor; the dcache penalty is the stream's, added once.
+    monitor. A GPP-side record costs the walk only its segment
+    bookkeeping: after the walk, the segments become one ascending
+    array of record positions, and one
+    :meth:`~repro.gpp.timing.GPPTimingModel.cycles_at` pass over it
+    gives both the GPP cycles and the GPP class counts (in first-seen
+    order, as the energy model's float sums need). The dcache penalty
+    is the stream's, added once.
     """
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)
@@ -381,7 +397,6 @@ def compute_schedule(
     note_replay = engine.note_replay
     stats = CGRAStats()
     activity = SystemActivity(fabric_cells=geometry.n_cells)
-    gpp_class_counts: dict[int, int] = {}
     unit_launches: dict[int, _UnitLaunch] = {}
     gpp_segments: list[tuple[int, int]] = []
 
@@ -389,7 +404,6 @@ def compute_schedule(
     pc_bytes = trace.pc_array.tobytes()
     pc_width = trace.pc_array.itemsize
     head_flags = engine.unit_head_flags(trace).tobytes()
-    class_codes = memoryview(trace.class_code_array)
 
     # Front-end annotation columns; only consulted on speculative
     # streams, so plain committed walks stay byte-identical and never
@@ -491,8 +505,6 @@ def compute_schedule(
         chained = False
         if segment_start < 0:
             segment_start = position
-        code = class_codes[position]
-        gpp_class_counts[code] = gpp_class_counts.get(code, 0) + 1
         if speculative:
             gap = flush_gaps[position]
             if gap:
@@ -519,9 +531,8 @@ def compute_schedule(
     if allocator is not None:
         fold_launches()
     # The GPP's icache and predictor see only GPP-side records, in
-    # stream order, so each segment is one span.
-    for start, stop in gpp_segments:
-        cycles += gpp.span_cycles(trace, start, stop)
+    # stream order: one pass over the union of the segments.
+    cycles += gpp.cycles_at(trace, _segment_positions(gpp_segments))
     # The shared L1 dcache sees every load/store of the stream once, in
     # stream order, on whichever side runs it, and every cost above only
     # adds into ``cycles``: its penalty is the stream's, charged once.
@@ -536,9 +547,7 @@ def compute_schedule(
     activity.cold_config_bits = cold_config_bits
     activity.config_cache_accesses = config_cache_accesses
     activity.cycles = cycles
-    activity.gpp_class_counts = {
-        CLASS_MEMBERS[code]: count for code, count in gpp_class_counts.items()
-    }
+    activity.gpp_class_counts = gpp.class_counts
     activity.cache_misses = gpp.icache.misses + dcache.misses
     stats.cgra_cycles = cycles
     stats.peak_line_pressure = engine.peak_line_pressure

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.allocator import ConfigurationAllocator
+from repro.gpp.branch import make_predictor
+from repro.gpp.cache import CacheModel
+from repro.gpp.params import GPPParams
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.cpu import CPU
@@ -92,6 +95,50 @@ POLICY_IDS = (
     "stress_aware-interval8",
     "stress_aware-default",
 )
+
+
+class PerRecordGPP:
+    """The GPP's cost, one record at a time: the oracle for
+    :meth:`repro.gpp.timing.GPPTimingModel.cycles_at`.
+
+    :meth:`time` charges each record its class's base cycles, fetches
+    its PC through the icache and, for a branch, asks and updates the
+    predictor, carrying that state from call to call.
+    """
+
+    def __init__(self, params: GPPParams) -> None:
+        self.params = params
+        self.icache = CacheModel(params.icache)
+        self.predictor = make_predictor(params.predictor)
+        self.base_cycles = 0
+        self.mispredicts = 0
+        self.class_counts: dict[InstrClass, int] = {}
+
+    def time(self, trace: Trace, positions) -> int:
+        """Cycles of the records at ``positions``, in the given order,
+        without the dcache."""
+        params = self.params
+        misses = self.icache.misses
+        base = mispredicts = 0
+        for position in positions:
+            record = trace[int(position)]
+            base += params.cycles_for(record.cls)
+            self.class_counts[record.cls] = (
+                self.class_counts.get(record.cls, 0) + 1
+            )
+            self.icache.access(record.pc)
+            if record.cls is InstrClass.BRANCH:
+                offset = record.imm if record.imm is not None else 0
+                if self.predictor.predict(record.pc, offset) != record.taken:
+                    mispredicts += 1
+                self.predictor.update(record.pc, record.taken)
+        self.base_cycles += base
+        self.mispredicts += mispredicts
+        return (
+            base
+            + (self.icache.misses - misses) * params.icache.miss_penalty
+            + mispredicts * params.branch_mispredict_penalty
+        )
 
 
 def allocate_each(schedule, geometry, policy) -> ConfigurationAllocator:

@@ -1,6 +1,8 @@
 """Tests for fabric geometry, FU latencies and configurations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cgra.configuration import PlacedOp, VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
@@ -153,3 +155,97 @@ class TestVirtualConfiguration:
                           trace_offset=1, is_branch=True)
         config = make_config([alu_op(0, 0), branch])
         assert config.n_branches == 1
+
+
+def set_based_cells(ops, rows, cols):
+    """The set-based validation :class:`VirtualConfiguration` ran before
+    its row bitmasks, kept as their oracle: every op's width, origin
+    and bounds checks, then per-op cell tuples into a set, sorted."""
+    if not ops:
+        raise ConfigurationError("configuration has no operations")
+    for op in ops:
+        if op.width < 1:
+            raise ConfigurationError(
+                f"op {op.op} at ({op.row},{op.col}) spans "
+                f"{op.width} columns; ops span at least one"
+            )
+        if op.row < 0 or op.col < 0:
+            raise ConfigurationError(
+                f"op {op.op} at ({op.row},{op.col}) lies before the "
+                f"grid's origin"
+            )
+        if op.row >= rows or op.end_col > cols:
+            raise ConfigurationError(
+                f"op {op.op} at ({op.row},{op.col})+{op.width} exceeds "
+                f"{rows}x{cols} grid"
+            )
+    seen = set()
+    for op in ops:
+        for cell in op.cells():
+            if cell in seen:
+                raise ConfigurationError(f"overlapping ops at cell {cell}")
+            seen.add(cell)
+    return tuple(sorted(seen))
+
+
+def _outcome(build):
+    """``("cells", cells)`` or the raised exception's type and message."""
+    try:
+        return ("cells", build())
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+@st.composite
+def op_lists(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 12))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                # Mostly inside the grid, sometimes past either edge.
+                st.integers(-1, rows),
+                st.integers(-1, cols),
+                st.integers(0, 4),
+            ),
+            max_size=10,
+        )
+    )
+    placed = [
+        PlacedOp(
+            op=f"op{index}", kind=FUKind.ALU, row=row, col=col,
+            width=width, trace_offset=index,
+        )
+        for index, (row, col, width) in enumerate(ops)
+    ]
+    return placed, rows, cols
+
+
+class TestRowBitmaskValidation:
+    @given(case=op_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_based_check(self, case):
+        """The same cells, or the same exception type and message, as
+        the set-based check: every op's own checks still run before an
+        overlap is reported, and the overlap names the first cell the
+        op order reaches."""
+        ops, rows, cols = case
+        expected = _outcome(lambda: set_based_cells(ops, rows, cols))
+        actual = _outcome(
+            lambda: make_config(ops, rows=rows, cols=cols).cells
+        )
+        assert actual == expected
+
+    def test_bounds_error_after_an_overlap_wins(self):
+        # The overlap comes first in op order, but every op's bounds are
+        # checked before any overlap is reported.
+        ops = [alu_op(0, 0), alu_op(0, 0, offset=1), alu_op(5, 0, offset=2)]
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            make_config(ops, rows=2)
+
+    def test_overlap_names_first_clashing_cell(self):
+        wide = PlacedOp(op="lw", kind=FUKind.LOAD, row=1, col=1, width=4,
+                        trace_offset=1)
+        ops = [alu_op(1, 3), wide]
+        with pytest.raises(ConfigurationError, match=r"cell \(1, 3\)"):
+            make_config(ops)

@@ -373,3 +373,26 @@ class TestAllocatorProperties:
         c = config(cells, rows=2, cols=8)
         placement = alloc.allocate(c)
         assert len(set(placement.cells)) == len(cells)
+
+
+class TestPerLaunchFoldTables:
+    @pytest.mark.parametrize("policy_name", ("baseline", "rotation"))
+    def test_units_sharing_a_start_pc_fold_their_own_cells(self, policy_name):
+        """``allocate`` keeps one unit's fold tables for its later
+        launches, per unit: two units with one start PC (a re-translation
+        after an eviction, say) each stress their own cells, as a batch
+        that builds its tables afresh does."""
+        narrow = config([(0, 0)], start_pc=0x2000)
+        wide = config([(0, 0), (0, 1), (1, 2)], start_pc=0x2000)
+        launches = [narrow, wide, narrow, wide, wide, narrow]
+        each, batch = allocator(policy_name), allocator(policy_name)
+        for unit in launches:
+            each.allocate(unit, cycles=2)
+        batch.allocate_batch(launches, cycles=2)
+        np.testing.assert_array_equal(
+            each.tracker.execution_counts, batch.tracker.execution_counts
+        )
+        np.testing.assert_array_equal(
+            each.tracker.cycle_counts, batch.tracker.cycle_counts
+        )
+        assert each.tracker.config_footprints == batch.tracker.config_footprints

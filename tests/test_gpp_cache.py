@@ -3,6 +3,7 @@ outcome."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,3 +179,44 @@ class TestStreamOutcome:
         clear_schedule_caches()
         fresh = stream_dcache(trace, params)
         assert fresh == outcome and fresh is not outcome
+
+
+class TestAccessMany:
+    @given(
+        params=cache_params(),
+        chunks=st.lists(
+            # Runs of nearby addresses (start, length, stride), so that
+            # consecutive accesses often share a line.
+            st.lists(
+                st.tuples(
+                    st.integers(0, 1 << 12),
+                    st.integers(1, 6),
+                    st.integers(0, 8),
+                ),
+                max_size=30,
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_address_loop(self, params, chunks):
+        """Hits, misses and the final LRU order of every set equal a
+        per-address ``access`` loop's, over consecutive calls."""
+        merged, looped = CacheModel(params), CacheModel(params)
+        for runs in chunks:
+            chunk = [
+                start + stride * step
+                for start, length, stride in runs
+                for step in range(length)
+            ]
+            merged.access_many(np.array(chunk, dtype=np.int64))
+            for address in chunk:
+                looped.access(address)
+        assert (merged.hits, merged.misses) == (looped.hits, looped.misses)
+        assert merged._sets == looped._sets
+
+    def test_repeats_are_hits_that_keep_lru_order(self):
+        cache = small_cache(ways=2, sets=1, line=16)
+        cache.access_many(np.array([0x00, 0x04, 0x10, 0x14, 0x18, 0x00]))
+        assert (cache.hits, cache.misses) == (4, 2)
+        assert cache._sets == [[0, 1]]

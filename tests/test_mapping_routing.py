@@ -182,6 +182,131 @@ class TestPressurePrimitives:
 # ----------------------------------------------------------------------
 
 
+class SetBasedLinePressure:
+    """The set-and-range :class:`LinePressureTracker` the greedy
+    scheduler charged through before it read its two source values
+    directly, kept as the oracle: one object per defined value, the
+    live values of a consumer as a set, one ``range`` per value."""
+
+    class Value:
+        def __init__(self, avail):
+            self.avail = avail
+            self.last = avail - 1
+
+        def charge_range(self, col):
+            return range(max(self.avail, self.last + 1), col + 1)
+
+    def __init__(self, n_cols, limit):
+        self.limit = limit
+        self.pressure = [0] * (n_cols + 1)
+        self._values = {}
+
+    def define(self, reg, end_col):
+        self._values[reg] = self.Value(end_col)
+
+    def _live(self, regs):
+        return {self._values[reg] for reg in regs if reg in self._values}
+
+    def fits(self, regs, col):
+        if self.limit is None:
+            return True
+        added = {}
+        for value in self._live(regs):
+            for boundary in value.charge_range(col):
+                added[boundary] = added.get(boundary, 0) + 1
+        return all(
+            self.pressure[boundary] + extra <= self.limit
+            for boundary, extra in added.items()
+        )
+
+    def charge(self, regs, col):
+        for value in self._live(regs):
+            for boundary in value.charge_range(col):
+                self.pressure[boundary] += 1
+            if col > value.last:
+                value.last = col
+
+
+#: Registers 1-3 get defined; 9 never does (a window live-in).
+_SOURCE_REGS = st.sampled_from((1, 2, 3, 9))
+
+
+@st.composite
+def pressure_events(draw):
+    n_cols = draw(st.integers(1, 10))
+    limit = draw(st.one_of(st.none(), st.integers(0, 3)))
+    events = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("define"),
+                    st.sampled_from((1, 2, 3)),
+                    st.integers(0, n_cols),
+                ),
+                st.tuples(
+                    st.sampled_from(("charge", "fits")),
+                    # rs1 == rs2 and undefined sources are drawn often.
+                    st.lists(_SOURCE_REGS, max_size=2).map(tuple),
+                    st.integers(0, n_cols - 1),
+                ),
+            ),
+            max_size=25,
+        )
+    )
+    return n_cols, limit, events
+
+
+class TestLinePressureParity:
+    @given(case=pressure_events())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_based_tracker(self, case):
+        """Every ``fits`` answer, the profile after every event and the
+        peak equal the set-and-range tracker's."""
+        n_cols, limit, events = case
+        tracker = LinePressureTracker(n_cols, limit)
+        oracle = SetBasedLinePressure(n_cols, limit)
+        for name, regs, col in events:
+            if name == "define":
+                tracker.define(regs, col)
+                oracle.define(regs, col)
+            elif name == "charge":
+                tracker.charge(regs, col)
+                oracle.charge(regs, col)
+            else:
+                assert tracker.fits(regs, col) == oracle.fits(regs, col)
+            assert tracker.pressure == oracle.pressure
+        assert tracker.peak == max(oracle.pressure)
+
+    @pytest.mark.parametrize("limit", (None, 1, 2))
+    def test_register_read_twice_is_one_line(self, limit):
+        tracker = LinePressureTracker(8, limit=limit)
+        tracker.define(4, 1)
+        tracker.define(5, 2)
+        tracker.charge((4, 4), 3)  # x4 on boundaries 1..3, once
+        assert tracker.pressure[:5] == [0, 1, 1, 1, 0]
+        # x4 extends to 5 while x5 takes 2..5: two lines on 4..5.
+        assert tracker.fits((4, 5), 5) == (limit is None or limit >= 2)
+        tracker.charge((5, 4), 5)
+        assert tracker.pressure[:7] == [0, 1, 2, 2, 2, 2, 0]
+
+    def test_undefined_source_occupies_no_line(self):
+        tracker = LinePressureTracker(8, limit=1)
+        tracker.define(2, 1)
+        assert tracker.fits((9, 2), 3)
+        tracker.charge((9, 2), 3)
+        tracker.charge((2, 9), 4)
+        assert tracker.pressure[:6] == [0, 1, 1, 1, 1, 0]
+        assert tracker.fits((9, 9), 6)
+        tracker.define(3, 2)
+        assert not tracker.fits((3, 9), 4)  # x3 needs a 2nd line on 2..4
+        assert tracker.fits((9, 3), 1)      # before x3's availability
+
+    def test_more_than_two_sources_rejected(self):
+        tracker = LinePressureTracker(8, limit=None)
+        with pytest.raises(ValueError, match="at most 2"):
+            tracker.charge((1, 2, 3), 4)
+
+
 class TestValueIntervals:
     def test_chain_and_fanout(self):
         reset_rec_pcs()

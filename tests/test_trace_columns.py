@@ -233,29 +233,46 @@ def test_iss_front_end_and_gpp_reference_build_no_records(monkeypatch):
         trace[0]
 
 
-@pytest.mark.parametrize("cut", ("per_record", "random"))
+@pytest.mark.parametrize("cut", ("per_record", "random", "sparse"))
 def test_gpp_cost_is_additive_over_spans(cut):
-    """Timing a trace span by span — record by record, as the walk does
-    on the GPP side, or cut at random points — and adding the stream's
-    dcache penalty once costs exactly what the whole-trace reference
-    charges, with the same icache misses."""
+    """The GPP cost is a partition law over record positions. Timing
+    the pieces of an ordered partition of a position set one after
+    another on one model charges what one pass over their union does,
+    with the same icache, base cycles, mispredicts and first-seen class
+    counts: the whole trace record by record, as the walk's GPP side
+    once timed it, or cut at random points, and a sparse random
+    position set, as the walk's GPP side is, cut at random points.
+    Over the whole trace, adding the stream's dcache penalty once gives
+    the stand-alone reference."""
     trace = run_workload("dijkstra")
-    reference = GPPTimingModel().run(trace)
-    model = GPPTimingModel()
-    params = model.params
+    rng = np.random.default_rng(0)
+    positions = np.arange(len(trace))
+    if cut == "sparse":
+        positions = positions[rng.random(positions.size) < 0.3]
     if cut == "per_record":
-        bounds = list(range(len(trace) + 1))
+        pieces = np.split(positions, positions.size)
     else:
-        points = np.random.default_rng(0).choice(
-            np.arange(1, len(trace)), size=64, replace=False
-        )
-        bounds = [0, *sorted(points.tolist()), len(trace)]
-    cycles = sum(
-        model.span_cycles(trace, start, stop)
-        for start, stop in zip(bounds, bounds[1:])
+        points = rng.choice(np.arange(1, positions.size), size=64, replace=False)
+        pieces = np.split(positions, np.sort(points))
+    whole = GPPTimingModel()
+    expected = whole.cycles_at(trace, positions)
+    model = GPPTimingModel()
+    assert sum(model.cycles_at(trace, piece) for piece in pieces) == expected
+    assert (model.icache.hits, model.icache.misses) == (
+        whole.icache.hits,
+        whole.icache.misses,
     )
+    assert model.base_cycles == whole.base_cycles
+    assert model.mispredicts == whole.mispredicts
+    assert list(model.class_counts.items()) == list(
+        whole.class_counts.items()
+    )
+    if cut == "sparse":
+        return
+    reference = GPPTimingModel().run(trace)
+    params = model.params
     dcache = stream_dcache(trace, params.dcache)
-    assert cycles + dcache.misses * params.dcache.miss_penalty == (
+    assert expected + dcache.misses * params.dcache.miss_penalty == (
         reference.cycles
     )
     assert model.icache.misses == reference.icache_misses
@@ -263,6 +280,9 @@ def test_gpp_cost_is_additive_over_spans(cut):
     assert model.base_cycles == reference.base_cycles
     assert model.mispredicts * params.branch_mispredict_penalty == (
         reference.mispredict_cycles
+    )
+    assert list(model.class_counts.items()) == list(
+        trace.class_counts().items()
     )
 
 
