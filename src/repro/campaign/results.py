@@ -79,9 +79,6 @@ class SuiteRun:
             )
         return float(np.exp(np.mean(np.log(speedups))))
 
-    def geomean_exec_time_ratio(self) -> float:
-        return 1.0 / self.geomean_speedup()
-
     def energy_ratio(self) -> float:
         """Suite-total energy ratio (sums, not geomean, so big and
         small workloads weigh by their actual energy).

@@ -53,19 +53,8 @@ def _build_params(
     geometry = FabricGeometry(
         rows=point.rows, cols=point.cols, ctx_lines=point.ctx_lines
     )
-    if base_params is None:
-        return SystemParams(
-            geometry=geometry,
-            policy=point.policy.name,
-            policy_kwargs=point.policy.as_kwargs(),
-            mapper=point.mapper.name,
-            mapper_kwargs=point.mapper.as_kwargs(),
-            frontend=point.frontend,
-        )
-    # dataclasses.replace keeps every other (including future) field
-    # of the override params intact.
     return replace(
-        base_params,
+        base_params or SystemParams(geometry=geometry),
         geometry=geometry,
         policy=point.policy.name,
         policy_kwargs=point.policy.as_kwargs(),
@@ -184,8 +173,9 @@ class CampaignRunner:
             schedule groups out over a process pool.
         artifact_dir: when given, one JSON summary per design point and
             a ``campaign.json`` manifest are written there.
-        base_params: timing/energy parameter overrides applied to every
-            design point (geometry and policy are taken from the point).
+        base_params: timing parameter overrides applied to every
+            design point (geometry, mapper, policy and front end are
+            taken from the point).
         retry: :class:`~repro.resilience.RetryPolicy` governing how
             pool-task failures (worker crashes, hangs, transient
             exceptions) are retried before a group is quarantined
@@ -220,8 +210,7 @@ class CampaignRunner:
         """Partition point indices into schedule-sharing groups.
 
         Points with equal :func:`~repro.system.schedule.schedule_key`
-        (same geometry, mapper identity, DBT/cache/GPP/datapath
-        parameters — everything but the allocation policy) and equal
+        (every parameter but the allocation policy) and equal
         workloads walk each trace once and replay it per policy.
         Stress-coupled points get singleton groups.
         """

@@ -3,10 +3,8 @@
 A campaign enumerates design points — (geometry, mapper, policy,
 workload set) combinations — without running anything. Seeds expand
 seedable policies (``random``) and seedable mappers (``annealing``)
-into design points, either as a cross product (``seed_mode="cross"``,
-the default: every seeded policy meets every seeded mapper) or paired
-(``seed_mode="paired"``: seed *s* means policy seed *s* with mapper
-seed *s*, one point per seed — the variance-study expansion).
+into design points as a cross product: every seeded policy meets every
+seeded mapper.
 
 Geometries are ``(rows, cols)`` shapes, optionally ``(rows, cols,
 ctx_lines)`` to declare a hard context-line routing budget for the
@@ -15,7 +13,7 @@ whole pipeline (see :attr:`repro.cgra.fabric.FabricGeometry.routing_budget`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.policy import available_policies, policy_class
 from repro.errors import ConfigurationError
@@ -222,12 +220,6 @@ def _geometry_parts(shape: tuple) -> tuple[int, int, int | None]:
     )
 
 
-#: Seed-expansion modes: ``cross`` pairs every seeded policy with every
-#: seeded mapper; ``paired`` ties them — seed *s* means (policy seed s,
-#: mapper seed s).
-SEED_MODES = ("cross", "paired")
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """Cross product of geometries x mappers x policies x workloads x
@@ -243,14 +235,10 @@ class CampaignSpec:
         workloads: suite member names; empty selects the full suite.
         seeds: when non-empty, every *seedable* policy and mapper is
             expanded into seed variants (non-seedable ones are kept
-            as-is) — this is how the annealing mapper is seeded
+            as-is) and the two are crossed — ``len(seeds)**2``
+            points per (geometry, seedable mapper, seedable policy)
+            combination; this is how the annealing mapper is seeded
             deterministically from the campaign seed.
-        seed_mode: ``"cross"`` (default) expands policy and mapper
-            seeds independently and takes the cross product —
-            ``len(seeds)**2`` points per (geometry, seedable mapper,
-            seedable policy) combination. ``"paired"`` ties them: seed
-            *s* means (policy seed s, mapper seed s), one point per
-            seed — the variance-study expansion from the ROADMAP.
         frontends: speculative front ends to evaluate; entries may be
             ``None`` for the clean committed stream. Empty selects the
             clean stream only (the pre-front-end behaviour).
@@ -263,7 +251,6 @@ class CampaignSpec:
     seeds: tuple[int, ...] = ()
     name: str = "campaign"
     mappers: tuple[MapperSpec, ...] = ()
-    seed_mode: str = "cross"
     frontends: tuple[FrontEndSpec | None, ...] = ()
 
     def __post_init__(self) -> None:
@@ -271,11 +258,6 @@ class CampaignSpec:
             raise ConfigurationError("campaign needs at least one geometry")
         if not self.policies:
             raise ConfigurationError("campaign needs at least one policy")
-        if self.seed_mode not in SEED_MODES:
-            raise ConfigurationError(
-                f"unknown seed mode {self.seed_mode!r}; "
-                f"available: {list(SEED_MODES)}"
-            )
         for shape in self.geometries:
             rows, cols, ctx_lines = _geometry_parts(shape)
             if rows < 1 or cols < 1:
@@ -314,36 +296,9 @@ class CampaignSpec:
         """Mappers with seed expansion applied (seedable ones only)."""
         return _expand_seeds(self.resolved_mappers(), self.seeds)
 
-    def _seed_combinations(
-        self,
-    ) -> tuple[tuple[MapperSpec, PolicySpec], ...]:
-        """(mapper, policy) pairs after seed expansion, per
-        ``seed_mode``."""
-        if self.seed_mode == "cross" or not self.seeds:
-            return tuple(
-                (mapper, policy)
-                for mapper in self.expanded_mappers()
-                for policy in self.expanded_policies()
-            )
-        # Paired: seed s pins every seedable component to s at once.
-        pairs: list[tuple[MapperSpec, PolicySpec]] = []
-        for mapper in self.resolved_mappers():
-            for policy in self.policies:
-                if not mapper.seedable and not policy.seedable:
-                    pairs.append((mapper, policy))
-                    continue
-                for seed in self.seeds:
-                    pairs.append(
-                        (
-                            mapper.with_seed(seed) if mapper.seedable else mapper,
-                            policy.with_seed(seed) if policy.seedable else policy,
-                        )
-                    )
-        return tuple(pairs)
-
     def design_points(self) -> tuple[DesignPoint, ...]:
         """Every design point: geometries outermost, then front ends,
-        then mappers, policies innermost (in paired mode, then seeds).
+        then mappers, policies innermost.
 
         Raises:
             ConfigurationError: on duplicate design points (repeated
@@ -352,6 +307,8 @@ class CampaignSpec:
                 keyed by point.
         """
         workloads = self.resolved_workloads()
+        mappers = self.expanded_mappers()
+        policies = self.expanded_policies()
         points = tuple(
             DesignPoint(
                 rows=rows,
@@ -364,7 +321,8 @@ class CampaignSpec:
             )
             for rows, cols, ctx_lines in map(_geometry_parts, self.geometries)
             for frontend in self.resolved_frontends()
-            for mapper, policy in self._seed_combinations()
+            for mapper in mappers
+            for policy in policies
         )
         seen: set[DesignPoint] = set()
         for point in points:
@@ -377,15 +335,12 @@ class CampaignSpec:
             seen.add(point)
         return points
 
-    def with_workloads(self, workloads: tuple[str, ...]) -> "CampaignSpec":
-        return replace(self, workloads=workloads)
-
     def to_jsonable(self) -> dict:
         """Manifest form (see ``campaign.json`` artifacts).
 
-        The ``mappers``, ``seed_mode`` and ``frontends`` entries are
-        emitted only for campaigns that set them, keeping pre-mapper,
-        pre-routing and pre-front-end manifests byte-identical.
+        The ``mappers`` and ``frontends`` entries are emitted only for
+        campaigns that set them, keeping pre-mapper, pre-routing and
+        pre-front-end manifests byte-identical.
         """
         payload = {
             "name": self.name,
@@ -402,8 +357,6 @@ class CampaignSpec:
                 {"name": mapper.name, "kwargs": mapper.as_kwargs()}
                 for mapper in self.mappers
             ]
-        if self.seed_mode != "cross":
-            payload["seed_mode"] = self.seed_mode
         if self.frontends:
             payload["frontends"] = [
                 spec.to_jsonable() if spec is not None else None
@@ -413,7 +366,19 @@ class CampaignSpec:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "CampaignSpec":
-        """Inverse of :meth:`to_jsonable`."""
+        """Inverse of :meth:`to_jsonable`.
+
+        Raises:
+            ConfigurationError: on a manifest that names a
+                ``seed_mode``: seeds expand only as a cross product, so
+                a manifest asking for another expansion cannot be
+                reproduced.
+        """
+        if "seed_mode" in payload:
+            raise ConfigurationError(
+                f"campaign manifest sets seed_mode {payload['seed_mode']!r};"
+                " seeds expand only as a cross product, so remove the entry"
+            )
         return cls(
             name=payload.get("name", "campaign"),
             geometries=tuple(
@@ -430,7 +395,6 @@ class CampaignSpec:
                 MapperSpec.make(entry["name"], **entry.get("kwargs", {}))
                 for entry in payload.get("mappers", ())
             ),
-            seed_mode=payload.get("seed_mode", "cross"),
             frontends=tuple(
                 FrontEndSpec.from_jsonable(entry) if entry is not None else None
                 for entry in payload.get("frontends", ())

@@ -37,12 +37,11 @@ class FabricGeometry:
     cols: int
     n_config_lines: int = 4
     ctx_lines: int | None = None
-    #: Whether ``ctx_lines`` was user-specified (derived, not compared:
-    #: an explicit budget equal to the default sizing describes the
-    #: same hardware, it just also declares the routing constraint).
-    ctx_lines_declared: bool = field(
-        init=False, default=False, repr=False, compare=False
-    )
+    #: Whether ``ctx_lines`` was user-specified (derived). It takes
+    #: part in equality and hashing: an explicit budget equal to the
+    #: default sizing describes the same hardware but routes under a
+    #: hard constraint, so memos keyed on a geometry keep the two apart.
+    ctx_lines_declared: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self) -> None:
         if not MIN_ROWS <= self.rows <= MAX_ROWS:

@@ -24,9 +24,8 @@ from repro.campaign import (
     PolicySpec,
     SuiteRun,
 )
-from repro.workloads.suite import workload_names
 
-__all__ = ["SuiteRun", "run_suite", "suite_size"]
+__all__ = ["SuiteRun", "run_suite"]
 
 
 def run_suite(
@@ -38,29 +37,16 @@ def run_suite(
     **policy_kwargs,
 ) -> SuiteRun:
     """Run the full verified suite on one design point (memoised)."""
-    key = (
-        rows,
-        cols,
-        policy,
-        tuple(sorted(policy_kwargs.items())),
-        mapper,
-        tuple(sorted((mapper_kwargs or {}).items())),
+    return _run_suite_cached(
+        CampaignSpec(
+            geometries=((rows, cols),),
+            policies=(PolicySpec.make(policy, **policy_kwargs),),
+            mappers=(MapperSpec.make(mapper, **(mapper_kwargs or {})),),
+            name=f"suite_L{cols}xW{rows}_{policy}",
+        )
     )
-    return _run_suite_cached(key)
 
 
 @lru_cache(maxsize=64)
-def _run_suite_cached(key) -> SuiteRun:
-    rows, cols, policy, policy_kwargs, mapper, mapper_kwargs = key
-    spec = CampaignSpec(
-        geometries=((rows, cols),),
-        policies=(PolicySpec(name=policy, kwargs=policy_kwargs),),
-        mappers=(MapperSpec(name=mapper, kwargs=mapper_kwargs),),
-        name=f"suite_L{cols}xW{rows}_{policy}",
-    )
+def _run_suite_cached(spec: CampaignSpec) -> SuiteRun:
     return CampaignRunner().run(spec).only_run()
-
-
-def suite_size() -> int:
-    """Number of workloads in the suite."""
-    return len(workload_names())

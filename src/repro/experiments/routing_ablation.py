@@ -84,9 +84,6 @@ class RoutingAblationResult:
         default_factory=dict
     )
 
-    def pressure_of(self, workload: str, arm: str) -> int:
-        return self.per_workload[workload][arm][0]
-
 
 def _run_arm(traces, shape: tuple, mapper_kwargs: dict) -> SuiteRun:
     spec = CampaignSpec(

@@ -147,15 +147,8 @@ def _fleet_params(
     geometry = FabricGeometry(
         rows=spec.rows, cols=spec.cols, ctx_lines=spec.ctx_lines
     )
-    if base_params is None:
-        return SystemParams(
-            geometry=geometry,
-            policy=policy.name,
-            policy_kwargs=policy.as_kwargs(),
-            frontend=spec.frontend,
-        )
     return replace(
-        base_params,
+        base_params or SystemParams(geometry=geometry),
         geometry=geometry,
         policy=policy.name,
         policy_kwargs=policy.as_kwargs(),

@@ -13,7 +13,6 @@ from repro.frontend.spec import FrontEndSpec
 from repro.frontend.speculative import (
     HANDLER_BASE_PC,
     SpeculativeFrontEnd,
-    clear_annotation_cache,
     speculative_trace,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "HANDLER_BASE_PC",
     "FrontEndSpec",
     "SpeculativeFrontEnd",
-    "clear_annotation_cache",
     "speculative_trace",
 ]

@@ -27,13 +27,13 @@ Wrong-path runs never contain BRANCH records, so the GPP predictor and
 branch accounting never train on squashed work; handler code is real
 committed work but is tracked separately via its record kind.
 
-The annotation is deterministic per ``(trace, spec)`` and memoised on
-the trace object, so per-policy coupled walks share one annotation.
+The annotation is deterministic per ``(trace, spec)`` and memoised in
+the trace's :func:`~repro.sim.trace.trace_memo`, so every walk of one
+pipeline shares one annotation.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Callable
 
 import numpy as np
@@ -48,6 +48,7 @@ from repro.sim.trace import (
     KIND_WRONG_PATH,
     SpeculativeTrace,
     Trace,
+    trace_memo,
 )
 
 #: Base address of the injected interrupt-handler mini-trace. High and
@@ -258,26 +259,13 @@ class SpeculativeFrontEnd:
         )
 
 
-#: Per-trace memo of annotations: trace -> {spec -> SpeculativeTrace}.
-_ANNOTATION_MEMO: weakref.WeakKeyDictionary[Trace, dict[FrontEndSpec, SpeculativeTrace]]
-_ANNOTATION_MEMO = weakref.WeakKeyDictionary()
-
-
 def speculative_trace(trace: Trace, spec: FrontEndSpec) -> SpeculativeTrace:
     """Memoised :meth:`SpeculativeFrontEnd.annotate` for ``(trace, spec)``."""
     if trace.speculative:
         raise ValueError("trace is already speculative; annotate the base trace")
-    per_trace = _ANNOTATION_MEMO.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _ANNOTATION_MEMO[trace] = per_trace
-    annotated = per_trace.get(spec)
+    memo = trace_memo(trace)
+    key = ("frontend", spec)
+    annotated = memo.get(key)
     if annotated is None:
-        annotated = SpeculativeFrontEnd(spec).annotate(trace)
-        per_trace[spec] = annotated
+        annotated = memo[key] = SpeculativeFrontEnd(spec).annotate(trace)
     return annotated
-
-
-def clear_annotation_cache() -> None:
-    """Drop all memoised annotations (used by cache-reset helpers)."""
-    _ANNOTATION_MEMO.clear()

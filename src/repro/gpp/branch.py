@@ -117,13 +117,6 @@ PREDICTORS: dict[str, type[BranchPredictor]] = {
 }
 
 
-def register_predictor(name: str, cls: type[BranchPredictor]) -> None:
-    """Register a predictor class under ``name`` (overwrites allowed)."""
-    if not name:
-        raise ConfigurationError("predictor name must be non-empty")
-    PREDICTORS[name] = cls
-
-
 def available_predictors() -> tuple[str, ...]:
     """Registered predictor names, sorted."""
     return tuple(sorted(PREDICTORS))

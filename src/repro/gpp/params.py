@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.frozen import FrozenDict
 from repro.gpp.cache import CacheParams
 from repro.isa.instructions import InstrClass
 
@@ -17,6 +18,10 @@ class GPPParams:
     contribution at cache hit and correct prediction), in the spirit of
     gem5's TimingSimple model of a Rocket-class core.
 
+    Frozen and hashable (``class_cycles`` is stored as a
+    :class:`~repro.frozen.FrozenDict`): the GPP reference of a trace is
+    memoised under its params.
+
     Attributes:
         class_cycles: base cycles per instruction class (every class,
             each >= 0).
@@ -28,8 +33,8 @@ class GPPParams:
         dcache: data cache geometry/penalty.
     """
 
-    class_cycles: dict[InstrClass, int] = field(
-        default_factory=lambda: {
+    class_cycles: FrozenDict[InstrClass, int] = FrozenDict(
+        {
             InstrClass.ALU: 1,
             InstrClass.MUL: 3,
             InstrClass.DIV: 16,
@@ -54,6 +59,7 @@ class GPPParams:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "class_cycles", FrozenDict(self.class_cycles))
         missing = [
             cls.name for cls in InstrClass if cls not in self.class_cycles
         ]

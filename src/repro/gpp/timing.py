@@ -28,15 +28,15 @@ a stream passes through it exactly once, in stream order, on whichever
 side runs it. So a stream's dcache hit/miss sequence depends only on
 the stream and the cache's params, and its penalty is charged once per
 stream: :func:`stream_dcache` memoises the ``(misses, accesses)`` of
-each (stream, :class:`~repro.gpp.cache.CacheParams`) pair, weakly
-keyed on the stream. The reference and the walk each add it once.
+each (stream, :class:`~repro.gpp.cache.CacheParams`) pair in the
+stream's :func:`~repro.sim.trace.trace_memo`. The reference and the
+walk each add it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -44,7 +44,13 @@ from repro.gpp.branch import make_predictor
 from repro.gpp.cache import CacheModel, CacheParams
 from repro.gpp.params import GPPParams
 from repro.isa.instructions import InstrClass
-from repro.sim.trace import ABSENT, CLASS_MEMBERS, Trace, class_histogram
+from repro.sim.trace import (
+    ABSENT,
+    CLASS_MEMBERS,
+    Trace,
+    class_histogram,
+    trace_memo,
+)
 
 _BRANCH_CODE = CLASS_MEMBERS.index(InstrClass.BRANCH)
 
@@ -52,7 +58,6 @@ __all__ = [
     "CacheOutcome",
     "GPPTimingModel",
     "GPPTimingResult",
-    "clear_stream_dcache",
     "make_predictor",
     "stream_dcache",
 ]
@@ -69,30 +74,19 @@ class CacheOutcome(NamedTuple):
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-_STREAM_DCACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def stream_dcache(trace: Trace, params: CacheParams) -> CacheOutcome:
     """Outcome of a cold data cache with ``params`` that sees every
-    load/store of ``trace`` once, in order (memoised per process,
-    weakly keyed on the stream)."""
-    per_stream = _STREAM_DCACHE.get(trace)
-    if per_stream is None:
-        per_stream = _STREAM_DCACHE[trace] = {}
-    outcome = per_stream.get(params)
+    load/store of ``trace`` once, in order (memoised in the stream's
+    :func:`~repro.sim.trace.trace_memo`)."""
+    memo = trace_memo(trace)
+    key = ("dcache", params)
+    outcome = memo.get(key)
     if outcome is None:
         cache = CacheModel(params)
         addresses = trace.mem_addr_array
         cache.access_many(addresses[addresses != ABSENT])
-        outcome = per_stream[params] = CacheOutcome(
-            cache.misses, cache.accesses
-        )
+        outcome = memo[key] = CacheOutcome(cache.misses, cache.accesses)
     return outcome
-
-
-def clear_stream_dcache() -> None:
-    """Drop every memoised :func:`stream_dcache` outcome."""
-    _STREAM_DCACHE.clear()
 
 
 @dataclass

@@ -105,10 +105,10 @@ class EnergyReport:
 
 
 class EnergyModel:
-    """Turns a :class:`SystemActivity` into an :class:`EnergyReport`."""
+    """Turns a :class:`SystemActivity` into an :class:`EnergyReport`
+    under the calibrated :class:`EnergyParams`."""
 
-    def __init__(self, params: EnergyParams | None = None) -> None:
-        self.params = params if params is not None else EnergyParams()
+    params = EnergyParams()
 
     def report(self, activity: SystemActivity) -> EnergyReport:
         params = self.params

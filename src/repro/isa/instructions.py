@@ -162,10 +162,3 @@ class Instruction:
         if spec.reads_rs2 and self.rs2 is not None:
             sources.append(self.rs2)
         return tuple(sources)
-
-    def destination_register(self) -> int | None:
-        """Index of the written register, or ``None`` (x0 counts as None)."""
-        spec = OPCODES[self.op]
-        if not spec.writes_rd or self.rd is None or self.rd == 0:
-            return None
-        return self.rd

@@ -66,12 +66,6 @@ class RoutingProfile:
         """Worst per-boundary context-line demand."""
         return int(self.pressure.max()) if self.pressure.size else 0
 
-    @property
-    def peak_input_slots(self) -> int:
-        """Worst per-column input-context demand (structurally bounded
-        by ``rows * OPERANDS_PER_FU`` operand muxes)."""
-        return int(self.input_slots.max()) if self.input_slots.size else 0
-
     def overflowed_columns(self) -> tuple[int, ...]:
         """Columns whose line pressure exceeds the budget (empty when
         the budget is elastic)."""

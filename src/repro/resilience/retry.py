@@ -15,16 +15,11 @@ retryable; deterministic task bugs
 (:class:`~repro.errors.ConfigurationError` and friends) are not — a
 task that failed on bad input fails identically on every retry, so it
 is quarantined immediately instead of burning attempts.
-
-:meth:`RetryPolicy.call` is the standalone helper for callers outside
-the executor (the ROADMAP's exact-mapper oracle wraps solver
-invocations with exactly this timeout/fallback shape).
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 
@@ -142,19 +137,3 @@ class RetryPolicy:
             self.delay(key, attempt)
             for attempt in range(self.max_attempts - 1)
         )
-
-    # -- standalone helper -------------------------------------------------
-
-    def call(self, fn, *args, key: str = "", sleep=time.sleep, **kwargs):
-        """Run ``fn(*args, **kwargs)`` under this policy: retryable
-        failures back off and retry up to ``max_attempts``; the final
-        (or a non-retryable) failure propagates."""
-        attempts = 0
-        while True:
-            try:
-                return fn(*args, **kwargs)
-            except Exception as error:
-                attempts += 1
-                if not self.should_retry(error, attempts):
-                    raise
-                sleep(self.delay(key, attempts - 1))

@@ -14,6 +14,12 @@ reference and DBT unit discovery read the columns (discovery places
 from facts decoded once per table row); ``trace[i]``, slices and
 iteration build :class:`TraceRecord` views on demand for the code that
 wants whole records (mapper windows, the CGRA value oracle and tests).
+
+What the pipeline derives from a trace under some parameters — shared
+launch schedules, the GPP reference, the stream's dcache outcome and
+front-end annotations — is memoised per process in one memo,
+:func:`trace_memo`, weakly keyed on the trace and emptied by
+:func:`clear_schedule_caches`.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -437,3 +444,28 @@ class SpeculativeTrace(Trace):
     @cached_property
     def flush_gap_array(self) -> np.ndarray:
         return self._flush_gaps
+
+
+#: trace -> its :func:`trace_memo`.
+_MEMOS: WeakKeyDictionary[Trace, dict] = WeakKeyDictionary()
+
+
+def trace_memo(trace: Trace) -> dict:
+    """The per-process memo of values derived from ``trace``.
+
+    Each entry is keyed by what it holds and the parameter value it is
+    derived with (``("dcache", cache_params)``, ...), so equal
+    parameters share one computation. Weakly keyed: a trace's entries
+    go with it.
+    """
+    memo = _MEMOS.get(trace)
+    if memo is None:
+        memo = _MEMOS[trace] = {}
+    return memo
+
+
+def clear_schedule_caches() -> None:
+    """Drop every trace's memo: shared schedules, GPP references,
+    stream dcache outcomes and front-end annotations (benchmarking and
+    test isolation; re-exported by :mod:`repro.system.schedule`)."""
+    _MEMOS.clear()

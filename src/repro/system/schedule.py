@@ -5,11 +5,10 @@ sweep *allocation policies* over one pipeline stop re-walking the trace
 per policy:
 
 * **Phase A — schedule computation** (:func:`compute_schedule`): one
-  walk per (trace, geometry, mapper identity, DBT/cache/GPP/datapath
-  parameters) records the policy-independent event stream as a
-  :class:`LaunchSchedule` — per-launch unit and execution cycles, the
-  final cycle count, fabric/cache counters and the energy-model
-  activity summary. The walk only feeds an allocator when one is
+  walk per (trace, :func:`schedule_key`) records the policy-independent
+  event stream as a :class:`LaunchSchedule` — per-launch unit and
+  execution cycles, the final cycle count, fabric/cache counters and
+  the energy-model activity summary. The walk only feeds an allocator when one is
   attached, which is required exactly when the mapper is
   *stress-coupled* (it reads the allocator's live stress map, closing
   the feedback loop that makes the launch stream policy-dependent).
@@ -36,22 +35,30 @@ per policy:
   ``tests/test_replay_trackers.py`` the per-cell results of the
   benchmarked policy sweep).
 
-Schedules and the stand-alone GPP reference timing are memoised per
-process, keyed weakly by trace object, so serial campaigns and the
-experiment drivers share one walk per pipeline across the whole
-policy x seed axis. Nothing is cached across processes: a pool worker
-walks each pipeline of its schedule group once. Each stream's dcache
-outcome is memoised the same way (by :mod:`repro.gpp.timing`).
+Parameter bundles are hashable values
+(:class:`~repro.system.params.SystemParams`), and the memo keys are
+those values: a schedule's key is every ``SystemParams`` field but the
+allocation policy's two (:func:`schedule_key`), so a field added later
+joins the key by default, and the GPP reference's key is
+``params.gpp``. Schedules (at most 16 per trace, least recently used
+first out), GPP references, stream dcache outcomes
+(:func:`repro.gpp.timing.stream_dcache`) and front-end annotations
+(:func:`repro.frontend.speculative.speculative_trace`) share one
+per-process memo, weakly keyed on the trace
+(:func:`repro.sim.trace.trace_memo`), which :func:`clear_schedule_caches`
+empties. Serial campaigns and the experiment drivers thus share one
+walk per pipeline across the whole policy x seed axis. Nothing is
+cached across processes: a pool worker walks each pipeline of its
+schedule group once.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -70,16 +77,17 @@ from repro.core.policy import AllocationPolicy, unit_column
 from repro.dbt.config_cache import ConfigCache, ConfigCacheStats
 from repro.dbt.translator import DBTEngine
 from repro.errors import ConfigurationError
-from repro.frontend.speculative import clear_annotation_cache, speculative_trace
-from repro.gpp.timing import (
-    GPPTimingModel,
-    GPPTimingResult,
-    clear_stream_dcache,
-    stream_dcache,
-)
+from repro.frontend.speculative import speculative_trace
+from repro.gpp.timing import GPPTimingModel, GPPTimingResult, stream_dcache
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
 from repro.mapping import make_mapper
-from repro.sim.trace import KIND_COMMITTED, KIND_WRONG_PATH, Trace
+from repro.sim.trace import (
+    KIND_COMMITTED,
+    KIND_WRONG_PATH,
+    Trace,
+    clear_schedule_caches,
+    trace_memo,
+)
 from repro.system.params import SystemParams
 from repro.system.stats import CGRAStats
 
@@ -99,51 +107,26 @@ __all__ = [
 # Cache keys
 
 
-def _freeze(value):
-    """Canonical hashable form of a parameter bundle.
-
-    Dataclasses become (type name, frozen fields) tuples, dicts become
-    item tuples sorted by key repr (enum keys are not orderable), and
-    sequences become tuples; everything else must already be hashable.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,) + tuple(
-            (field.name, _freeze(getattr(value, field.name)))
-            for field in dataclasses.fields(value)
-        )
-    if isinstance(value, dict):
-        return tuple(
-            sorted(
-                ((_freeze(key), _freeze(item)) for key, item in value.items()),
-                key=repr,
-            )
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted((_freeze(item) for item in value), key=repr))
-    return value
-
-
-def schedule_key(params: SystemParams):
-    """Hashable identity of everything a :class:`LaunchSchedule`
-    depends on — the full :class:`~repro.system.params.SystemParams`
-    *minus* the allocation policy and the energy model (energy is pure
-    post-processing of the recorded activity). Two design points with
-    equal keys share one trace walk. The front-end spec is part of the
-    key: different specs produce different speculative streams from the
-    same committed trace, so their schedules must never alias.
-    """
-    return (
-        _freeze(params.geometry),
-        params.mapper,
-        _freeze(params.mapper_kwargs),
-        _freeze(params.gpp),
-        _freeze(params.datapath),
-        _freeze(params.dbt),
-        params.config_cache_entries,
-        _freeze(params.frontend),
+#: The values of the :class:`SystemParams` fields a walk depends on:
+#: all but the allocation policy's, so a field added later joins the
+#: key by default.
+_walk_values = attrgetter(
+    *(
+        f.name
+        for f in fields(SystemParams)
+        if f.name not in ("policy", "policy_kwargs")
     )
+)
+
+
+def schedule_key(params: SystemParams) -> tuple:
+    """Hashable identity of everything a :class:`LaunchSchedule`
+    depends on: every :class:`~repro.system.params.SystemParams` field
+    except ``policy`` and ``policy_kwargs``, in field order. Two design
+    points with equal keys share one trace walk; the front-end spec is
+    a field, so clean and speculative walks never alias.
+    """
+    return _walk_values(params)
 
 
 def _make_walk_mapper(params: SystemParams):
@@ -253,10 +236,13 @@ class _UnitLaunch(NamedTuple):
     op_kind_counts: tuple[tuple[FUKind, int], ...]
 
 
+#: The walk's datapath timing (the TransRec defaults).
+_DATAPATH = DatapathParams()
+
+
 def _unit_launch(
     unit: VirtualConfiguration,
     geometry: FabricGeometry,
-    datapath: DatapathParams,
     config_bits_per_column: int,
 ) -> _UnitLaunch:
     kinds: dict[FUKind, int] = {}
@@ -266,11 +252,11 @@ def _unit_launch(
         unit=unit,
         n_instructions=unit.n_instructions,
         path_bytes=np.asarray(unit.pc_path, dtype=np.int64).tobytes(),
-        exec_cycles=execution_cycles(datapath, unit),
+        exec_cycles=execution_cycles(_DATAPATH, unit),
         launch_cycles=tuple(
             tuple(
                 configuration_cycles(
-                    geometry, datapath, unit, cold=cold, back_to_back=chained
+                    geometry, _DATAPATH, unit, cold=cold, back_to_back=chained
                 )
                 for chained in (False, True)
             )
@@ -391,8 +377,7 @@ def compute_schedule(
     )
 
     obs.count("schedule.walks")
-    datapath = params.datapath
-    misspeculation_penalty = datapath.misspeculation_penalty
+    misspeculation_penalty = _DATAPATH.misspeculation_penalty
     lookup = cache.lookup
     note_replay = engine.note_replay
     stats = CGRAStats()
@@ -452,9 +437,7 @@ def compute_schedule(
                 segment_start = -1
             launch = unit_launches.get(id(unit))
             if launch is None:
-                launch = _unit_launch(
-                    unit, geometry, datapath, config_bits_per_column
-                )
+                launch = _unit_launch(unit, geometry, config_bits_per_column)
                 unit_launches[id(unit)] = launch
             # Replay the unit on the fabric: commit the matching prefix
             # of its recorded path, squash on divergence.
@@ -634,15 +617,12 @@ def replay_schedule(
 
 
 # ----------------------------------------------------------------------
-# Per-process memoisation (weak on the trace, LRU-bounded per trace)
+# Per-process memoisation (in the trace's memo, LRU-bounded per trace)
 
 #: Distinct pipelines memoised per trace before LRU eviction. Large
 #: geometry sweeps stream through without pinning every fabric's
 #: schedule in memory.
 _SCHEDULES_PER_TRACE = 16
-
-_SCHEDULE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_GPP_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def shared_schedule(params: SystemParams, trace: Trace) -> LaunchSchedule:
@@ -652,22 +632,22 @@ def shared_schedule(params: SystemParams, trace: Trace) -> LaunchSchedule:
     and the experiment drivers fan every policy and seed out as replays
     of the shared schedule.
     """
+    memo = trace_memo(trace)
+    schedules = memo.get("schedules")
+    if schedules is None:
+        schedules = memo["schedules"] = OrderedDict()
     key = schedule_key(params)
-    per_trace = _SCHEDULE_CACHE.get(trace)
-    if per_trace is None:
-        per_trace = OrderedDict()
-        _SCHEDULE_CACHE[trace] = per_trace
-    schedule = per_trace.get(key)
+    schedule = schedules.get(key)
     if schedule is None:
         obs.count("schedule.memo.misses")
         with obs.span("schedule.walk", trace=trace.name, coupled=False):
             schedule = compute_schedule(params, trace)
-        per_trace[key] = schedule
-        while len(per_trace) > _SCHEDULES_PER_TRACE:
-            per_trace.popitem(last=False)
+        schedules[key] = schedule
+        while len(schedules) > _SCHEDULES_PER_TRACE:
+            schedules.popitem(last=False)
     else:
         obs.count("schedule.memo.hits")
-        per_trace.move_to_end(key)
+        schedules.move_to_end(key)
     return schedule
 
 
@@ -678,17 +658,13 @@ def gpp_reference(
 
     The reference is identical across every policy and mapper point of
     a campaign (it never touches the fabric), so it is computed once
-    per (trace, GPP params, energy params) per process. A fresh copy
-    of the timing result is returned per call — results are mutable
-    dataclasses and must not alias across
-    :class:`~repro.system.stats.SystemResult`\\ s.
+    per (trace, ``params.gpp``) per process. A fresh copy of the timing
+    result is returned per call — results are mutable dataclasses and
+    must not alias across :class:`~repro.system.stats.SystemResult`\\ s.
     """
-    key = (_freeze(params.gpp), _freeze(params.energy))
-    per_trace = _GPP_CACHE.get(trace)
-    if per_trace is None:
-        per_trace = {}
-        _GPP_CACHE[trace] = per_trace
-    entry = per_trace.get(key)
+    memo = trace_memo(trace)
+    key = ("gpp", params.gpp)
+    entry = memo.get(key)
     if entry is None:
         timing = GPPTimingModel(params.gpp).run(trace)
         activity = SystemActivity(
@@ -697,18 +673,6 @@ def gpp_reference(
             cache_misses=timing.icache_misses + timing.dcache_misses,
             fabric_cells=0,
         )
-        energy = EnergyModel(params.energy).report(activity)
-        entry = (timing, energy)
-        per_trace[key] = entry
+        entry = memo[key] = (timing, EnergyModel().report(activity))
     timing, energy = entry
     return replace(timing), energy
-
-
-def clear_schedule_caches() -> None:
-    """Drop all in-process memoised schedules, GPP references, stream
-    dcache outcomes and front-end annotations (benchmarking and test
-    isolation)."""
-    _SCHEDULE_CACHE.clear()
-    _GPP_CACHE.clear()
-    clear_stream_dcache()
-    clear_annotation_cache()

@@ -50,12 +50,12 @@ from repro.system.stats import SystemResult
 
 
 class TransRecSystem:
-    """One design point: geometry + policy + timing/energy parameters."""
+    """One design point: geometry + policy + timing parameters."""
 
     def __init__(self, params: SystemParams) -> None:
         self.params = params
         self.geometry = params.geometry
-        self._energy_model = EnergyModel(params.energy)
+        self._energy_model = EnergyModel()
 
     @property
     def stress_coupled(self) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
+    MapperSpec,
     PolicySpec,
     SuiteRun,
     evaluate_design_point,
@@ -118,6 +119,25 @@ class TestCampaignSpec:
             json.loads(json.dumps(spec.to_jsonable()))
         )
         assert clone == spec
+
+    def test_seeds_cross_seeded_policies_and_mappers(self):
+        spec = small_spec(
+            geometries=((2, 8),),
+            policies=(PolicySpec.make("random"),),
+            mappers=(MapperSpec.make("annealing"),),
+            seeds=(1, 2),
+        )
+        points = spec.design_points()
+        assert [
+            (p.mapper.as_kwargs()["seed"], p.policy.as_kwargs()["seed"])
+            for p in points
+        ] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_manifest_naming_seed_mode_rejected(self):
+        payload = small_spec(seeds=(1, 2)).to_jsonable()
+        payload["seed_mode"] = "paired"
+        with pytest.raises(ConfigurationError, match="seed_mode"):
+            CampaignSpec.from_jsonable(payload)
 
 
 class TestRunner:
@@ -274,103 +294,6 @@ class TestJsonable:
         assert payload["scalar"] == 7
         assert payload["cells"] == [[0, 1], [1, 2]]
         json.dumps(payload)
-
-
-class TestPairedSeedExpansion:
-    """``seed_mode="paired"``: seed s means (policy seed s, mapper
-    seed s), one design point per seed — vs the default cross
-    product."""
-
-    def _spec(self, seed_mode, seeds=(1, 2)):
-        from repro.campaign import MapperSpec
-
-        return CampaignSpec(
-            geometries=((2, 8),),
-            policies=(PolicySpec.make("random"),),
-            mappers=(MapperSpec.make("annealing"),),
-            workloads=("bitcount",),
-            seeds=seeds,
-            seed_mode=seed_mode,
-            name="paired-test",
-        )
-
-    def test_cross_mode_is_the_cross_product(self):
-        points = self._spec("cross").design_points()
-        assert len(points) == 4  # 2 policy seeds x 2 mapper seeds
-        combos = {
-            (p.mapper.as_kwargs()["seed"], p.policy.as_kwargs()["seed"])
-            for p in points
-        }
-        assert combos == {(1, 1), (1, 2), (2, 1), (2, 2)}
-
-    def test_paired_mode_ties_seeds(self):
-        points = self._spec("paired").design_points()
-        assert len(points) == 2  # one point per seed
-        combos = [
-            (p.mapper.as_kwargs()["seed"], p.policy.as_kwargs()["seed"])
-            for p in points
-        ]
-        assert combos == [(1, 1), (2, 2)]
-
-    def test_paired_mode_keeps_unseedable_components_once(self):
-        from repro.campaign import MapperSpec
-
-        spec = CampaignSpec(
-            geometries=((2, 8),),
-            policies=(
-                PolicySpec.make("baseline"),
-                PolicySpec.make("random"),
-            ),
-            mappers=(
-                MapperSpec.make("greedy"),
-                MapperSpec.make("annealing"),
-            ),
-            workloads=("bitcount",),
-            seeds=(3, 4),
-            seed_mode="paired",
-        )
-        points = spec.design_points()
-        # baseline+greedy has no seedable component: one point, not one
-        # per seed; every other combination expands per seed.
-        labels = [point.label for point in points]
-        assert len(points) == 7, labels
-        assert (
-            sum("baseline" in lab and "annealing" not in lab for lab in labels)
-            == 1
-        )
-
-    def test_paired_without_seeds_equals_cross(self):
-        cross = self._spec("cross", seeds=()).design_points()
-        paired = self._spec("paired", seeds=()).design_points()
-        assert cross == paired
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="seed mode"):
-            self._spec("zipped")
-
-    def test_seed_mode_json_round_trip(self):
-        spec = self._spec("paired")
-        payload = spec.to_jsonable()
-        assert payload["seed_mode"] == "paired"
-        clone = CampaignSpec.from_jsonable(
-            json.loads(json.dumps(payload))
-        )
-        assert clone == spec
-        assert clone.design_points() == spec.design_points()
-        # The default mode is not emitted: pre-paired manifests are
-        # byte-identical.
-        assert "seed_mode" not in self._spec("cross").to_jsonable()
-
-    def test_paired_runner_executes_each_seed_once(self):
-        traces = {"bitcount": run_workload("bitcount")}
-        spec = self._spec("paired")
-        result = CampaignRunner().run(spec, traces=traces)
-        assert len(result.runs) == 2
-        for point, run in result:
-            assert point.mapper.as_kwargs()["seed"] == (
-                point.policy.as_kwargs()["seed"]
-            )
-            assert set(run.results) == {"bitcount"}
 
 
 class TestDeclaredRoutingBudgetAxis:

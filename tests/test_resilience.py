@@ -94,34 +94,6 @@ def test_should_retry_respects_attempt_budget():
     assert not policy.should_retry(error, 2)
 
 
-def test_retry_call_retries_then_succeeds():
-    calls = {"n": 0}
-    slept = []
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise OSError("transient")
-        return "done"
-
-    policy = RetryPolicy(max_attempts=3, base_delay=0.25, jitter=0.0)
-    assert policy.call(flaky, key="k", sleep=slept.append) == "done"
-    assert calls["n"] == 3
-    assert slept == [policy.delay("k", 0), policy.delay("k", 1)]
-
-
-def test_retry_call_raises_non_retryable_immediately():
-    calls = {"n": 0}
-
-    def broken():
-        calls["n"] += 1
-        raise ConfigurationError("deterministic")
-
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(max_attempts=5).call(broken, sleep=lambda _: None)
-    assert calls["n"] == 1
-
-
 def test_retry_policy_validation():
     with pytest.raises(ConfigurationError):
         RetryPolicy(max_attempts=0)

@@ -29,6 +29,7 @@ import pytest
 
 from repro import obs
 from repro.cgra.configuration import greedy_identity
+from repro.cgra.datapath import DatapathParams
 from repro.cgra.fabric import FabricGeometry
 from repro.core.allocator import ConfigurationAllocator
 from repro.core.policy import make_policy
@@ -93,7 +94,7 @@ def test_walk_conservation(name, rows, cols, frontend):
     assert configs, "every suite workload launches on the fabric"
 
     assert schedule.cgra.launches == activity.launches == len(configs)
-    per_cycle = params.datapath.columns_per_cycle
+    per_cycle = DatapathParams().columns_per_cycle
     assert int(schedule.exec_cycles.sum()) == sum(
         math.ceil(unit.used_cols / per_cycle) for unit in configs
     )
