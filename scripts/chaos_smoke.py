@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py [--devices N] [--workers N]
 
 Runs a small campaign and a small fleet twice — once fault-free, once
-under an injected :class:`~repro.resilience.FaultPlan` combining a
+under an injected :class:`~repro.resilience.faults.FaultPlan` combining a
 worker crash, a worker hang (bounded by the per-task timeout), a
 transient task error and store-append I/O failures — and checks the
 resilience layer's core contract:
@@ -36,7 +36,8 @@ from repro import obs
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, PolicySpec
 from repro.fleet import FleetRunner, FleetSpec
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, faults
+from repro.resilience import RetryPolicy, faults
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 #: Fast backoff so injected retries do not slow CI down.
 RETRY = RetryPolicy(base_delay=0.01, max_delay=0.1)

@@ -18,7 +18,9 @@ The runner owns the three scale levers the ROADMAP asks for:
   ``ProcessPoolExecutor`` while keeping results in submission order.
   Each group's points run in one worker, so the group's schedules are
   computed exactly once. Splitting a large group for parallelism costs
-  one extra walk per chunk.
+  one extra walk per chunk. The pool's modules
+  (:mod:`repro.resilience.executor`, ``multiprocessing``) load on the
+  first parallel run, so a serial campaign never imports them.
 
 Artifacts: pass ``artifact_dir`` to persist one JSON summary per design
 point plus a ``campaign.json`` manifest describing the spec.
@@ -30,6 +32,7 @@ import hashlib
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.campaign.artifacts import write_json, write_telemetry
@@ -37,12 +40,15 @@ from repro.campaign.results import SuiteRun, suite_run_summary
 from repro.campaign.spec import CampaignSpec, DesignPoint
 from repro.cgra.fabric import FabricGeometry
 from repro.errors import ConfigurationError
-from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
+from repro.resilience import RetryPolicy
 from repro.sim.trace import Trace
 from repro.system.params import SystemParams
 from repro.system.schedule import params_stress_coupled, schedule_key
 from repro.system.transrec import TransRecSystem
 from repro.workloads.suite import run_workload
+
+if TYPE_CHECKING:  # pragma: no cover - the pool loads on its first use
+    from repro.resilience.executor import TaskFailure
 
 
 def _build_params(
@@ -170,7 +176,8 @@ class CampaignRunner:
     Args:
         max_workers: ``None``/``0``/``1`` evaluates serially in-process
             (sharing the memoised traces and schedules); ``> 1`` fans
-            schedule groups out over a process pool.
+            schedule groups out over a process pool, whose modules load
+            on the first parallel run.
         artifact_dir: when given, one JSON summary per design point and
             a ``campaign.json`` manifest are written there.
         base_params: timing parameter overrides applied to every
@@ -378,6 +385,8 @@ class CampaignRunner:
                     group=self._group_label(points[groups[position][0]]),
                     points=len(groups[position]),
                 )
+
+        from repro.resilience.executor import ResilientExecutor
 
         executor = ResilientExecutor(
             _pool_evaluate_group,

@@ -3,6 +3,9 @@
 Every module exposes ``run(...) -> <Result>`` returning structured data
 and ``render(result) -> str`` producing the human-readable report. The
 CLI (``python -m repro.experiments [name ...]``) runs and prints them.
+:data:`ALL_EXPERIMENTS` maps each CLI name to its module's dotted name;
+importing this package imports no experiment, and the CLI imports a
+module only when it runs or lists it.
 
 | Module   | Reproduces                                            |
 |----------|-------------------------------------------------------|
@@ -19,45 +22,19 @@ CLI (``python -m repro.experiments [name ...]``) runs and prints them.
 | speculation | (extra) aging under a speculative GPP front end    |
 """
 
-from repro.experiments import (
-    ablation,
-    fig1,
-    fig6,
-    fig7,
-    fig8,
-    fleet,
-    mapping_ablation,
-    routing_ablation,
-    speculation,
-    table1,
-    table2,
-)
-
+#: CLI name -> dotted name of the module that runs the experiment.
 ALL_EXPERIMENTS = {
-    "fig1": fig1,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "table1": table1,
-    "table2": table2,
-    "ablation": ablation,
-    "mapping": mapping_ablation,
-    "routing": routing_ablation,
-    "fleet": fleet,
-    "speculation": speculation,
+    "fig1": "repro.experiments.fig1",
+    "fig6": "repro.experiments.fig6",
+    "fig7": "repro.experiments.fig7",
+    "fig8": "repro.experiments.fig8",
+    "table1": "repro.experiments.table1",
+    "table2": "repro.experiments.table2",
+    "ablation": "repro.experiments.ablation",
+    "mapping": "repro.experiments.mapping_ablation",
+    "routing": "repro.experiments.routing_ablation",
+    "fleet": "repro.experiments.fleet",
+    "speculation": "repro.experiments.speculation",
 }
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ablation",
-    "fig1",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fleet",
-    "mapping_ablation",
-    "routing_ablation",
-    "speculation",
-    "table1",
-    "table2",
-]
+__all__ = ["ALL_EXPERIMENTS"]

@@ -8,12 +8,14 @@ Usage::
     python -m repro.experiments --json out/     # + JSON artifacts
 
 Exits non-zero when an unknown experiment is named or any experiment
-raises.
+raises. A run imports only the modules of the experiments it runs;
+``--list`` imports every one to read its summary line.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import traceback
 from pathlib import Path
@@ -69,7 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         # Sorted by name so the listing is deterministic regardless of
         # registry insertion order (stable for scripts that diff it).
         for name in sorted(ALL_EXPERIMENTS):
-            print(f"{name:<10} {_experiment_summary(ALL_EXPERIMENTS[name])}")
+            module = importlib.import_module(ALL_EXPERIMENTS[name])
+            print(f"{name:<10} {_experiment_summary(module)}")
         return 0
     names = args.names or list(ALL_EXPERIMENTS)
     unknown = [name for name in names if name not in ALL_EXPERIMENTS]
@@ -88,8 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         for index, name in enumerate(names):
             if index:
                 print("\n" + "=" * 72 + "\n")
-            module = ALL_EXPERIMENTS[name]
             try:
+                module = importlib.import_module(ALL_EXPERIMENTS[name])
                 with obs.span("experiment", experiment=name):
                     result = module.run()
                 print(module.render(result))

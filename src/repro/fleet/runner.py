@@ -58,7 +58,8 @@ from repro.fleet.store import (
     StoreSkips,
     merge_records,
 )
-from repro.resilience import ResilientExecutor, RetryPolicy, TaskFailure
+from repro.resilience import RetryPolicy
+from repro.resilience.executor import ResilientExecutor, TaskFailure
 from repro.system.params import SystemParams
 from repro.system.schedule import replay_schedule, shared_schedule
 from repro.workloads.suite import run_workload

@@ -8,38 +8,10 @@ proposed extensions) is expressed as cell counts, rolled up into
 area/leakage, and the per-column critical path is computed from cell
 delays. Absolute numbers are calibrated once against Table II's
 baseline; all *ratios* (the paper's actual claims) are structural.
+
+The package imports none of its modules: every simulation reads
+:mod:`repro.hw.energy`, while only Table II reads the area and timing
+models (:mod:`repro.hw.area`, :mod:`repro.hw.timing_model`) and the
+cell counts behind them (:mod:`repro.hw.cells`,
+:mod:`repro.hw.components`).
 """
-
-from repro.hw.area import AreaBreakdown, CGRAAreaModel
-from repro.hw.cells import CELL_LIBRARY, Cell, CellCounts
-from repro.hw.components import (
-    alu32,
-    barrel_rotator,
-    memory_unit,
-    multiplier32,
-    mux_tree,
-    register,
-    rob,
-)
-from repro.hw.energy import EnergyModel, EnergyParams, EnergyReport
-from repro.hw.timing_model import ColumnTimingModel, TimingReport
-
-__all__ = [
-    "AreaBreakdown",
-    "CELL_LIBRARY",
-    "CGRAAreaModel",
-    "Cell",
-    "CellCounts",
-    "ColumnTimingModel",
-    "EnergyModel",
-    "EnergyParams",
-    "EnergyReport",
-    "TimingReport",
-    "alu32",
-    "barrel_rotator",
-    "memory_unit",
-    "multiplier32",
-    "mux_tree",
-    "register",
-    "rob",
-]

@@ -1,11 +1,21 @@
 """Tests for the ``python -m repro.experiments`` CLI."""
 
 import json
+import sys
 
 import pytest
 
 import repro.experiments as experiments_pkg
 from repro.experiments.__main__ import main
+
+
+def register(monkeypatch, name, stand_in):
+    """Register ``stand_in`` as experiment ``name``. The registry names
+    modules, so the stand-in is put in ``sys.modules`` under its own
+    module name, where the CLI's import finds it."""
+    module_name = f"stand_in_experiment_{name}"
+    monkeypatch.setitem(sys.modules, module_name, stand_in)
+    monkeypatch.setitem(experiments_pkg.ALL_EXPERIMENTS, name, module_name)
 
 
 class TestList:
@@ -71,9 +81,7 @@ class TestFailureHandling:
             def render(result):  # pragma: no cover - never reached
                 return ""
 
-        monkeypatch.setitem(
-            experiments_pkg.ALL_EXPERIMENTS, "exploding", Exploding
-        )
+        register(monkeypatch, "exploding", Exploding)
         assert main(["exploding"]) == 1
         err = capsys.readouterr().err
         assert "exploding" in err
@@ -90,9 +98,7 @@ class TestFailureHandling:
             def render(result):  # pragma: no cover
                 return ""
 
-        monkeypatch.setitem(
-            experiments_pkg.ALL_EXPERIMENTS, "exploding", Exploding
-        )
+        register(monkeypatch, "exploding", Exploding)
         assert main(["exploding", "table2"]) == 1
         captured = capsys.readouterr()
         assert "Table II" in captured.out

@@ -23,14 +23,9 @@ from repro.errors import (
 )
 from repro.fleet import FleetRunner, FleetSpec
 from repro.fleet.store import ResultStore, ShardRecord
-from repro.resilience import (
-    ExecutionReport,
-    FaultPlan,
-    FaultSpec,
-    ResilientExecutor,
-    RetryPolicy,
-)
-from repro.resilience import faults
+from repro.resilience import RetryPolicy, faults
+from repro.resilience.executor import ExecutionReport, ResilientExecutor
+from repro.resilience.faults import FaultPlan, FaultSpec
 
 
 @pytest.fixture(autouse=True)
