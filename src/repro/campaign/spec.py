@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.policy import available_policies, policy_class
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_kwargs
 from repro.frontend.spec import FrontEndSpec
 from repro.mapping import available_mappers, mapper_class
 from repro.workloads.suite import workload_names
@@ -31,7 +31,9 @@ class ComponentSpec:
     (dict keys) and survive JSON round trips; subclasses bind the
     registry via :meth:`_available`/:meth:`_class_of`. Two subclasses
     never compare equal (dataclass equality is class-aware), so the
-    policy and mapper axes cannot be mixed up.
+    policy and mapper axes cannot be mixed up. A spec binds its kwargs
+    to the component's constructor when it is built, so a manifest
+    naming a keyword the component does not take fails at load.
     """
 
     name: str
@@ -58,6 +60,9 @@ class ComponentSpec:
                 f"unknown {self._kind} {self.name!r}; "
                 f"available: {list(self._available())}"
             )
+        check_kwargs(
+            self._kind, self.name, self._class_of(self.name), self.as_kwargs()
+        )
 
     def as_kwargs(self) -> dict:
         return dict(self.kwargs)

@@ -20,20 +20,19 @@ from repro.errors import ConfigurationError
 #: Identity of the default (greedy first-fit) mapper — the namespace
 #: configurations carry when no mapper was injected. Single source for
 #: the literal shared by :class:`VirtualConfiguration`,
-#: :class:`repro.dbt.config_cache.ConfigCache` and
-#: :class:`repro.mapping.greedy.GreedyMapper`.
+#: :class:`repro.dbt.config_cache.ConfigCache` and the registered name
+#: of :class:`repro.mapping.greedy.GreedyMapper`.
 DEFAULT_MAPPER_KEY = "greedy"
 
 
 def greedy_identity(row_policy: str) -> str:
     """Mapper identity of the greedy scheduler under ``row_policy``.
 
-    One formatter shared by unit discovery (which stamps the seed
-    placement it produced) and :class:`repro.mapping.greedy.GreedyMapper`
-    — equal identity must imply identical placement, so the row-scan
-    order is part of the name. :func:`repro.dbt.window.translate_unit`
-    owns the rule that uses it: a mapper whose identity equals the
-    seed's is not called, and the seed is kept.
+    One formatter shared by unit discovery
+    (:func:`repro.dbt.window.translate_unit`, which stamps every greedy
+    unit it places) and the DBT engine, which files a mapper-less
+    walk's units under it — equal identity must imply identical
+    placement, so the row-scan order is part of the name.
     """
     if row_policy == "first_fit":
         return DEFAULT_MAPPER_KEY

@@ -21,8 +21,8 @@ class FabricGeometry:
         n_config_lines: configuration lines feeding the columns
             (``n`` in Fig. 5; column ``i`` listens to line ``i mod n``).
         ctx_lines: context lines carrying values between columns. When
-            *explicitly* set, the count is a hard routing budget: the
-            scheduler, the mappers and the legality oracle all refuse
+            *explicitly* set, the count is a hard routing budget: unit
+            discovery, the annealer and the legality oracle all refuse
             placements whose per-column line pressure exceeds it (see
             :mod:`repro.mapping.routing`). When left at the default,
             the hw models keep the TransRec baseline sizing
@@ -68,7 +68,8 @@ class FabricGeometry:
 
         An explicitly declared ``ctx_lines`` is a first-class legality
         constraint for mapping; the default sizing only feeds the
-        area/energy models.
+        area/energy models. This is the one budget placement reads:
+        discovery's scheduler and the annealer take it from here.
         """
         return self.ctx_lines if self.ctx_lines_declared else None
 

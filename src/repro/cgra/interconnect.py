@@ -34,26 +34,6 @@ WORD_BITS = 32
 #: Operands consumed by each FU.
 OPERANDS_PER_FU = 2
 
-#: Sentinel line budget: follow the geometry's declared routing budget
-#: (``FabricGeometry.routing_budget``). JSON-safe so mapper kwargs that
-#: carry it survive campaign manifests.
-FOLLOW_GEOMETRY = "geometry"
-
-
-def resolve_line_budget(
-    budget: int | str | None, geometry: FabricGeometry
-) -> int | None:
-    """Effective per-column line budget for a placement pass.
-
-    ``FOLLOW_GEOMETRY`` defers to the geometry's declared budget;
-    ``None`` forces elastic routing regardless of the geometry; an int
-    overrides the geometry outright.
-    """
-    if budget == FOLLOW_GEOMETRY:
-        return geometry.routing_budget
-    return budget
-
-
 def pressure_profile(
     intervals: Iterable[tuple[int, int]], n_cols: int
 ) -> np.ndarray:

@@ -14,12 +14,10 @@ job (:mod:`repro.core`), which is the paper's contribution.
 Placement reads :class:`PlacementFacts`, the per-instruction facts it
 needs (unit-ending test, ``jal`` handling, FU kind and span, source and
 destination registers, branch flag, access width), plus the record's
-memory address. Unit discovery decodes each row of a trace's
+memory address. Unit discovery (:func:`repro.dbt.window.translate_unit`)
+is the one greedy placement pass: it decodes each row of a trace's
 :class:`~repro.sim.trace.InstructionTable` once (:func:`table_facts`)
-and places straight from the trace's columns;
-:meth:`SchedulerState.try_place` decodes one
-:class:`~repro.sim.trace.TraceRecord` and delegates, so discovery,
-window re-placement and the tests share one placement semantics.
+and places straight from the trace's columns.
 """
 
 from __future__ import annotations
@@ -35,11 +33,7 @@ from repro.cgra.fu import (
     fu_kind_for,
     latency_columns,
 )
-from repro.cgra.interconnect import (
-    FOLLOW_GEOMETRY,
-    LinePressureTracker,
-    resolve_line_budget,
-)
+from repro.cgra.interconnect import LinePressureTracker
 from repro.dbt.dfg import source_registers
 from repro.isa.instructions import InstrClass
 from repro.sim.trace import ABSENT, InstructionTable, TraceRecord
@@ -139,19 +133,18 @@ class SchedulerState:
       exactly why the paper moves whole configurations at run time
       instead of touching the scheduler.
 
-    ``line_budget`` bounds the per-column context-line pressure: the
-    slot search stops at the first candidate column whose operand
-    routing would overflow, so placement fails and the unit closes (a
-    later column only lengthens the routed values, so none can fit).
-    The default follows the geometry's declared routing
-    budget — elastic unless ``ctx_lines`` was set explicitly, so the
-    paper pipeline is untouched; pass an int to override, or ``None``
-    to force elastic routing.
+    The geometry's declared routing budget
+    (:attr:`~repro.cgra.fabric.FabricGeometry.routing_budget`) bounds
+    the per-column context-line pressure: the slot search stops at the
+    first candidate column whose operand routing would overflow, so
+    placement fails and the unit closes (a later column only lengthens
+    the routed values, so none can fit). A geometry that leaves
+    ``ctx_lines`` undeclared routes elastically, as the paper pipeline
+    does.
     """
 
     geometry: FabricGeometry
     row_policy: str = "first_fit"
-    line_budget: int | str | None = FOLLOW_GEOMETRY
 
     def __post_init__(self) -> None:
         if self.row_policy not in ("first_fit", "round_robin"):
@@ -167,23 +160,10 @@ class SchedulerState:
         self._load_ready: dict[int, int] = {}       # word -> last load end
         self._next_start_row = 0
         self._lines = LinePressureTracker(
-            self._cols,
-            resolve_line_budget(self.line_budget, self.geometry),
+            self._cols, self.geometry.routing_budget
         )
 
     # -- placement ----------------------------------------------------------
-
-    def try_place(
-        self, record: TraceRecord, trace_offset: int
-    ) -> PlacedOp | object | None:
-        """Greedily place ``record``: :meth:`place` on its decoded
-        facts and memory address."""
-        mem_addr = record.mem_addr
-        return self.place(
-            PlacementFacts(record),
-            ABSENT if mem_addr is None else mem_addr,
-            trace_offset,
-        )
 
     def place(
         self, facts: PlacementFacts, mem_addr: int, trace_offset: int

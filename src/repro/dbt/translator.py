@@ -16,7 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cgra.configuration import VirtualConfiguration, greedy_identity
+from repro.cgra.configuration import (
+    DEFAULT_MAPPER_KEY,
+    VirtualConfiguration,
+    greedy_identity,
+)
 from repro.cgra.fabric import FabricGeometry
 from repro.dbt.config_cache import CacheEntry, ConfigCache
 from repro.dbt.window import UnitLimits, translate_unit, truncate_unit
@@ -42,14 +46,16 @@ class DBTEngine:
     """Stateful translator shared by one simulation run.
 
     Attributes:
-        mapper: place-and-route stage applied to every discovered
-            window (``None`` keeps the hardwired greedy placement —
-            the two are byte-identical, the injection point just
-            avoids a no-op call).
+        mapper: place-and-route stage that refines discovery's greedy
+            placement of every discovered window; ``None`` (the
+            ``greedy`` pipeline) keeps the greedy placement, under the
+            cache namespace ``greedy_identity(limits.row_policy)``. The
+            registered ``greedy`` mapper names that placement, so an
+            engine given it runs without a mapper.
         stress_provider: zero-argument callable returning the
-            allocator's live per-cell stress map; read for mappers
-            that declare ``uses_stress``, once per translation that
-            forms a seed for the mapper to place.
+            allocator's live per-cell stress map; read for a
+            stress-coupled mapper, once per translation that forms a
+            seed for the mapper to refine.
     """
 
     geometry: FabricGeometry
@@ -59,6 +65,11 @@ class DBTEngine:
     stress_provider: "Callable[[], np.ndarray] | None" = None
 
     def __post_init__(self) -> None:
+        if (
+            self.mapper is not None
+            and self.mapper.identity() == DEFAULT_MAPPER_KEY
+        ):
+            self.mapper = None
         # A mismatched pairing would file every insert under the units'
         # namespace while probes resolve in the cache's — a permanent,
         # silent 0% hit rate. Fail loudly instead. With no mapper,
@@ -94,15 +105,11 @@ class DBTEngine:
         return (
             self.mapper is not None
             and self.stress_provider is not None
-            and getattr(self.mapper, "stress_coupled", False)
+            and self.mapper.stress_coupled
         )
 
     def _stress_hint(self) -> "np.ndarray | None":
-        if self.stress_provider is None or self.mapper is None:
-            return None
-        if not getattr(self.mapper, "uses_stress", False):
-            return None
-        return self.stress_provider()
+        return self.stress_provider() if self.stress_coupled else None
 
     @staticmethod
     def unit_head_flags(trace: Trace) -> "np.ndarray":

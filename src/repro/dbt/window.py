@@ -16,11 +16,14 @@ no fabric op but stays on the recorded path.
 Units shorter than ``min_instructions`` are rejected (not worth a
 configuration-cache entry).
 
-Discovery builds no :class:`~repro.sim.trace.TraceRecord` views: it
-reads the trace's static-index and memory-address columns and places
-from each instruction-table row's :class:`~repro.dbt.scheduler.PlacementFacts`,
+Discovery is the one greedy placement: the unit it grows is placed
+first-fit as it goes, under the geometry's routing budget and the
+row-scan order of :attr:`UnitLimits.row_policy`. It builds no
+:class:`~repro.sim.trace.TraceRecord` views: it reads the trace's
+static-index and memory-address columns and places from each
+instruction-table row's :class:`~repro.dbt.scheduler.PlacementFacts`,
 decoded once per table. Record views of a window are built once, as
-one slice, only for a mapper that may re-place the greedy seed.
+one slice, only for a mapper that refines the greedy seed.
 """
 
 from __future__ import annotations
@@ -69,14 +72,13 @@ def translate_unit(
     """:func:`build_unit` and the unit's peak context-line pressure.
 
     ``stress`` returns the stress hint for the mapper. It is called
-    only once a seed has formed and the mapper's identity differs from
-    the seed's, i.e. only when the mapper actually places the window:
-    reading a live stress map may fold pending launches, which
-    discovery never needs.
+    only once a seed has formed and a mapper is given, i.e. only when
+    the mapper actually refines the seed: reading a live stress map may
+    fold pending launches, which discovery never needs.
 
-    A greedy seed's peak is the discovery scheduler's own
+    A greedy unit's peak is the discovery scheduler's own
     :class:`~repro.cgra.interconnect.LinePressureTracker` reading; a
-    unit the mapper re-placed is measured by the routing oracle
+    unit the mapper refined is measured by the routing oracle
     (:func:`repro.mapping.routing.peak_pressure`) over the same window
     the mapper placed. The peak is 0 when no unit forms.
     """
@@ -125,10 +127,7 @@ def translate_unit(
         # the config cache never alias distinct placements.
         mapper_key=greedy_identity(limits.row_policy),
     )
-    # Equal mapper identity implies identical placement (the contract
-    # of greedy_identity), so only a mapper of another identity may
-    # re-place the seed, and only then are record views built.
-    if mapper is None or mapper.identity() == seed.mapper_key:
+    if mapper is None:
         return seed, state.peak_line_pressure
     window = trace[start:position]
     unit = mapper.map_unit(
@@ -137,10 +136,9 @@ def translate_unit(
         stress_hint=None if stress is None else stress(),
         seed=seed,
     )
-    if unit is None:
-        return None, 0
-    # Local import: repro.mapping pulls this module back in through
-    # the greedy mapper, so binding at call time avoids the cycle.
+    # Local import: importing repro.mapping reaches repro.dbt (the
+    # annealer's dependence edges), whose package imports this module,
+    # so binding at call time avoids the cycle.
     from repro.mapping.routing import peak_pressure
 
     return unit, peak_pressure(unit, window)
@@ -158,13 +156,11 @@ def build_unit(
 
     The *window* (which instructions belong to the unit) is always
     discovered by the greedy scheduler — unit boundaries, ``pc_path``
-    and speculation behaviour are therefore mapper-independent. When a
-    ``mapper`` of another identity than the greedy seed's is injected,
-    the discovered window is handed to it for placement, with the
-    greedy result as seed; a mapper of the seed's identity (the
-    default :class:`~repro.mapping.greedy.GreedyMapper`) places
-    exactly the seed, so it is not called, keeping the pipeline
-    byte-identical.
+    and speculation behaviour are therefore mapper-independent. The
+    greedy placement discovery makes as it goes is the unit when no
+    ``mapper`` is given (the ``greedy`` pipeline); an injected mapper
+    (the annealer) refines that placement, given as its seed, over the
+    discovered window.
 
     Returns ``None`` when no unit of at least ``min_instructions`` can
     be formed at this position.
@@ -183,7 +179,7 @@ def truncate_unit(
     some branch is cut back to the prefix that reliably commits. Ops
     keep their placement. For a greedy unit that is the greedy
     placement of the prefix (the prefix was scheduled first, and later
-    ops never move it); a unit a mapper re-placed keeps the columns
+    ops never move it); a unit a mapper refined keeps the columns
     the mapper chose within the whole unit's bound, so its prefix can
     run wider than the greedy prefix. Returns ``None`` when the prefix
     is too short to be worth a cache entry.

@@ -3,10 +3,14 @@
 All library-raised exceptions derive from :class:`ReproError` so callers
 can catch everything from this package with a single ``except`` clause.
 :func:`checked_ratio` is the one ratio helper that raises instead of
-guessing a value for a zero denominator.
+guessing a value for a zero denominator, and :func:`check_kwargs` the
+one check that a registered component takes the keyword arguments it
+is configured with.
 """
 
 from __future__ import annotations
+
+import inspect
 
 
 class ReproError(Exception):
@@ -82,3 +86,22 @@ def checked_ratio(numerator: float, denominator: float, name: str) -> float:
             "1.0 fallback would silently report parity"
         )
     return numerator / denominator
+
+
+def check_kwargs(kind: str, name: str, cls: type, kwargs: dict) -> None:
+    """Check that ``cls``, the registered ``kind`` (``"policy"``,
+    ``"mapper"``) called ``name``, takes every keyword of ``kwargs``.
+
+    Raises:
+        ConfigurationError: naming the component and the keyword, so a
+            misspelt or retired option fails where it is configured,
+            not as a bare ``TypeError`` inside a walk.
+    """
+    signature = inspect.signature(cls)
+    try:
+        signature.bind(**kwargs)
+    except TypeError as exc:
+        accepted = list(signature.parameters) or "no arguments"
+        raise ConfigurationError(
+            f"{kind} {name!r}: {exc}; it takes {accepted}"
+        ) from None

@@ -1,23 +1,25 @@
 """Pluggable wear-aware place-and-route for virtual configurations.
 
 The mapping stage sits between translation-unit discovery
-(:mod:`repro.dbt.window`) and the configuration cache: a
-:class:`Mapper` turns an instruction window into a
+(:mod:`repro.dbt.window`) and the configuration cache. Discovery
+places every unit greedily as it grows it; a :class:`Mapper` may then
+refine that placement of the window into another
 :class:`~repro.cgra.configuration.VirtualConfiguration`. Built-ins:
 
 * ``greedy`` — :class:`GreedyMapper`, the paper's traditional
-  first-fit placement (the default; byte-identical to the hardwired
-  seed pipeline);
+  first-fit placement (the default): discovery's own placement, kept
+  as is, so a greedy walk runs no mapper;
 * ``annealing`` — :class:`SimulatedAnnealingMapper`, wear-aware
-  simulated annealing with a vectorized incremental cost, optionally
-  fed by the allocator's live stress map.
+  simulated annealing of discovery's placement with a vectorized
+  incremental cost, optionally fed by the allocator's live stress map.
 
-:mod:`repro.mapping.legality` validates any mapper's output against
-the DFG dependence oracle, FU latency spans and the left-to-right
-interconnect constraint; :mod:`repro.mapping.routing` models the
-per-column context-line pressure that makes the interconnect a finite
-resource (a declared ``FabricGeometry.ctx_lines`` budget is enforced
-by the scheduler, both mappers and the oracle).
+:mod:`repro.mapping.routing` models the per-column context-line
+pressure that makes the interconnect a finite resource: a declared
+``FabricGeometry.ctx_lines`` budget bounds discovery and the annealer
+alike. :mod:`repro.mapping.legality` (imported on its own, since no
+simulation runs it) validates any mapper's output against the DFG
+dependence oracle, FU latency spans and the left-to-right
+interconnect constraint, the routing budget included.
 """
 
 from repro.mapping.annealing import SimulatedAnnealingMapper
@@ -28,8 +30,7 @@ from repro.mapping.base import (
     mapper_class,
     register_mapper,
 )
-from repro.mapping.greedy import GreedyMapper, place_window
-from repro.mapping.legality import LegalityReport, assert_legal, check_unit
+from repro.mapping.greedy import GreedyMapper
 from repro.mapping.routing import (
     RoutingProfile,
     routing_profile,
@@ -39,16 +40,12 @@ from repro.mapping.routing import (
 
 __all__ = [
     "GreedyMapper",
-    "LegalityReport",
     "Mapper",
     "RoutingProfile",
     "SimulatedAnnealingMapper",
-    "assert_legal",
     "available_mappers",
-    "check_unit",
     "make_mapper",
     "mapper_class",
-    "place_window",
     "register_mapper",
     "routing_profile",
     "routing_violations",

@@ -1,7 +1,9 @@
 """Simulated-annealing mapper with an incremental move cost.
 
-In the style of cgra_pnr's ``SADetailedPlacer``: start from the greedy
-first-fit placement, then anneal single-op moves (new row and/or a
+In the style of cgra_pnr's ``SADetailedPlacer``: start from unit
+discovery's greedy first-fit placement (the ``seed``
+:func:`repro.dbt.window.translate_unit` passes), then anneal single-op
+moves (new row and/or a
 column shift inside the op's dependence-legal window) under a cost that
 trades *wear* against *time*:
 
@@ -32,9 +34,9 @@ trades *wear* against *time*:
   the sizing the interconnect is free and wear-leveling moves pay
   nothing; above it, wide or value-heavy units pay per extra line —
   even when no hard budget is declared. When the geometry declares a
-  routing budget (or ``line_budget`` is given), moves that would push
-  any boundary over it are additionally rejected outright — annealed
-  placements can never be less routable than the budget allows.
+  routing budget, moves that would push any boundary over it are
+  additionally rejected outright; discovery placed the seed under the
+  same budget, so annealed placements never overflow it.
 
 Move evaluation is incremental, and each proposal pays only for what
 decides it. Random draws are batched per sweep (four ``rng`` calls)
@@ -68,10 +70,8 @@ from repro import obs
 from repro.cgra.configuration import VirtualConfiguration
 from repro.cgra.fabric import FabricGeometry
 from repro.cgra.fu import MEM_PORT_ISSUE_COLUMNS, FUKind
-from repro.cgra.interconnect import FOLLOW_GEOMETRY, resolve_line_budget
 from repro.dbt.dfg import dependence_edges
 from repro.mapping.base import Mapper, register_mapper
-from repro.mapping.greedy import place_window
 from repro.sim.trace import TraceRecord
 
 
@@ -92,15 +92,13 @@ class SimulatedAnnealingMapper(Mapper):
         balance_weight: weight of the row-balance term.
         stress_weight: weight of the live-stress term.
         congestion_weight: weight of the context-line congestion term.
-        line_budget: hard per-column line cap for moves; the default
-            follows the geometry's declared routing budget (elastic
-            unless ``ctx_lines`` was set explicitly), an int overrides
-            it, ``None`` forces elastic routing.
+
+    Moves never overflow the geometry's declared routing budget
+    (:attr:`~repro.cgra.fabric.FabricGeometry.routing_budget`).
     """
 
     name = "annealing"
     seedable = True
-    uses_stress = True
 
     #: Constructor defaults, used by :meth:`identity` to name every
     #: parameter that deviates — equal identity must imply identical
@@ -114,7 +112,6 @@ class SimulatedAnnealingMapper(Mapper):
         "balance_weight": 1.0,
         "stress_weight": 1.0,
         "congestion_weight": 1.0,
-        "line_budget": FOLLOW_GEOMETRY,
     }
 
     def __init__(
@@ -128,7 +125,6 @@ class SimulatedAnnealingMapper(Mapper):
         balance_weight: float = 1.0,
         stress_weight: float = 1.0,
         congestion_weight: float = 1.0,
-        line_budget: int | str | None = FOLLOW_GEOMETRY,
     ) -> None:
         if not 0.0 < cooling < 1.0:
             raise ValueError(f"cooling must be in (0, 1), got {cooling}")
@@ -136,10 +132,6 @@ class SimulatedAnnealingMapper(Mapper):
             raise ValueError("proposals_per_op must be >= 1")
         if t0 <= 0.0:
             raise ValueError(f"t0 must be > 0, got {t0}")
-        if isinstance(line_budget, str) and line_budget != FOLLOW_GEOMETRY:
-            raise ValueError(f"unknown line budget {line_budget!r}")
-        if isinstance(line_budget, int) and line_budget < 1:
-            raise ValueError("line_budget must be >= 1")
         self.seed = int(seed)
         self.sweeps = sweeps
         self.proposals_per_op = proposals_per_op
@@ -149,7 +141,6 @@ class SimulatedAnnealingMapper(Mapper):
         self.balance_weight = float(balance_weight)
         self.stress_weight = float(stress_weight)
         self.congestion_weight = float(congestion_weight)
-        self.line_budget = line_budget
 
     # ------------------------------------------------------------------
 
@@ -193,21 +184,13 @@ class SimulatedAnnealingMapper(Mapper):
         rng: np.random.Generator | None = None,
         stress_hint: np.ndarray | None = None,
         seed: VirtualConfiguration | None = None,
-    ) -> VirtualConfiguration | None:
-        records = tuple(ops)
-        limit = resolve_line_budget(self.line_budget, geometry)
-        if seed is not None and not self._seed_routable(seed, records, limit):
-            # A caller-supplied seed placed under a looser budget (e.g.
-            # greedy discovery on an elastic geometry) may already
-            # overflow this mapper's cap, and moves can only avoid
-            # worsening pressure, never repair it — re-place instead.
-            seed = None
+    ) -> VirtualConfiguration:
         if seed is None:
-            seed = place_window(
-                records, geometry, line_budget=self.line_budget
+            raise ValueError(
+                "the annealer refines discovery's greedy placement: "
+                "pass it as seed"
             )
-        if seed is None:
-            return None
+        records = tuple(ops)
         if len(seed.ops) < 2:
             return self._rebrand(seed)
         if rng is None:
@@ -217,7 +200,7 @@ class SimulatedAnnealingMapper(Mapper):
             records,
             geometry,
             stress_hint,
-            line_limit=limit,
+            line_limit=geometry.routing_budget,
             cp_weight=self.cp_weight,
             balance_weight=self.balance_weight,
             stress_weight=self.stress_weight,
@@ -228,18 +211,6 @@ class SimulatedAnnealingMapper(Mapper):
         with obs.span("mapping.sa.anneal", ops=len(seed.ops)):
             self._anneal(placed, rng)
         return self._rebrand(seed, placed)
-
-    @staticmethod
-    def _seed_routable(
-        seed: VirtualConfiguration,
-        records: Sequence[TraceRecord],
-        limit: int | None,
-    ) -> bool:
-        if limit is None:
-            return True
-        from repro.mapping.routing import routing_profile
-
-        return routing_profile(seed, records).peak_pressure <= limit
 
     def _rebrand(
         self,

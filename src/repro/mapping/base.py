@@ -1,13 +1,15 @@
 """Mapper interface and registry.
 
-A *mapper* is the place-and-route stage of the DBT pipeline: it turns
-an instruction window (the unit's committed :class:`TraceRecord`
-sequence) into a :class:`~repro.cgra.configuration.VirtualConfiguration`
-— every op assigned a virtual row, start column and column span. The
-seed repository hardwired this stage to the greedy first-fit scheduler
-(the paper's *traditional, energy-oriented* allocation); the mapper
-protocol makes it pluggable so campaigns can compare mapper-level
-against allocation-level wear leveling.
+A *mapper* is the place-and-route stage of the DBT pipeline: it refines
+the greedy first-fit placement that unit discovery
+(:func:`repro.dbt.window.translate_unit`) makes of an instruction
+window (the unit's committed :class:`TraceRecord` sequence) into
+another :class:`~repro.cgra.configuration.VirtualConfiguration` —
+every op assigned a virtual row, start column and column span. The
+greedy placement itself (the paper's *traditional, energy-oriented*
+allocation) is discovery's own, named ``greedy`` in the registry; the
+mapper protocol lets campaigns compare mapper-level against
+allocation-level wear leveling.
 
 Contract for every mapper:
 
@@ -17,7 +19,8 @@ Contract for every mapper:
   replay machinery behaves identically);
 * the output must pass :func:`repro.mapping.legality.check_unit`
   against the DFG dependence oracle, the FU latency spans and the
-  left-to-right interconnect constraint;
+  left-to-right interconnect constraint, including the geometry's
+  declared routing budget;
 * given the same inputs (and seed), the output is deterministic.
 """
 
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cgra.fabric import FabricGeometry
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_kwargs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cgra.configuration import VirtualConfiguration
@@ -39,12 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Mapper:
     """Maps an instruction window onto the virtual CGRA grid.
 
-    Lifecycle: the DBT engine calls :meth:`map_unit` once per
-    translation attempt, passing the discovered window records and —
-    when available — the greedy seed placement and the allocator's live
-    stress map. Mappers are stateless across units; all randomness must
-    derive from the constructor ``seed`` (or the explicit ``rng``) so
-    runs are reproducible.
+    Lifecycle: the DBT engine calls :meth:`map_unit` once per unit
+    discovery forms, passing the discovered window records, discovery's
+    greedy placement of them as ``seed`` and — for a stress-coupled
+    mapper in a coupled walk — the allocator's live stress map.
+    Mappers are stateless across units; all randomness must derive
+    from the constructor ``seed`` (or the explicit ``rng``) so runs are
+    reproducible.
     """
 
     #: Registry key; subclasses override.
@@ -54,10 +58,6 @@ class Mapper:
     #: this to expand one mapper into per-seed design points).
     seedable = False
 
-    #: Whether :meth:`map_unit` consumes ``stress_hint`` — the engine
-    #: only snapshots the allocator's live stress map when this is set.
-    uses_stress = False
-
     @property
     def stress_coupled(self) -> bool:
         """Whether placements depend on the allocator's *live* state.
@@ -66,11 +66,11 @@ class Mapper:
         loop: the units it produces (and therefore the whole launch
         stream) change with the allocation policy, so its simulations
         cannot share a policy-independent
-        :class:`~repro.system.schedule.LaunchSchedule`. Subclasses may
-        override to report decoupling when their configuration provably
-        ignores the hint (e.g. a zero stress weight).
+        :class:`~repro.system.schedule.LaunchSchedule`. The engine
+        reads the live stress map (``stress_hint``) only for a
+        stress-coupled mapper.
         """
-        return self.uses_stress
+        return False
 
     def map_unit(
         self,
@@ -79,7 +79,7 @@ class Mapper:
         rng: np.random.Generator | None = None,
         stress_hint: np.ndarray | None = None,
         seed: "VirtualConfiguration | None" = None,
-    ) -> "VirtualConfiguration | None":
+    ) -> "VirtualConfiguration":
         """Place the window ``ops`` onto ``geometry``'s virtual grid.
 
         Args:
@@ -92,14 +92,13 @@ class Mapper:
             stress_hint: read-only per-cell stress counts of the
                 physical fabric (the allocator's live utilization map),
                 or ``None`` when unavailable.
-            seed: the greedy first-fit placement of the same window,
-                when the caller already computed it (the DBT engine
-                always has — discovery and greedy placement are one
-                pass). Mappers may use it as a starting point.
+            seed: discovery's greedy first-fit placement of the same
+                window (:func:`repro.dbt.window.translate_unit`), the
+                placement the mapper refines. Required: mappers place
+                no window from scratch.
 
         Returns:
-            The mapped configuration, or ``None`` when the window
-            cannot be mapped (e.g. contains an unmappable instruction).
+            The refined configuration of the seed's window.
         """
         raise NotImplementedError
 
@@ -109,9 +108,7 @@ class Mapper:
         Two mappers with equal identity must produce identical output
         for identical input; the config cache keys entries by it so a
         campaign sweeping several mappers never replays a placement
-        produced by a different mapper, and unit discovery
-        (:func:`repro.dbt.window.translate_unit`) keeps its greedy seed
-        without calling a mapper whose identity equals the seed's.
+        produced by a different mapper.
         """
         return self.name
 
@@ -144,13 +141,19 @@ def mapper_class(name: str) -> type[Mapper]:
 def make_mapper(name: str, **kwargs) -> Mapper:
     """Instantiate a registered mapper by name.
 
+    Raises:
+        ConfigurationError: on an unknown name, or a keyword argument
+            the mapper does not take.
+
     Examples:
         >>> make_mapper("greedy").name
         'greedy'
         >>> make_mapper("annealing", seed=7).identity()
         'annealing(seed=7)'
     """
-    return mapper_class(name)(**kwargs)
+    cls = mapper_class(name)
+    check_kwargs("mapper", name, cls, kwargs)
+    return cls(**kwargs)
 
 
 def available_mappers() -> tuple[str, ...]:

@@ -63,7 +63,11 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.cgra.configuration import VirtualConfiguration
+from repro.cgra.configuration import (
+    DEFAULT_MAPPER_KEY,
+    VirtualConfiguration,
+    greedy_identity,
+)
 from repro.cgra.datapath import (
     DatapathParams,
     configuration_cycles,
@@ -80,7 +84,7 @@ from repro.errors import ConfigurationError
 from repro.frontend.speculative import speculative_trace
 from repro.gpp.timing import GPPTimingModel, GPPTimingResult, stream_dcache
 from repro.hw.energy import EnergyModel, EnergyReport, SystemActivity
-from repro.mapping import make_mapper
+from repro.mapping import Mapper, make_mapper
 from repro.sim.trace import (
     KIND_COMMITTED,
     KIND_WRONG_PATH,
@@ -129,13 +133,18 @@ def schedule_key(params: SystemParams) -> tuple:
     return _walk_values(params)
 
 
-def _make_walk_mapper(params: SystemParams):
-    """The walk's mapper instance (greedy inherits the DBT row policy,
-    keeping seed placements and the cache namespace in agreement)."""
-    mapper_kwargs = dict(params.mapper_kwargs)
-    if params.mapper == "greedy":
-        mapper_kwargs.setdefault("row_policy", params.dbt.row_policy)
-    return make_mapper(params.mapper, **mapper_kwargs)
+def _walk_mapper(params: SystemParams) -> Mapper | None:
+    """The mapper that refines the walk's greedy units, or ``None`` for
+    the ``greedy`` pipeline, whose units are discovery's own placement.
+
+    Raises:
+        ConfigurationError: for a mapper keyword the mapper does not
+            take (``greedy`` takes none).
+    """
+    if params.mapper == DEFAULT_MAPPER_KEY and not params.mapper_kwargs:
+        return None
+    # make_mapper raises for greedy here: it was given kwargs.
+    return make_mapper(params.mapper, **params.mapper_kwargs)
 
 
 def params_stress_coupled(params: SystemParams) -> bool:
@@ -146,7 +155,8 @@ def params_stress_coupled(params: SystemParams) -> bool:
     including the default greedy pipeline behind every paper figure —
     can share policy-independent schedules.
     """
-    return bool(_make_walk_mapper(params).stress_coupled)
+    mapper = _walk_mapper(params)
+    return mapper is not None and mapper.stress_coupled
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +343,8 @@ def compute_schedule(
     if params.frontend is not None and not trace.speculative:
         trace = speculative_trace(trace, params.frontend)
     geometry = params.geometry
-    mapper = _make_walk_mapper(params)
-    if mapper.stress_coupled and allocator is None:
+    mapper = _walk_mapper(params)
+    if mapper is not None and mapper.stress_coupled and allocator is None:
         raise ConfigurationError(
             f"mapper {mapper.identity()!r} is stress-coupled: its "
             "placements read the allocator's live stress map, so a "
@@ -346,7 +356,12 @@ def compute_schedule(
     ).config_bits_per_column
     gpp = GPPTimingModel(params.gpp)
     cache = ConfigCache(
-        capacity=params.config_cache_entries, mapper_key=mapper.identity()
+        capacity=params.config_cache_entries,
+        mapper_key=(
+            greedy_identity(params.dbt.row_policy)
+            if mapper is None
+            else mapper.identity()
+        ),
     )
     launch_configs: list[VirtualConfiguration] = []
     launch_exec_cycles: list[int] = []
@@ -540,10 +555,6 @@ def compute_schedule(
         stats.frontend_mispredicts = trace.mispredicts
         stats.frontend_flushes = trace.flushes
         stats.frontend_interrupts = trace.interrupts
-        obs.count("frontend.mispredicts", trace.mispredicts)
-        obs.count("frontend.flushes", trace.flushes)
-        obs.count("frontend.interrupts", trace.interrupts)
-        obs.count("frontend.wrong_path_launches", wrong_path_launches)
     schedule = LaunchSchedule(
         trace_name=trace.name,
         instructions=trace.n_committed,

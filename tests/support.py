@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cgra.configuration import VirtualConfiguration, greedy_identity
 from repro.core.allocator import ConfigurationAllocator
+from repro.dbt.scheduler import NO_FABRIC_OP, PlacementFacts, SchedulerState
 from repro.gpp.branch import make_predictor
 from repro.gpp.cache import CacheModel
 from repro.gpp.params import GPPParams
 from repro.isa.assembler import assemble
 from repro.isa.instructions import OPCODES, InstrClass
 from repro.sim.cpu import CPU
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import ABSENT, Trace, TraceRecord
 
 
 def run_asm(source: str, max_steps: int = 500_000):
@@ -64,6 +66,47 @@ def reset_rec_pcs(base: int = 0x1000) -> None:
     """Reset the automatic PC counter used by :func:`rec`."""
     global _NEXT_PC
     _NEXT_PC = base
+
+
+def place_record(state: SchedulerState, record: TraceRecord, offset: int):
+    """:meth:`SchedulerState.place` on ``record``'s decoded facts and
+    memory address: the placed op, ``NO_FABRIC_OP`` or ``None``."""
+    mem_addr = record.mem_addr
+    return state.place(
+        PlacementFacts(record),
+        ABSENT if mem_addr is None else mem_addr,
+        offset,
+    )
+
+
+def greedy_unit(
+    records, geometry, row_policy: str = "first_fit"
+) -> VirtualConfiguration | None:
+    """Discovery's greedy placement of a fixed window of ``records``:
+    each one placed in order on ``geometry`` (under its routing budget)
+    with rows scanned by ``row_policy``. Unlike discovery it never
+    closes the unit early: ``None`` when any record is unmappable or
+    finds no slot, or when no record yields a fabric op."""
+    records = tuple(records)
+    state = SchedulerState(geometry, row_policy=row_policy)
+    ops = []
+    for offset, record in enumerate(records):
+        placed = place_record(state, record, offset)
+        if placed is None:
+            return None
+        if placed is not NO_FABRIC_OP:
+            ops.append(placed)
+    if not ops:
+        return None
+    return VirtualConfiguration(
+        start_pc=records[0].pc,
+        pc_path=tuple(record.pc for record in records),
+        ops=tuple(ops),
+        n_instructions=len(records),
+        geometry_rows=geometry.rows,
+        geometry_cols=geometry.cols,
+        mapper_key=greedy_identity(row_policy),
+    )
 
 
 #: Every registered allocation policy with state-exercising kwargs,

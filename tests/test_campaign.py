@@ -139,6 +139,39 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError, match="seed_mode"):
             CampaignSpec.from_jsonable(payload)
 
+    def test_manifest_naming_an_unknown_kwarg_rejected_at_load(self):
+        # A misspelt or retired option fails where the spec is built,
+        # naming the component and the keyword, instead of as a bare
+        # TypeError inside a walk (which a parallel campaign would
+        # quarantine as not retryable).
+        payload = small_spec().to_jsonable()
+        payload["policies"] = [{"name": "rotation", "kwargs": {"strid": 2}}]
+        with pytest.raises(
+            ConfigurationError, match="policy 'rotation'.*'strid'"
+        ):
+            CampaignSpec.from_jsonable(payload)
+        payload = small_spec().to_jsonable()
+        for mapper in (
+            {"name": "annealing", "kwargs": {"line_budgt": 4}},
+            {"name": "annealing", "kwargs": {"line_budget": 4}},
+            {"name": "greedy", "kwargs": {"row_policy": "round_robin"}},
+        ):
+            payload["mappers"] = [mapper]
+            (keyword,) = mapper["kwargs"]
+            with pytest.raises(
+                ConfigurationError,
+                match=f"mapper '{mapper['name']}'.*'{keyword}'",
+            ):
+                CampaignSpec.from_jsonable(payload)
+
+    def test_known_kwargs_accepted(self):
+        assert PolicySpec.make("rotation", stride=2).as_kwargs() == {
+            "stride": 2
+        }
+        assert MapperSpec.make("annealing", seed=1, t0=2.0).label == (
+            "annealing(seed=1,t0=2.0)"
+        )
+
 
 class TestRunner:
     @pytest.fixture(scope="class")

@@ -17,7 +17,7 @@ from repro.dbt.dfg import (
 )
 from repro.dbt.scheduler import SchedulerState
 
-from tests.support import rec, reset_rec_pcs, trace_of
+from tests.support import place_record, rec, reset_rec_pcs, trace_of
 
 
 def setup_function(_):
@@ -183,7 +183,7 @@ class TestSchedulerAgainstOracle:
         state = SchedulerState(FabricGeometry(rows=rows, cols=cols))
         placements = {}
         for offset, record in enumerate(records):
-            placed = state.try_place(record, offset)
+            placed = place_record(state, record, offset)
             assert placed is not None, f"op {offset} did not fit"
             placements[offset] = placed
         graph = build_dfg(records)

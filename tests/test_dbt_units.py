@@ -17,13 +17,19 @@ instruction caps on (8,32); and a speculative front end with
 interrupts on (4,32), whose stream holds wrong-path and handler rows
 of an extended instruction table.
 
-Discovery reports a greedy seed's peak line pressure from its own
-incremental tracker, and the walks trust the seed as the greedy
-placement of its window. A law test holds both facts for every unit
-those walks translate, including units closed by a failed placement
-or a line-budget break and units holding a ``jal`` link constant.
+Discovery reports a greedy unit's peak line pressure from its own
+incremental tracker, and its placement is the only greedy one: a
+greedy walk runs no mapper. Law tests hold, for every unit those walks
+translate (including units closed by a failed placement or a
+line-budget break and units holding a ``jal`` link constant), that the
+peak equals the routing oracle's, that placing the window record by
+record reproduces the unit, and that under a declared routing budget
+the peak stays within it. A spy shows that a greedy walk calls no
+mapper.
 """
 
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -32,18 +38,19 @@ from unittest import mock
 
 import pytest
 
+from repro.cgra.configuration import greedy_identity
 from repro.cgra.fabric import FabricGeometry
-from repro.cgra.interconnect import FOLLOW_GEOMETRY
 from repro.dbt.scheduler import PlacementFacts
 from repro.dbt.translator import DBTEngine, DBTLimits
 from repro.dbt.window import translate_unit
 from repro.frontend import FrontEndSpec
-from repro.mapping.greedy import place_window
+from repro.mapping import available_mappers, mapper_class
 from repro.mapping.routing import peak_pressure
 from repro.system import SystemParams, compute_schedule
+from repro.system import schedule as schedule_module
 from repro.workloads.suite import run_workload, workload_names
 
-from tests.support import trace_of
+from tests.support import greedy_unit, trace_of
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "dbt_units.json"
 
@@ -195,24 +202,29 @@ def closing_reason(trace, position, unit, params) -> str:
         return "other"
     grown = trace[position : end + 1]
     geometry = params.geometry
-    assert place_window(grown, geometry, limits.row_policy) is None, (
+    assert greedy_unit(grown, geometry, limits.row_policy) is None, (
         f"unit at {position} closed before a record that fits"
     )
-    elastic = place_window(
-        grown, geometry, limits.row_policy, line_budget=None
+    # The same fabric without a declared budget routes elastically.
+    elastic = greedy_unit(
+        grown,
+        FabricGeometry(rows=geometry.rows, cols=geometry.cols),
+        limits.row_policy,
     )
     return "full" if elastic is None else "budget"
 
 
 @functools.cache
-def checked_units(label: str) -> tuple[dict[str, int], int]:
-    """Check both discovery laws on every unit variant ``label``'s walks
-    translate; return the units' closing reasons (counted) and how many
-    hold a ``jal`` link constant."""
+def checked_units(label: str) -> tuple[dict[str, int], int, int]:
+    """Check the discovery laws on every unit variant ``label``'s walks
+    translate; return the units' closing reasons (counted), how many
+    hold a ``jal`` link constant and the highest peak line pressure."""
     params = variant_params(label)
     limits = params.dbt
+    budget = params.geometry.routing_budget
     reasons: dict[str, int] = {}
     links = 0
+    highest = 0
     for workload in (*WORKLOADS, "call_kernel"):
         for trace, position, unit in walk(label, workload)[1]:
             seed, peak = translate_unit(
@@ -223,32 +235,92 @@ def checked_units(label: str) -> tuple[dict[str, int], int]:
             assert peak == peak_pressure(unit, window), (
                 f"{workload} unit at {position}: discovery peak {peak}"
             )
-            replaced = place_window(
-                window,
-                params.geometry,
-                limits.row_policy,
-                mapper_key=unit.mapper_key,
-                line_budget=FOLLOW_GEOMETRY,
+            assert budget is None or peak <= budget, (
+                f"{workload} unit at {position}: peak {peak} > {budget}"
+            )
+            highest = max(highest, peak)
+            replaced = greedy_unit(
+                window, params.geometry, limits.row_policy
             )
             assert replaced == unit, f"{workload} unit at {position}"
             reason = closing_reason(trace, position, unit, params)
             reasons[reason] = reasons.get(reason, 0) + 1
             links += any(op.op == "jal" for op in unit.ops)
-    return reasons, links
+    return reasons, links, highest
 
 
 @pytest.mark.parametrize("label", [variant[0] for variant in VARIANTS])
 def test_discovery_facts_match_the_oracles(label):
     """For every unit the variant's walks translate, the discovery
     scheduler's peak equals the routing oracle's over the unit's
-    window, and re-placing the window reproduces the unit.
+    window, and placing the window record by record (each record's
+    facts decoded on their own, not from the instruction table)
+    reproduces the unit.
 
-    The walks report a seed's peak line pressure from the discovery
-    tracker instead of running the oracle, and skip re-placing seeds
-    for mappers of the seed's identity; this is the law both rely on.
+    The walks report a unit's peak line pressure from the discovery
+    tracker instead of running the oracle; this is the law that relies
+    on.
     """
-    reasons, _ = checked_units(label)
+    reasons, _, _ = checked_units(label)
     assert sum(reasons.values()) > 0
+
+
+def test_budgeted_discovery_stays_within_the_budget():
+    """Discovery places under the geometry's declared routing budget,
+    so no unit the budgeted variant translates needs more context
+    lines than the budget: the annealer refines such units as they are
+    (moves never raise a boundary past the budget). The highest peak
+    reaches the budget, so the law is not met vacuously."""
+    budgeted = [label for label, shape, _, _ in VARIANTS if shape[2]]
+    assert budgeted == ["ctx4_4x8"]
+    for label in budgeted:
+        budget = variant_params(label).geometry.routing_budget
+        assert checked_units(label)[2] == budget
+
+
+@pytest.mark.parametrize("label", ["default_2x16", "round_robin_4x32"])
+def test_greedy_walk_runs_no_mapper(label):
+    """A greedy point's walk builds no mapper and calls no
+    ``map_unit``: discovery's placement is the unit, filed under the
+    greedy identity of the DBT's row policy. An annealing walk of the
+    same fabric is the spy's positive control."""
+    calls = []
+
+    def spy(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        return original[type(self)](self, *args, **kwargs)
+
+    classes = [mapper_class(name) for name in available_mappers()]
+    original = {cls: cls.map_unit for cls in classes}
+    params = variant_params(label)
+    trace = run_workload("crc32")
+    with contextlib.ExitStack() as stack:
+        for cls in classes:
+            stack.enter_context(mock.patch.object(cls, "map_unit", spy))
+        made = stack.enter_context(
+            mock.patch.object(
+                schedule_module,
+                "make_mapper",
+                side_effect=schedule_module.make_mapper,
+            )
+        )
+        greedy = compute_schedule(params, trace)
+        assert calls == [] and made.call_count == 0
+        annealed = compute_schedule(
+            dataclasses.replace(
+                params,
+                mapper="annealing",
+                mapper_kwargs={"stress_weight": 0.0},
+            ),
+            trace,
+        )
+    assert made.call_count == 1
+    assert calls and set(calls) == {"SimulatedAnnealingMapper"}
+    key = greedy_identity(params.dbt.row_policy)
+    assert greedy.units and {unit.mapper_key for unit in greedy.units} == {
+        key
+    }
+    assert key not in {unit.mapper_key for unit in annealed.units}
 
 
 def test_laws_reach_closed_units_and_link_constants():
@@ -258,7 +330,7 @@ def test_laws_reach_closed_units_and_link_constants():
     reasons: dict[str, int] = {}
     links = 0
     for label, _, _, _ in VARIANTS:
-        variant_reasons, variant_links = checked_units(label)
+        variant_reasons, variant_links, _ = checked_units(label)
         for reason, count in variant_reasons.items():
             reasons[reason] = reasons.get(reason, 0) + count
         links += variant_links

@@ -1,21 +1,17 @@
-"""Golden regression: the default-greedy reproduction path is pinned.
+"""Golden regression: every experiment's output is pinned.
 
-PR 1 and PR 2 verified by hand that their refactors left every paper
-experiment byte-identical; this automates it. Each default-greedy
-experiment's rendered stdout and JSON artifact are compared
-byte-for-byte against checked-in fixtures (``tests/golden/``), so any
-future mapper/scheduler/allocator work that silently perturbs the
-paper-reproduction outputs fails loudly here.
-
-The ``mapping`` and ``routing`` ablations are deliberately absent:
-they exercise the annealing mapper, whose cost model is allowed to
-evolve. The ``fleet`` campaign is deterministic and pinned like the
-paper experiments, so shard-expansion work must reproduce it byte for
-byte.
+Each registered experiment's rendered stdout and JSON artifact are
+compared byte-for-byte against checked-in fixtures
+(``tests/golden/``), so any mapper/scheduler/allocator work that
+silently perturbs the reproduction outputs fails loudly here. The
+``mapping`` and ``routing`` ablations run the annealing mapper (the
+``routing`` hard-limit arm under a declared context-line budget); its
+placements are deterministic for a given seed, like the greedy path's.
 
 Regenerating fixtures after an *intentional* output change::
 
-    for e in fig1 fig7 fig8 table1 table2 ablation fig6 speculation fleet; do
+    for e in fig1 fig7 fig8 table1 table2 ablation fig6 speculation fleet \
+            mapping routing; do
         PYTHONPATH=src python -m repro.experiments $e --json tests/golden \
             > tests/golden/$e.stdout.txt
     done
@@ -32,8 +28,8 @@ from repro.experiments.__main__ import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
-#: Every experiment that runs the default greedy mapper end to end.
-DEFAULT_GREEDY_EXPERIMENTS = (
+#: Every registered experiment; each has a stdout and a JSON fixture.
+PINNED_EXPERIMENTS = (
     "fig1",
     "fig6",
     "fig7",
@@ -43,6 +39,8 @@ DEFAULT_GREEDY_EXPERIMENTS = (
     "ablation",
     "speculation",
     "fleet",
+    "mapping",
+    "routing",
 )
 
 
@@ -61,8 +59,8 @@ def _run_cli(name: str, json_dir: Path) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("name", DEFAULT_GREEDY_EXPERIMENTS)
-def test_default_greedy_experiment_pinned(name, tmp_path):
+@pytest.mark.parametrize("name", PINNED_EXPERIMENTS)
+def test_experiment_pinned(name, tmp_path):
     stdout = _run_cli(name, tmp_path)
     expected_stdout = (GOLDEN_DIR / f"{name}.stdout.txt").read_text()
     assert stdout == expected_stdout, (
@@ -77,11 +75,10 @@ def test_default_greedy_experiment_pinned(name, tmp_path):
     )
 
 
-def test_golden_fixtures_cover_all_default_greedy_experiments():
+def test_golden_fixtures_cover_all_experiments():
     """The fixture set and the experiment registry stay in sync: every
-    registered experiment is either pinned here or a deliberately
-    unpinned mapper ablation."""
+    registered experiment is pinned here, and nothing else is."""
     from repro.experiments import ALL_EXPERIMENTS
 
-    unpinned = set(ALL_EXPERIMENTS) - set(DEFAULT_GREEDY_EXPERIMENTS)
-    assert unpinned == {"mapping", "routing"}
+    assert set(PINNED_EXPERIMENTS) == set(ALL_EXPERIMENTS)
+    assert len(PINNED_EXPERIMENTS) == len(set(PINNED_EXPERIMENTS))

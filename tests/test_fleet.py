@@ -176,6 +176,15 @@ def test_device_weights_rejects_out_of_range():
         spec.device_weights(-1, 5)
 
 
+def test_spec_rejects_an_unknown_policy_kwarg_at_load():
+    payload = _spec().to_jsonable()
+    payload["policies"] = [{"name": "stress_aware", "kwargs": {"intervl": 8}}]
+    with pytest.raises(
+        ConfigurationError, match="policy 'stress_aware'.*'intervl'"
+    ):
+        FleetSpec.from_jsonable(payload)
+
+
 def test_spec_round_trip_and_fingerprint():
     spec = _spec(ctx_lines=6)
     assert FleetSpec.from_jsonable(spec.to_jsonable()) == spec

@@ -4,7 +4,8 @@ The CLI imports the module of each experiment it runs and no other, and
 nothing on the serial paper path loads the process pool
 (``multiprocessing``, :mod:`repro.resilience.executor`), fault
 injection or the fleet service: a parallel campaign loads the pool when
-it starts one. Every probe runs in a fresh interpreter, since the test
+it starts one. No process but a test's loads the mapping legality
+oracle (:mod:`repro.mapping.legality`). Every probe runs in a fresh interpreter, since the test
 process itself has imported all of them.
 """
 
@@ -32,6 +33,9 @@ POOL_AND_FLEET = frozenset(
 
 #: Table II's area and timing models, which no simulation reads.
 TABLE2_MODELS = frozenset({"repro.hw.area", "repro.hw.timing_model"})
+
+#: The mapping legality oracle, which only tests run.
+LEGALITY = "repro.mapping.legality"
 
 EXPERIMENT_MODULES = frozenset(ALL_EXPERIMENTS.values())
 
@@ -69,6 +73,7 @@ def test_cli_import_loads_no_experiment_pool_or_fleet():
     assert not loaded & EXPERIMENT_MODULES
     assert not loaded & POOL_AND_FLEET
     assert not loaded & TABLE2_MODELS
+    assert LEGALITY not in loaded
 
 
 def test_running_one_experiment_imports_only_its_module():
@@ -92,4 +97,6 @@ def test_campaign_import_loads_no_pool():
     # What the policy_sweep and wear_mapping benchmark children import.
     loaded = loaded_after("import repro.campaign, repro.system.schedule")
     assert "repro.campaign.runner" in loaded
+    assert "repro.mapping.annealing" in loaded
     assert not loaded & POOL_AND_FLEET
+    assert LEGALITY not in loaded

@@ -1,5 +1,6 @@
 """Tests for the pluggable mapping subsystem and its plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,22 +12,23 @@ from repro.campaign import (
     MapperSpec,
     PolicySpec,
 )
+from repro.cgra.configuration import greedy_identity
 from repro.cgra.fabric import FabricGeometry
 from repro.dbt.config_cache import ConfigCache
-from repro.dbt.translator import DBTEngine
+from repro.dbt.translator import DBTEngine, DBTLimits
 from repro.dbt.window import build_unit, truncate_unit
 from repro.errors import ConfigurationError
 from repro.mapping import (
-    GreedyMapper,
     SimulatedAnnealingMapper,
     available_mappers,
-    check_unit,
     make_mapper,
-    place_window,
 )
+from repro.mapping.legality import check_unit
 from repro.system.params import SystemParams
 from repro.system.transrec import TransRecSystem
 from repro.workloads.suite import run_workload, workload_names
+
+from tests.support import greedy_unit, rec, reset_rec_pcs
 
 GEOMETRY = FabricGeometry(rows=4, cols=16)
 
@@ -51,10 +53,17 @@ class TestRegistry:
         assert (
             make_mapper("annealing", seed=7).identity() == "annealing(seed=7)"
         )
-        assert (
-            make_mapper("greedy", row_policy="round_robin").identity()
-            == "greedy(row_policy=round_robin)"
-        )
+
+    def test_unknown_options_raise_configuration_error(self):
+        # Greedy placement is discovery's own: the geometry owns the
+        # routing budget and the DBT limits the row policy, so greedy
+        # takes no option, and the annealer no line budget.
+        with pytest.raises(ConfigurationError, match="'greedy'.*row_policy"):
+            make_mapper("greedy", row_policy="round_robin")
+        with pytest.raises(ConfigurationError, match="no arguments"):
+            make_mapper("greedy", line_budget=4)
+        with pytest.raises(ConfigurationError, match="line_budget"):
+            make_mapper("annealing", line_budget=4)
 
     def test_identity_names_every_placement_knob(self):
         # Equal identity must imply identical output, so non-default
@@ -73,48 +82,92 @@ class TestRegistry:
             make_mapper("annealing", proposals_per_op=0)
 
 
+class TestGreedyPipeline:
+    """Greedy placement is discovery's: a greedy walk takes no mapper
+    options, and its row policy is the DBT's."""
+
+    def test_walk_rejects_greedy_options(self):
+        trace = run_workload("crc32")
+        params = SystemParams(
+            geometry=GEOMETRY,
+            mapper="greedy",
+            mapper_kwargs={"row_policy": "round_robin"},
+        )
+        with pytest.raises(ConfigurationError, match="row_policy"):
+            TransRecSystem(params).run_trace(trace)
+
+    def test_round_robin_rows_key_their_own_namespace(self):
+        # The DBT's round-robin rows place differently, so the walk's
+        # units and cache entries carry their own identity, and system
+        # runs keep hitting the cache.
+        trace = run_workload("crc32")
+        limits = DBTLimits(row_policy="round_robin")
+        result = TransRecSystem(
+            SystemParams(geometry=GEOMETRY, dbt=limits)
+        ).run_trace(trace)
+        assert result.cache_stats.hits > 0
+        unit = build_unit(trace, 0, GEOMETRY, limits)
+        assert unit.mapper_key == "greedy(row_policy=round_robin)"
+        bare = build_unit(trace, 0, GEOMETRY)
+        assert bare.mapper_key == "greedy"
+        assert unit.ops != bare.ops
+
+
 class TestGreedyBitIdentity:
-    """GreedyMapper must equal the seed scheduler — op for op."""
+    """Greedy placement is one placement: a discovered window placed
+    record by record on a fresh scheduler
+    (:func:`tests.support.greedy_unit`, the unit factory of the oracle
+    tests) equals discovery's unit op for op, under both DBT row
+    policies."""
 
     @pytest.mark.parametrize("name", workload_names())
     def test_equals_seed_scheduler_on_suite(self, name):
         trace = run_workload(name)
-        mapper = GreedyMapper()
-        engine_units = 0
-        position = 0
-        # Walk the trace's unit heads the way the DBT does, comparing
-        # the hardwired scheduler with the mapper at each. Discovery
-        # keeps the seed without calling a mapper of its identity, so
-        # the mapper is called here directly.
-        while position < len(trace) and engine_units < 25:
-            bare = build_unit(trace, position, GEOMETRY)
-            if bare is None:
-                position += 1
-                continue
-            engine_units += 1
-            assert mapper.identity() == bare.mapper_key
-            window = window_of(trace, bare, position)
-            assert mapper.map_unit(window, GEOMETRY, seed=bare) == bare
-            assert mapper.map_unit(window, GEOMETRY) == bare
-            position += bare.n_instructions
-
-    def test_system_results_identical(self):
-        # An explicit elastic budget equals the default geometry's, so
-        # it places the same ops under another identity: the engine
-        # hands every discovered window to the mapper to re-place.
-        trace = run_workload("crc32")
-        base = TransRecSystem(SystemParams(geometry=GEOMETRY)).run_trace(trace)
-        injected = TransRecSystem(
-            SystemParams(
-                geometry=GEOMETRY,
-                mapper="greedy",
-                mapper_kwargs={"line_budget": None},
-            )
-        ).run_trace(trace)
-        assert base.transrec_cycles == injected.transrec_cycles
-        np.testing.assert_array_equal(
-            base.tracker.execution_counts, injected.tracker.execution_counts
+        for row_policy in ("first_fit", "round_robin"):
+            limits = DBTLimits(row_policy=row_policy)
+            units = 0
+            position = 0
+            # Walk the trace's unit heads the way the DBT does.
+            while position < len(trace) and units < 25:
+                unit = build_unit(trace, position, GEOMETRY, limits)
+                if unit is None:
+                    position += 1
+                    continue
+                units += 1
+                assert unit.mapper_key == greedy_identity(row_policy)
+                window = window_of(trace, unit, position)
+                assert greedy_unit(window, GEOMETRY, row_policy) == unit
+                position += unit.n_instructions
+            assert units > 0
+        assert make_mapper("greedy").identity() == greedy_identity(
+            "first_fit"
         )
+
+    @pytest.mark.parametrize("row_policy", ("first_fit", "round_robin"))
+    def test_engine_given_the_greedy_mapper_runs_discovery(self, row_policy):
+        # The registered greedy mapper names discovery's own placement:
+        # an engine given it keeps discovery's units, in the namespace
+        # of the DBT's row policy, like an engine without a mapper.
+        trace = run_workload("crc32")
+        limits = DBTLimits(row_policy=row_policy)
+        heads = np.flatnonzero(DBTEngine.unit_head_flags(trace))[:200]
+        translated = []
+        for mapper in (None, make_mapper("greedy")):
+            engine = DBTEngine(
+                geometry=GEOMETRY,
+                cache=ConfigCache(
+                    capacity=64, mapper_key=greedy_identity(row_policy)
+                ),
+                limits=limits,
+                mapper=mapper,
+            )
+            assert engine.mapper is None
+            assert not engine.stress_coupled
+            translated.append(
+                [engine.translate_at(trace, int(p)) for p in heads]
+            )
+        assert translated[0] == translated[1]
+        assert sum(unit is not None for unit in translated[0]) > 1
 
 
 class TestSimulatedAnnealing:
@@ -122,6 +175,24 @@ class TestSimulatedAnnealing:
         trace = run_workload(name)
         unit = build_unit(trace, 0, GEOMETRY)
         return unit, window_of(trace, unit)
+
+    def test_refines_only_a_discovery_seed(self):
+        unit, window = self.unit_and_window()
+        with pytest.raises(ValueError, match="seed"):
+            SimulatedAnnealingMapper(seed=3).map_unit(window, GEOMETRY)
+
+    def test_single_op_seed_is_kept_under_the_annealers_identity(self):
+        # One op has nowhere better to go: the seed's placement comes
+        # back unchanged, filed under the annealer's own namespace.
+        reset_rec_pcs()
+        window = [rec("add", rd=5, rs1=1, rs2=2)]
+        seed = greedy_unit(window, GEOMETRY)
+        assert len(seed.ops) == 1
+        mapper = SimulatedAnnealingMapper(seed=3)
+        unit = mapper.map_unit(window, GEOMETRY, seed=seed)
+        assert unit.mapper_key == mapper.identity()
+        assert unit.ops == seed.ops
+        assert dataclasses.replace(unit, mapper_key=seed.mapper_key) == seed
 
     def test_deterministic_per_seed(self):
         unit, window = self.unit_and_window()
@@ -261,26 +332,6 @@ class TestConfigCacheMapperKeying:
                 mapper=mapper,
             )
 
-    def test_greedy_variant_replaces_and_keys_its_own_namespace(self):
-        # A non-default greedy variant must not adopt the first-fit
-        # seed: its placements (and cache entries) carry its own
-        # identity, so system runs keep hitting the cache.
-        trace = run_workload("crc32")
-        params = SystemParams(
-            geometry=GEOMETRY,
-            mapper="greedy",
-            mapper_kwargs={"row_policy": "round_robin"},
-        )
-        result = TransRecSystem(params).run_trace(trace)
-        assert result.cache_stats.hits > 0
-        variant = make_mapper("greedy", row_policy="round_robin")
-        unit = build_unit(trace, 0, GEOMETRY, mapper=variant)
-        assert unit.mapper_key == "greedy(row_policy=round_robin)"
-        bare = build_unit(trace, 0, GEOMETRY)
-        assert {op.row for op in unit.ops} != {
-            op.row for op in bare.ops
-        } or unit.ops != bare.ops
-
 
 class TestCampaignMapperAxis:
     def test_default_points_unchanged(self):
@@ -408,32 +459,3 @@ class TestSystemLevelAcceptance:
         np.testing.assert_array_equal(
             first.tracker.execution_counts, second.tracker.execution_counts
         )
-
-
-class TestPlaceWindow:
-    def test_rejects_unmappable_record(self):
-        from tests.support import rec, reset_rec_pcs
-
-        reset_rec_pcs()
-        window = [
-            rec("add", rd=5, rs1=1, rs2=2),
-            rec("div", rd=6, rs1=5, rs2=2),
-        ]
-        assert place_window(window, GEOMETRY) is None
-
-    def test_empty_window(self):
-        assert place_window([], GEOMETRY) is None
-
-    def test_jal_x0_contributes_no_op(self):
-        from tests.support import rec, reset_rec_pcs
-
-        reset_rec_pcs()
-        window = [
-            rec("add", rd=5, rs1=1, rs2=2),
-            rec("jal", rd=None, imm=8),
-            rec("add", rd=6, rs1=5, rs2=2),
-        ]
-        unit = place_window(window, GEOMETRY)
-        assert unit is not None
-        assert unit.n_instructions == 3
-        assert {op.trace_offset for op in unit.ops} == {0, 2}

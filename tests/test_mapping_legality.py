@@ -1,11 +1,13 @@
 """Property tests: any mapper's output passes the DFG-oracle check.
 
 Random instruction windows (register ops plus loads/stores, so the
-memory-port and memory-ordering rules are exercised) are mapped by
-every registered mapper; the resulting configuration must satisfy the
-independent legality checker — dependence order, geometry bounds, FU
-latency spans and pipelined port exclusivity. A corrupted placement
-must be rejected, proving the oracle has teeth.
+memory-port and memory-ordering rules are exercised) are placed by
+every registered mapper: greedily, record by record as discovery
+places them, and by the annealer refining that greedy placement. The
+resulting configuration must satisfy the independent legality checker
+— dependence order, geometry bounds, FU latency spans and pipelined
+port exclusivity. A corrupted placement must be rejected, proving the
+oracle has teeth.
 """
 
 import dataclasses
@@ -16,20 +18,28 @@ from hypothesis import strategies as st
 
 from repro.cgra.fabric import FabricGeometry
 from repro.errors import MappingError
-from repro.mapping import (
-    GreedyMapper,
-    SimulatedAnnealingMapper,
-    assert_legal,
-    check_unit,
-    place_window,
-)
+from repro.mapping import SimulatedAnnealingMapper
+from repro.mapping.legality import assert_legal, check_unit
 
-from tests.support import rec, reset_rec_pcs
+from tests.support import greedy_unit, rec, reset_rec_pcs
 
-MAPPERS = (
-    GreedyMapper(),
-    SimulatedAnnealingMapper(seed=11),
-)
+
+def annealed_unit(window, geometry, stress_hint=None, seed=11):
+    """The annealer's refinement of the window's greedy placement
+    (``None`` when the window does not fit)."""
+    greedy = greedy_unit(window, geometry)
+    if greedy is None:
+        return None
+    return SimulatedAnnealingMapper(seed=seed).map_unit(
+        window, geometry, stress_hint=stress_hint, seed=greedy
+    )
+
+
+#: Each registered mapper's placement of a window, by mapper class.
+PLACERS = {
+    "GreedyMapper": greedy_unit,
+    "SimulatedAnnealingMapper": annealed_unit,
+}
 
 _OPS_R = ("add", "sub", "xor", "and", "or", "mul")
 
@@ -66,15 +76,13 @@ def build_window(entries):
 
 
 class TestMapperLegality:
-    @pytest.mark.parametrize(
-        "mapper", MAPPERS, ids=[type(m).__name__ for m in MAPPERS]
-    )
+    @pytest.mark.parametrize("mapper", sorted(PLACERS))
     @given(entries=window_entries)
     @settings(max_examples=40, deadline=None)
     def test_mapped_window_is_legal(self, mapper, entries):
         window = build_window(entries)
         geometry = FabricGeometry(rows=4, cols=64)
-        unit = mapper.map_unit(window, geometry)
+        unit = PLACERS[mapper](window, geometry)
         if unit is None:
             return  # window did not fit: nothing to check
         report = check_unit(unit, window)
@@ -91,9 +99,7 @@ class TestMapperLegality:
         hint = np.random.default_rng(stress_seed).integers(
             0, 1000, size=(geometry.rows, geometry.cols)
         )
-        unit = SimulatedAnnealingMapper(seed=3).map_unit(
-            window, geometry, stress_hint=hint
-        )
+        unit = annealed_unit(window, geometry, stress_hint=hint, seed=3)
         if unit is None:
             return
         report = check_unit(unit, window)
@@ -111,7 +117,7 @@ class TestOracleHasTeeth:
             rec("lw", rd=7, rs1=1, mem_addr=0x100),
             rec("lw", rd=3, rs1=1, mem_addr=0x200),
         ]
-        unit = place_window(window, FabricGeometry(rows=4, cols=16))
+        unit = greedy_unit(window, FabricGeometry(rows=4, cols=16))
         assert unit is not None and check_unit(unit, window).ok
         return unit, window
 

@@ -17,7 +17,7 @@ from repro.dbt.dfg import build_dfg
 from repro.dbt.scheduler import SchedulerState
 from repro.isa.assembler import assemble
 
-from tests.support import rec, reset_rec_pcs
+from tests.support import place_record, rec, reset_rec_pcs
 from tests.test_core_allocator import config
 
 # ----------------------------------------------------------------------
@@ -77,7 +77,7 @@ class TestSchedulerFuzzing:
         state = SchedulerState(FabricGeometry(rows=8, cols=64))
         ops = []
         for offset, record in enumerate(window):
-            placed = state.try_place(record, offset)
+            placed = place_record(state, record, offset)
             if placed is None:
                 return  # window exceeded the fabric: nothing to check
             ops.append(placed)
@@ -103,7 +103,7 @@ class TestSchedulerFuzzing:
         state = SchedulerState(FabricGeometry(rows=8, cols=64))
         placements = {}
         for offset, record in enumerate(window):
-            placed = state.try_place(record, offset)
+            placed = place_record(state, record, offset)
             if placed is None:
                 return
             placements[offset] = placed
@@ -199,7 +199,7 @@ class TestRoutingPressureProperties:
         state = SchedulerState(geometry)
         ops = []
         for offset, record in enumerate(window):
-            placed = state.try_place(record, offset)
+            placed = place_record(state, record, offset)
             if placed is None:
                 break  # overflow or full: discovery would close here
             ops.append(placed)

@@ -26,6 +26,11 @@ UNREACHED_ALLOWED = {
         "value oracle: tests check that DBT units compute the values "
         "the committed trace holds"
     ),
+    "repro.mapping.legality": (
+        "DFG dependence oracle: tests check that every mapper's units "
+        "honour the dependences, FU spans, ports and routing budget of "
+        "their window"
+    ),
     "repro.workloads.synthetic": (
         "generated kernels with a dialled ILP, memory share or branch "
         "period: the inputs of the unit-shape and misspeculation-"

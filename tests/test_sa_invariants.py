@@ -25,7 +25,8 @@ import pytest
 from repro.cgra.interconnect import pressure_profile
 from repro.dbt.translator import DBTLimits
 from repro.dbt.window import build_unit
-from repro.mapping import SimulatedAnnealingMapper, check_unit
+from repro.mapping import SimulatedAnnealingMapper
+from repro.mapping.legality import check_unit
 from repro.mapping.annealing import _AnnealState
 from repro.mapping.routing import value_intervals
 from repro.workloads.suite import run_workload

@@ -14,7 +14,8 @@ counters the unit adds under telemetry.
 The variants reach every branch of the move loop: a nonzero stress
 hint, congestion off (no line-pressure bookkeeping), a hard
 ``ctx_lines`` budget that rejects moves, and a second seed with more
-proposals per op.
+proposals per op. Under the budget, a law test holds that discovery
+placed every window within it and that every annealed unit routes.
 """
 
 import functools
@@ -28,8 +29,8 @@ import pytest
 from repro import obs
 from repro.cgra.fabric import FabricGeometry
 from repro.dbt.translator import DBTEngine, DBTLimits
-from repro.dbt.window import build_unit
-from repro.mapping import SimulatedAnnealingMapper
+from repro.dbt.window import build_unit, translate_unit
+from repro.mapping import SimulatedAnnealingMapper, routing_violations
 from repro.workloads.suite import run_workload, workload_names
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "sa_placements.json"
@@ -90,9 +91,9 @@ def head_positions(trace) -> list[int]:
 
 
 def mapped_units(shape, kwargs, hint_seed, workload):
-    """Yield ``(unit, counters)`` for every head window of ``workload``:
-    the annealed unit (``None`` when no unit forms) and the
-    ``mapping.sa.*`` counts its mapping added."""
+    """Yield ``(position, unit, counters)`` for every head window of
+    ``workload``: its start, the annealed unit (``None`` when no unit
+    forms) and the ``mapping.sa.*`` counts its mapping added."""
     geometry = variant_geometry(shape)
     hint = variant_hint(geometry, hint_seed)
     mapper = SimulatedAnnealingMapper(**kwargs)
@@ -110,20 +111,25 @@ def mapped_units(shape, kwargs, hint_seed, workload):
                 counters.get(name, 0) - old
                 for name, old in zip(COUNTERS, before)
             ]
-            yield unit, added
+            yield position, unit, added
 
 
 @functools.cache
-def placement_digest(label: str, workload: str) -> tuple[str, tuple]:
-    """SHA-256 of variant ``label``'s annealed units of ``workload``,
-    and the summed ``mapping.sa.*`` counts (memoised: both tests of a
-    budgeted variant read one run)."""
+def annealed_units(label: str, workload: str) -> tuple:
+    """Variant ``label``'s :func:`mapped_units` of ``workload``
+    (memoised: every test of a budgeted variant reads one run)."""
     (shape, kwargs, hint_seed), = [
         variant[1:] for variant in VARIANTS if variant[0] == label
     ]
+    return tuple(mapped_units(shape, kwargs, hint_seed, workload))
+
+
+def placement_digest(label: str, workload: str) -> tuple[str, tuple]:
+    """SHA-256 of variant ``label``'s annealed units of ``workload``,
+    and the summed ``mapping.sa.*`` counts."""
     sha = hashlib.sha256()
     totals = [0] * len(COUNTERS)
-    for unit, added in mapped_units(shape, kwargs, hint_seed, workload):
+    for _, unit, added in annealed_units(label, workload):
         if unit is None:
             sha.update(b"none;")
         else:
@@ -187,6 +193,33 @@ def test_budgeted_variant_reaches_the_budget_rejection():
             for workload in WORKLOADS
         )
         assert rejected > 0
+
+
+def test_budgeted_units_stay_within_the_budget():
+    """Under a declared routing budget, discovery places every head
+    window within the budget, and the annealed unit refining it has no
+    routing violation: the annealer refines discovery's placement
+    without re-checking its routability."""
+    budgeted = [(label, shape) for label, shape, _, _ in VARIANTS if shape[2]]
+    assert budgeted
+    for label, shape in budgeted:
+        geometry = variant_geometry(shape)
+        budget = geometry.routing_budget
+        checked = 0
+        for workload in WORKLOADS:
+            trace = run_workload(workload)
+            for position, unit, _ in annealed_units(label, workload):
+                seed, peak = translate_unit(
+                    trace, position, geometry, DBTLimits()
+                )
+                assert (seed is None) == (unit is None)
+                if unit is None:
+                    continue
+                assert peak <= budget, f"{workload} unit at {position}"
+                window = trace[position : position + unit.n_instructions]
+                assert routing_violations(unit, window, geometry) == ()
+                checked += 1
+        assert checked > 0
 
 
 def test_fixture_covers_the_pinned_points(expected):
